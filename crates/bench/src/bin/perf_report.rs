@@ -1,9 +1,11 @@
 //! Machine-readable perf report for the presorted-column engine.
 //!
-//! Reproduces the `reds/vs_l` pipeline configuration (default
-//! [`RedsConfig`] + PRIM) on both the optimized and the naive paths in
-//! the same process, verifies the discovered boxes are **bit-identical**,
-//! and emits `BENCH_prim.json` / `BENCH_forest.json`.
+//! Runs the `reds/vs_l` pipeline configuration (default [`RedsConfig`]
+//! with PRIM) through `Reds::run` and through the naive path in the
+//! same process, verifies the discovered boxes are **bit-identical**,
+//! and emits `BENCH_prim.json`, `BENCH_forest.json` (which times the
+//! forest's `hard_labels` next to `predict_batch`) and
+//! `BENCH_kernels.json`.
 //!
 //! ```text
 //! cargo run --release -p reds-bench --bin perf_report -- \
@@ -19,7 +21,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reds_bench::Args;
-use reds_core::RedsConfig;
+use reds_core::{Reds, RedsConfig};
 use reds_data::Dataset;
 use reds_json::Json;
 use reds_metamodel::{
@@ -65,44 +67,36 @@ fn boxes_bits_equal(a: &SdResult, b: &SdResult) -> bool {
         })
 }
 
-/// One REDS pipeline run, replicating `Reds::run`'s exact RNG stream so
-/// the optimized and naive paths see identical training draws, sampled
-/// points, and subgroup-search seeds.
+/// One REDS pipeline run at `seed`. The optimized path is `Reds::run`
+/// itself; the naive path replicates its exact RNG stream, so both see
+/// identical training draws, sampled points, and subgroup-search seeds.
 fn run_pipeline(d: &Dataset, config: &RedsConfig, naive: bool, seed: u64) -> SdResult {
     let params = RandomForestParams::default();
     let mut rng = StdRng::seed_from_u64(seed);
-    let m = d.m();
-    if naive {
-        // Pre-optimization path: serial enum-arena forest, L
-        // virtual-dispatch predictions, re-sorting PRIM.
-        let forest = NaiveRandomForest::fit(d, &params, &mut rng);
-        let model: &dyn Metamodel = &forest;
-        let points = uniform(config.l, m, &mut rng);
-        let labels: Vec<f64> = points
-            .chunks_exact(m)
-            .map(|x| {
-                if model.predict(x) > config.bnd {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let d_new = Dataset::new(points, labels, m).expect("valid shape");
-        let mut sd_rng = StdRng::seed_from_u64(rng.gen());
-        NaivePrim::default().discover(&d_new, d, &mut sd_rng)
-    } else {
-        let forest = RandomForest::fit(d, &params, &mut rng);
-        let points = uniform(config.l, m, &mut rng);
-        let labels: Vec<f64> = forest
-            .predict_batch(&points, m)
-            .into_iter()
-            .map(|p| if p > config.bnd { 1.0 } else { 0.0 })
-            .collect();
-        let d_new = Dataset::new(points, labels, m).expect("valid shape");
-        let mut sd_rng = StdRng::seed_from_u64(rng.gen());
-        Prim::default().discover(&d_new, d, &mut sd_rng)
+    if !naive {
+        return Reds::random_forest(params, config.clone())
+            .run(d, &Prim::default(), &mut rng)
+            .expect("valid pipeline input");
     }
+    // Pre-optimization path: serial enum-arena forest, L
+    // virtual-dispatch predictions, re-sorting PRIM.
+    let m = d.m();
+    let forest = NaiveRandomForest::fit(d, &params, &mut rng);
+    let model: &dyn Metamodel = &forest;
+    let points = uniform(config.l, m, &mut rng);
+    let labels: Vec<f64> = points
+        .chunks_exact(m)
+        .map(|x| {
+            if model.predict(x) > config.bnd {
+                1.0
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let d_new = Dataset::new(points, labels, m).expect("valid shape");
+    let mut sd_rng = StdRng::seed_from_u64(rng.gen());
+    NaivePrim::default().discover(&d_new, d, &mut sd_rng)
 }
 
 fn box_summary(b: &HyperBox) -> Json {
@@ -205,6 +199,19 @@ fn main() {
             .zip(&batch_preds)
             .all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(preds_identical, "forest prediction paths diverged");
+    // Hard labels, as `Reds::run` pseudo-labels: the early exit against
+    // the full walk it must reproduce.
+    let bnd = config.bnd;
+    let (hard_ms, hard_labels) = time_best(reps, || fast_forest.hard_labels(&query, m, bnd));
+    let labels_identical = hard_labels.len() == batch_preds.len()
+        && hard_labels
+            .iter()
+            .zip(&batch_preds)
+            .all(|(h, p)| h.to_bits() == if *p > bnd { 1.0f64 } else { 0.0 }.to_bits());
+    assert!(
+        labels_identical,
+        "forest hard labels diverged from predict_batch + threshold"
+    );
     println!(
         "forest/fit n={n} trees={}: naive-serial {fit_naive_ms:.0} ms, presorted-parallel \
          {fit_ms:.0} ms ({:.1}x)",
@@ -215,6 +222,11 @@ fn main() {
         "forest/predict l={l}: per-point {point_ms:.0} ms, batch {batch_ms:.0} ms ({:.1}x), \
          identical: {preds_identical}",
         point_ms / batch_ms
+    );
+    println!(
+        "forest/hard_labels l={l} bnd={bnd}: predict_batch {batch_ms:.0} ms, hard_labels \
+         {hard_ms:.0} ms ({:.2}x), identical labels: {labels_identical}",
+        batch_ms / hard_ms
     );
     let forest_doc = Json::obj([
         (
@@ -237,6 +249,17 @@ fn main() {
                 ("batch_tree_major_ms", Json::num(batch_ms)),
                 ("speedup", Json::num(point_ms / batch_ms)),
                 ("identical_predictions", Json::Bool(preds_identical)),
+            ]),
+        ),
+        (
+            "hard_labels",
+            Json::obj([
+                ("l", Json::num(l as f64)),
+                ("bnd", Json::num(bnd)),
+                ("predict_batch_ms", Json::num(batch_ms)),
+                ("hard_labels_ms", Json::num(hard_ms)),
+                ("speedup", Json::num(batch_ms / hard_ms)),
+                ("identical_labels", Json::Bool(labels_identical)),
             ]),
         ),
     ]);

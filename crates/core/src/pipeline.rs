@@ -181,12 +181,17 @@ impl Reds {
 
     /// Pseudo-labels `points` with a fitted metamodel (lines 4–6).
     ///
-    /// Labeling all `L` points is a single [`Metamodel::predict_batch`]
-    /// call rather than `L` virtual dispatches: ensemble models override
-    /// `predict_batch` with cache-friendly tree-major kernels that fan
-    /// out across threads and dispatch per call to the runtime-selected
-    /// SIMD backend (`reds_metamodel::kernels`, scalar ≡ AVX2 bit for
-    /// bit), which is the hot path at the paper's default `L = 10⁵`.
+    /// Labeling all `L` points is one batch call rather than `L` virtual
+    /// dispatches — the hot path at the paper's default `L = 10⁵`. Hard
+    /// labels go through [`Metamodel::hard_labels`], probability labels
+    /// through [`Metamodel::predict_batch`]. Ensemble models override
+    /// both with tree-major kernels that fan out across threads and
+    /// dispatch per call to the runtime-selected SIMD backend
+    /// (`reds_metamodel::kernels`, scalar ≡ AVX2 bit for bit); the
+    /// random forest's `hard_labels` also stops walking trees for a row
+    /// once the remaining trees cannot change its label. Both calls give
+    /// the labels [`Labeling::apply`] gives, bit for bit, which keeps
+    /// `run` ≡ `discover_streaming` ≡ `discover_out_of_core`.
     fn pseudo_label(
         &self,
         model: &dyn Metamodel,
@@ -208,15 +213,18 @@ impl Reds {
                 column: at % m,
             });
         }
-        // One definition of the label mapping, shared with the
-        // streaming path — the bit-identity contract between `run` and
-        // `discover_streaming` hangs on these two paths never drifting.
-        let labeling = self.labeling();
-        let labels = model
-            .predict_batch(&points, m)
-            .into_iter()
-            .map(|p| labeling.apply(p))
-            .collect();
+        // The streaming paths label with `Labeling::apply` on
+        // `predict_batch`; the bit-identity contract between `run` and
+        // `discover_streaming` hangs on `hard_labels` giving exactly
+        // that `p > bnd` rule.
+        let labels = match self.labeling() {
+            Labeling::Hard { bnd } => model.hard_labels(&points, m, bnd),
+            labeling => model
+                .predict_batch(&points, m)
+                .into_iter()
+                .map(|p| labeling.apply(p))
+                .collect(),
+        };
         Ok(Dataset::new(points, labels, m).expect("shape and finiteness checked above"))
     }
 

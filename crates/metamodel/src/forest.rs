@@ -13,7 +13,9 @@
 //! tree's node arena stays hot in cache across the whole batch — the
 //! shape that dominates REDS's `L`-point pseudo-labeling. Per-point
 //! tree sums still accumulate in tree order, so batched and one-by-one
-//! prediction agree bit for bit.
+//! prediction agree bit for bit. [`Metamodel::hard_labels`] is
+//! overridden too: it stops walking trees for a row once the remaining
+//! trees can no longer move its mean across the threshold.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -145,9 +147,25 @@ impl RandomForest {
     }
 }
 
+/// Rows per batch chunk: large enough to amortise the per-tree pass,
+/// small enough to stay cache-resident and spread over workers.
+const CHUNK_ROWS: usize = 4096;
+
+/// Rows per [`RandomForest::hard_labels`] chunk. Each worker keeps a
+/// copy of one chunk's open points; at 4096 rows of 12 columns those
+/// copies raised a pipeline's peak RSS by 0.9 MiB on 2 workers, at 1024
+/// by 0.2 MiB, with no measured change in speed.
+const HARD_CHUNK_ROWS: usize = 1024;
+
+/// Trees walked between two early-exit checks of
+/// [`RandomForest::hard_labels`] (16 measured the same, 2 and 32 slower).
+const EXIT_BLOCK: usize = 8;
+
 impl Metamodel for RandomForest {
     fn predict(&self, x: &[f64]) -> f64 {
-        let sum: f64 = self.trees.iter().map(|t| t.predict(x)).sum();
+        // Fold from +0.0 like the batch kernels: `Iterator::sum` starts
+        // from −0.0, which would keep an all-(−0.0) sum negative.
+        let sum = self.trees.iter().fold(0.0, |s, t| s + t.predict(x));
         sum / self.trees.len() as f64
     }
 
@@ -160,16 +178,9 @@ impl Metamodel for RandomForest {
     /// per-point [`Metamodel::predict`] exactly; chunks fan out across
     /// threads.
     fn predict_batch(&self, points: &[f64], m: usize) -> Vec<f64> {
-        assert_eq!(m, self.m, "prediction dimensionality mismatch");
-        assert!(points.len().is_multiple_of(m.max(1)), "ragged point buffer");
-        let kernel = crate::kernels::active();
-        let n = points.len() / m.max(1);
-        let mut out = vec![0.0f64; n];
-        // ~4k rows per chunk: large enough to amortise the per-tree
-        // pass, small enough to stay cache-resident and spread over
-        // workers.
-        let chunk_rows = 4096usize;
-        reds_par::par_fill_chunks(&mut out, chunk_rows, |start, acc| {
+        let kernel = self.check_batch(points, m);
+        let mut out = vec![0.0f64; points.len() / m];
+        reds_par::par_fill_chunks(&mut out, CHUNK_ROWS, |start, acc| {
             let rows = &points[start * m..(start + acc.len()) * m];
             for tree in &self.trees {
                 crate::kernels::accumulate_tree(kernel, tree.flat(), rows, m, acc);
@@ -180,6 +191,203 @@ impl Metamodel for RandomForest {
             }
         });
         out
+    }
+
+    /// Hard labels with an exact early exit. Each chunk of 1024 rows
+    /// walks the trees in blocks of 8; after a block, every row whose
+    /// label the remaining trees can no longer change is written out,
+    /// and the rest (points and partial sums) are compacted for the
+    /// next block. Rows still open after the last tree are labeled from
+    /// their full sum, exactly as [`Metamodel::predict_batch`] +
+    /// threshold would. `exit_thresholds` explains why a settled label
+    /// is always that label.
+    fn hard_labels(&self, points: &[f64], m: usize, bnd: f64) -> Vec<f64> {
+        let kernel = self.check_batch(points, m);
+        let exits = exit_thresholds(&self.trees, bnd);
+        let n_trees = self.trees.len() as f64;
+        let mut out = vec![0.0f64; points.len() / m];
+        reds_par::par_fill_chunks_with(
+            &mut out,
+            HARD_CHUNK_ROWS,
+            OpenRows::default,
+            |open, start, labels| {
+                open.reset(&points[start * m..(start + labels.len()) * m], m);
+                for (block, trees) in self.trees.chunks(EXIT_BLOCK).enumerate() {
+                    for tree in trees {
+                        crate::kernels::accumulate_tree(
+                            kernel,
+                            tree.flat(),
+                            &open.points,
+                            m,
+                            &mut open.acc,
+                        );
+                    }
+                    if let Some(&(one, zero)) = exits.get(block) {
+                        open.settle(m, labels, one, zero);
+                    }
+                }
+                for (&row, &acc) in open.row.iter().zip(&open.acc) {
+                    labels[row as usize] = if acc / n_trees > bnd { 1.0 } else { 0.0 };
+                }
+            },
+        );
+        out
+    }
+}
+
+impl RandomForest {
+    /// Checks a batch's shape and resolves the traversal kernel once
+    /// for the whole call.
+    fn check_batch(&self, points: &[f64], m: usize) -> crate::kernels::Kernel {
+        assert_eq!(m, self.m, "prediction dimensionality mismatch");
+        assert!(points.len().is_multiple_of(m), "ragged point buffer");
+        crate::kernels::active()
+    }
+}
+
+/// Partial-sum thresholds that settle a hard label before the last
+/// tree: `(one, zero)` after each block `b` but the last, i.e. after the
+/// first `(b + 1) · EXIT_BLOCK` trees. A partial sum `>= one` settles
+/// label 1, one `<= zero` settles label 0; NaN disables a side. Rows
+/// open after the last block take the plain threshold.
+///
+/// A row's batch prediction is `acc / T > bnd` with
+/// `acc = (…((+0.0 + v₁) + v₂) …) + v_T`, summed in tree order. Rounded
+/// addition is monotone in each operand, and so is rounded division by
+/// `T > 0`. So once the first `t` trees gave `a`, the final `acc` lies
+/// between `L(a)`, the same rounded sum continued with each remaining
+/// tree's smallest leaf, and `H(a)`, continued with each one's largest.
+/// The label is 1 whenever `L(a) / T > bnd`, and 0 whenever
+/// `H(a) / T <= bnd`.
+///
+/// Both tests are monotone in `a`, so each is one comparison against a
+/// threshold: the least `a` that passes the first, the greatest that
+/// passes the second. These are found exactly by bisecting the `f64`
+/// order with the rounded sums themselves — no rounding slack is
+/// estimated anywhere.
+///
+/// Non-finite values never settle a row wrongly:
+/// * the first test needs every remaining smallest leaf finite, and the
+///   second every remaining largest leaf. A leaf of `±∞` or NaN in the
+///   remaining trees disables that test (NaN propagates through the
+///   per-tree min/max), so `∞ − ∞` can never arise inside `L` or `H`;
+///   with finite addends, `L` and `H` are monotone over `[−∞, +∞]`;
+/// * a NaN `bnd` passes neither test, and a NaN partial sum compares
+///   false against both thresholds. Such rows finish the full walk.
+///
+/// If `L(a) / T > bnd`, `L` never reached `−∞`; the true partial sums
+/// stay above it, so they never meet `+∞ + (−∞)` either. If
+/// `H(a) / T <= bnd` and the true sum ends NaN, its label is 0 anyway.
+fn exit_thresholds(trees: &[RegressionTree], bnd: f64) -> Vec<(f64, f64)> {
+    let n_trees = trees.len() as f64;
+    let ranges: Vec<(f64, f64)> = trees.iter().map(|t| leaf_range(t.flat())).collect();
+    (EXIT_BLOCK..trees.len())
+        .step_by(EXIT_BLOCK)
+        .map(|done| {
+            let rest = &ranges[done..];
+            let low = |a: f64| rest.iter().fold(a, |s, r| s + r.0);
+            let high = |a: f64| rest.iter().fold(a, |s, r| s + r.1);
+            let one = if rest.iter().all(|r| r.0.is_finite()) {
+                first_passing(|a| low(a) / n_trees > bnd).unwrap_or(f64::NAN)
+            } else {
+                f64::NAN
+            };
+            let zero = if rest.iter().all(|r| r.1.is_finite()) {
+                last_passing(|a| high(a) / n_trees <= bnd).unwrap_or(f64::NAN)
+            } else {
+                f64::NAN
+            };
+            (one, zero)
+        })
+        .collect()
+}
+
+/// Smallest and largest leaf value of a tree; NaN when any leaf is NaN.
+fn leaf_range(tree: &crate::kernels::FlatTree) -> (f64, f64) {
+    let leaves = (0..tree.n_nodes())
+        .filter(|&i| tree.is_leaf(i))
+        .map(|i| tree.value(i));
+    leaves.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+        if v.is_nan() || lo.is_nan() {
+            (f64::NAN, f64::NAN)
+        } else {
+            (lo.min(v), hi.max(v))
+        }
+    })
+}
+
+/// The least non-NaN `f64` satisfying `pass`, which must be monotone
+/// (false, then true) along the `f64` order; `None` if nothing passes.
+fn first_passing(pass: impl Fn(f64) -> bool) -> Option<f64> {
+    use reds_data::{ord_key, ord_key_inverse};
+    // Keys of the non-NaN floats form one contiguous range.
+    let (mut lo, mut hi) = (ord_key(f64::NEG_INFINITY), ord_key(f64::INFINITY));
+    if !pass(f64::INFINITY) {
+        return None;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pass(ord_key_inverse(mid)) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Some(ord_key_inverse(hi))
+}
+
+/// The greatest non-NaN `f64` satisfying `pass`, which must be monotone
+/// (true, then false) along the `f64` order; `None` if nothing passes.
+fn last_passing(pass: impl Fn(f64) -> bool) -> Option<f64> {
+    match first_passing(|a| !pass(a)) {
+        None => Some(f64::INFINITY),
+        Some(f64::NEG_INFINITY) => None,
+        Some(fail) => Some(reds_data::ord_key_inverse(reds_data::ord_key(fail) - 1)),
+    }
+}
+
+/// The rows of one chunk whose hard label is still open: their points
+/// (row-major), tree-order partial sums, and positions in the chunk.
+#[derive(Default)]
+struct OpenRows {
+    points: Vec<f64>,
+    acc: Vec<f64>,
+    row: Vec<u32>,
+}
+
+impl OpenRows {
+    /// Opens every row of a fresh chunk with a `+0.0` sum.
+    fn reset(&mut self, points: &[f64], m: usize) {
+        let n = points.len() / m;
+        self.points.clear();
+        self.points.extend_from_slice(points);
+        self.acc.clear();
+        self.acc.resize(n, 0.0);
+        self.row.clear();
+        self.row.extend(0..n as u32);
+    }
+
+    /// Writes out label 1 for every row whose partial sum is `>= one`
+    /// and label 0 where it is `<= zero`, and closes those rows; the
+    /// last open row moves into each freed slot.
+    fn settle(&mut self, m: usize, labels: &mut [f64], one: f64, zero: f64) {
+        let mut i = 0;
+        while i < self.acc.len() {
+            let label = if self.acc[i] >= one {
+                1.0
+            } else if self.acc[i] <= zero {
+                0.0
+            } else {
+                i += 1;
+                continue;
+            };
+            labels[self.row[i] as usize] = label;
+            let last = self.acc.len() - 1;
+            self.acc.swap_remove(i);
+            self.row.swap_remove(i);
+            self.points.copy_within(last * m..(last + 1) * m, i * m);
+            self.points.truncate(last * m);
+        }
     }
 }
 
@@ -253,7 +461,7 @@ impl NaiveRandomForest {
 impl Metamodel for NaiveRandomForest {
     fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.m, "prediction dimensionality mismatch");
-        let sum: f64 = self.trees.iter().map(|t| t.predict(x)).sum();
+        let sum = self.trees.iter().fold(0.0, |s, t| s + t.predict(x));
         sum / self.trees.len() as f64
     }
 }

@@ -288,7 +288,10 @@ impl Gbdt {
     /// Raw additive margin (log-odds) at `x`.
     pub fn margin(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.m, "prediction dimensionality mismatch");
-        self.base_score + self.eta * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
+        // Fold from +0.0 like the batch kernels (`Iterator::sum` starts
+        // from −0.0).
+        let sum = self.trees.iter().fold(0.0, |s, t| s + t.predict(x));
+        self.base_score + self.eta * sum
     }
 
     /// Number of boosted trees.

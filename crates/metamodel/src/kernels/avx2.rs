@@ -86,9 +86,54 @@ unsafe fn offsets4(base: usize, m: usize) -> __m256i {
     )
 }
 
-/// Gather-based 4-wide tree traversal, two groups in flight so the
-/// eight gathers of a step pair overlap. Bit-identical to the scalar
-/// walk: the same predicate picks the same leaf for every row.
+/// Groups advanced in lockstep by the main loop of [`accumulate_tree`].
+/// Four independent traversal chains keep enough gathers in flight to
+/// hide their latency; six measured no faster, eight slower.
+const IN_FLIGHT: usize = 4;
+
+/// Walks the `G` consecutive 4-row groups starting at row `base` to
+/// their leaves in lockstep — one [`step4`] per unfinished group per
+/// round, so the groups' gathers overlap — then adds each group's leaf
+/// values into `acc`.
+///
+/// # Safety
+///
+/// As [`accumulate_tree`], plus `base + G · 4 <= acc.len()`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn walk_groups<const G: usize>(
+    tree: FlatView<'_>,
+    rows: *const f64,
+    m: usize,
+    acc: &mut [f64],
+    base: usize,
+) {
+    let feature = tree.features().as_ptr() as *const i32;
+    let value = tree.values().as_ptr();
+    let right = tree.rights().as_ptr() as *const i32;
+    let mut offs = [_mm256_setzero_si256(); G];
+    for (g, o) in offs.iter_mut().enumerate() {
+        *o = offsets4(base + g * GROUP, m);
+    }
+    let mut idx = [_mm256_setzero_si256(); G];
+    let mut done = [false; G];
+    while done.contains(&false) {
+        for g in 0..G {
+            if !done[g] {
+                (idx[g], done[g]) = step4(feature, value, right, rows, offs[g], idx[g]);
+            }
+        }
+    }
+    for (g, &i) in idx.iter().enumerate() {
+        deposit4(value, i, acc, base + g * GROUP);
+    }
+}
+
+/// Gather-based 4-wide tree traversal, [`IN_FLIGHT`] groups (16 rows)
+/// in lockstep; the last < 16 rows run as a pair of groups, then one
+/// group, then the scalar walk. Bit-identical to the scalar walk: the
+/// same predicate picks the same leaf for every row, and each row's
+/// leaf value is added to its own accumulator exactly once.
 ///
 /// # Safety
 ///
@@ -96,39 +141,19 @@ unsafe fn offsets4(base: usize, m: usize) -> __m256i {
 /// with `m > 0`, and `tree` must satisfy the [`FlatTree`] invariants.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn accumulate_tree(tree: FlatView<'_>, rows: &[f64], m: usize, acc: &mut [f64]) {
-    let feature = tree.features().as_ptr() as *const i32;
-    let value = tree.values().as_ptr();
-    let right = tree.rights().as_ptr() as *const i32;
     let rows_ptr = rows.as_ptr();
     let n = acc.len();
     let mut base = 0usize;
-    // Paired groups: independent traversal chains hide gather latency.
-    while base + 2 * GROUP <= n {
-        let offs_a = offsets4(base, m);
-        let offs_b = offsets4(base + GROUP, m);
-        let mut idx_a = _mm256_setzero_si256();
-        let mut idx_b = _mm256_setzero_si256();
-        let (mut done_a, mut done_b) = (false, false);
-        while !(done_a && done_b) {
-            if !done_a {
-                (idx_a, done_a) = step4(feature, value, right, rows_ptr, offs_a, idx_a);
-            }
-            if !done_b {
-                (idx_b, done_b) = step4(feature, value, right, rows_ptr, offs_b, idx_b);
-            }
-        }
-        deposit4(value, idx_a, acc, base);
-        deposit4(value, idx_b, acc, base + GROUP);
+    while base + IN_FLIGHT * GROUP <= n {
+        walk_groups::<IN_FLIGHT>(tree, rows_ptr, m, acc, base);
+        base += IN_FLIGHT * GROUP;
+    }
+    if base + 2 * GROUP <= n {
+        walk_groups::<2>(tree, rows_ptr, m, acc, base);
         base += 2 * GROUP;
     }
     if base + GROUP <= n {
-        let offs = offsets4(base, m);
-        let mut idx = _mm256_setzero_si256();
-        let mut done = false;
-        while !done {
-            (idx, done) = step4(feature, value, right, rows_ptr, offs, idx);
-        }
-        deposit4(value, idx, acc, base);
+        walk_groups::<1>(tree, rows_ptr, m, acc, base);
         base += GROUP;
     }
     // Remainder rows (n % 4): the scalar walk is exact, so mixing it in

@@ -50,6 +50,19 @@ pub trait Metamodel: Send + Sync {
     fn predict_batch(&self, points: &[f64], m: usize) -> Vec<f64> {
         points.chunks_exact(m).map(|x| self.predict(x)).collect()
     }
+
+    /// Hard pseudo-labels `I(f^am(x) > bnd)` of every row (Algorithm 4,
+    /// lines 4–6): `1.0` where the prediction exceeds `bnd`, `0.0`
+    /// otherwise (a NaN prediction labels `0.0`). The default is
+    /// [`Metamodel::predict_batch`] plus that threshold; overrides must
+    /// return the same labels bit for bit, and may skip work that
+    /// cannot change a label.
+    fn hard_labels(&self, points: &[f64], m: usize, bnd: f64) -> Vec<f64> {
+        self.predict_batch(points, m)
+            .into_iter()
+            .map(|p| if p > bnd { 1.0 } else { 0.0 })
+            .collect()
+    }
 }
 
 /// A metamodel family plus hyperparameters, ready to train — the `AM`

@@ -170,7 +170,8 @@ impl ServeError {
 /// Subgroup-discovery algorithm a `discover` request selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algorithm {
-    /// PRIM peeling + pasting (the paper's default SD step).
+    /// PRIM peeling, without pasting (the paper's default SD step,
+    /// §3.2.1).
     Prim,
     /// Best Interval beam search.
     BestInterval,

@@ -158,8 +158,8 @@ proptest! {
     #[test]
     fn tree_kernels_agree_bitwise_with_per_point_reference(
         d in dataset_strategy(),
-        rows in 0usize..23,
-        query in prop::collection::vec(query_value_strategy(), 0..23 * 4),
+        query in prop::collection::vec(query_value_strategy(), 70 * 3),
+        starts in prop::collection::vec(-4.0f64..4.0, 70),
     ) {
         let mut rng = StdRng::seed_from_u64(7);
         let idx: Vec<usize> = (0..d.n()).collect();
@@ -172,18 +172,27 @@ proptest! {
             &mut rng,
         );
         let m = d.m();
-        let rows = rows.min(query.len() / m);
-        let query = &query[..rows * m];
-        // Reference: the scalar per-point walk.
-        let expected: Vec<f64> = query.chunks_exact(m).map(|x| tree.flat().predict(x)).collect();
-        for kernel in available_kernels() {
-            let mut acc = vec![0.0f64; rows];
-            kernels::accumulate_tree(kernel, tree.flat(), query, m, &mut acc);
-            for (i, (a, e)) in acc.iter().zip(&expected).enumerate() {
-                prop_assert!(
-                    a.to_bits() == e.to_bits(),
-                    "{:?} row {}: {} vs {}", kernel, i, a, e
-                );
+        // Every batch size up to 70 rows: several full 16-row blocks of
+        // the AVX2 kernel and every remainder mod 16. The accumulators
+        // start non-zero, so a kernel that overwrites instead of adding
+        // fails.
+        for rows in 0..=70 {
+            let query = &query[..rows * m];
+            // Reference: the scalar per-point walk, added to the start.
+            let expected: Vec<f64> = query
+                .chunks_exact(m)
+                .zip(&starts)
+                .map(|(x, s)| s + tree.flat().predict(x))
+                .collect();
+            for kernel in available_kernels() {
+                let mut acc = starts[..rows].to_vec();
+                kernels::accumulate_tree(kernel, tree.flat(), query, m, &mut acc);
+                for (i, (a, e)) in acc.iter().zip(&expected).enumerate() {
+                    prop_assert!(
+                        a.to_bits() == e.to_bits(),
+                        "{:?} rows {} row {}: {} vs {}", kernel, rows, i, a, e
+                    );
+                }
             }
         }
     }

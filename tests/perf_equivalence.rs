@@ -427,3 +427,217 @@ fn exp_backends_agree_everywhere_poly_is_within_contract() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Hard labels: `Metamodel::hard_labels` must return exactly
+// `predict_batch` followed by the `p > bnd` threshold of
+// `Labeling::Hard`, bit for bit — the forest's early exit included.
+// ---------------------------------------------------------------------
+
+/// `predict_batch` plus the hard-label threshold: the reference.
+fn thresholded(model: &dyn Metamodel, points: &[f64], m: usize, bnd: f64) -> Vec<f64> {
+    model
+        .predict_batch(points, m)
+        .into_iter()
+        .map(|p| if p > bnd { 1.0 } else { 0.0 })
+        .collect()
+}
+
+fn assert_hard_labels_match(model: &dyn Metamodel, points: &[f64], m: usize, bnd: f64, ctx: &str) {
+    let want = thresholded(model, points, m, bnd);
+    let got = model.hard_labels(points, m, bnd);
+    assert_eq!(got.len(), want.len(), "{ctx} bnd {bnd}");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert!(
+            g.to_bits() == w.to_bits(),
+            "{ctx} bnd {bnd} row {i}: {g} vs {w}"
+        );
+    }
+}
+
+/// Thresholds to sweep for a `t`-tree ensemble: the leaf-range edges,
+/// the default, exact multiples `k/t` (sums of 0/1 leaves land on
+/// `bnd·t`), both zeros, ±∞ and NaN.
+fn hard_thresholds(t: usize) -> Vec<f64> {
+    let k = |k: usize| k as f64 / t as f64;
+    vec![
+        0.0,
+        -0.0,
+        0.5,
+        1.0,
+        k(1),
+        k(t / 2),
+        k(t.saturating_sub(1)),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ]
+}
+
+/// `rows` query points in `[-0.1, 1.1)^m`.
+fn hard_query(rows: usize, m: usize, seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..rows * m)
+        .map(|_| rng.gen::<f64>() * 1.2 - 0.1)
+        .collect()
+}
+
+/// Every batch size 0..=70 (several full 16-row kernel blocks and every
+/// remainder), at every threshold.
+fn assert_small_hard_batches(model: &dyn Metamodel, m: usize, t: usize, ctx: &str) {
+    let query = hard_query(70, m, 0x4AD);
+    for bnd in hard_thresholds(t) {
+        for rows in 0..=70 {
+            let ctx = format!("{ctx} rows {rows}");
+            assert_hard_labels_match(model, &query[..rows * m], m, bnd, &ctx);
+        }
+    }
+}
+
+/// One batch spanning several labeling chunks (1024 rows for the
+/// forest's `hard_labels`, 4096 for `predict_batch`), at every
+/// threshold, under one thread and the default thread count.
+fn assert_large_hard_batches(model: &dyn Metamodel, m: usize, t: usize, ctx: &str) {
+    let large = hard_query(2 * 4096 + 37, m, 0x4AE);
+    for threads in [Some(1), None] {
+        reds_par::set_max_threads(threads);
+        for bnd in hard_thresholds(t) {
+            let ctx = format!("{ctx} large, threads {threads:?}");
+            assert_hard_labels_match(model, &large, m, bnd, &ctx);
+        }
+    }
+    reds_par::set_max_threads(None);
+}
+
+#[test]
+fn forest_hard_labels_match_thresholded_batch_predictions() {
+    for (seed, n_trees) in [(0u64, 1usize), (1, 9), (2, 30), (3, 30), (6, 17)] {
+        let d = dataset_for_seed(seed);
+        let forest = RandomForest::fit(
+            &d,
+            &RandomForestParams {
+                n_trees,
+                ..Default::default()
+            },
+            &mut StdRng::seed_from_u64(seed + 100),
+        );
+        let ctx = format!("seed {seed} trees {n_trees}");
+        assert_small_hard_batches(&forest, d.m(), n_trees, &ctx);
+        assert_large_hard_batches(&forest, d.m(), n_trees, &ctx);
+    }
+}
+
+/// A forest document of `n_trees` depth-2 trees over `m = 3` columns,
+/// with random split features and thresholds and leaves drawn from
+/// `palette`.
+fn palette_forest(n_trees: usize, palette: &[f64], seed: u64) -> RandomForest {
+    use reds::metamodel::persist::f64_to_json;
+    use reds_json::Json;
+    let m = 3;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let split = |right: usize, rng: &mut StdRng| {
+        Json::arr([
+            Json::num(rng.gen_range(0..m) as f64),
+            Json::num(rng.gen::<f64>()),
+            Json::num(right as f64),
+        ])
+    };
+    let trees: Vec<Json> = (0..n_trees)
+        .map(|_| {
+            let leaf = |rng: &mut StdRng| {
+                Json::arr([f64_to_json(palette[rng.gen_range(0..palette.len())])])
+            };
+            let nodes = vec![
+                split(4, &mut rng),
+                split(3, &mut rng),
+                leaf(&mut rng),
+                leaf(&mut rng),
+                split(6, &mut rng),
+                leaf(&mut rng),
+                leaf(&mut rng),
+            ];
+            Json::obj([("m", Json::num(m as f64)), ("nodes", Json::arr(nodes))])
+        })
+        .collect();
+    let doc = Json::obj([("m", Json::num(m as f64)), ("trees", Json::arr(trees))]);
+    RandomForest::from_json(&doc).expect("valid forest document")
+}
+
+#[test]
+fn crafted_forest_hard_labels_match_thresholded_batch_predictions() {
+    let inf = f64::INFINITY;
+    let palettes: [(&str, &[f64]); 6] = [
+        ("0/1 leaves", &[0.0, 1.0]),
+        ("negative", &[-2.0, -0.5, -0.0, 0.0, 0.25, 1.0, 3.5]),
+        ("infinite", &[0.0, 0.5, 1.0, inf, -inf]),
+        ("nan", &[0.0, 0.5, 1.0, f64::NAN]),
+        ("overflowing", &[-1e308, 0.5, 1e308]),
+        ("-0.0 only", &[-0.0]),
+    ];
+    for (name, palette) in palettes {
+        for (k, n_trees) in [1usize, 8, 9, 24, 41].into_iter().enumerate() {
+            let forest = palette_forest(n_trees, palette, 7 + k as u64);
+            let ctx = format!("{name}, {n_trees} trees");
+            assert_small_hard_batches(&forest, 3, n_trees, &ctx);
+            // Sums of 0/1 leaves land exactly on `bnd·T` across chunks.
+            if name == "0/1 leaves" {
+                assert_large_hard_batches(&forest, 3, n_trees, &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn default_hard_labels_threshold_gbdt_and_svm_batches() {
+    let d = dataset_for_seed(3);
+    let gbdt = Gbdt::fit(
+        &d,
+        &GbdtParams {
+            n_rounds: 20,
+            ..Default::default()
+        },
+        &mut StdRng::seed_from_u64(4),
+    );
+    let svm = Svm::fit(&d, &SvmParams::default(), &mut StdRng::seed_from_u64(5));
+    let query = hard_query(300, d.m(), 0x5EED);
+    let models: [(&str, &dyn Metamodel); 2] = [("gbdt", &gbdt), ("svm", &svm)];
+    for (name, model) in models {
+        for bnd in hard_thresholds(20) {
+            for rows in [0usize, 1, 5, 17, 70, 300] {
+                let ctx = format!("{name} rows {rows}");
+                assert_hard_labels_match(model, &query[..rows * d.m()], d.m(), bnd, &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn negative_zero_leaves_predict_like_the_batch_kernels() {
+    // Every label is −0.0, so every leaf is −0.0. The batch kernels sum
+    // trees from +0.0 (−0.0 + +0.0 = +0.0); per-point prediction must
+    // too, or the per-point ≡ batch contract breaks on the sign bit.
+    let mut rng = StdRng::seed_from_u64(0x2E20);
+    let points: Vec<f64> = (0..50 * 2).map(|_| rng.gen()).collect();
+    let d = Dataset::new(points, vec![-0.0; 50], 2).expect("valid shape");
+    let params = RandomForestParams {
+        n_trees: 5,
+        ..Default::default()
+    };
+    let forest = RandomForest::fit(&d, &params, &mut StdRng::seed_from_u64(1));
+    let naive = NaiveRandomForest::fit(&d, &params, &mut StdRng::seed_from_u64(1));
+    let batch = forest.predict_batch(d.points(), 2);
+    for (i, x) in d.points().chunks_exact(2).enumerate() {
+        assert_eq!(batch[i].to_bits(), 0.0f64.to_bits(), "batch row {i}");
+        assert_eq!(forest.predict(x).to_bits(), batch[i].to_bits(), "row {i}");
+        assert_eq!(naive.predict(x).to_bits(), batch[i].to_bits(), "naive {i}");
+    }
+
+    // GBDT margins fold from +0.0 too: base −0.0 plus −0.0 leaves is
+    // the batch kernel's +0.0.
+    let doc = reds_json::from_str(
+        r#"{"m": 1, "base_score": -0.0, "eta": 1.0, "trees": [[[-0.0]], [[-0.0]]]}"#,
+    )
+    .expect("valid json");
+    let gbdt = Gbdt::from_json(&doc).expect("valid gbdt document");
+    assert_eq!(gbdt.margin(&[0.5]).to_bits(), 0.0f64.to_bits());
+}
