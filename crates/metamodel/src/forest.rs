@@ -158,7 +158,8 @@ const CHUNK_ROWS: usize = 4096;
 const HARD_CHUNK_ROWS: usize = 1024;
 
 /// Trees walked between two early-exit checks of
-/// [`RandomForest::hard_labels`] (16 measured the same, 2 and 32 slower).
+/// [`RandomForest::hard_labels`] (2, 16 and 32 measured within noise of
+/// 8).
 const EXIT_BLOCK: usize = 8;
 
 impl Metamodel for RandomForest {

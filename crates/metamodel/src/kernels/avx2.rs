@@ -88,7 +88,7 @@ unsafe fn offsets4(base: usize, m: usize) -> __m256i {
 
 /// Groups advanced in lockstep by the main loop of [`accumulate_tree`].
 /// Four independent traversal chains keep enough gathers in flight to
-/// hide their latency; six measured no faster, eight slower.
+/// hide their latency; six and eight measured no faster.
 const IN_FLIGHT: usize = 4;
 
 /// Walks the `G` consecutive 4-row groups starting at row `base` to
