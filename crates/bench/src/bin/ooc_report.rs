@@ -4,7 +4,8 @@
 //! `Reds::discover_out_of_core` (pool streamed to a scratch `.redsart`
 //! artifact, search paging it back in through a bounded cache) at the
 //! same seed, verifies bit-identical boxes, measures wall time and
-//! **peak RSS** (`VmHWM`), and emits `BENCH_ooc.json`.
+//! **peak RSS** (`VmHWM`), and emits `BENCH_ooc.json` — including
+//! `ooc_slowdown`, the out-of-core wall time over the in-memory one.
 //!
 //! ```text
 //! cargo run --release -p reds-bench --bin ooc_report -- \
@@ -300,9 +301,12 @@ fn main() {
 
     let mut identical = None;
     let mut inmem_peak = None;
+    let mut inmem_ms = None;
+    let ooc_ms = field_f64(&ooc, "runtime_ms");
     if !skip_inmem {
         let inmem = spawn_measure("inmem-discover", &spec);
         inmem_peak = field_f64(&inmem, "peak_rss_bytes");
+        inmem_ms = field_f64(&inmem, "runtime_ms");
         let same = field_str(&inmem, "digest") == field_str(&ooc, "digest");
         identical = Some(same);
         if !same {
@@ -321,6 +325,15 @@ fn main() {
         rows.push(inmem);
     }
     rows.push(ooc);
+    let slowdown = inmem_ms.zip(ooc_ms).map(|(i, o)| {
+        eprintln!(
+            "  wall time: inmem {:.2} s vs ooc {:.2} s ({:.2}x the in-memory run)",
+            i / 1e3,
+            o / 1e3,
+            o / i
+        );
+        o / i
+    });
 
     let report = Json::obj([
         ("kind", Json::str("reds-ooc-report")),
@@ -343,6 +356,9 @@ fn main() {
             "inmem_peak_rss_bytes",
             inmem_peak.map_or(Json::Null, Json::num),
         ),
+        ("inmem_runtime_ms", inmem_ms.map_or(Json::Null, Json::num)),
+        ("ooc_runtime_ms", ooc_ms.map_or(Json::Null, Json::num)),
+        ("ooc_slowdown", slowdown.map_or(Json::Null, Json::num)),
         ("measurements", Json::arr(rows)),
     ]);
     if let Err(e) = std::fs::create_dir_all(&out_dir) {

@@ -2,18 +2,18 @@
 //!
 //! One cache serves three page kinds — decoded column records, label
 //! blocks, point blocks — because a single budget is what the memory
-//! gate reasons about. Pages are handed out as `Rc` slices, so a
-//! caller can keep iterating a page it already fetched while the cache
-//! evicts behind its back; at most O(1) pages per in-flight scan
-//! outlive their cache slot.
+//! gate reasons about. Pages are held as `Rc` slices, so a caller can
+//! keep iterating a page it already fetched while the cache evicts
+//! behind its back; at most O(1) pages per in-flight scan outlive their
+//! cache slot.
 //!
-//! Recency is tracked with a lazily invalidated queue: every touch
-//! pushes a fresh `(key, generation)` ticket and bumps the slot's
-//! generation; eviction pops tickets from the front and skips the
-//! stale ones. That keeps both `get` and `insert` O(1) amortized
-//! without a doubly linked list.
+//! Every page has a dense id, so residency is a [`SlotTable`]: a hit is
+//! an index into a page table plus a recency stamp, with no hashing and
+//! no queue. The LRU victim is the slot with the oldest stamp, found by
+//! a scan over the resident slots that only runs on a miss, next to the
+//! disk read it is much cheaper than.
 
-use std::collections::{HashMap, VecDeque};
+use std::ops::{Index, IndexMut};
 use std::rc::Rc;
 
 /// One decoded column record: the value (already through
@@ -26,7 +26,6 @@ pub(crate) struct Rec {
 }
 
 /// What a cache slot holds.
-#[derive(Clone)]
 pub(crate) enum Page {
     /// A page of one column's sorted records.
     Records(Rc<[Rec]>),
@@ -41,32 +40,132 @@ impl Page {
             Page::Floats(f) => f.len() * std::mem::size_of::<f64>(),
         }
     }
+
+    /// The records of a column page. A page id fixes its kind, so a
+    /// mismatch is a numbering bug in the caller.
+    pub(crate) fn records(&self) -> &Rc<[Rec]> {
+        match self {
+            Page::Records(r) => r,
+            Page::Floats(_) => unreachable!("a label or point page id used for records"),
+        }
+    }
+
+    /// The values of a label or point page.
+    pub(crate) fn floats(&self) -> &Rc<[f64]> {
+        match self {
+            Page::Floats(f) => f,
+            Page::Records(_) => unreachable!("a column page id used for floats"),
+        }
+    }
 }
 
-/// Which of the store's backing arrays a page belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum PageKind {
-    /// `(key, row)` records of one column.
-    Records,
-    /// The label array.
-    Labels,
-    /// The row-major point array.
-    Points,
+/// `slot_of` entry of a page that is not resident.
+const ABSENT: u32 = u32::MAX;
+
+struct Slot<T> {
+    id: usize,
+    last_use: u64,
+    value: T,
 }
 
-/// Cache key: (kind, column, page number). Labels/points ignore the
-/// column (stored as 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct PageKey {
-    pub kind: PageKind,
-    pub col: u32,
-    pub page: u64,
+/// Exact-LRU residency over dense page ids `0..n`: `slot_of[id]` is the
+/// index of the page's resident slot, and each slot carries the stamp
+/// of its last use. Slots are indexed by [`Index`] with the slot a
+/// lookup returned; an insert or eviction may move them.
+pub(crate) struct SlotTable<T> {
+    slot_of: Vec<u32>,
+    slots: Vec<Slot<T>>,
+    clock: u64,
 }
 
-struct Slot {
-    page: Page,
-    generation: u64,
-    bytes: usize,
+impl<T> SlotTable<T> {
+    /// An empty table over page ids `0..n_ids`.
+    pub(crate) fn new(n_ids: usize) -> Self {
+        Self {
+            slot_of: vec![ABSENT; n_ids],
+            slots: Vec::new(),
+            clock: 0,
+        }
+    }
+
+    /// Number of resident pages.
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The slot of page `id` if it is resident, leaving its recency.
+    fn slot(&self, id: usize) -> Option<usize> {
+        let slot = self.slot_of[id];
+        (slot != ABSENT).then_some(slot as usize)
+    }
+
+    /// The slot of page `id` if it is resident, marking it the most
+    /// recently used.
+    pub(crate) fn touch(&mut self, id: usize) -> Option<usize> {
+        let slot = self.slot(id)?;
+        self.clock += 1;
+        self.slots[slot].last_use = self.clock;
+        Some(slot)
+    }
+
+    /// Makes page `id`, which must not be resident, the most recently
+    /// used one; returns its slot.
+    pub(crate) fn insert(&mut self, id: usize, value: T) -> usize {
+        debug_assert!(self.slot(id).is_none(), "page {id} inserted twice");
+        self.clock += 1;
+        let slot = self.slots.len();
+        self.slot_of[id] = u32::try_from(slot).expect("under u32::MAX resident pages");
+        self.slots.push(Slot {
+            id,
+            last_use: self.clock,
+            value,
+        });
+        slot
+    }
+
+    /// Evicts the least recently used page.
+    pub(crate) fn pop_lru(&mut self) -> Option<(usize, T)> {
+        let victim = (0..self.slots.len()).min_by_key(|&s| self.slots[s].last_use)?;
+        let gone = self.slots.swap_remove(victim);
+        self.slot_of[gone.id] = ABSENT;
+        if let Some(moved) = self.slots.get(victim) {
+            self.slot_of[moved.id] = victim as u32;
+        }
+        Some((gone.id, gone.value))
+    }
+
+    /// Every resident page with its id, in no particular order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
+        self.slots.iter_mut().map(|s| (s.id, &mut s.value))
+    }
+
+    /// Resident page ids, least recently used first, after checking
+    /// that the page table and the slots agree.
+    #[cfg(test)]
+    pub(crate) fn by_recency(&self) -> Vec<usize> {
+        for (i, s) in self.slots.iter().enumerate() {
+            assert_eq!(self.slot_of[s.id] as usize, i, "page table out of step");
+        }
+        let resident = self.slot_of.iter().filter(|&&s| s != ABSENT).count();
+        assert_eq!(resident, self.slots.len(), "stale page table entries");
+        let mut order: Vec<&Slot<T>> = self.slots.iter().collect();
+        order.sort_by_key(|s| s.last_use);
+        order.iter().map(|s| s.id).collect()
+    }
+}
+
+impl<T> Index<usize> for SlotTable<T> {
+    type Output = T;
+
+    fn index(&self, slot: usize) -> &T {
+        &self.slots[slot].value
+    }
+}
+
+impl<T> IndexMut<usize> for SlotTable<T> {
+    fn index_mut(&mut self, slot: usize) -> &mut T {
+        &mut self.slots[slot].value
+    }
 }
 
 /// LRU page cache with a hard byte budget. The budget bounds what the
@@ -76,9 +175,7 @@ struct Slot {
 pub(crate) struct PageCache {
     budget: usize,
     used: usize,
-    map: HashMap<PageKey, Slot>,
-    lru: VecDeque<(PageKey, u64)>,
-    next_generation: u64,
+    pages: SlotTable<Page>,
     /// Fetches served from cache.
     pub hits: u64,
     /// Fetches that had to load from disk.
@@ -86,13 +183,12 @@ pub(crate) struct PageCache {
 }
 
 impl PageCache {
-    pub(crate) fn new(budget: usize) -> Self {
+    /// An empty cache over page ids `0..n_pages`.
+    pub(crate) fn new(budget: usize, n_pages: usize) -> Self {
         Self {
             budget,
             used: 0,
-            map: HashMap::new(),
-            lru: VecDeque::new(),
-            next_generation: 0,
+            pages: SlotTable::new(n_pages),
             hits: 0,
             misses: 0,
         }
@@ -104,176 +200,147 @@ impl PageCache {
         self.used
     }
 
-    fn ticket(&mut self) -> u64 {
-        let g = self.next_generation;
-        self.next_generation += 1;
-        g
-    }
-
-    /// Drops stale tickets once they outnumber the live ones. Without
-    /// this, a working set that fits the budget never evicts, so the
-    /// queue would grow by one ticket per touch — unbounded over a
-    /// long search. Retain preserves order, so recency is unchanged;
-    /// triggering at 2× live keeps the sweep amortized O(1) per touch.
-    fn compact(&mut self) {
-        if self.lru.len() > self.map.len() * 2 + 64 {
-            let map = &self.map;
-            self.lru
-                .retain(|&(key, g)| map.get(&key).is_some_and(|s| s.generation == g));
-        }
-    }
-
-    /// Looks a page up, refreshing its recency.
-    pub(crate) fn get(&mut self, key: PageKey) -> Option<Page> {
-        let g = self.ticket();
-        let slot = self.map.get_mut(&key)?;
-        slot.generation = g;
-        let page = slot.page.clone();
-        self.lru.push_back((key, g));
+    /// Looks page `id` up, refreshing its recency; returns its slot.
+    pub(crate) fn get(&mut self, id: usize) -> Option<usize> {
+        let slot = self.pages.touch(id)?;
         self.hits += 1;
-        self.compact();
-        Some(page)
+        Some(slot)
     }
 
-    /// Inserts a freshly loaded page, evicting least-recently-used
-    /// pages until the budget holds again.
-    pub(crate) fn insert(&mut self, key: PageKey, page: Page) -> Page {
+    /// The page in `slot`, as returned by the last `get` or `insert`.
+    pub(crate) fn page(&self, slot: usize) -> &Page {
+        &self.pages[slot]
+    }
+
+    /// Inserts freshly loaded page `id`, first evicting
+    /// least-recently-used pages until it fits the budget or nothing
+    /// else is left; returns its slot.
+    pub(crate) fn insert(&mut self, id: usize, page: Page) -> usize {
         self.misses += 1;
         let bytes = page.bytes();
-        let g = self.ticket();
-        if let Some(old) = self.map.insert(
-            key,
-            Slot {
-                page: page.clone(),
-                generation: g,
-                bytes,
-            },
-        ) {
-            self.used -= old.bytes;
-        }
-        self.used += bytes;
-        self.lru.push_back((key, g));
-        while self.used > self.budget {
-            let Some((victim, ticket)) = self.lru.pop_front() else {
+        while self.used + bytes > self.budget {
+            let Some((_, gone)) = self.pages.pop_lru() else {
                 break;
             };
-            if victim == key {
-                // Never evict the page being handed out; re-queue its
-                // ticket only if it is the live one.
-                if self
-                    .map
-                    .get(&victim)
-                    .is_some_and(|s| s.generation == ticket)
-                {
-                    self.lru.push_back((victim, ticket));
-                    // Everything older was already popped; if the new
-                    // page alone exceeds the budget, stop.
-                    if self.lru.len() == 1 {
-                        break;
-                    }
-                }
-                continue;
-            }
-            let stale = self.map.get(&victim).is_none_or(|s| s.generation != ticket);
-            if stale {
-                continue;
-            }
-            let slot = self.map.remove(&victim).expect("checked above");
-            self.used -= slot.bytes;
+            self.used -= gone.bytes();
         }
-        self.compact();
-        page
+        self.used += bytes;
+        self.pages.insert(id, page)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn floats(n: usize, fill: f64) -> Page {
         Page::Floats(vec![fill; n].into())
     }
 
-    fn key(kind: PageKind, col: u32, page: u64) -> PageKey {
-        PageKey { kind, col, page }
-    }
-
     #[test]
     fn budget_is_a_hard_ceiling_on_retained_bytes() {
-        let mut c = PageCache::new(64 * 8); // room for 64 f64s
+        let mut c = PageCache::new(64 * 8, 32); // room for 64 f64s
         for p in 0..32 {
-            c.insert(key(PageKind::Labels, 0, p), floats(16, p as f64));
+            c.insert(p, floats(16, p as f64));
             assert!(c.used() <= 64 * 8, "page {p}: used {} bytes", c.used());
         }
     }
 
     #[test]
     fn recently_used_pages_survive_eviction() {
-        let mut c = PageCache::new(4 * 16 * 8);
+        let mut c = PageCache::new(4 * 16 * 8, 5);
         for p in 0..4 {
-            c.insert(key(PageKind::Labels, 0, p), floats(16, p as f64));
+            c.insert(p, floats(16, p as f64));
         }
         // Touch page 0, then overflow: 0 must survive, 1 must go.
-        assert!(c.get(key(PageKind::Labels, 0, 0)).is_some());
-        c.insert(key(PageKind::Labels, 0, 4), floats(16, 4.0));
-        assert!(
-            c.get(key(PageKind::Labels, 0, 0)).is_some(),
-            "refreshed page evicted"
-        );
-        assert!(
-            c.get(key(PageKind::Labels, 0, 1)).is_none(),
-            "LRU page retained"
-        );
+        assert!(c.get(0).is_some());
+        c.insert(4, floats(16, 4.0));
+        assert!(c.get(0).is_some(), "refreshed page evicted");
+        assert!(c.get(1).is_none(), "LRU page retained");
     }
 
     #[test]
     fn an_oversized_page_is_still_served() {
-        let mut c = PageCache::new(8); // under one page
-        let page = c.insert(key(PageKind::Labels, 0, 0), floats(16, 1.0));
-        let Page::Floats(f) = page else { panic!() };
-        assert_eq!(f.len(), 16);
+        let mut c = PageCache::new(8, 2); // under one page
+        let slot = c.insert(0, floats(16, 1.0));
+        assert_eq!(c.page(slot).floats().len(), 16);
         // The next insert replaces it.
-        c.insert(key(PageKind::Labels, 0, 1), floats(16, 2.0));
-        assert!(c.get(key(PageKind::Labels, 0, 0)).is_none());
+        c.insert(1, floats(16, 2.0));
+        assert!(c.get(0).is_none());
     }
 
     #[test]
-    fn ticket_queue_stays_bounded_when_nothing_evicts() {
-        // A working set under budget never triggers eviction; the
-        // recency queue must still not grow per touch.
-        let mut c = PageCache::new(1 << 20);
-        for p in 0..8 {
-            c.insert(key(PageKind::Labels, 0, p), floats(16, p as f64));
+    fn resident_bytes_stay_within_the_budget_over_many_touches() {
+        // 24 pages of 128 bytes against room for 8: hits, misses and
+        // evictions interleave, and the resident set must stay capped.
+        let mut c = PageCache::new(8 * 16 * 8, 24);
+        for i in 0..100_000usize {
+            let id = (i * 7 + i / 5) % 24;
+            if c.get(id).is_none() {
+                c.insert(id, floats(16, id as f64));
+            }
+            assert!(
+                c.used() <= 8 * 16 * 8 && c.pages.len() <= 8,
+                "touch {i}: {} pages, {} bytes resident",
+                c.pages.len(),
+                c.used()
+            );
         }
-        for i in 0..100_000u64 {
-            assert!(c.get(key(PageKind::Labels, 0, i % 8)).is_some());
-        }
-        assert!(
-            c.lru.len() <= c.map.len() * 2 + 64,
-            "queue holds {} tickets for {} live pages",
-            c.lru.len(),
-            c.map.len()
-        );
     }
 
     #[test]
-    fn kinds_and_columns_do_not_collide() {
-        let mut c = PageCache::new(1 << 20);
-        c.insert(key(PageKind::Labels, 0, 0), floats(4, 1.0));
-        c.insert(key(PageKind::Points, 0, 0), floats(4, 2.0));
-        c.insert(
-            key(PageKind::Records, 3, 0),
-            Page::Records(vec![Rec { value: 0.5, row: 7 }; 4].into()),
-        );
-        let Some(Page::Floats(l)) = c.get(key(PageKind::Labels, 0, 0)) else {
-            panic!()
-        };
-        assert_eq!(l[0], 1.0);
-        let Some(Page::Floats(p)) = c.get(key(PageKind::Points, 0, 0)) else {
-            panic!()
-        };
-        assert_eq!(p[0], 2.0);
-        assert!(c.get(key(PageKind::Records, 3, 0)).is_some());
-        assert!(c.get(key(PageKind::Records, 2, 0)).is_none());
+    fn distinct_ids_do_not_collide() {
+        let mut c = PageCache::new(1 << 20, 8);
+        c.insert(0, floats(4, 1.0));
+        c.insert(1, floats(4, 2.0));
+        c.insert(6, Page::Records(vec![Rec { value: 0.5, row: 7 }; 4].into()));
+        let slot = c.get(0).unwrap();
+        assert_eq!(c.page(slot).floats()[0], 1.0);
+        let slot = c.get(1).unwrap();
+        assert_eq!(c.page(slot).floats()[0], 2.0);
+        let slot = c.get(6).unwrap();
+        assert_eq!(c.page(slot).records()[0].row, 7);
+        assert!(c.get(5).is_none());
+    }
+
+    proptest! {
+        /// The cache is exact LRU under its byte budget. Against a
+        /// reference list ordered by recency, fed the same fetches
+        /// (a miss inserts the page), every fetch hits or misses alike
+        /// and the resident pages agree in recency order after every
+        /// step. Budgets run from zero through several pages, so some
+        /// sit under one page: then only the page just handed out is
+        /// kept, the one case where `used` may exceed the budget.
+        #[test]
+        fn matches_a_reference_lru(
+            budget in 0usize..1200,
+            ops in prop::collection::vec((0usize..12, 1usize..40), 1..400),
+        ) {
+            let mut c = PageCache::new(budget, 12);
+            // (id, bytes), least recently used first.
+            let mut model: Vec<(usize, usize)> = Vec::new();
+            for &(id, len) in &ops {
+                let hit = c.get(id).is_some();
+                let at = model.iter().position(|&(p, _)| p == id);
+                prop_assert_eq!(hit, at.is_some());
+                if let Some(at) = at {
+                    let page = model.remove(at);
+                    model.push(page);
+                } else {
+                    let slot = c.insert(id, floats(len, id as f64));
+                    prop_assert_eq!(c.page(slot).floats()[0], id as f64);
+                    model.push((id, len * 8));
+                    while model.iter().map(|p| p.1).sum::<usize>() > budget && model.len() > 1 {
+                        model.remove(0);
+                    }
+                }
+                let ids: Vec<usize> = model.iter().map(|p| p.0).collect();
+                prop_assert_eq!(c.pages.by_recency(), ids);
+                prop_assert_eq!(c.used(), model.iter().map(|p| p.1).sum::<usize>());
+                prop_assert!(c.used() <= budget || model.len() == 1);
+            }
+            prop_assert_eq!((c.hits + c.misses) as usize, ops.len());
+        }
     }
 }

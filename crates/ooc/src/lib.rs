@@ -18,11 +18,12 @@
 //!   records, rank-addressable (`rank → page = rank / page_rows`),
 //!   with per-page min/max key fences from the artifact's
 //!   [`SECTION_PAGE_INDEX`](reds_art::SECTION_PAGE_INDEX);
-//! * **an LRU page cache with a hard byte budget** shared by record,
-//!   label, and point pages ([`OocConfig::cache_bytes`]);
+//! * **an exact-LRU page cache with a hard byte budget** shared by
+//!   record, label, and point pages ([`OocConfig::cache_bytes`]); every
+//!   page has a dense id, so a hit is an index into a page table;
 //! * **a paged membership bitmask persisted beside the artifact** —
 //!   the active-row mask lives in a scratch file with its own paged
-//!   write-back cache, not in an `O(L)` resident vector;
+//!   write-back LRU cache, not in an `O(L)` resident vector;
 //! * **monotone dead-page skipping** — deactivation only ever removes
 //!   rows, so a page once observed with zero active rows is skipped
 //!   with zero I/O forever after.
@@ -48,9 +49,11 @@ pub const DEFAULT_CACHE_BYTES: usize = 48 << 20;
 /// Configuration of an out-of-core pool.
 #[derive(Debug, Clone)]
 pub struct OocConfig {
-    /// Hard byte budget of the shared record/label/point page cache.
-    /// The mask cache takes an additional 1/8 of this on top. Clamped
-    /// up so at least one page of every kind fits.
+    /// Hard byte budget of the shared record/label/point page cache,
+    /// taken as given: the cache retains at most this many bytes, except
+    /// that the page being handed out is always kept, so a budget under
+    /// one page caches only that page. The membership mask caches
+    /// `max(2, cache_bytes / 8 / 4096)` pages of 4 KiB on top.
     pub cache_bytes: usize,
     /// Rows per column page when *building* an artifact for this store
     /// ([`reds_art::DEFAULT_PAGE_ROWS`] by default). Readers take the

@@ -5,7 +5,9 @@
 //! mask lives in a scratch file beside the artifact (one bit per row,
 //! LSB-first within each byte, so ascending bit order is ascending row
 //! order), and the store touches it through a small write-back page
-//! cache. Deactivation marks pages dirty; eviction and [`flush`]
+//! cache — a [`SlotTable`] over mask pages, so `is_set` and `clear` on
+//! a resident page are an index and a bit test. Deactivation marks
+//! pages dirty; eviction (least recently used first) and [`flush`]
 //! persist them with positioned writes.
 //!
 //! The scratch file is removed on drop — it is live search state, not
@@ -13,21 +15,20 @@
 //!
 //! [`flush`]: PagedMask::flush
 
-use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
+use crate::cache::SlotTable;
 use crate::OocError;
 
 /// Bytes per mask page: 4 KiB = 32 768 rows.
 pub(crate) const MASK_PAGE_BYTES: usize = 4096;
 
-struct MaskSlot {
+struct MaskPage {
     data: Vec<u8>,
     dirty: bool,
-    generation: u64,
 }
 
 /// A file-backed bitmask over `n_rows` rows with a bounded write-back
@@ -39,9 +40,7 @@ pub(crate) struct PagedMask {
     n_rows: usize,
     n_bytes: usize,
     max_pages: usize,
-    pages: HashMap<u64, MaskSlot>,
-    lru: VecDeque<(u64, u64)>,
-    next_generation: u64,
+    pages: SlotTable<MaskPage>,
 }
 
 impl PagedMask {
@@ -74,110 +73,63 @@ impl PagedMask {
             n_rows,
             n_bytes,
             max_pages: max_pages.max(1),
-            pages: HashMap::new(),
-            lru: VecDeque::new(),
-            next_generation: 0,
+            pages: SlotTable::new(n_bytes.div_ceil(MASK_PAGE_BYTES)),
         })
     }
 
     /// Number of mask pages.
-    pub(crate) fn n_pages(&self) -> u64 {
-        self.n_bytes.div_ceil(MASK_PAGE_BYTES) as u64
+    pub(crate) fn n_pages(&self) -> usize {
+        self.n_bytes.div_ceil(MASK_PAGE_BYTES)
     }
 
-    fn page_len(&self, page: u64) -> usize {
-        let start = page as usize * MASK_PAGE_BYTES;
-        MASK_PAGE_BYTES.min(self.n_bytes - start)
-    }
-
-    fn write_back(file: &File, page: u64, data: &[u8]) -> Result<(), OocError> {
-        file.write_all_at(data, page * MASK_PAGE_BYTES as u64)?;
+    fn write_back(file: &File, page: usize, data: &[u8]) -> Result<(), OocError> {
+        file.write_all_at(data, (page * MASK_PAGE_BYTES) as u64)?;
         Ok(())
     }
 
-    /// Drops stale tickets once they outnumber the live ones. A mask
-    /// whose pages all fit the cache never evicts, so without this the
-    /// queue would grow by one ticket per `is_set`/`clear` — unbounded
-    /// over a long search. Retain preserves order (recency unchanged);
-    /// the 2× trigger keeps the sweep amortized O(1) per touch.
-    fn compact(&mut self) {
-        if self.lru.len() > self.pages.len() * 2 + 64 {
-            let pages = &self.pages;
-            self.lru
-                .retain(|&(page, g)| pages.get(&page).is_some_and(|s| s.generation == g));
+    /// The slot of mask page `page`, read in on a miss.
+    fn touch(&mut self, page: usize) -> Result<usize, OocError> {
+        match self.pages.touch(page) {
+            Some(slot) => Ok(slot),
+            None => self.load(page),
         }
     }
 
-    fn touch(&mut self, page: u64) -> Result<(), OocError> {
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        if let Some(slot) = self.pages.get_mut(&page) {
-            slot.generation = generation;
-            self.lru.push_back((page, generation));
-            self.compact();
-            return Ok(());
-        }
-        let mut data = vec![0u8; self.page_len(page)];
-        self.file
-            .read_exact_at(&mut data, page * MASK_PAGE_BYTES as u64)?;
-        self.pages.insert(
-            page,
-            MaskSlot {
-                data,
-                dirty: false,
-                generation,
-            },
-        );
-        self.lru.push_back((page, generation));
-        while self.pages.len() > self.max_pages {
-            let Some((victim, ticket)) = self.lru.pop_front() else {
-                break;
-            };
-            if victim == page {
-                self.lru.push_back((victim, ticket));
-                if self.lru.len() == 1 {
-                    break;
-                }
-                continue;
-            }
-            let live = self
-                .pages
-                .get(&victim)
-                .is_some_and(|s| s.generation == ticket);
-            if !live {
-                continue;
-            }
-            let slot = self.pages.remove(&victim).expect("checked above");
-            if slot.dirty {
-                Self::write_back(&self.file, victim, &slot.data)?;
+    /// Reads `page` in as the most recently used page, first evicting
+    /// (and writing back, if dirty) the least recently used one when
+    /// the cache is full.
+    fn load(&mut self, page: usize) -> Result<usize, OocError> {
+        if self.pages.len() >= self.max_pages {
+            let (victim, gone) = self.pages.pop_lru().expect("a non-zero page limit");
+            if gone.dirty {
+                Self::write_back(&self.file, victim, &gone.data)?;
             }
         }
-        self.compact();
-        Ok(())
+        let start = page * MASK_PAGE_BYTES;
+        let mut data = vec![0u8; MASK_PAGE_BYTES.min(self.n_bytes - start)];
+        self.file.read_exact_at(&mut data, start as u64)?;
+        Ok(self.pages.insert(page, MaskPage { data, dirty: false }))
     }
 
     /// `true` when `row`'s bit is set.
     pub(crate) fn is_set(&mut self, row: u32) -> Result<bool, OocError> {
         debug_assert!((row as usize) < self.n_rows);
         let byte = row as usize / 8;
-        let page = (byte / MASK_PAGE_BYTES) as u64;
-        self.touch(page)?;
-        let slot = self.pages.get(&page).expect("just touched");
-        Ok(slot.data[byte % MASK_PAGE_BYTES] & (1 << (row % 8)) != 0)
+        let slot = self.touch(byte / MASK_PAGE_BYTES)?;
+        Ok(self.pages[slot].data[byte % MASK_PAGE_BYTES] & (1 << (row % 8)) != 0)
     }
 
     /// Clears `row`'s bit; returns whether it was set.
     pub(crate) fn clear(&mut self, row: u32) -> Result<bool, OocError> {
         debug_assert!((row as usize) < self.n_rows);
         let byte = row as usize / 8;
-        let page = (byte / MASK_PAGE_BYTES) as u64;
-        self.touch(page)?;
-        let slot = self.pages.get_mut(&page).expect("just touched");
+        let slot = self.touch(byte / MASK_PAGE_BYTES)?;
+        let page = &mut self.pages[slot];
         let bit = 1u8 << (row % 8);
-        let was = slot.data[byte % MASK_PAGE_BYTES] & bit != 0;
+        let was = page.data[byte % MASK_PAGE_BYTES] & bit != 0;
         if was {
-            slot.data[byte % MASK_PAGE_BYTES] &= !bit;
-            slot.dirty = true;
+            page.data[byte % MASK_PAGE_BYTES] &= !bit;
+            page.dirty = true;
         }
         Ok(was)
     }
@@ -185,9 +137,9 @@ impl PagedMask {
     /// A copy of one mask page's bytes (bit `b` of byte `i` is row
     /// `page·8·MASK_PAGE_BYTES + 8·i + b`). A copy, not a borrow, so
     /// the caller can interleave other store reads while walking it.
-    pub(crate) fn page_bits(&mut self, page: u64) -> Result<Vec<u8>, OocError> {
-        self.touch(page)?;
-        Ok(self.pages.get(&page).expect("just touched").data.clone())
+    pub(crate) fn page_bits(&mut self, page: usize) -> Result<Vec<u8>, OocError> {
+        let slot = self.touch(page)?;
+        Ok(self.pages[slot].data.clone())
     }
 
     /// Writes every dirty cached page back to the scratch file. The
@@ -195,10 +147,10 @@ impl PagedMask {
     /// removed on drop); the persistence tests do.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn flush(&mut self) -> Result<(), OocError> {
-        for (&page, slot) in self.pages.iter_mut() {
-            if slot.dirty {
-                Self::write_back(&self.file, page, &slot.data)?;
-                slot.dirty = false;
+        for (id, page) in self.pages.iter_mut() {
+            if page.dirty {
+                Self::write_back(&self.file, id, &page.data)?;
+                page.dirty = false;
             }
         }
         Ok(())
@@ -248,25 +200,23 @@ mod tests {
     }
 
     #[test]
-    fn ticket_queue_stays_bounded_when_nothing_evicts() {
-        // A mask whose pages all fit never evicts; the recency queue
-        // must still not grow per is_set/clear.
-        let path = scratch("tickets");
-        let rows = MASK_PAGE_BYTES * 8 * 2;
-        let mut m = PagedMask::create(&path, rows, 8).unwrap();
-        for i in 0..100_000u32 {
-            let row = (i as usize * 97) % rows;
-            assert!(m.is_set(row as u32).unwrap() || i > 0);
+    fn resident_pages_never_exceed_max_pages() {
+        let path = scratch("resident");
+        let rows = MASK_PAGE_BYTES * 8 * 6;
+        let mut m = PagedMask::create(&path, rows, 3).unwrap();
+        for i in 0..100_000usize {
+            let row = ((i * 40_503) % rows) as u32;
             if i % 3 == 0 {
-                let _ = m.clear(row as u32).unwrap();
+                m.clear(row).unwrap();
+            } else {
+                m.is_set(row).unwrap();
             }
+            assert!(
+                m.pages.len() <= 3,
+                "touch {i}: {} pages resident",
+                m.pages.len()
+            );
         }
-        assert!(
-            m.lru.len() <= m.pages.len() * 2 + 64,
-            "queue holds {} tickets for {} live pages",
-            m.lru.len(),
-            m.pages.len()
-        );
     }
 
     #[test]
@@ -338,6 +288,60 @@ mod tests {
                 let bit = bytes[row / 8] & (1 << (row % 8)) != 0;
                 prop_assert_eq!(bit, reference[row]);
             }
+            drop(paged);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        /// The mask cache is exact LRU over its pages with dirty
+        /// write-back. Against a reference recency list capped at
+        /// `max_pages`, the resident pages agree in recency order after
+        /// every query or clear, and every page that is not resident
+        /// reads back from the file exactly as the reference mask — so
+        /// each evicted page that a clear dirtied was written back.
+        #[test]
+        fn evicts_in_lru_order_and_writes_dirty_pages_back(
+            n_rows in 1usize..5 * 8 * MASK_PAGE_BYTES,
+            max_pages in 1usize..4,
+            ops in prop::collection::vec((0u32..u32::MAX, prop::bool::ANY), 1..200),
+            case in 0u64..u64::MAX,
+        ) {
+            let dir = std::env::temp_dir()
+                .join(format!("reds-ooc-masklru-{}-{case}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("m.mask");
+            let mut paged = PagedMask::create(&path, n_rows, max_pages).unwrap();
+            let mut reference = std::fs::read(&path).unwrap();
+            let mut model: Vec<usize> = Vec::new();
+            for &(raw, is_clear) in &ops {
+                let row = (raw % n_rows as u32) as usize;
+                let bit = 1u8 << (row % 8);
+                let was = reference[row / 8] & bit != 0;
+                if is_clear {
+                    prop_assert_eq!(paged.clear(row as u32).unwrap(), was);
+                    reference[row / 8] &= !bit;
+                } else {
+                    prop_assert_eq!(paged.is_set(row as u32).unwrap(), was);
+                }
+                let page = row / 8 / MASK_PAGE_BYTES;
+                model.retain(|&p| p != page);
+                model.push(page);
+                if model.len() > max_pages {
+                    model.remove(0);
+                }
+                prop_assert_eq!(paged.pages.by_recency(), model.clone());
+                let file = std::fs::read(&path).unwrap();
+                for (p, (on_disk, want)) in file
+                    .chunks(MASK_PAGE_BYTES)
+                    .zip(reference.chunks(MASK_PAGE_BYTES))
+                    .enumerate()
+                {
+                    if !model.contains(&p) {
+                        prop_assert!(on_disk == want, "evicted page {} not written back", p);
+                    }
+                }
+            }
+            paged.flush().unwrap();
+            prop_assert!(std::fs::read(&path).unwrap() == reference);
             drop(paged);
             let _ = std::fs::remove_dir_all(&dir);
         }

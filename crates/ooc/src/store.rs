@@ -30,7 +30,7 @@ use reds_art::{
 };
 use reds_data::{ord_key_inverse, ColumnAccess, PointVisitor};
 
-use crate::cache::{Page, PageCache, PageKey, PageKind, Rec};
+use crate::cache::{Page, PageCache, Rec};
 use crate::mask::{PagedMask, MASK_PAGE_BYTES};
 use crate::{OocConfig, OocError};
 
@@ -70,6 +70,8 @@ pub struct OocPool {
     n: usize,
     m: usize,
     page_rows: usize,
+    /// Pages per column, and of the label and point arrays.
+    col_pages: usize,
     points_off: u64,
     labels_off: u64,
     cols: Vec<ColMeta>,
@@ -186,6 +188,7 @@ impl OocPool {
         }
         let page_rows =
             page_rows.ok_or_else(|| unsupported("artifact has no page indexes"))? as usize;
+        let col_pages = n.div_ceil(page_rows);
 
         let mut cols = Vec::with_capacity(m);
         for (col, (records_off, idx)) in records.into_iter().zip(indexes).enumerate() {
@@ -197,13 +200,12 @@ impl OocPool {
                 .iter()
                 .map(|&(lo, hi)| (ord_key_inverse(lo), ord_key_inverse(hi)))
                 .collect::<Vec<_>>();
-            let n_pages = fences.len();
             cols.push(ColMeta {
                 records_off,
                 fences,
                 lo: 0,
                 hi: n,
-                dead: vec![false; n_pages],
+                dead: vec![false; col_pages],
             });
         }
 
@@ -217,10 +219,13 @@ impl OocPool {
             n,
             m,
             page_rows,
+            col_pages,
             points_off,
             labels_off,
             cols,
-            cache: PageCache::new(cfg.cache_bytes),
+            // Sized from the validated page indexes, which already hold
+            // `m·col_pages` fences of 16 bytes each.
+            cache: PageCache::new(cfg.cache_bytes, (m + 2) * col_pages),
             mask,
             n_active: n,
         })
@@ -239,67 +244,64 @@ impl OocPool {
         }
     }
 
+    /// Cache page `id`, read from disk on a miss. Ids are dense: column
+    /// `c`'s record pages are `c·col_pages..(c+1)·col_pages`, then come
+    /// the label pages, then the point pages.
+    fn page(&mut self, id: usize) -> &Page {
+        let slot = match self.cache.get(id) {
+            Some(slot) => slot,
+            None => {
+                let page = self.read_page(id);
+                self.cache.insert(id, page)
+            }
+        };
+        self.cache.page(slot)
+    }
+
+    fn read_page(&self, id: usize) -> Page {
+        let (array, page) = (id / self.col_pages, id % self.col_pages);
+        let base = page * self.page_rows;
+        let rows = self.page_rows.min(self.n - base);
+        // Bytes per row and where the array starts: a column's 12-byte
+        // records, the labels, or the packed points.
+        let (width, start) = match array {
+            c if c < self.m => (12, self.cols[c].records_off),
+            c if c == self.m => (8, self.labels_off),
+            _ => (8 * self.m, self.points_off),
+        };
+        let mut buf = vec![0u8; rows * width];
+        self.scan
+            .read_exact_at(&mut buf, start + (base * width) as u64)
+            .expect(READ_EXPECT);
+        let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+        if array < self.m {
+            Page::Records(
+                buf.chunks_exact(12)
+                    .map(|r| Rec {
+                        value: ord_key_inverse(word(r)),
+                        row: u32::from_le_bytes(r[8..12].try_into().expect("4 bytes")),
+                    })
+                    .collect(),
+            )
+        } else {
+            Page::Floats(
+                buf.chunks_exact(8)
+                    .map(|b| f64::from_bits(word(b)))
+                    .collect(),
+            )
+        }
+    }
+
     fn records_page(&mut self, col: usize, page: usize) -> Rc<[Rec]> {
-        let key = PageKey {
-            kind: PageKind::Records,
-            col: col as u32,
-            page: page as u64,
-        };
-        if let Some(Page::Records(r)) = self.cache.get(key) {
-            return r;
-        }
-        let base = page * self.page_rows;
-        let rows = self.page_rows.min(self.n - base);
-        let mut buf = vec![0u8; rows * 12];
-        self.scan
-            .read_exact_at(&mut buf, self.cols[col].records_off + (base * 12) as u64)
-            .expect(READ_EXPECT);
-        let recs: Rc<[Rec]> = buf
-            .chunks_exact(12)
-            .map(|r| Rec {
-                value: ord_key_inverse(u64::from_le_bytes(r[..8].try_into().expect("8 bytes"))),
-                row: u32::from_le_bytes(r[8..12].try_into().expect("4 bytes")),
-            })
-            .collect();
-        self.cache.insert(key, Page::Records(recs.clone()));
-        recs
+        self.page(col * self.col_pages + page).records().clone()
     }
 
-    fn floats_page(
-        &mut self,
-        kind: PageKind,
-        offset: u64,
-        stride: usize,
-        page: usize,
-    ) -> Rc<[f64]> {
-        let key = PageKey {
-            kind,
-            col: 0,
-            page: page as u64,
-        };
-        if let Some(Page::Floats(f)) = self.cache.get(key) {
-            return f;
-        }
-        let base = page * self.page_rows;
-        let rows = self.page_rows.min(self.n - base);
-        let mut buf = vec![0u8; rows * stride * 8];
-        self.scan
-            .read_exact_at(&mut buf, offset + (base * stride * 8) as u64)
-            .expect(READ_EXPECT);
-        let vals: Rc<[f64]> = buf
-            .chunks_exact(8)
-            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
-            .collect();
-        self.cache.insert(key, Page::Floats(vals.clone()));
-        vals
+    fn labels_id(&self, page: usize) -> usize {
+        self.m * self.col_pages + page
     }
 
-    fn labels_page(&mut self, page: usize) -> Rc<[f64]> {
-        self.floats_page(PageKind::Labels, self.labels_off, 1, page)
-    }
-
-    fn points_page(&mut self, page: usize) -> Rc<[f64]> {
-        self.floats_page(PageKind::Points, self.points_off, self.m, page)
+    fn points_id(&self, page: usize) -> usize {
+        (self.m + 1) * self.col_pages + page
     }
 }
 
@@ -321,9 +323,8 @@ impl ColumnAccess for OocPool {
     }
 
     fn label(&mut self, row: u32) -> f64 {
-        let page = row as usize / self.page_rows;
-        let labels = self.labels_page(page);
-        labels[row as usize % self.page_rows]
+        let (page, at) = (row as usize / self.page_rows, row as usize % self.page_rows);
+        self.page(self.labels_id(page)).floats()[at]
     }
 
     fn active_label_sum(&mut self) -> f64 {
@@ -334,7 +335,7 @@ impl ColumnAccess for OocPool {
         let mut labels: Option<(usize, Rc<[f64]>)> = None;
         for mask_page in 0..self.mask.n_pages() {
             let bits = self.mask.page_bits(mask_page).expect(MASK_EXPECT);
-            let base_row = mask_page as usize * MASK_PAGE_BYTES * 8;
+            let base_row = mask_page * MASK_PAGE_BYTES * 8;
             for (i, &byte) in bits.iter().enumerate() {
                 let mut rest = byte;
                 while rest != 0 {
@@ -343,7 +344,7 @@ impl ColumnAccess for OocPool {
                     let row = base_row + i * 8 + bit;
                     let page = row / self.page_rows;
                     if labels.as_ref().map(|(p, _)| *p) != Some(page) {
-                        labels = Some((page, self.labels_page(page)));
+                        labels = Some((page, self.page(self.labels_id(page)).floats().clone()));
                     }
                     sum += labels.as_ref().expect("just set").1[row % self.page_rows];
                 }
@@ -416,6 +417,7 @@ impl ColumnAccess for OocPool {
         let page_rows = self.page_rows;
         let m = self.m;
         let (lo, hi) = (self.cols[dim].lo, self.cols[dim].hi);
+        let mut point = Vec::with_capacity(m);
         let mut rank = lo;
         while rank < hi {
             let p = rank / page_rows;
@@ -433,16 +435,13 @@ impl ColumnAccess for OocPool {
                 if self.mask.is_set(r.row).expect(MASK_EXPECT) {
                     any_active = true;
                     let row = r.row as usize;
-                    let dpage = row / page_rows;
-                    let points = self.points_page(dpage);
-                    let labels = self.labels_page(dpage);
-                    let in_page = row % page_rows;
-                    f(
-                        r.value,
-                        r.row,
-                        &points[in_page * m..(in_page + 1) * m],
-                        labels[in_page],
-                    );
+                    let (dpage, at) = (row / page_rows, row % page_rows);
+                    // Copied out first: the label fetch may evict it.
+                    point.clear();
+                    let points = self.page(self.points_id(dpage)).floats();
+                    point.extend_from_slice(&points[at * m..(at + 1) * m]);
+                    let label = self.page(self.labels_id(dpage)).floats()[at];
+                    f(r.value, r.row, &point, label);
                 }
             }
             if !any_active {
@@ -458,8 +457,8 @@ impl ColumnAccess for OocPool {
         while row < self.n {
             let p = row / page_rows;
             let end = ((p + 1) * page_rows).min(self.n);
-            let points = self.points_page(p);
-            let labels = self.labels_page(p);
+            let points = self.page(self.points_id(p)).floats().clone();
+            let labels = self.page(self.labels_id(p)).floats().clone();
             for r in row..end {
                 let in_page = r % page_rows;
                 f(

@@ -68,9 +68,10 @@ fn bounds_bits(result: &SdResult) -> Vec<(u64, u64)> {
 }
 
 /// The full matrix: families × algorithms × seeds × page sizes (1
-/// record per page through "everything in one page") × a cache far too
-/// small to hold the pool. Every cell must be bit-identical to both
-/// the monolithic and the streaming path.
+/// record per page through "everything in one page") × two caches: one
+/// far too small to hold the pool, and the default budget, which holds
+/// all of it (every fetch after the first is a hit). Every cell must be
+/// bit-identical to both the monolithic and the streaming path.
 #[test]
 fn out_of_core_matches_run_and_streaming_for_every_family_and_page_size() {
     let l = 1_500usize;
@@ -100,24 +101,26 @@ fn out_of_core_matches_run_and_streaming_for_every_family_and_page_size() {
                 // page and chunk boundaries; l and 4·l put the whole
                 // pool in a single page.
                 for page_rows in [1u32, 7, 311, l as u32, 4 * l as u32] {
-                    let ooc = OocConfig::new()
-                        .with_page_rows(page_rows)
-                        .with_cache_bytes(8 << 10);
-                    let paged = reds
-                        .discover_out_of_core(
-                            &d,
-                            sd,
-                            &mut StdRng::seed_from_u64(seed),
-                            &StreamConfig::new().with_chunk_rows(173),
-                            &ooc,
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        bounds_bits(&reference),
-                        bounds_bits(&paged),
-                        "{family_tag}/{alg_tag}/seed {seed}/page_rows {page_rows}: \
-                         out-of-core diverges"
-                    );
+                    for cache_bytes in [8 << 10, OocConfig::new().cache_bytes] {
+                        let ooc = OocConfig::new()
+                            .with_page_rows(page_rows)
+                            .with_cache_bytes(cache_bytes);
+                        let paged = reds
+                            .discover_out_of_core(
+                                &d,
+                                sd,
+                                &mut StdRng::seed_from_u64(seed),
+                                &StreamConfig::new().with_chunk_rows(173),
+                                &ooc,
+                            )
+                            .unwrap();
+                        assert_eq!(
+                            bounds_bits(&reference),
+                            bounds_bits(&paged),
+                            "{family_tag}/{alg_tag}/seed {seed}/page_rows {page_rows}/\
+                             cache {cache_bytes}: out-of-core diverges"
+                        );
+                    }
                 }
             }
         }
