@@ -9,16 +9,18 @@ use crate::ArtError;
 
 /// A read-only view of a whole artifact file, aligned to 8 bytes.
 ///
-/// On unix this is a private memory mapping — opening is O(1) in the
-/// file size and the pages are shared across processes through the
-/// page cache. Elsewhere (or when mapping fails) the file is read into
-/// an owned 8-byte-aligned buffer; callers can't tell the difference.
+/// On unix this is a private memory mapping, which reads the file
+/// without copying it into the heap first. Elsewhere (or when mapping
+/// fails) the file is read into an owned 8-byte-aligned buffer; callers
+/// can't tell the difference.
 ///
 /// **Mapped files must not be modified while mapped.** The verification
 /// chain in [`ArtFile::open`](crate::ArtFile::open) runs against the
 /// bytes at open time; a writer mutating the file afterwards bypasses
-/// it (standard mmap TOCTOU caveat — deploy artifacts are immutable,
-/// replaced by rename).
+/// it (standard mmap TOCTOU caveat). The readers keep the mapping only
+/// while they verify and decode: models and datasets decode into owned
+/// memory, so once [`ArtFile`](crate::ArtFile) and its column sections
+/// are dropped the file is never read again.
 pub struct ArtBytes {
     repr: Repr,
 }

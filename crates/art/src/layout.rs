@@ -87,6 +87,26 @@ impl<'a> Cur<'a> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
+    /// Decodes the next `n` little-endian `W`-byte values with `decode`
+    /// (`u32::from_le_bytes`, `f64::from_le_bytes`). The bytes are taken
+    /// (bounds-checked) before the vector is allocated, so an untrusted
+    /// `n` never sizes an allocation beyond the payload.
+    pub(crate) fn array<T, const W: usize>(
+        &mut self,
+        n: usize,
+        what: &str,
+        decode: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, ArtError> {
+        let len = n
+            .checked_mul(W)
+            .ok_or_else(|| corrupt(format!("{what} size overflows")))?;
+        let bytes = self.take(len, what)?;
+        Ok(bytes
+            .chunks_exact(W)
+            .map(|c| decode(c.try_into().expect("W-byte chunk")))
+            .collect())
+    }
+
     /// A `u64` count that must also fit `usize` (32-bit targets).
     pub(crate) fn count(&mut self, what: &str) -> Result<usize, ArtError> {
         usize::try_from(self.u64(what)?)
@@ -117,34 +137,4 @@ impl<'a> Cur<'a> {
         }
         Ok(())
     }
-}
-
-/// Reinterprets `bytes` as a `u32` slice (little-endian hosts only —
-/// the format is little-endian and the crate targets match; a
-/// big-endian port would decode per element). Length and alignment are
-/// checked: payload layouts guarantee 4-byte alignment, and the
-/// backing buffer ([`ArtBytes`](crate::ArtBytes)) is 8-aligned.
-pub(crate) fn cast_u32s<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [u32], ArtError> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(corrupt(format!("{what} is not a whole number of u32s")));
-    }
-    if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<u32>()) {
-        return Err(corrupt(format!("{what} is misaligned")));
-    }
-    // SAFETY: length/alignment checked above; every bit pattern is a
-    // valid u32; the lifetime is inherited from `bytes`.
-    Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) })
-}
-
-/// Reinterprets `bytes` as an `f64` slice (see [`cast_u32s`]).
-pub(crate) fn cast_f64s<'a>(bytes: &'a [u8], what: &str) -> Result<&'a [f64], ArtError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(corrupt(format!("{what} is not a whole number of f64s")));
-    }
-    if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<f64>()) {
-        return Err(corrupt(format!("{what} is misaligned")));
-    }
-    // SAFETY: length/alignment checked above; every bit pattern is a
-    // valid f64.
-    Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, bytes.len() / 8) })
 }

@@ -1,12 +1,12 @@
-//! `reds-art` — the `.redsart` zero-copy artifact container.
+//! `reds-art` — the `.redsart` binary artifact container.
 //!
 //! A versioned, checksummed, 8-byte-aligned binary format holding the
 //! two data shapes the REDS hot paths are built on:
 //!
 //! * **model sections** — [`FlatTree`](reds_metamodel::FlatTree)
 //!   structure-of-arrays arenas (feature `u32`, value `f64`, right
-//!   `u32`) plus forest/GBDT/SVM metadata, laid out so a reader can
-//!   hand the mapped arrays straight to the prediction kernels;
+//!   `u32`) plus forest/GBDT/SVM metadata, which decode straight into
+//!   the arenas the prediction kernels walk;
 //! * **column sections** — `(key u64, row u32)` sorted runs in exactly
 //!   the record layout `reds-stream` spills, rank-addressable when
 //!   merged to a single run.
@@ -16,7 +16,8 @@
 //! passes: magic, version, recorded-vs-actual length, a whole-file
 //! FNV-1a checksum, per-section bounds/alignment/checksums, and then
 //! the same structural validation `reds-json` loading performs
-//! (`FlatTree` invariants via [`FlatView::new`](reds_metamodel::FlatView),
+//! (`FlatTree` invariants via
+//! [`FlatTree::from_parts`](reds_metamodel::FlatTree::from_parts),
 //! shape checks on SVM/dataset buffers). A crafted `.redsart` can no
 //! more loop `predict` or read out of bounds than a crafted JSON model
 //! document can — and because FNV-1a's per-byte step is a bijection on
@@ -24,9 +25,10 @@
 //! guaranteed to change the whole-file digest and be rejected.
 //!
 //! `reds-json` remains the interchange format; `.redsart` is the
-//! deployment format — a serve process opens a model in O(1) with zero
-//! JSON parsing, and a fleet of processes shares the arenas through
-//! the page cache.
+//! deployment format. Opening one reads every byte once for the
+//! checksums and decodes the model with no JSON parsing into the same
+//! owned [`SavedModel`](reds_metamodel::SavedModel) the JSON loader
+//! builds, so a loaded model never reads its file again.
 //!
 //! See `docs/artifact-format.md` for the byte-level layout.
 
@@ -43,7 +45,7 @@ pub use layout::{
     FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, HEADER_LEN, MAGIC, SECTION_COLUMN, SECTION_DATASET,
     SECTION_META, SECTION_MODEL, SECTION_PAGE_INDEX, TOC_ENTRY_LEN, VERSION,
 };
-pub use read::{ArtFile, ArtMeta, ColumnSection, MappedArtifact, MappedModel, SectionInfo};
+pub use read::{ArtFile, ArtMeta, ColumnSection, MappedArtifact, SectionInfo};
 pub use scan::{ArtScan, PageIndex, ScanSection, DEFAULT_PAGE_ROWS};
 pub use write::{write_model_artifact, ArtWriter, ModelArtifactSpec};
 

@@ -12,13 +12,14 @@
 //! 4. table-of-contents bounds: 8-aligned section offsets inside the
 //!    payload area, per-section payload checksums;
 //! 5. on typed access, bounds-checked little-endian decoding plus the
-//!    same structural validation the JSON loaders run (`FlatView::new`
-//!    arena invariants, SVM/dataset shape checks, sorted-run checks).
+//!    same structural validation the JSON loaders run
+//!    (`FlatTree::from_parts` arena invariants, SVM/dataset shape
+//!    checks, sorted-run checks).
 //!
-//! Only after all of that do borrowed views (tree arenas, column
-//! records) come out of the mapping — so serving a `.redsart` performs
-//! zero JSON parsing and zero copies of model bytes, at the same trust
-//! level as the JSON path.
+//! Models and datasets decode into owned memory ([`ArtFile::model`]
+//! yields the same [`SavedModel`] the `reds-json` loader does), so a
+//! loaded model never reads the file again. Column sections stay
+//! borrowed from the buffer and are read through it on demand.
 
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -26,13 +27,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use reds_data::Dataset;
-use reds_metamodel::{FlatView, Metamodel, Svm};
+use reds_metamodel::{FlatTree, Gbdt, RandomForest, SavedModel, Svm};
 
 use crate::bytes::ArtBytes;
 use crate::layout::{
-    cast_f64s, cast_u32s, Cur, FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, FNV_FIELD_OFFSET,
-    HEADER_LEN, MAGIC, SECTION_COLUMN, SECTION_DATASET, SECTION_META, SECTION_MODEL, TOC_ENTRY_LEN,
-    VERSION,
+    Cur, FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, FNV_FIELD_OFFSET, HEADER_LEN, MAGIC,
+    SECTION_COLUMN, SECTION_DATASET, SECTION_META, SECTION_MODEL, TOC_ENTRY_LEN, VERSION,
 };
 use crate::{corrupt, fnv1a, ArtError, FNV_OFFSET};
 
@@ -51,7 +51,7 @@ struct Section {
     range: Range<usize>,
 }
 
-/// A verified, memory-mapped `.redsart` file.
+/// A verified `.redsart` file, memory-mapped while it is open.
 pub struct ArtFile {
     bytes: Arc<ArtBytes>,
     sections: Vec<Section>,
@@ -195,36 +195,58 @@ impl ArtFile {
         })
     }
 
-    /// Decodes and validates the model section into a zero-copy model.
-    pub fn model(&self) -> Result<MappedModel, ArtError> {
+    /// Decodes and validates the model section into an owned model —
+    /// the same [`SavedModel`] the `reds-json` loader builds, so both
+    /// formats predict through one code path.
+    pub fn model(&self) -> Result<SavedModel, ArtError> {
         let idx = self.find_unique(SECTION_MODEL, "model")?;
-        MappedModel::parse(Arc::clone(&self.bytes), self.sections[idx].range.clone())
+        let mut cur = Cur::new(self.payload(idx));
+        let family = cur.u32("model family")?;
+        let m = cur.u32("model m")? as usize;
+        let model = match family {
+            FAMILY_FOREST => {
+                let trees = decode_trees(&mut cur, m)?;
+                SavedModel::Forest(RandomForest::from_arenas(trees, m).map_err(corrupt)?)
+            }
+            FAMILY_GBDT => {
+                let base_score = cur.f64("base score")?;
+                let eta = cur.f64("eta")?;
+                let trees = decode_trees(&mut cur, m)?;
+                SavedModel::Gbdt(Gbdt::from_arenas(base_score, eta, trees, m).map_err(corrupt)?)
+            }
+            FAMILY_SVM => {
+                let gamma = cur.f64("gamma")?;
+                let bias = cur.f64("bias")?;
+                let n_sv = cur.count("support vector count")?;
+                let coef = cur.array(n_sv, "coefficients", f64::from_le_bytes)?;
+                let cells = n_sv
+                    .checked_mul(m)
+                    .ok_or_else(|| corrupt("support set size overflows"))?;
+                let points = cur.array(cells, "support points", f64::from_le_bytes)?;
+                SavedModel::Svm(Svm::from_parts(points, coef, bias, gamma, m).map_err(corrupt)?)
+            }
+            other => {
+                return Err(ArtError::Unsupported(format!(
+                    "unknown model family code {other}"
+                )))
+            }
+        };
+        cur.finish("model")?;
+        Ok(model)
     }
 
-    /// Decodes and validates the dataset section (copied out of the
-    /// mapping into an owned [`Dataset`] — discovery needs mutable
-    /// masks over it anyway; the zero-copy guarantee covers model and
-    /// column bytes).
+    /// Decodes and validates the dataset section into an owned
+    /// [`Dataset`].
     pub fn dataset(&self) -> Result<Dataset, ArtError> {
         let idx = self.find_unique(SECTION_DATASET, "dataset")?;
-        let payload = self.payload(idx);
-        let mut cur = Cur::new(payload);
+        let mut cur = Cur::new(self.payload(idx));
         let n = cur.count("dataset row count")?;
         let m = cur.count("dataset column count")?;
         let cells = n
             .checked_mul(m)
-            .and_then(|c| c.checked_mul(8))
             .ok_or_else(|| corrupt("dataset size overflows"))?;
-        let points = cast_f64s(cur.take(cells, "dataset points")?, "dataset points")?.to_vec();
-        let labels = cast_f64s(
-            cur.take(
-                n.checked_mul(8)
-                    .ok_or_else(|| corrupt("dataset size overflows"))?,
-                "dataset labels",
-            )?,
-            "dataset labels",
-        )?
-        .to_vec();
+        let points = cur.array(cells, "dataset points", f64::from_le_bytes)?;
+        let labels = cur.array(n, "dataset labels", f64::from_le_bytes)?;
         cur.finish("dataset")?;
         Dataset::new(points, labels, m).map_err(|e| corrupt(format!("dataset rejected: {e}")))
     }
@@ -273,262 +295,33 @@ pub struct ArtMeta {
     pub function: String,
 }
 
-/// Byte ranges of one tree's arenas inside the mapping.
-struct TreeRef {
-    feature: Range<usize>,
-    value: Range<usize>,
-    right: Range<usize>,
-}
-
-enum ModelKind {
-    Forest {
-        trees: Vec<TreeRef>,
-    },
-    Gbdt {
-        base_score: f64,
-        eta: f64,
-        trees: Vec<TreeRef>,
-    },
-    // The SVM's kernel-facing layout (zero-padded support vectors) is
-    // an implementation detail of `reds-metamodel`, so the support set
-    // is materialized into an owned model at load time — it is tiny
-    // next to tree ensembles, and delegation makes bit-identity
-    // trivial.
-    Svm(Box<Svm>),
-}
-
-/// A fitted model whose tree arenas live in (and are borrowed from) a
-/// mapped `.redsart` file.
-///
-/// Implements [`Metamodel`] with the same accumulation order, chunking
-/// and kernel dispatch as the in-memory models, so predictions are
-/// bit-identical to the `reds-json` load path.
-pub struct MappedModel {
-    bytes: Arc<ArtBytes>,
-    m: usize,
-    kind: ModelKind,
-}
-
-/// The sigmoid used by `Gbdt` — same expression, same resolved
-/// [`reds_metamodel::kernels::exp`] backend, so mapped GBDT margins
-/// squash bit-identically to the JSON load path.
-#[inline]
-fn sigmoid(z: f64) -> f64 {
-    1.0 / (1.0 + reds_metamodel::kernels::exp(-z))
-}
-
-impl MappedModel {
-    fn parse(bytes: Arc<ArtBytes>, range: Range<usize>) -> Result<Self, ArtError> {
-        let base = range.start;
-        let payload = &bytes[range.clone()];
-        let mut cur = Cur::new(payload);
-        let family = cur.u32("model family")?;
-        let m = cur.u32("model m")? as usize;
-        if m == 0 {
-            return Err(corrupt("'m' must be positive"));
-        }
-        let kind = match family {
-            FAMILY_FOREST => {
-                let n_trees = cur.count("tree count")?;
-                let trees = parse_trees(&mut cur, base, n_trees, m)?;
-                ModelKind::Forest { trees }
-            }
-            FAMILY_GBDT => {
-                let base_score = cur.f64("base score")?;
-                let eta = cur.f64("eta")?;
-                let n_trees = cur.count("tree count")?;
-                let trees = parse_trees(&mut cur, base, n_trees, m)?;
-                ModelKind::Gbdt {
-                    base_score,
-                    eta,
-                    trees,
-                }
-            }
-            FAMILY_SVM => {
-                let gamma = cur.f64("gamma")?;
-                let bias = cur.f64("bias")?;
-                let n_sv = cur.count("support vector count")?;
-                let coef_bytes = n_sv
-                    .checked_mul(8)
-                    .ok_or_else(|| corrupt("support set size overflows"))?;
-                let coef = cast_f64s(cur.take(coef_bytes, "coefficients")?, "coefficients")?;
-                let point_bytes = coef_bytes
-                    .checked_mul(m)
-                    .ok_or_else(|| corrupt("support set size overflows"))?;
-                let points = cast_f64s(cur.take(point_bytes, "support points")?, "support points")?;
-                let svm = Svm::from_parts(points.to_vec(), coef.to_vec(), bias, gamma, m)
-                    .map_err(corrupt)?;
-                ModelKind::Svm(Box::new(svm))
-            }
-            other => {
-                return Err(ArtError::Unsupported(format!(
-                    "unknown model family code {other}"
-                )))
-            }
-        };
-        cur.finish("model")?;
-        if let ModelKind::Forest { trees } | ModelKind::Gbdt { trees, .. } = &kind {
-            if trees.is_empty() {
-                return Err(corrupt("ensemble has no trees"));
-            }
-        }
-        Ok(Self { bytes, m, kind })
-    }
-
-    /// Rebuilds the borrowed arena view for one tree.
-    ///
-    /// The ranges were produced by `parse_trees`, which validated the
-    /// exact same memory through `FlatView::new` at load time, so the
-    /// unchecked construction here (once per tree per batch) is sound
-    /// as long as the mapping is immutable — the documented contract
-    /// of [`ArtBytes`].
-    fn view(&self, t: &TreeRef) -> FlatView<'_> {
-        let feature = cast_u32s(&self.bytes[t.feature.clone()], "features").expect("validated");
-        let value = cast_f64s(&self.bytes[t.value.clone()], "values").expect("validated");
-        let right = cast_u32s(&self.bytes[t.right.clone()], "rights").expect("validated");
-        // SAFETY: `FlatView::new` checked these exact slices (same
-        // ranges, same immutable buffer) during `parse`.
-        unsafe { FlatView::new_unchecked(feature, value, right) }
-    }
-
-    /// Family tag, in the paper's lettering ("f", "x", "s").
-    pub fn family(&self) -> &'static str {
-        match &self.kind {
-            ModelKind::Forest { .. } => "f",
-            ModelKind::Gbdt { .. } => "x",
-            ModelKind::Svm(_) => "s",
-        }
-    }
-
-    /// Input dimensionality.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-}
-
-/// Parses `n_trees` consecutive tree arenas, returning validated byte
-/// ranges (absolute, into the file buffer). `n_trees` is untrusted: no
+/// Decodes a tree count and that many consecutive tree arenas, each
+/// validated for rows of width `m`. The count is untrusted: no
 /// allocation is sized from it — the vector grows only as trees
-/// actually parse, and every tree consumes at least its 8-byte header,
+/// actually decode, and every tree consumes at least its 8-byte header,
 /// so a huge count simply truncates.
-fn parse_trees(
-    cur: &mut Cur<'_>,
-    base: usize,
-    n_trees: usize,
-    m: usize,
-) -> Result<Vec<TreeRef>, ArtError> {
+fn decode_trees(cur: &mut Cur<'_>, m: usize) -> Result<Vec<FlatTree>, ArtError> {
+    let n_trees = cur.count("tree count")?;
     let mut trees = Vec::new();
     for _ in 0..n_trees {
         let n = cur.count("node count")?;
-        let u32_bytes = n
-            .checked_mul(4)
-            .ok_or_else(|| corrupt("arena size overflows"))?;
-        let f64_bytes = n
-            .checked_mul(8)
-            .ok_or_else(|| corrupt("arena size overflows"))?;
-        let feat_start = base + cur.pos();
-        let feature = cast_u32s(cur.take(u32_bytes, "features")?, "features")?;
+        let feature = cur.array(n, "features", u32::from_le_bytes)?;
         cur.align(8)?;
-        let val_start = base + cur.pos();
-        let value = cast_f64s(cur.take(f64_bytes, "values")?, "values")?;
-        let right_start = base + cur.pos();
-        let right = cast_u32s(cur.take(u32_bytes, "rights")?, "rights")?;
+        let value = cur.array(n, "values", f64::from_le_bytes)?;
+        let right = cur.array(n, "rights", u32::from_le_bytes)?;
         cur.align(8)?;
-        // The same structural validation `FlatTree::validate` runs on
-        // JSON-decoded arenas: this is what makes a crafted file unable
-        // to loop `predict` or escape the arena via a gather.
-        FlatView::new(feature, value, right, m).map_err(corrupt)?;
-        trees.push(TreeRef {
-            feature: feat_start..feat_start + u32_bytes,
-            value: val_start..val_start + f64_bytes,
-            right: right_start..right_start + u32_bytes,
-        });
+        // The same structural validation the JSON loaders run: this is
+        // what makes a crafted file unable to loop `predict` or escape
+        // the arena via a gather.
+        trees.push(FlatTree::from_parts(feature, value, right, m).map_err(corrupt)?);
     }
     Ok(trees)
 }
 
-impl Metamodel for MappedModel {
-    fn predict(&self, x: &[f64]) -> f64 {
-        match &self.kind {
-            ModelKind::Forest { trees } => {
-                let sum: f64 = trees.iter().map(|t| self.view(t).predict(x)).sum();
-                sum / trees.len() as f64
-            }
-            ModelKind::Gbdt {
-                base_score,
-                eta,
-                trees,
-            } => {
-                assert_eq!(x.len(), self.m, "prediction dimensionality mismatch");
-                let sum: f64 = trees.iter().map(|t| self.view(t).predict(x)).sum();
-                sigmoid(base_score + eta * sum)
-            }
-            ModelKind::Svm(s) => s.predict(x),
-        }
-    }
-
-    /// Mirrors the in-memory `predict_batch` implementations exactly —
-    /// same kernel resolution, same 4096-row chunking, same tree-major
-    /// accumulation order, same final squash — so the mapped path is
-    /// bit-identical to the JSON path on every input.
-    fn predict_batch(&self, points: &[f64], m: usize) -> Vec<f64> {
-        match &self.kind {
-            ModelKind::Forest { trees } => {
-                assert_eq!(m, self.m, "prediction dimensionality mismatch");
-                assert!(points.len().is_multiple_of(m.max(1)), "ragged point buffer");
-                let kernel = reds_metamodel::kernels::active();
-                let n = points.len() / m.max(1);
-                let mut out = vec![0.0f64; n];
-                reds_par::par_fill_chunks(&mut out, 4096, |start, acc| {
-                    let rows = &points[start * m..(start + acc.len()) * m];
-                    for tree in trees {
-                        reds_metamodel::kernels::accumulate_tree_view(
-                            kernel,
-                            self.view(tree),
-                            rows,
-                            m,
-                            acc,
-                        );
-                    }
-                    let n_trees = trees.len() as f64;
-                    for v in acc.iter_mut() {
-                        *v /= n_trees;
-                    }
-                });
-                out
-            }
-            ModelKind::Gbdt {
-                base_score,
-                eta,
-                trees,
-            } => {
-                assert_eq!(m, self.m, "prediction dimensionality mismatch");
-                assert!(points.len().is_multiple_of(m.max(1)), "ragged point buffer");
-                let kernel = reds_metamodel::kernels::active();
-                let n = points.len() / m.max(1);
-                let mut out = vec![0.0f64; n];
-                reds_par::par_fill_chunks(&mut out, 4096, |start, acc| {
-                    let rows = &points[start * m..(start + acc.len()) * m];
-                    for tree in trees {
-                        reds_metamodel::kernels::accumulate_tree_view(
-                            kernel,
-                            self.view(tree),
-                            rows,
-                            m,
-                            acc,
-                        );
-                    }
-                    reds_metamodel::kernels::sigmoid_margins(kernel, *base_score, *eta, acc);
-                });
-                out
-            }
-            ModelKind::Svm(s) => s.predict_batch(points, m),
-        }
-    }
-}
-
-/// A complete mapped model artifact — the `.redsart` counterpart of
-/// the `reds-serve` JSON artifact.
+/// A complete model artifact decoded from a `.redsart` file — the
+/// counterpart of the `reds-serve` JSON artifact. Everything is owned:
+/// the file is mapped only while [`MappedArtifact::open`] verifies and
+/// decodes it.
 pub struct MappedArtifact {
     /// Benchmark-function name.
     pub function: String,
@@ -538,8 +331,8 @@ pub struct MappedArtifact {
     pub pool_seed: u64,
     /// Pool design code (1 = uniform).
     pub pool_design: u32,
-    /// The zero-copy model.
-    pub model: MappedModel,
+    /// The decoded model.
+    pub model: SavedModel,
     /// Owned training dataset (serves `discover`).
     pub train: Dataset,
 }
@@ -553,12 +346,7 @@ impl MappedArtifact {
         let meta = file.meta()?;
         let model = file.model()?;
         let train = file.dataset()?;
-        let family_code = match model.family() {
-            "f" => FAMILY_FOREST,
-            "x" => FAMILY_GBDT,
-            _ => FAMILY_SVM,
-        };
-        if meta.family != family_code {
+        if meta.family != crate::write::family_code(&model) {
             return Err(corrupt("metadata family disagrees with the model section"));
         }
         if meta.m != model.m() || train.m() != model.m() {

@@ -327,20 +327,24 @@ pub struct ModelArtifactSpec<'a> {
     pub train: &'a Dataset,
 }
 
+/// The `FAMILY_*` code of a model.
+pub(crate) fn family_code(model: &SavedModel) -> u32 {
+    match model {
+        SavedModel::Forest(_) => FAMILY_FOREST,
+        SavedModel::Gbdt(_) => FAMILY_GBDT,
+        SavedModel::Svm(_) => FAMILY_SVM,
+    }
+}
+
 /// Packs a complete model artifact (META + MODEL + DATASET sections)
 /// to `path`. The encoding preserves every bit of the model arrays, so
 /// loading back through [`MappedArtifact`](crate::MappedArtifact)
 /// predicts bit-identically to the in-memory model.
 pub fn write_model_artifact(path: &Path, spec: &ModelArtifactSpec<'_>) -> Result<(), ArtError> {
-    let family = match spec.model {
-        SavedModel::Forest(_) => FAMILY_FOREST,
-        SavedModel::Gbdt(_) => FAMILY_GBDT,
-        SavedModel::Svm(_) => FAMILY_SVM,
-    };
     let mut w = ArtWriter::create(path)?;
 
     let mut meta = Vec::new();
-    push_u32(&mut meta, family);
+    push_u32(&mut meta, family_code(spec.model));
     push_u32(&mut meta, spec.model.m() as u32);
     push_u64(&mut meta, spec.seed);
     push_u64(&mut meta, spec.pool_seed);

@@ -1,5 +1,5 @@
 //! Cold-start report: loading a serving artifact from `reds-json`
-//! vs the mmap-able `.redsart` container.
+//! vs the `.redsart` binary container.
 //!
 //! ```text
 //! cargo run --release -p reds-bench --bin art_report -- \
@@ -9,7 +9,7 @@
 //!
 //! Fits one metamodel, saves it in both formats, then measures the
 //! cold-start path a server pays on boot: `ModelArtifact::load`
-//! (parse-and-validate for JSON, map-and-verify for `.redsart`)
+//! (parse-and-validate for JSON, verify-and-decode for `.redsart`)
 //! followed by a first `predict_batch` over `--probe-rows` fresh
 //! points. Every repetition also bit-compares the two formats'
 //! predictions — a speedup that changed a prediction bit would be a
@@ -17,8 +17,9 @@
 //! wall times and the file sizes.
 //!
 //! Page-cache effects are *not* controlled here (both formats benefit
-//! equally on a warm cache); the interesting gap is the JSON parse +
-//! float decode + arena rebuild that the mapped path skips entirely.
+//! equally on a warm cache); the interesting gap is the JSON parse and
+//! decimal float decode that the binary path replaces with checksums
+//! and a little-endian copy into the same owned arenas.
 
 use std::path::Path;
 use std::time::Instant;

@@ -7,8 +7,8 @@
 //!     [--trees 200] [--rounds 150] --out model.json
 //! ```
 //!
-//! `--out model.redsart` writes the mmap-able binary artifact instead
-//! of JSON (see `docs/artifact-format.md`); both load identically in
+//! `--out model.redsart` writes the binary artifact instead of JSON
+//! (see `docs/artifact-format.md`); both load into the same model in
 //! `reds_serve`.
 //!
 //! The training run mirrors one repetition of the paper's experiments:
@@ -91,8 +91,8 @@ fn main() {
         model: model.into(),
         train,
     };
-    // `.redsart` targets get the mmap-able binary container; anything
-    // else stays on the `reds-json` interchange format.
+    // `.redsart` targets get the binary container; anything else stays
+    // on the `reds-json` interchange format.
     let result = if out.ends_with(".redsart") {
         artifact.save_art(Path::new(&out))
     } else {

@@ -5,16 +5,15 @@
 //!     --in model.json --out model.redsart
 //! ```
 //!
-//! The input is a `reds-json` artifact (the interchange format the
-//! fitting tools author); the output format follows the `--out`
-//! extension: a `.redsart` target writes the mmap-able binary
-//! container, anything else rewrites `reds-json`. Packing is lossless
-//! for the model, the training data, and the provenance fields —
-//! serving the packed artifact is bit-identical to serving the
-//! original (pinned by `tests/art_format.rs` and the CI serving
-//! smoke). Packing is one-way: a `.redsart` input is already packed
-//! (copy the file instead), and `reds_pack` says so rather than
-//! regenerating JSON from mapped bytes.
+//! The input is an artifact in either format, sniffed from its leading
+//! bytes; the output format follows the `--out` extension: a
+//! `.redsart` target writes the binary container, anything else writes
+//! `reds-json`. Packing is lossless both ways for the model, the
+//! training data, and the provenance fields — serving the packed
+//! artifact is bit-identical to serving the original, and unpacking a
+//! `.redsart` back to JSON reproduces the JSON that `fit_model` wrote
+//! byte for byte (pinned by `tests/art_format.rs` and the CI serving
+//! smoke).
 
 use std::path::Path;
 

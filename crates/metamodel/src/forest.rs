@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reds_data::{Dataset, SortedView};
 
+use crate::kernels::FlatTree;
 use crate::tree::{NaiveTree, RegressionTree, TreeParams};
 use crate::{Metamodel, Trainer};
 
@@ -125,24 +126,31 @@ impl RandomForest {
     pub fn from_json(doc: &reds_json::Json) -> Result<Self, crate::persist::PersistError> {
         use crate::persist::{bad, field, usize_from_json};
         let m = usize_from_json(field(doc, "m")?, "'m'")?;
-        if m == 0 {
-            return Err(bad("'m' must be positive"));
-        }
         let trees = field(doc, "trees")?
             .as_array()
             .ok_or_else(|| bad("'trees' must be an array"))?
             .iter()
             .map(RegressionTree::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        if trees.is_empty() {
-            return Err(bad("forest has no trees"));
-        }
         if let Some(t) = trees.iter().find(|t| t.m() != m) {
             return Err(bad(format!(
                 "tree fitted on {} columns inside a forest with m = {m}",
                 t.m()
             )));
         }
+        let arenas = trees.into_iter().map(RegressionTree::into_flat).collect();
+        Self::from_arenas(arenas, m).map_err(bad)
+    }
+
+    /// Builds a forest over decoded tree arenas, in ensemble order —
+    /// where the `reds-json` and `.redsart` decoders end. Rejects
+    /// `m == 0`, an empty ensemble, and any split on a feature `>= m`.
+    pub fn from_arenas(arenas: Vec<FlatTree>, m: usize) -> Result<Self, String> {
+        FlatTree::check_ensemble(&arenas, m)?;
+        let trees = arenas
+            .into_iter()
+            .map(|flat| RegressionTree::from_flat(flat, m))
+            .collect();
         Ok(Self { trees, m })
     }
 }
@@ -304,7 +312,7 @@ fn exit_thresholds(trees: &[RegressionTree], bnd: f64) -> Vec<(f64, f64)> {
 }
 
 /// Smallest and largest leaf value of a tree; NaN when any leaf is NaN.
-fn leaf_range(tree: &crate::kernels::FlatTree) -> (f64, f64) {
+fn leaf_range(tree: &FlatTree) -> (f64, f64) {
     let leaves = (0..tree.n_nodes())
         .filter(|&i| tree.is_leaf(i))
         .map(|i| tree.value(i));

@@ -57,19 +57,6 @@ impl Default for GbdtParams {
     }
 }
 
-/// One boosting round's tree, flattened into the kernel-ready
-/// structure-of-arrays arena (leaf values are leaf *weights* here).
-#[derive(Debug, Clone)]
-struct GradientTree {
-    flat: FlatTree,
-}
-
-impl GradientTree {
-    fn predict(&self, x: &[f64]) -> f64 {
-        self.flat.predict(x)
-    }
-}
-
 /// Per-round tree builder on presorted columns — the same
 /// stable-partition scheme as the CART builder: the dataset is
 /// argsorted once per fit, each round derives its subsample's sorted
@@ -177,9 +164,10 @@ fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + kernels::exp(-z))
 }
 
-/// A fitted gradient-boosted tree ensemble.
+/// A fitted gradient-boosted tree ensemble. Each round's tree is a
+/// kernel-ready [`FlatTree`] whose leaf values are leaf *weights*.
 pub struct Gbdt {
-    trees: Vec<GradientTree>,
+    trees: Vec<FlatTree>,
     base_score: f64,
     eta: f64,
     m: usize,
@@ -250,9 +238,7 @@ impl Gbdt {
                 goes_left: &mut goes_left,
             };
             builder.build(0, sample_size, 0);
-            let tree = GradientTree {
-                flat: builder.nodes,
-            };
+            let tree = builder.nodes;
             // The per-round margin refresh walks the whole dataset
             // through the new tree — the dominant per-round cost at
             // large N. Rows are independent, so it fans out across
@@ -269,7 +255,7 @@ impl Gbdt {
                     let preds = &mut preds[..chunk.len()];
                     preds.fill(0.0);
                     let rows = &points[start * m..(start + chunk.len()) * m];
-                    kernels::accumulate_tree(kernel, &tree.flat, rows, m, preds);
+                    kernels::accumulate_tree(kernel, &tree, rows, m, preds);
                     for (margin, p) in chunk.iter_mut().zip(preds.iter()) {
                         *margin += params.eta * p;
                     }
@@ -313,7 +299,7 @@ impl Gbdt {
     /// accumulate in, which serializers (`reds-json`, `reds-art`) must
     /// preserve for bit-identical round trips.
     pub fn arenas(&self) -> impl ExactSizeIterator<Item = &FlatTree> {
-        self.trees.iter().map(|t| &t.flat)
+        self.trees.iter()
     }
 
     /// Number of input columns the ensemble was fitted on.
@@ -328,8 +314,7 @@ impl Gbdt {
     pub fn to_json(&self) -> reds_json::Json {
         use crate::persist::f64_to_json;
         use reds_json::Json;
-        let tree_to_json = |tree: &GradientTree| {
-            let flat = &tree.flat;
+        let tree_to_json = |flat: &FlatTree| {
             Json::arr((0..flat.n_nodes()).map(|i| {
                 if flat.is_leaf(i) {
                     Json::arr([f64_to_json(flat.value(i))])
@@ -357,9 +342,6 @@ impl Gbdt {
     pub fn from_json(doc: &reds_json::Json) -> Result<Self, crate::persist::PersistError> {
         use crate::persist::{bad, f64_from_json, field, usize_from_json};
         let m = usize_from_json(field(doc, "m")?, "'m'")?;
-        if m == 0 {
-            return Err(bad("'m' must be positive"));
-        }
         let base_score = f64_from_json(field(doc, "base_score")?)?;
         let eta = f64_from_json(field(doc, "eta")?)?;
         let tree_docs = field(doc, "trees")?
@@ -461,10 +443,23 @@ impl Gbdt {
                 }
             }
             flat.validate(m).map_err(bad)?;
-            trees.push(GradientTree { flat });
+            trees.push(flat);
         }
+        Self::from_arenas(base_score, eta, trees, m).map_err(bad)
+    }
+
+    /// Builds an ensemble over decoded tree arenas, in boosting order —
+    /// where the `reds-json` and `.redsart` decoders end. Rejects
+    /// `m == 0`, an empty ensemble, and any split on a feature `>= m`.
+    pub fn from_arenas(
+        base_score: f64,
+        eta: f64,
+        arenas: Vec<FlatTree>,
+        m: usize,
+    ) -> Result<Self, String> {
+        FlatTree::check_ensemble(&arenas, m)?;
         Ok(Self {
-            trees,
+            trees: arenas,
             base_score,
             eta,
             m,
@@ -490,7 +485,7 @@ impl Metamodel for Gbdt {
         reds_par::par_fill_chunks(&mut out, 4096, |start, acc| {
             let rows = &points[start * m..(start + acc.len()) * m];
             for tree in &self.trees {
-                kernels::accumulate_tree(kernel, &tree.flat, rows, m, acc);
+                kernels::accumulate_tree(kernel, tree, rows, m, acc);
             }
             kernels::sigmoid_margins(kernel, self.base_score, self.eta, acc);
         });

@@ -12,7 +12,7 @@
 
 use std::arch::x86_64::*;
 
-use super::{FlatTree, FlatView};
+use super::FlatTree;
 
 /// Rows traversed per vector group.
 const GROUP: usize = 4;
@@ -102,15 +102,15 @@ const IN_FLIGHT: usize = 4;
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn walk_groups<const G: usize>(
-    tree: FlatView<'_>,
+    tree: &FlatTree,
     rows: *const f64,
     m: usize,
     acc: &mut [f64],
     base: usize,
 ) {
-    let feature = tree.features().as_ptr() as *const i32;
-    let value = tree.values().as_ptr();
-    let right = tree.rights().as_ptr() as *const i32;
+    let feature = tree.feature.as_ptr() as *const i32;
+    let value = tree.value.as_ptr();
+    let right = tree.right.as_ptr() as *const i32;
     let mut offs = [_mm256_setzero_si256(); G];
     for (g, o) in offs.iter_mut().enumerate() {
         *o = offsets4(base + g * GROUP, m);
@@ -140,7 +140,7 @@ unsafe fn walk_groups<const G: usize>(
 /// AVX2 must be available (dispatcher-probed); `rows.len() == acc.len() * m`
 /// with `m > 0`, and `tree` must satisfy the [`FlatTree`] invariants.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn accumulate_tree(tree: FlatView<'_>, rows: &[f64], m: usize, acc: &mut [f64]) {
+pub(super) unsafe fn accumulate_tree(tree: &FlatTree, rows: &[f64], m: usize, acc: &mut [f64]) {
     let rows_ptr = rows.as_ptr();
     let n = acc.len();
     let mut base = 0usize;

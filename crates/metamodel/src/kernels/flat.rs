@@ -14,152 +14,43 @@
 /// rely on for memory safety: children of a split lie strictly forward
 /// in the arena and inside it, and split features are in `0..m` — so a
 /// traversal index can never escape the arrays and always terminates.
+/// Fitting builds arenas that hold them by construction; decoders go
+/// through [`FlatTree::from_parts`], which checks them. The arena also
+/// records its width, one past its largest split feature, which the
+/// kernels check against the row width of every batch.
 #[derive(Debug, Clone, Default)]
 pub struct FlatTree {
-    feature: Vec<u32>,
-    value: Vec<f64>,
-    right: Vec<u32>,
-}
-
-/// A borrowed view over a flat tree arena — the same three parallel
-/// arrays as [`FlatTree`], but without owning them.
-///
-/// This is the layout boundary that lets `reds-art` map fitted models
-/// straight off disk: a validated `(feature, value, right)` triple
-/// anywhere in memory (a `FlatTree`, an mmap'd artifact section)
-/// traverses through exactly the same scalar and SIMD kernels.
-///
-/// Views constructed with [`FlatView::new`] are checked against the
-/// full traversal-safety invariants; [`FlatView::new_unchecked`]
-/// defers that guarantee to the caller (for arenas validated once at
-/// load time and re-viewed per batch).
-#[derive(Debug, Clone, Copy)]
-pub struct FlatView<'a> {
-    feature: &'a [u32],
-    value: &'a [f64],
-    right: &'a [u32],
-}
-
-/// Shared invariant check over raw arenas: non-empty, equal-length
-/// arrays, every split's children strictly forward and in bounds (left
-/// implicitly at `i + 1`), features `< m`, and leaves self-looping.
-/// Returns a description of the first violation.
-fn validate_arena(feature: &[u32], value: &[f64], right: &[u32], m: usize) -> Result<(), String> {
-    let len = feature.len();
-    if value.len() != len || right.len() != len {
-        return Err(format!(
-            "arena arrays disagree in length ({len} features, {} values, {} rights)",
-            value.len(),
-            right.len()
-        ));
-    }
-    if len == 0 {
-        return Err("tree has no nodes".into());
-    }
-    if len > u32::MAX as usize {
-        return Err("tree has too many nodes".into());
-    }
-    for i in 0..len {
-        let f = feature[i];
-        let r = right[i] as usize;
-        if f == FlatTree::LEAF {
-            if r != i {
-                return Err(format!("leaf {i} must self-loop (right = {r})"));
-            }
-        } else {
-            if (f as usize) >= m {
-                return Err(format!("node {i}: feature {f} out of range (m = {m})"));
-            }
-            if i + 1 >= len || r <= i + 1 || r >= len {
-                return Err(format!(
-                    "node {i}: children must lie strictly forward in the arena \
-                     (right = {r}, len = {len})"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-impl<'a> FlatView<'a> {
-    /// Builds a validated view over raw arenas (see [`FlatTree`] for
-    /// the invariants). The returned view is safe to traverse through
-    /// every kernel backend.
-    pub fn new(
-        feature: &'a [u32],
-        value: &'a [f64],
-        right: &'a [u32],
-        m: usize,
-    ) -> Result<Self, String> {
-        validate_arena(feature, value, right, m)?;
-        Ok(Self {
-            feature,
-            value,
-            right,
-        })
-    }
-
-    /// Builds a view without re-running validation.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee that the arrays satisfy the
-    /// [`FlatTree`] invariants for the `m` the view will be traversed
-    /// with — e.g. because [`FlatView::new`] validated the same memory
-    /// earlier and it has not changed since. The SIMD kernels issue
-    /// unchecked gathers through these indices.
-    pub unsafe fn new_unchecked(feature: &'a [u32], value: &'a [f64], right: &'a [u32]) -> Self {
-        debug_assert_eq!(feature.len(), value.len());
-        debug_assert_eq!(feature.len(), right.len());
-        Self {
-            feature,
-            value,
-            right,
-        }
-    }
-
-    /// Number of nodes (leaves + splits).
-    pub fn n_nodes(&self) -> usize {
-        self.feature.len()
-    }
-
-    /// Raw feature array (`LEAF` marks leaves).
-    pub fn features(&self) -> &'a [u32] {
-        self.feature
-    }
-
-    /// Raw value array (thresholds for splits, predictions for leaves).
-    pub fn values(&self) -> &'a [f64] {
-        self.value
-    }
-
-    /// Raw right-child array (self-loops on leaves).
-    pub fn rights(&self) -> &'a [u32] {
-        self.right
-    }
-
-    /// Scalar per-point traversal — the reference every batched kernel
-    /// must match bit for bit (it trivially does: the predicate
-    /// `x[feature] <= threshold` picks the same leaf everywhere).
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        let mut i = 0usize;
-        loop {
-            let f = self.feature[i];
-            if f == FlatTree::LEAF {
-                return self.value[i];
-            }
-            i = if x[f as usize] <= self.value[i] {
-                i + 1
-            } else {
-                self.right[i] as usize
-            };
-        }
-    }
+    pub(super) feature: Vec<u32>,
+    pub(super) value: Vec<f64>,
+    pub(super) right: Vec<u32>,
+    pub(super) width: usize,
 }
 
 impl FlatTree {
     /// Marker in [`FlatTree::feature`] for leaves.
     pub const LEAF: u32 = u32::MAX;
+
+    /// Builds an arena from decoded parallel arrays, checking every
+    /// traversal-safety invariant for rows of width `m`: non-empty,
+    /// equal-length arrays, leaves self-looping, split features `< m`,
+    /// and every split's children strictly forward and in bounds (left
+    /// implicitly at `i + 1`). Returns a description of the first
+    /// violation.
+    pub fn from_parts(
+        feature: Vec<u32>,
+        value: Vec<f64>,
+        right: Vec<u32>,
+        m: usize,
+    ) -> Result<Self, String> {
+        let mut tree = Self {
+            feature,
+            value,
+            right,
+            width: 0,
+        };
+        tree.width = tree.validate(m)?;
+        Ok(tree)
+    }
 
     /// Creates an empty arena with room for `capacity` nodes.
     pub(crate) fn with_capacity(capacity: usize) -> Self {
@@ -167,6 +58,7 @@ impl FlatTree {
             feature: Vec::with_capacity(capacity),
             value: Vec::with_capacity(capacity),
             right: Vec::with_capacity(capacity),
+            width: 0,
         }
     }
 
@@ -184,6 +76,7 @@ impl FlatTree {
     pub(crate) fn push_split(&mut self, feature: u32, threshold: f64) -> u32 {
         debug_assert_ne!(feature, Self::LEAF);
         let i = self.feature.len() as u32;
+        self.width = self.width.max(feature as usize + 1);
         self.feature.push(feature);
         self.value.push(threshold);
         self.right.push(0);
@@ -195,16 +88,6 @@ impl FlatTree {
     pub(crate) fn set_right(&mut self, i: u32, right: u32) {
         debug_assert!(right > i, "children must lie forward in the arena");
         self.right[i as usize] = right;
-    }
-
-    /// Borrowed view over the arena. Construction already enforced the
-    /// traversal invariants, so the view needs no re-validation.
-    pub fn view(&self) -> FlatView<'_> {
-        // SAFETY: every `FlatTree` constructor path either builds the
-        // arena through push_leaf/push_split/set_right (depth-first,
-        // children forward by construction) or validates via
-        // `validate` before exposure.
-        unsafe { FlatView::new_unchecked(&self.feature, &self.value, &self.right) }
     }
 
     /// Number of nodes (leaves + splits).
@@ -241,13 +124,75 @@ impl FlatTree {
     /// must match bit for bit (it trivially does: the predicate
     /// `x[feature] <= threshold` picks the same leaf everywhere).
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.view().predict(x)
+        let mut i = 0usize;
+        loop {
+            let f = self.feature[i];
+            if f == Self::LEAF {
+                return self.value[i];
+            }
+            i = if x[f as usize] <= self.value[i] {
+                i + 1
+            } else {
+                self.right[i] as usize
+            };
+        }
     }
 
-    /// Checks the traversal-safety invariants over a freshly decoded
-    /// arena (see [`FlatView::new`] for the rules). Returns a
+    /// Checks the traversal-safety invariants of [`FlatTree::from_parts`]
+    /// over a decoded arena and returns its width. Returns a
     /// description of the first violation.
-    pub(crate) fn validate(&self, m: usize) -> Result<(), String> {
-        validate_arena(&self.feature, &self.value, &self.right, m)
+    pub(crate) fn validate(&self, m: usize) -> Result<usize, String> {
+        let len = self.feature.len();
+        if self.value.len() != len || self.right.len() != len {
+            return Err(format!(
+                "arena arrays disagree in length ({len} features, {} values, {} rights)",
+                self.value.len(),
+                self.right.len()
+            ));
+        }
+        if len == 0 {
+            return Err("tree has no nodes".into());
+        }
+        if len > u32::MAX as usize {
+            return Err("tree has too many nodes".into());
+        }
+        let mut width = 0;
+        for i in 0..len {
+            let f = self.feature[i];
+            let r = self.right[i] as usize;
+            if f == Self::LEAF {
+                if r != i {
+                    return Err(format!("leaf {i} must self-loop (right = {r})"));
+                }
+            } else {
+                if (f as usize) >= m {
+                    return Err(format!("node {i}: feature {f} out of range (m = {m})"));
+                }
+                if i + 1 >= len || r <= i + 1 || r >= len {
+                    return Err(format!(
+                        "node {i}: children must lie strictly forward in the arena \
+                         (right = {r}, len = {len})"
+                    ));
+                }
+                width = width.max(f as usize + 1);
+            }
+        }
+        Ok(width)
+    }
+
+    /// Checks the arenas a forest or GBDT ensemble adopts: `m > 0`, at
+    /// least one tree, and no split on a feature `>= m` (an arena
+    /// validated for wider rows would otherwise fail every batch).
+    pub(crate) fn check_ensemble(arenas: &[Self], m: usize) -> Result<(), String> {
+        if m == 0 {
+            return Err("'m' must be positive".into());
+        }
+        if arenas.is_empty() {
+            return Err("ensemble has no trees".into());
+        }
+        match arenas.iter().position(|t| t.width > m) {
+            Some(t) => Err(format!("tree {t} splits on a feature >= m = {m}")),
+            None => Ok(()),
+        }
     }
 }

@@ -59,7 +59,7 @@ pub mod vexp;
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 
-pub use flat::{FlatTree, FlatView};
+pub use flat::FlatTree;
 pub use vexp::{exp, ExpBackend};
 
 /// A prediction-kernel implementation.
@@ -145,23 +145,14 @@ pub fn active() -> Kernel {
 /// columns) into `acc`, using the selected kernel. Bit-identical across
 /// kernels: traversal is exact, so every backend reaches the same leaf
 /// and adds the same value.
+///
+/// # Panics
+///
+/// Panics when the buffers disagree on shape, or when `tree` splits on
+/// a feature `>= m`.
 pub fn accumulate_tree(kernel: Kernel, tree: &FlatTree, rows: &[f64], m: usize, acc: &mut [f64]) {
-    accumulate_tree_view(kernel, tree.view(), rows, m, acc)
-}
-
-/// [`accumulate_tree`] over a borrowed arena view — the entry point for
-/// memory-mapped trees (`reds-art`), whose arenas live outside any
-/// `FlatTree`. The view must satisfy the [`FlatTree`] invariants for
-/// this `m` ([`FlatView::new`] checks them): the AVX2 backend gathers
-/// through the arena indices unchecked.
-pub fn accumulate_tree_view(
-    kernel: Kernel,
-    tree: FlatView<'_>,
-    rows: &[f64],
-    m: usize,
-    acc: &mut [f64],
-) {
     assert_eq!(rows.len(), acc.len() * m, "row buffer shape mismatch");
+    assert!(tree.width <= m, "tree splits on a feature >= m = {m}");
     if acc.is_empty() {
         return;
     }
@@ -170,9 +161,10 @@ pub fn accumulate_tree_view(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the cached feature probe just succeeded (`Kernel` is
         // a public enum, so an explicit `Avx2` cannot be trusted to
-        // imply support), and the view's validation (at `FlatView::new`
-        // or `FlatTree` construction) bounds every index the gathers
-        // dereference.
+        // imply support). The width check above keeps every gathered
+        // feature inside its row, and `FlatTree` construction (fitting,
+        // or the checks of `FlatTree::from_parts`) keeps every node
+        // index inside the arena.
         Kernel::Avx2 if m > 0 && avx2_supported() => unsafe {
             avx2::accumulate_tree(tree, rows, m, acc)
         },
@@ -428,6 +420,26 @@ mod tests {
         let b = [0.0, 0.0];
         for k in kernels() {
             assert_eq!(squared_distance(k, &a, &b), f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn arenas_wider_than_the_rows_are_rejected() {
+        let leaf = FlatTree::LEAF;
+        let parts = || (vec![3, leaf, leaf], vec![0.5, 0.0, 1.0], vec![2, 1, 2]);
+        let (f, v, r) = parts();
+        assert!(FlatTree::from_parts(f, v, r, 3).is_err());
+        let (f, v, r) = parts();
+        let tree = FlatTree::from_parts(f, v, r, 4).expect("valid for m = 4");
+        assert!(crate::RandomForest::from_arenas(vec![tree.clone()], 4).is_ok());
+        assert!(crate::RandomForest::from_arenas(vec![tree.clone()], 2).is_err());
+        assert!(crate::Gbdt::from_arenas(0.0, 0.1, vec![tree.clone()], 2).is_err());
+        for k in kernels() {
+            let walk = std::panic::catch_unwind(|| {
+                let mut acc = vec![0.0f64; 8];
+                accumulate_tree(k, &tree, &[0.0; 16], 2, &mut acc);
+            });
+            assert!(walk.is_err(), "{k:?} walked a 4-wide tree over 2-wide rows");
         }
     }
 

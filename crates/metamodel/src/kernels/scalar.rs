@@ -7,15 +7,13 @@
 //! on [`super::squared_distance`]. These are real production kernels —
 //! the only ones off `x86_64` — not a slow oracle.
 
-use super::{FlatTree, FlatView};
+use super::FlatTree;
 
 /// Adds `tree`'s prediction for every row into `acc` (shapes already
 /// checked by the dispatcher).
-pub(super) fn accumulate_tree(tree: FlatView<'_>, rows: &[f64], m: usize, acc: &mut [f64]) {
+pub(super) fn accumulate_tree(tree: &FlatTree, rows: &[f64], m: usize, acc: &mut [f64]) {
     const LANES: usize = 64;
-    let feature = tree.features();
-    let value = tree.values();
-    let right = tree.rights();
+    let (feature, value, right) = (&tree.feature[..], &tree.value[..], &tree.right[..]);
     let mut base = 0usize;
     while base < acc.len() {
         let k = LANES.min(acc.len() - base);

@@ -33,7 +33,7 @@ pub mod tune;
 
 pub use forest::{NaiveRandomForest, RandomForest, RandomForestParams};
 pub use gbdt::{Gbdt, GbdtParams};
-pub use kernels::{FlatTree, FlatView, Kernel};
+pub use kernels::{FlatTree, Kernel};
 pub use persist::{PersistError, SavedModel};
 pub use svm::{Svm, SvmParams};
 pub use tree::{NaiveTree, RegressionTree, TreeParams};

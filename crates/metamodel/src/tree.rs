@@ -408,6 +408,17 @@ impl RegressionTree {
         &self.flat
     }
 
+    /// Wraps an arena already checked for `m` (see
+    /// [`FlatTree::check_ensemble`]).
+    pub(crate) fn from_flat(flat: FlatTree, m: usize) -> Self {
+        Self { flat, m }
+    }
+
+    /// Unwraps the arena.
+    pub(crate) fn into_flat(self) -> FlatTree {
+        self.flat
+    }
+
     /// Number of input columns the tree was fitted on.
     pub fn m(&self) -> usize {
         self.m

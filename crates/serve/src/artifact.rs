@@ -10,7 +10,7 @@
 use std::fmt;
 use std::path::Path;
 
-use reds_art::{MappedArtifact, MappedModel, ModelArtifactSpec};
+use reds_art::{MappedArtifact, ModelArtifactSpec};
 use reds_data::Dataset;
 use reds_json::Json;
 use reds_metamodel::persist::{f64_from_json, f64_to_json, usize_from_json};
@@ -38,7 +38,7 @@ const ART_POOL_DESIGN_UNIFORM: u32 = 1;
 pub enum ArtifactFormat {
     /// `reds-json` interchange document.
     Json,
-    /// Memory-mapped `.redsart` binary container.
+    /// `.redsart` binary container.
     Art,
 }
 
@@ -52,49 +52,39 @@ impl ArtifactFormat {
     }
 }
 
-/// The model inside a [`ModelArtifact`]: either parsed from
-/// `reds-json` (owned) or memory-mapped from a `.redsart` container
-/// (zero-copy arenas). Both predict through the same kernels with the
-/// same accumulation order, so serving results are bit-identical
-/// regardless of variant.
+/// The model inside a [`ModelArtifact`], tagged with the format it was
+/// loaded from. Both formats decode to the same owned [`SavedModel`],
+/// so serving results are bit-identical regardless of variant.
 pub enum ServedModel {
-    /// Owned model decoded from the JSON interchange format.
+    /// Decoded from the JSON interchange format.
     Json(SavedModel),
-    /// Zero-copy model borrowed from a mapped `.redsart` file.
-    Mapped(MappedModel),
+    /// Decoded from a `.redsart` container.
+    Art(SavedModel),
 }
 
 impl ServedModel {
+    /// The decoded model, whichever format it came from.
+    pub fn as_saved(&self) -> &SavedModel {
+        match self {
+            ServedModel::Json(m) | ServedModel::Art(m) => m,
+        }
+    }
+
     /// Family tag ("f", "x", "s").
     pub fn family(&self) -> &'static str {
-        match self {
-            ServedModel::Json(m) => m.family(),
-            ServedModel::Mapped(m) => m.family(),
-        }
+        self.as_saved().family()
     }
 
     /// Input dimensionality.
     pub fn m(&self) -> usize {
-        match self {
-            ServedModel::Json(m) => m.m(),
-            ServedModel::Mapped(m) => m.m(),
-        }
+        self.as_saved().m()
     }
 
     /// Which format this model came from.
     pub fn format(&self) -> ArtifactFormat {
         match self {
             ServedModel::Json(_) => ArtifactFormat::Json,
-            ServedModel::Mapped(_) => ArtifactFormat::Art,
-        }
-    }
-
-    /// The JSON-interchange form, when this model has one (mapped
-    /// models are deployment-only; repack from the source JSON).
-    pub fn as_saved(&self) -> Option<&SavedModel> {
-        match self {
-            ServedModel::Json(m) => Some(m),
-            ServedModel::Mapped(_) => None,
+            ServedModel::Art(_) => ArtifactFormat::Art,
         }
     }
 }
@@ -107,17 +97,11 @@ impl From<SavedModel> for ServedModel {
 
 impl Metamodel for ServedModel {
     fn predict(&self, x: &[f64]) -> f64 {
-        match self {
-            ServedModel::Json(m) => m.predict(x),
-            ServedModel::Mapped(m) => m.predict(x),
-        }
+        self.as_saved().predict(x)
     }
 
     fn predict_batch(&self, points: &[f64], m: usize) -> Vec<f64> {
-        match self {
-            ServedModel::Json(model) => model.predict_batch(points, m),
-            ServedModel::Mapped(model) => model.predict_batch(points, m),
-        }
+        self.as_saved().predict_batch(points, m)
     }
 }
 
@@ -136,7 +120,7 @@ pub struct ModelArtifact {
     /// [`POOL_DESIGN_UNIFORM`]; recorded so future designs cannot be
     /// confused with old artifacts).
     pub pool_design: String,
-    /// The fitted metamodel (owned JSON decode or mapped `.redsart`).
+    /// The fitted metamodel, tagged with its source format.
     pub model: ServedModel,
     /// The training dataset `D` — the validation anchor for `discover`.
     pub train: Dataset,
@@ -192,18 +176,8 @@ impl ModelArtifact {
     }
 
     /// Serializes the artifact (model, training data, provenance).
-    ///
-    /// # Panics
-    ///
-    /// Panics for mapped (`.redsart`-loaded) artifacts — they have no
-    /// JSON form; `reds-json` is authored by the fitting tools and
-    /// packed *into* `.redsart`, never regenerated from it. [`ModelArtifact::save`]
-    /// returns a structured error instead of panicking.
     pub fn to_json(&self) -> Json {
-        let model = self
-            .model
-            .as_saved()
-            .expect("mapped artifacts have no JSON form");
+        let model = self.model.as_saved();
         Json::obj([
             ("kind", Json::str(ARTIFACT_KIND)),
             ("schema_version", Json::num(ARTIFACT_SCHEMA_VERSION as f64)),
@@ -331,28 +305,16 @@ impl ModelArtifact {
         })
     }
 
-    /// Writes the artifact as pretty JSON. Only JSON-backed artifacts
-    /// can be saved this way — mapped ones have no JSON form.
+    /// Writes the artifact as pretty JSON.
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        if self.model.as_saved().is_none() {
-            return Err(format_err(
-                "a mapped .redsart artifact cannot be re-saved as JSON; \
-                 pack from the source reds-json artifact instead",
-            ));
-        }
         let mut text = self.to_json().to_string_pretty();
         text.push('\n');
         std::fs::write(path, text)?;
         Ok(())
     }
 
-    /// Packs the artifact into the `.redsart` zero-copy container.
-    /// Like [`ModelArtifact::save`], this needs the JSON-backed model
-    /// (packing is a one-way step from interchange to deployment).
+    /// Packs the artifact into the `.redsart` binary container.
     pub fn save_art(&self, path: &Path) -> Result<(), ArtifactError> {
-        let model = self.model.as_saved().ok_or_else(|| {
-            format_err("a mapped .redsart artifact is already packed; copy the file instead")
-        })?;
         if self.pool_design != POOL_DESIGN_UNIFORM {
             return Err(format_err(format!(
                 "unsupported pool design '{}' (this build packs '{POOL_DESIGN_UNIFORM}')",
@@ -366,7 +328,7 @@ impl ModelArtifact {
                 seed: self.seed,
                 pool_seed: self.pool_seed,
                 pool_design: ART_POOL_DESIGN_UNIFORM,
-                model,
+                model: self.model.as_saved(),
                 train: &self.train,
             },
         )?;
@@ -374,9 +336,9 @@ impl ModelArtifact {
     }
 
     /// Reads and validates an artifact file in either format, sniffed
-    /// from the file's leading bytes: `.redsart` containers are
-    /// memory-mapped with zero JSON parsing of model bytes; anything
-    /// else takes the JSON interchange path.
+    /// from the file's leading bytes: `.redsart` containers decode with
+    /// no JSON parsing; anything else takes the JSON interchange path.
+    /// Either way the artifact is fully owned once this returns.
     pub fn load(path: &Path) -> Result<Self, ArtifactError> {
         if file_has_art_magic(path)? {
             return Self::load_art(path);
@@ -386,7 +348,8 @@ impl ModelArtifact {
         Self::from_json(&doc)
     }
 
-    /// Maps and validates a `.redsart` artifact.
+    /// Verifies and decodes a `.redsart` artifact; the file is not read
+    /// again afterwards.
     pub fn load_art(path: &Path) -> Result<Self, ArtifactError> {
         let mapped = MappedArtifact::open(path)?;
         if mapped.pool_design != ART_POOL_DESIGN_UNIFORM {
@@ -400,7 +363,7 @@ impl ModelArtifact {
             seed: mapped.seed,
             pool_seed: mapped.pool_seed,
             pool_design: POOL_DESIGN_UNIFORM.to_string(),
-            model: ServedModel::Mapped(mapped.model),
+            model: ServedModel::Art(mapped.model),
             train: mapped.train,
         })
     }
@@ -477,8 +440,11 @@ mod tests {
         let b = loaded.model.predict_batch(&q, 2);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b));
-        // Mapped artifacts cannot round back into JSON.
-        assert!(loaded.save(&dir.join("back.json")).is_err());
+        // A .redsart-loaded artifact saves back to JSON losslessly.
+        let back = dir.join("back.json");
+        loaded.save(&back).expect("save");
+        let reloaded = ModelArtifact::load(&back).expect("reload");
+        assert_eq!(bits(&reloaded.model.predict_batch(&q, 2)), bits(&a));
         std::fs::remove_dir_all(&dir).ok();
     }
 

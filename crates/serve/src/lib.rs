@@ -19,8 +19,8 @@
 //! * **Versioned registry.** Each model name maps to a
 //!   [`registry::ModelEntry`] whose current version flips atomically on
 //!   `swap`: in-flight requests finish against the version they pinned,
-//!   the old artifact is dropped (and unmapped) only after the last
-//!   pin releases, and no request ever observes two versions.
+//!   the old artifact is dropped only after the last pin releases, and
+//!   no request ever observes two versions.
 //! * **Backpressure.** Each model owns a bounded micro-batch
 //!   [`batch::BatchQueue`]; a full queue answers `too_busy` immediately
 //!   instead of stalling the fleet, and [`Client`] can retry those with

@@ -54,7 +54,7 @@ pub struct ServeLimits {
     pub max_models: usize,
     /// How long a hot swap waits for in-flight requests against the old
     /// version to finish before reporting `drained: false` (the old
-    /// mapping is still released only when its last request completes).
+    /// model is still released only when its last request completes).
     pub swap_drain_ms: u64,
 }
 

@@ -7,9 +7,9 @@
 //! * a **version slot** — an `Arc<ModelVersion>` behind an `RwLock`.
 //!   Requests pin the version they will answer with by cloning the
 //!   `Arc`; a swap replaces the slot's `Arc` and the old version stays
-//!   alive (its mmap stays mapped) exactly until the last in-flight
-//!   request drops its pin. Drain-before-unmap is therefore structural:
-//!   the `Arc` refcount *is* the in-flight ledger.
+//!   alive exactly until the last in-flight request drops its pin.
+//!   Drain-before-drop is therefore structural: the `Arc` refcount
+//!   *is* the in-flight ledger.
 //! * a **bounded micro-batch queue** ([`crate::batch::BatchQueue`]) —
 //!   per-model admission control, so one saturated model backpressures
 //!   its own callers with `too_busy` instead of starving the rest.
@@ -20,7 +20,7 @@
 //! (no request ever observes a half-installed model), and the swap
 //! call then waits — bounded by `ServeLimits::swap_drain_ms` — for the
 //! old version's refcount to hit one so the caller learns whether the
-//! previous mapping was released. Versions are per-model, monotonic,
+//! previous version was released. Versions are per-model, monotonic,
 //! and start at 1.
 
 use std::collections::BTreeMap;
@@ -49,7 +49,7 @@ pub type PredictShim = Box<dyn Fn(&[f64], usize) -> Option<Vec<f64>> + Send + Sy
 /// One immutable installed version of a model: the artifact plus its
 /// per-model version number. Requests hold these via `Arc` for exactly
 /// as long as they compute with the model, which is what makes
-/// drain-before-unmap a refcount property rather than a protocol.
+/// drain-before-drop a refcount property rather than a protocol.
 pub struct ModelVersion {
     /// Monotonic per-model version, starting at 1.
     pub version: u64,
@@ -131,7 +131,7 @@ pub struct SwapOutcome {
     /// entry).
     pub previous: u64,
     /// Whether every in-flight request against the old version
-    /// finished (releasing its mapping) within the drain window.
+    /// finished (releasing the old model) within the drain window.
     pub drained: bool,
     /// How long the drain wait took.
     pub drain_wait: Duration,
@@ -239,8 +239,8 @@ impl ModelEntry {
         // Drain: the flip already happened, so no new request can pin
         // `old`; wait for the refcount to fall to ours. `old` is
         // dropped at the end of this scope either way — if stragglers
-        // remain, the mapping is released when the last one finishes,
-        // never before (drain-before-unmap).
+        // remain, the old model is released when the last one
+        // finishes, never before (drain-before-drop).
         let started = Instant::now();
         let deadline = started + drain;
         let mut drained = Arc::strong_count(&old) == 1;

@@ -468,7 +468,7 @@ impl Service {
             ("function", Json::str(current.artifact.function.clone())),
             ("family", Json::str(current.artifact.model.family())),
             // Which on-disk format the artifact came from: "reds-json"
-            // (parsed) or "redsart" (memory-mapped, zero-copy).
+            // or "redsart" (both decode to the same owned model).
             ("format", Json::str(current.artifact.format().name())),
             ("m", Json::num(entry.m() as f64)),
             ("n_train", Json::num(current.artifact.train.n() as f64)),

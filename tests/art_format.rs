@@ -269,3 +269,196 @@ fn junk_files_are_rejected() {
     assert!(Path::new(&path).exists());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Bits of every prediction, for exact comparisons (`-0.0` and NaN
+/// payloads count).
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A forest fitted on `-0.0` labels has only `-0.0` leaves. Every
+/// prediction path folds tree sums from `+0.0`, so the `.redsart` load
+/// predicts `+0.0` per point, exactly like its own batch and the JSON
+/// load.
+#[test]
+fn negative_zero_leaves_predict_plus_zero_through_redsart() {
+    let dir = temp_dir("negzero");
+    let mut rng = StdRng::seed_from_u64(0x2E20);
+    let points: Vec<f64> = (0..50 * 2).map(|_| rng.gen()).collect();
+    let train = Dataset::new(points, vec![-0.0; 50], 2).unwrap();
+    let params = RandomForestParams {
+        n_trees: 5,
+        ..Default::default()
+    };
+    let forest = RandomForest::fit(&train, &params, &mut StdRng::seed_from_u64(1));
+    let artifact = ModelArtifact {
+        function: "negzero".to_string(),
+        seed: 1,
+        pool_seed: 2,
+        pool_design: reds_serve::POOL_DESIGN_UNIFORM.to_string(),
+        model: SavedModel::Forest(forest).into(),
+        train,
+    };
+    let (json_path, art_path) = (dir.join("f.json"), dir.join("f.redsart"));
+    artifact.save(&json_path).unwrap();
+    artifact.save_art(&art_path).unwrap();
+    let from_json = ModelArtifact::load(&json_path).unwrap();
+    let from_art = ModelArtifact::load(&art_path).unwrap();
+    let rows = artifact.train.points();
+    let batch = from_art.model.predict_batch(rows, 2);
+    for (i, x) in rows.chunks_exact(2).enumerate() {
+        let point = from_art.model.predict(x).to_bits();
+        assert_eq!(batch[i].to_bits(), 0.0f64.to_bits(), "batch row {i}");
+        assert_eq!(point, batch[i].to_bits(), "per-point row {i}");
+        assert_eq!(point, from_json.model.predict(x).to_bits(), "json row {i}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A loaded `.redsart` model owns everything it predicts from: cutting
+/// its file to nothing, then overwriting it in place with junk of the
+/// original length, changes no prediction bit.
+#[test]
+fn loaded_models_do_not_read_their_file_again() {
+    use std::io::Write;
+    let dir = temp_dir("rewrite");
+    for family in ["f", "x", "s"] {
+        let path = dir.join(format!("{family}.redsart"));
+        tiny_artifact(family, 23).save_art(&path).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len() as usize;
+        let loaded = ModelArtifact::load(&path).unwrap();
+        let m = loaded.train.m();
+        let mut rng = StdRng::seed_from_u64(41);
+        let probe: Vec<f64> = (0..300 * m).map(|_| rng.gen()).collect();
+        let want = bits(&loaded.model.predict_batch(&probe, m));
+
+        let in_place = || std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        in_place().set_len(0).unwrap();
+        assert_eq!(
+            bits(&loaded.model.predict_batch(&probe, m)),
+            want,
+            "{family}: truncated"
+        );
+        in_place().write_all(&vec![0xff; len]).unwrap();
+        assert_eq!(
+            bits(&loaded.model.predict_batch(&probe, m)),
+            want,
+            "{family}: overwritten"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One tree arena in the model-section layout: node count, features,
+/// zero padding to 8, values, rights, zero padding to 8. Nodes are
+/// `(feature, value, right)`.
+fn arena_bytes(nodes: &[(u32, f64, u32)]) -> Vec<u8> {
+    let pad8 = |b: &mut Vec<u8>| b.resize(b.len().next_multiple_of(8), 0);
+    let mut b = (nodes.len() as u64).to_le_bytes().to_vec();
+    nodes.iter().for_each(|n| b.extend(n.0.to_le_bytes()));
+    pad8(&mut b);
+    nodes.iter().for_each(|n| b.extend(n.1.to_le_bytes()));
+    nodes.iter().for_each(|n| b.extend(n.2.to_le_bytes()));
+    pad8(&mut b);
+    b
+}
+
+/// A forest or GBDT model section with `m = 2` over the given arenas.
+fn model_section(family: u32, arenas: &[Vec<u8>]) -> Vec<u8> {
+    let mut b = family.to_le_bytes().to_vec();
+    b.extend(2u32.to_le_bytes());
+    if family == reds_art::FAMILY_GBDT {
+        b.extend(0.25f64.to_le_bytes());
+        b.extend(0.1f64.to_le_bytes());
+    }
+    b.extend((arenas.len() as u64).to_le_bytes());
+    arenas.iter().for_each(|a| b.extend(a));
+    b
+}
+
+/// Model sections whose checksums are valid but whose trees break a
+/// traversal invariant reach the structural checks, which reject each
+/// with [`ArtError::Corrupt`] instead of panicking or predicting.
+#[test]
+fn structurally_invalid_model_sections_are_rejected() {
+    use reds::metamodel::FlatTree;
+    use reds_art::{ArtError, ArtFile, ArtWriter, FAMILY_FOREST, FAMILY_GBDT, SECTION_MODEL};
+
+    const LEAF: u32 = FlatTree::LEAF;
+    let dir = temp_dir("structure");
+    let path = dir.join("model.redsart");
+    let open = |payload: &[u8]| {
+        let mut w = ArtWriter::create(&path).unwrap();
+        w.section(SECTION_MODEL, payload).unwrap();
+        w.finish().unwrap();
+        ArtFile::open(&path).expect("checksums are valid").model()
+    };
+    type Nodes = &'static [(u32, f64, u32)];
+    let valid: Nodes = &[(0, 0.5, 2), (LEAF, 0.0, 1), (LEAF, 1.0, 2)];
+    let bad_trees: [(&str, Nodes); 5] = [
+        (
+            "right child points backward",
+            &[(0, 0.5, 2), (LEAF, 0.0, 1), (1, 0.7, 1), (LEAF, 1.0, 3)],
+        ),
+        (
+            "right child past the arena",
+            &[(0, 0.5, 9), (LEAF, 0.0, 1), (LEAF, 1.0, 2)],
+        ),
+        (
+            "split feature >= m",
+            &[(2, 0.5, 2), (LEAF, 0.0, 1), (LEAF, 1.0, 2)],
+        ),
+        (
+            "leaf without a self-loop",
+            &[(0, 0.5, 2), (LEAF, 0.0, 2), (LEAF, 1.0, 2)],
+        ),
+        ("tree with zero nodes", &[]),
+    ];
+    for family in [FAMILY_FOREST, FAMILY_GBDT] {
+        let good = model_section(family, &[arena_bytes(valid)]);
+        let model = open(&good).expect("valid section");
+        assert!(model.predict(&[0.2, 0.0]) < model.predict(&[0.8, 0.0]));
+
+        // Each bad tree follows a valid one, so the check must reach it.
+        let mut cases: Vec<(&str, Vec<u8>)> = bad_trees
+            .iter()
+            .map(|&(what, nodes)| {
+                let arenas = [arena_bytes(valid), arena_bytes(nodes)];
+                (what, model_section(family, &arenas))
+            })
+            .collect();
+        cases.push(("zero trees", model_section(family, &[])));
+        cases.push(("trailing bytes", [good, vec![0; 8]].concat()));
+        for (what, payload) in cases {
+            match open(&payload) {
+                Err(ArtError::Corrupt(_)) => {}
+                Err(e) => panic!("family {family}, {what}: wrong error kind: {e}"),
+                Ok(_) => panic!("family {family}, {what}: accepted"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// JSON → `.redsart` → JSON is lossless to the byte for every family:
+/// a `.redsart`-loaded artifact saves the same document it was packed
+/// from.
+#[test]
+fn unpacking_a_redsart_reproduces_its_json_byte_for_byte() {
+    let dir = temp_dir("unpack");
+    for family in ["f", "x", "s"] {
+        let (json, art, back) = (
+            dir.join(format!("{family}.json")),
+            dir.join(format!("{family}.redsart")),
+            dir.join(format!("{family}-back.json")),
+        );
+        tiny_artifact(family, 31).save(&json).unwrap();
+        ModelArtifact::load(&json).unwrap().save_art(&art).unwrap();
+        ModelArtifact::load(&art).unwrap().save(&back).unwrap();
+        assert!(
+            std::fs::read(&json).unwrap() == std::fs::read(&back).unwrap(),
+            "family {family}: unpacked JSON differs from the original"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
