@@ -14,19 +14,20 @@
 //! The reader ([`ArtFile::open`]) memory-maps the file and refuses to
 //! expose a single byte of payload before the full verification chain
 //! passes: magic, version, recorded-vs-actual length, a whole-file
-//! FNV-1a checksum, per-section bounds/alignment/checksums, and then
-//! the same structural validation `reds-json` loading performs
+//! [`Checksum`], per-section bounds/alignment/checksums, and then the
+//! same structural validation `reds-json` loading performs
 //! (`FlatTree` invariants via
 //! [`FlatTree::from_parts`](reds_metamodel::FlatTree::from_parts),
 //! shape checks on SVM/dataset buffers). A crafted `.redsart` can no
 //! more loop `predict` or read out of bounds than a crafted JSON model
-//! document can — and because FNV-1a's per-byte step is a bijection on
-//! the 64-bit state, *any* single-byte corruption of a valid file is
-//! guaranteed to change the whole-file digest and be rejected.
+//! document can — and because every step of the checksum is a
+//! bijection in the word it consumes, *any* single-byte corruption of
+//! a valid file is guaranteed to change the whole-file digest and be
+//! rejected.
 //!
 //! `reds-json` remains the interchange format; `.redsart` is the
-//! deployment format. Opening one reads every byte once for the
-//! checksums and decodes the model with no JSON parsing into the same
+//! deployment format. Opening one reads every byte twice for the
+//! checksums (whole file, then per section) and decodes the model with no JSON parsing into the same
 //! owned [`SavedModel`](reds_metamodel::SavedModel) the JSON loader
 //! builds, so a loaded model never reads its file again.
 //!
@@ -35,12 +36,14 @@
 #![warn(missing_docs)]
 
 mod bytes;
+mod checksum;
 mod layout;
 mod read;
 mod scan;
 mod write;
 
 pub use bytes::ArtBytes;
+pub use checksum::Checksum;
 pub use layout::{
     FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, HEADER_LEN, MAGIC, SECTION_COLUMN, SECTION_DATASET,
     SECTION_META, SECTION_MODEL, SECTION_PAGE_INDEX, TOC_ENTRY_LEN, VERSION,
@@ -86,23 +89,4 @@ impl From<std::io::Error> for ArtError {
 /// Shorthand for a [`ArtError::Corrupt`] constructor.
 pub(crate) fn corrupt(msg: impl Into<String>) -> ArtError {
     ArtError::Corrupt(msg.into())
-}
-
-/// FNV-1a 64-bit offset basis (same constants as `reds-stream`'s pool
-/// digest).
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into a running FNV-1a 64 state.
-///
-/// Each byte's step `h ← (h ⊕ b) · p` is a bijection on `u64` (the
-/// prime is odd, hence invertible mod 2⁶⁴), so two equal-length byte
-/// streams differing in exactly one byte can never collide — the
-/// property the byte-flip rejection guarantee rests on.
-pub(crate) fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state = (state ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    state
 }

@@ -3,18 +3,25 @@
 //! [`ArtFile::open`] runs the full verification chain before any
 //! payload is exposed, in this order:
 //!
-//! 1. length ≥ header, magic, version;
+//! 1. length ≥ header, magic, version (a version other than
+//!    [`VERSION`](crate::VERSION) is [`ArtError::Unsupported`]);
 //! 2. recorded file length == actual length (catches truncation and
-//!    extension);
-//! 3. whole-file FNV-1a checksum (computed with the checksum field
-//!    zeroed) — rejects **every** single-byte corruption, because the
-//!    FNV step is a bijection on the 64-bit state;
+//!    extension), and the table of contents ends exactly at the file
+//!    end;
+//! 3. whole-file [`Checksum`] (computed with the checksum field
+//!    zeroed) — rejects **every** single-byte corruption, because each
+//!    step of the checksum is a bijection in the word it consumes;
 //! 4. table-of-contents bounds: 8-aligned section offsets inside the
 //!    payload area, per-section payload checksums;
 //! 5. on typed access, bounds-checked little-endian decoding plus the
 //!    same structural validation the JSON loaders run
 //!    (`FlatTree::from_parts` arena invariants, SVM/dataset shape
 //!    checks, sorted-run checks).
+//!
+//! No check reads the zero padding between sections or anything between
+//! the last section and the table of contents: those bytes are covered
+//! by the whole-file checksum alone. (Alignment padding *inside* a
+//! payload is checked when the payload is decoded.)
 //!
 //! Models and datasets decode into owned memory ([`ArtFile::model`]
 //! yields the same [`SavedModel`] the `reds-json` loader does), so a
@@ -31,10 +38,10 @@ use reds_metamodel::{FlatTree, Gbdt, RandomForest, SavedModel, Svm};
 
 use crate::bytes::ArtBytes;
 use crate::layout::{
-    Cur, FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, FNV_FIELD_OFFSET, HEADER_LEN, MAGIC,
-    SECTION_COLUMN, SECTION_DATASET, SECTION_META, SECTION_MODEL, TOC_ENTRY_LEN, VERSION,
+    Cur, Header, TocEntry, FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, HEADER_LEN, SECTION_COLUMN,
+    SECTION_DATASET, SECTION_META, SECTION_MODEL, TOC_ENTRY_LEN,
 };
-use crate::{corrupt, fnv1a, ArtError, FNV_OFFSET};
+use crate::{corrupt, ArtError, Checksum};
 
 /// One table-of-contents entry, as exposed to callers.
 #[derive(Debug, Clone, Copy)]
@@ -74,69 +81,25 @@ impl ArtFile {
                 buf.len()
             )));
         }
-        if buf[..8] != MAGIC {
-            return Err(corrupt("bad magic (not a .redsart file)"));
-        }
-        let version = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(ArtError::Unsupported(format!(
-                "format version {version} (this build reads version {VERSION})"
-            )));
-        }
-        let section_count = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes")) as usize;
-        let toc_offset = u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"));
-        let file_len = u64::from_le_bytes(buf[24..32].try_into().expect("8 bytes"));
-        let stored_fnv = u64::from_le_bytes(buf[32..40].try_into().expect("8 bytes"));
-        if file_len != buf.len() as u64 {
-            return Err(corrupt(format!(
-                "recorded length {file_len} != actual length {} (truncated or extended)",
-                buf.len()
-            )));
-        }
-        // TOC geometry: the writer always places it last, so its end
-        // must coincide exactly with the file end. This bounds
-        // `section_count` before any multiplication can overflow.
-        let toc_len = (section_count as u64).checked_mul(TOC_ENTRY_LEN as u64);
-        let toc_end = toc_len.and_then(|l| toc_offset.checked_add(l));
-        if toc_offset < HEADER_LEN as u64
-            || toc_offset % 8 != 0
-            || toc_end != Some(buf.len() as u64)
-        {
-            return Err(corrupt("table of contents does not span to the file end"));
-        }
+        let head: &[u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("header length");
+        let header = Header::parse(head, buf.len() as u64)?;
         // Whole-file checksum, with the checksum field itself zeroed.
-        let mut digest = fnv1a(FNV_OFFSET, &buf[..FNV_FIELD_OFFSET]);
-        digest = fnv1a(digest, &[0u8; 8]);
-        digest = fnv1a(digest, &buf[FNV_FIELD_OFFSET + 8..]);
-        if digest != stored_fnv {
-            return Err(corrupt(format!(
-                "file checksum mismatch (stored {stored_fnv:#018x}, computed {digest:#018x})"
-            )));
-        }
+        let mut sum = Header::sum_start(head);
+        sum.update(&buf[HEADER_LEN..]);
+        header.verify(&sum)?;
         // Per-section bounds, alignment, and payload checksums.
-        let toc_offset = toc_offset as usize;
-        let mut sections = Vec::with_capacity(section_count);
-        for i in 0..section_count {
-            let e = &buf[toc_offset + i * TOC_ENTRY_LEN..toc_offset + (i + 1) * TOC_ENTRY_LEN];
-            let kind = u32::from_le_bytes(e[..4].try_into().expect("4 bytes"));
-            let offset = u64::from_le_bytes(e[8..16].try_into().expect("8 bytes"));
-            let len = u64::from_le_bytes(e[16..24].try_into().expect("8 bytes"));
-            let fnv = u64::from_le_bytes(e[24..32].try_into().expect("8 bytes"));
-            let end = offset.checked_add(len);
-            if offset < HEADER_LEN as u64
-                || offset % 8 != 0
-                || end.is_none()
-                || end > Some(toc_offset as u64)
-            {
-                return Err(corrupt(format!("section {i} is out of bounds")));
-            }
-            let range = offset as usize..(offset + len) as usize;
-            if fnv1a(FNV_OFFSET, &buf[range.clone()]) != fnv {
-                return Err(corrupt(format!(
-                    "section {i} (kind {kind}) checksum mismatch"
-                )));
-            }
-            sections.push(Section { kind, range });
+        let toc = &buf[header.toc_offset as usize..];
+        let mut sections = Vec::with_capacity(header.section_count);
+        for (i, e) in toc.chunks_exact(TOC_ENTRY_LEN).enumerate() {
+            let entry = TocEntry::parse(e, i, header.toc_offset)?;
+            let range = entry.offset as usize..(entry.offset + entry.len) as usize;
+            let mut sum = Checksum::new();
+            sum.update(&buf[range.clone()]);
+            entry.verify(i, &sum)?;
+            sections.push(Section {
+                kind: entry.kind,
+                range,
+            });
         }
         Ok(Self { bytes, sections })
     }

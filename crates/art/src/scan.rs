@@ -8,20 +8,22 @@
 //! accounting under `mmap` reflects the file size, not the working set.
 //!
 //! [`ArtScan`] therefore verifies the **identical** chain
-//! `ArtFile::from_bytes` runs — header, recorded length, whole-file
-//! FNV-1a with the digest field zeroed, TOC geometry, per-section
-//! bounds/alignment/checksums — using only a bounded streaming buffer,
-//! and then serves positioned reads (`pread`) against the verified
-//! byte ranges. Any single-byte corruption is rejected up front for
-//! the same bijection reason as the mmap path.
+//! `ArtFile::from_bytes` runs — header, recorded length, TOC geometry,
+//! whole-file [`Checksum`](crate::Checksum) with the digest field
+//! zeroed, per-section bounds/alignment/checksums — using only a
+//! bounded streaming buffer, and then serves positioned reads (`pread`)
+//! against the verified byte ranges. Any single-byte corruption is
+//! rejected up front for the same bijection reason as the mmap path.
+//! Like the mmap path, it reads the padding between sections only
+//! through the whole-file checksum.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use crate::layout::{Cur, FNV_FIELD_OFFSET, HEADER_LEN, MAGIC, TOC_ENTRY_LEN, VERSION};
-use crate::{corrupt, fnv1a, ArtError, FNV_OFFSET};
+use crate::layout::{Cur, Header, TocEntry, HEADER_LEN, TOC_ENTRY_LEN};
+use crate::{corrupt, ArtError, Checksum};
 
 /// One verified section as the streaming reader exposes it: absolute
 /// payload position instead of a borrowed slice.
@@ -44,8 +46,8 @@ pub struct ArtScan {
     sections: Vec<ScanSection>,
 }
 
-/// Streams `len` bytes starting at `offset` through the FNV state.
-fn fnv_range(file: &mut File, offset: u64, len: u64, mut state: u64) -> Result<u64, ArtError> {
+/// Streams `len` bytes starting at `offset` through `sum`.
+fn sum_range(file: &mut File, offset: u64, len: u64, sum: &mut Checksum) -> Result<(), ArtError> {
     file.seek(SeekFrom::Start(offset))?;
     let mut reader = BufReader::with_capacity(256 * 1024, file);
     let mut remaining = len;
@@ -55,10 +57,10 @@ fn fnv_range(file: &mut File, offset: u64, len: u64, mut state: u64) -> Result<u
         reader
             .read_exact(&mut buf[..want])
             .map_err(|_| corrupt("file shrank while being verified"))?;
-        state = fnv1a(state, &buf[..want]);
+        sum.update(&buf[..want]);
         remaining -= want as u64;
     }
-    Ok(state)
+    Ok(())
 }
 
 impl ArtScan {
@@ -73,76 +75,39 @@ impl ArtScan {
                 "file of {actual_len} bytes is shorter than the {HEADER_LEN}-byte header"
             )));
         }
-        let mut header = [0u8; HEADER_LEN];
-        file.read_exact_at(&mut header, 0)?;
-        if header[..8] != MAGIC {
-            return Err(corrupt("bad magic (not a .redsart file)"));
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version != VERSION {
-            return Err(ArtError::Unsupported(format!(
-                "format version {version} (this build reads version {VERSION})"
-            )));
-        }
-        let section_count =
-            u32::from_le_bytes(header[12..16].try_into().expect("4 bytes")) as usize;
-        let toc_offset = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-        let file_len = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
-        let stored_fnv = u64::from_le_bytes(header[32..40].try_into().expect("8 bytes"));
-        if file_len != actual_len {
-            return Err(corrupt(format!(
-                "recorded length {file_len} != actual length {actual_len} (truncated or extended)"
-            )));
-        }
-        let toc_len = (section_count as u64).checked_mul(TOC_ENTRY_LEN as u64);
-        let toc_end = toc_len.and_then(|l| toc_offset.checked_add(l));
-        if toc_offset < HEADER_LEN as u64 || toc_offset % 8 != 0 || toc_end != Some(file_len) {
-            return Err(corrupt("table of contents does not span to the file end"));
-        }
+        let mut head = [0u8; HEADER_LEN];
+        file.read_exact_at(&mut head, 0)?;
+        let header = Header::parse(&head, actual_len)?;
         // Whole-file checksum with the digest field zeroed, in one
         // sequential bounded-buffer pass.
-        let mut digest = fnv1a(FNV_OFFSET, &header[..FNV_FIELD_OFFSET]);
-        digest = fnv1a(digest, &[0u8; 8]);
-        digest = fnv_range(
+        let mut sum = Header::sum_start(&head);
+        sum_range(
             &mut file,
-            (FNV_FIELD_OFFSET + 8) as u64,
-            file_len - (FNV_FIELD_OFFSET + 8) as u64,
-            digest,
+            HEADER_LEN as u64,
+            actual_len - HEADER_LEN as u64,
+            &mut sum,
         )?;
-        if digest != stored_fnv {
-            return Err(corrupt(format!(
-                "file checksum mismatch (stored {stored_fnv:#018x}, computed {digest:#018x})"
-            )));
-        }
+        header.verify(&sum)?;
         // The TOC itself: geometry bounds it to the file tail, and the
         // count is bounded by the file length, so this allocation is
         // safe.
-        let mut toc = vec![0u8; section_count * TOC_ENTRY_LEN];
-        file.read_exact_at(&mut toc, toc_offset)?;
-        let mut sections = Vec::with_capacity(section_count);
+        let mut toc = vec![0u8; header.section_count * TOC_ENTRY_LEN];
+        file.read_exact_at(&mut toc, header.toc_offset)?;
+        let mut sections = Vec::with_capacity(header.section_count);
         for (i, e) in toc.chunks_exact(TOC_ENTRY_LEN).enumerate() {
-            let kind = u32::from_le_bytes(e[..4].try_into().expect("4 bytes"));
-            let offset = u64::from_le_bytes(e[8..16].try_into().expect("8 bytes"));
-            let len = u64::from_le_bytes(e[16..24].try_into().expect("8 bytes"));
-            let fnv = u64::from_le_bytes(e[24..32].try_into().expect("8 bytes"));
-            let end = offset.checked_add(len);
-            if offset < HEADER_LEN as u64
-                || offset % 8 != 0
-                || end.is_none()
-                || end > Some(toc_offset)
-            {
-                return Err(corrupt(format!("section {i} is out of bounds")));
-            }
-            if fnv_range(&mut file, offset, len, FNV_OFFSET)? != fnv {
-                return Err(corrupt(format!(
-                    "section {i} (kind {kind}) checksum mismatch"
-                )));
-            }
-            sections.push(ScanSection { kind, offset, len });
+            let entry = TocEntry::parse(e, i, header.toc_offset)?;
+            let mut sum = Checksum::new();
+            sum_range(&mut file, entry.offset, entry.len, &mut sum)?;
+            entry.verify(i, &sum)?;
+            sections.push(ScanSection {
+                kind: entry.kind,
+                offset: entry.offset,
+                len: entry.len,
+            });
         }
         Ok(Self {
             file,
-            file_len,
+            file_len: actual_len,
             sections,
         })
     }
@@ -156,11 +121,10 @@ impl ArtScan {
     /// `offset` (a `pread` — no shared cursor, safe under interleaved
     /// readers). The range must lie inside the verified file.
     pub fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> Result<(), ArtError> {
-        let end = offset
+        offset
             .checked_add(buf.len() as u64)
             .filter(|&e| e <= self.file_len)
             .ok_or_else(|| corrupt("positioned read beyond the verified file"))?;
-        let _ = end;
         self.file.read_exact_at(buf, offset)?;
         Ok(())
     }

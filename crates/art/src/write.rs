@@ -16,22 +16,22 @@ use reds_data::Dataset;
 use reds_metamodel::{FlatTree, SavedModel};
 
 use crate::layout::{
-    FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, FNV_FIELD_OFFSET, HEADER_LEN, MAGIC, SECTION_DATASET,
-    SECTION_META, SECTION_MODEL, TOC_ENTRY_LEN, VERSION,
+    FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, HEADER_LEN, MAGIC, SECTION_DATASET, SECTION_META,
+    SECTION_MODEL, SUM_FIELD_OFFSET, TOC_ENTRY_LEN, VERSION,
 };
-use crate::{fnv1a, ArtError, FNV_OFFSET};
+use crate::{ArtError, Checksum};
 
 struct TocEntry {
     kind: u32,
     offset: u64,
     len: u64,
-    fnv: u64,
+    sum: u64,
 }
 
 struct OpenSection {
     kind: u32,
     start: u64,
-    fnv: u64,
+    sum: Checksum,
 }
 
 /// Streams sections into a `.redsart` file; [`ArtWriter::finish`]
@@ -95,32 +95,22 @@ impl ArtWriter {
         self.cur = Some(OpenSection {
             kind,
             start: self.offset,
-            fnv: FNV_OFFSET,
+            sum: Checksum::new(),
         });
         Ok(())
     }
 
-    /// Appends payload bytes to the open section.
+    /// Appends payload bytes to the open section. Each call checksums
+    /// its bytes and hands them to a `BufWriter`, so a few large blocks
+    /// cost less than many small writes.
     pub fn write(&mut self, bytes: &[u8]) -> Result<(), ArtError> {
         let cur = self.cur.as_mut().expect("no open section");
-        cur.fnv = fnv1a(cur.fnv, bytes);
+        cur.sum.update(bytes);
         self.out
             .as_mut()
             .expect("writer already finished")
             .write_all(bytes)?;
         self.offset += bytes.len() as u64;
-        Ok(())
-    }
-
-    /// Appends little-endian `u32`s to the open section.
-    pub fn write_u32s(&mut self, vals: &[u32]) -> Result<(), ArtError> {
-        let mut buf = [0u8; 4 * 256];
-        for chunk in vals.chunks(256) {
-            for (slot, v) in buf.chunks_exact_mut(4).zip(chunk) {
-                slot.copy_from_slice(&v.to_le_bytes());
-            }
-            self.write(&buf[..4 * chunk.len()])?;
-        }
         Ok(())
     }
 
@@ -134,15 +124,6 @@ impl ArtWriter {
             self.write(&buf[..8 * chunk.len()])?;
         }
         Ok(())
-    }
-
-    /// Appends one `(key, row)` column record (the 12-byte packed
-    /// layout `reds-stream` spills).
-    pub fn write_record(&mut self, key: u64, row: u32) -> Result<(), ArtError> {
-        let mut rec = [0u8; 12];
-        rec[..8].copy_from_slice(&key.to_le_bytes());
-        rec[8..].copy_from_slice(&row.to_le_bytes());
-        self.write(&rec)
     }
 
     /// Zero-pads the open section so the *next* in-section offset is a
@@ -167,7 +148,7 @@ impl ArtWriter {
             kind: cur.kind,
             offset: cur.start,
             len: self.offset - cur.start,
-            fnv: cur.fnv,
+            sum: cur.sum.finish(),
         });
         let rem = (self.offset % 8) as usize;
         if rem != 0 {
@@ -199,7 +180,7 @@ impl ArtWriter {
             out.write_all(&0u32.to_le_bytes())?;
             out.write_all(&e.offset.to_le_bytes())?;
             out.write_all(&e.len.to_le_bytes())?;
-            out.write_all(&e.fnv.to_le_bytes())?;
+            out.write_all(&e.sum.to_le_bytes())?;
         }
         let file_len = toc_offset + (self.toc.len() * TOC_ENTRY_LEN) as u64;
         let mut header = [0u8; HEADER_LEN];
@@ -208,14 +189,14 @@ impl ArtWriter {
         header[12..16].copy_from_slice(&(self.toc.len() as u32).to_le_bytes());
         header[16..24].copy_from_slice(&toc_offset.to_le_bytes());
         header[24..32].copy_from_slice(&file_len.to_le_bytes());
-        // [32..40] (file fnv) and [40..48] (reserved) stay zero for
+        // [32..40] (file sum) and [40..48] (reserved) stay zero for
         // the checksum pass below.
         out.seek(SeekFrom::Start(0))?;
         out.write_all(&header)?;
         out.flush()?;
         let mut file = out.into_inner().map_err(|e| ArtError::Io(e.into_error()))?;
         file.seek(SeekFrom::Start(0))?;
-        let mut digest = FNV_OFFSET;
+        let mut sum = Checksum::new();
         {
             let mut reader = BufReader::new(&mut file);
             let mut buf = [0u8; 64 * 1024];
@@ -224,11 +205,11 @@ impl ArtWriter {
                 if n == 0 {
                     break;
                 }
-                digest = fnv1a(digest, &buf[..n]);
+                sum.update(&buf[..n]);
             }
         }
-        file.seek(SeekFrom::Start(FNV_FIELD_OFFSET as u64))?;
-        file.write_all(&digest.to_le_bytes())?;
+        file.seek(SeekFrom::Start(SUM_FIELD_OFFSET as u64))?;
+        file.write_all(&sum.finish().to_le_bytes())?;
         file.sync_all()?;
         drop(file);
         self.finished = true;

@@ -11,14 +11,15 @@
 //!   final `SortedView` order and read the points/labels back into a
 //!   [`Dataset`]: the handoff to subgroup discovery (which needs random
 //!   access to values, so `O(L·M)` memory is its floor);
-//! * [`PoolBuilder::finish_stats`] — stream the merge into an FNV-1a
-//!   digest instead: `O(chunk + runs)` peak memory end to end, used by
-//!   the peak-RSS benches and as the cross-mode equivalence witness.
+//! * [`PoolBuilder::finish_stats`] — stream the merge into a
+//!   [`Checksum`] digest instead: `O(chunk + runs)` peak memory end to
+//!   end, used by the peak-RSS benches and as the cross-mode
+//!   equivalence witness.
 
 use std::path::Path;
 
 use reds_art::{
-    ArtFile, ArtWriter, PageIndex, SECTION_COLUMN, SECTION_DATASET, SECTION_PAGE_INDEX,
+    ArtFile, ArtWriter, Checksum, PageIndex, SECTION_COLUMN, SECTION_DATASET, SECTION_PAGE_INDEX,
 };
 use reds_data::{argsort_stable, ord_key, Dataset, SortedView};
 
@@ -47,8 +48,9 @@ pub struct StreamStats {
     pub label_sum: f64,
     /// Rows with label > 0.5 (hard positives).
     pub positives: u64,
-    /// FNV-1a digest over every column's merged row order and every
-    /// label's bits — equals [`digest_pool`] of the in-memory result.
+    /// [`Checksum`] digest over every column's merged row order and
+    /// every label's bits, as little-endian bytes — equals
+    /// [`digest_pool`] of the in-memory result.
     pub digest: u64,
     /// Sorted runs spilled per column.
     pub runs_per_column: usize,
@@ -56,41 +58,59 @@ pub struct StreamStats {
     pub spilled_bytes: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
+/// Bytes the pool digest buffers before each [`Checksum::update`]: the
+/// checksum runs at memory speed on blocks, while one call per 4-byte
+/// row id would cost more than the whole hash.
+const DIGEST_BLOCK: usize = 16 * 1024;
 
-/// Incremental FNV-1a over little-endian words.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
+/// Bytes of 12-byte column records [`PoolBuilder::finish_art`] collects
+/// before each [`ArtWriter::write`] (4096 records, 48 KiB).
+const WRITE_BLOCK_BYTES: usize = 4096 * 12;
 
-impl Fnv {
+/// The pool digest: a [`Checksum`] fed through a block buffer.
+struct PoolDigest {
+    sum: Checksum,
+    buf: Vec<u8>,
+}
+
+impl PoolDigest {
     fn new() -> Self {
-        Self(FNV_OFFSET)
+        Self {
+            sum: Checksum::new(),
+            buf: Vec::with_capacity(DIGEST_BLOCK),
+        }
     }
 
     fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        self.buf.extend_from_slice(bytes);
+        if self.buf.len() >= DIGEST_BLOCK {
+            self.sum.update(&self.buf);
+            self.buf.clear();
         }
+    }
+
+    fn finish(mut self) -> u64 {
+        self.sum.update(&self.buf);
+        self.sum.finish()
     }
 }
 
 /// Digest of an in-memory pool: every column's row-id order, then every
-/// label's bit pattern. The streamed [`PoolBuilder::finish_stats`]
-/// computes the same value without materializing either — equality of
-/// digests is the cheap bit-identity witness the benches assert.
+/// label's bit pattern, as little-endian bytes through one
+/// [`Checksum`]. The streamed [`PoolBuilder::finish_stats`] computes
+/// the same value without materializing either — equality of digests
+/// is the cheap bit-identity witness the benches assert.
 pub fn digest_pool(columns: &[Vec<u32>], labels: &[f64]) -> u64 {
-    let mut fnv = Fnv::new();
+    let mut digest = PoolDigest::new();
     for col in columns {
         for &row in col {
-            fnv.update(&row.to_le_bytes());
+            digest.update(&row.to_le_bytes());
         }
     }
     for &label in labels {
-        fnv.update(&label.to_bits().to_le_bytes());
+        digest.update(&label.to_le_bytes());
     }
-    fnv.0
+    digest.finish()
 }
 
 /// The streaming accumulator: push chunks, then finish.
@@ -252,24 +272,26 @@ impl PoolBuilder {
         }
         let rows = self.rows;
         let (runs, runs_per_column, mut spilled) = Self::merged_columns(self.columns, rows)?;
-        let mut fnv = Fnv::new();
+        let mut digest = PoolDigest::new();
         for col in &runs {
             let mut emitted = 0u64;
             col.merge(|row, _key| {
-                fnv.update(&row.to_le_bytes());
+                digest.update(&row.to_le_bytes());
                 emitted += 1;
             })?;
             debug_assert_eq!(emitted, rows as u64);
         }
         spilled += self.points.spilled_bytes() + self.labels.spilled_bytes();
-        self.labels
-            .for_each(|v| fnv.update(&v.to_bits().to_le_bytes()))?;
+        self.labels.for_each_block(|bytes| {
+            digest.update(bytes);
+            Ok(())
+        })?;
         Ok(StreamStats {
             rows: rows as u64,
             m: self.m,
             label_sum: self.label_sum,
             positives: self.positives,
-            digest: fnv.0,
+            digest: digest.finish(),
             runs_per_column,
             spilled_bytes: spilled,
         })
@@ -300,8 +322,9 @@ impl PoolBuilder {
         let rows = self.rows;
         let (runs, runs_per_column, mut spilled) = Self::merged_columns(self.columns, rows)?;
         let mut writer = ArtWriter::create(path)?;
-        let mut fnv = Fnv::new();
+        let mut digest = PoolDigest::new();
         let mut fences: Vec<(u64, u64)> = Vec::with_capacity(rows.div_ceil(page_rows as usize));
+        let mut records: Vec<u8> = Vec::with_capacity(WRITE_BLOCK_BYTES);
         for (j, col) in runs.iter().enumerate() {
             writer.begin_section(SECTION_COLUMN)?;
             writer.write(&(j as u32).to_le_bytes())?;
@@ -309,13 +332,14 @@ impl PoolBuilder {
             writer.write(&(rows as u64).to_le_bytes())?;
             writer.write(&1u64.to_le_bytes())?; // run count: fully merged
             writer.write(&(rows as u64).to_le_bytes())?; // the run's length
-                                                         // `merge`'s emit callback is infallible; park the first
-                                                         // writer error and surface it right after.
+
+            // `merge`'s emit callback is infallible; park the first
+            // block-write error and surface it right after.
             let mut write_err: Option<reds_art::ArtError> = None;
             fences.clear();
             let mut rank = 0u64;
             col.merge(|row, key| {
-                fnv.update(&row.to_le_bytes());
+                digest.update(&row.to_le_bytes());
                 // Records arrive in ascending key order, so the page's
                 // min is its first key and its max its latest.
                 if rank.is_multiple_of(page_rows as u64) {
@@ -324,15 +348,20 @@ impl PoolBuilder {
                     last.1 = key;
                 }
                 rank += 1;
-                if write_err.is_none() {
-                    if let Err(e) = writer.write_record(key, row) {
-                        write_err = Some(e);
+                records.extend_from_slice(&key.to_le_bytes());
+                records.extend_from_slice(&row.to_le_bytes());
+                if records.len() == WRITE_BLOCK_BYTES {
+                    if write_err.is_none() {
+                        write_err = writer.write(&records).err();
                     }
+                    records.clear();
                 }
             })?;
             if let Some(e) = write_err {
                 return Err(e.into());
             }
+            writer.write(&records)?;
+            records.clear();
             writer.pad_to_8()?;
             writer.end_section()?;
             writer.section(
@@ -341,32 +370,17 @@ impl PoolBuilder {
             )?;
         }
         spilled += self.points.spilled_bytes() + self.labels.spilled_bytes();
+        // The spill files hold the exact little-endian `f64` bytes the
+        // DATASET section stores: copy them over block by block.
         writer.begin_section(SECTION_DATASET)?;
         writer.write(&(rows as u64).to_le_bytes())?;
         writer.write(&(self.m as u64).to_le_bytes())?;
-        let mut write_err: Option<reds_art::ArtError> = None;
-        self.points.for_each(|v| {
-            if write_err.is_none() {
-                if let Err(e) = writer.write(&v.to_bits().to_le_bytes()) {
-                    write_err = Some(e);
-                }
-            }
+        self.points
+            .for_each_block(|bytes| Ok(writer.write(bytes)?))?;
+        self.labels.for_each_block(|bytes| {
+            digest.update(bytes);
+            Ok(writer.write(bytes)?)
         })?;
-        if let Some(e) = write_err {
-            return Err(e.into());
-        }
-        let mut write_err: Option<reds_art::ArtError> = None;
-        self.labels.for_each(|v| {
-            fnv.update(&v.to_bits().to_le_bytes());
-            if write_err.is_none() {
-                if let Err(e) = writer.write(&v.to_bits().to_le_bytes()) {
-                    write_err = Some(e);
-                }
-            }
-        })?;
-        if let Some(e) = write_err {
-            return Err(e.into());
-        }
         writer.end_section()?;
         writer.finish()?;
         Ok(StreamStats {
@@ -374,7 +388,7 @@ impl PoolBuilder {
             m: self.m,
             label_sum: self.label_sum,
             positives: self.positives,
-            digest: fnv.0,
+            digest: digest.finish(),
             runs_per_column,
             spilled_bytes: spilled,
         })

@@ -309,22 +309,28 @@ impl FloatSpill {
         Ok(out)
     }
 
-    /// Flushes and streams the values through `visit` without
-    /// materializing them (digest mode).
-    pub(crate) fn for_each(mut self, mut visit: impl FnMut(f64)) -> Result<(), StreamError> {
+    /// Flushes and streams the values' little-endian bytes — exactly
+    /// the bytes after the header — through `visit` in blocks of at
+    /// most 64 KiB, without materializing them.
+    pub(crate) fn for_each_block(
+        mut self,
+        mut visit: impl FnMut(&[u8]) -> Result<(), StreamError>,
+    ) -> Result<(), StreamError> {
         self.writer.flush()?;
         drop(self.writer);
-        let mut reader = BufReader::with_capacity(256 * 1024, File::open(&self.path)?);
-        check_header(&mut reader, POOL_MAGIC, 0)?;
-        let mut buf = [0u8; 8];
-        for _ in 0..self.values {
-            reader
-                .read_exact(&mut buf)
+        let mut file = File::open(&self.path)?;
+        check_header(&mut file, POOL_MAGIC, 0)?;
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut remaining = self.values * 8;
+        while remaining > 0 {
+            let block = &mut buf[..remaining.min(64 * 1024) as usize];
+            file.read_exact(block)
                 .map_err(|e| StreamError::CorruptSpill {
                     column: 0,
                     detail: format!("pool spill truncated: {e}"),
                 })?;
-            visit(f64::from_le_bytes(buf));
+            visit(block)?;
+            remaining -= block.len() as u64;
         }
         Ok(())
     }
@@ -448,6 +454,42 @@ mod tests {
         for (a, b) in values.iter().chain(&values[..2]).zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn float_spill_blocks_are_the_spilled_bytes() {
+        let dir = SpillDir::create_in(None).unwrap();
+        // 10 000 values: one full 64 KiB block and a partial one.
+        let values: Vec<f64> = (0..10_000).map(|i| i as f64 * -0.5).collect();
+        let mut spill = FloatSpill::create(dir.path(), "pool.points").unwrap();
+        spill.append(&values).unwrap();
+        let mut blocks = Vec::new();
+        spill
+            .for_each_block(|b| {
+                blocks.push(b.to_vec());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(
+            blocks.iter().map(Vec::len).collect::<Vec<_>>(),
+            [65_536, 14_464]
+        );
+        let expected: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(blocks.concat(), expected);
+
+        let mut spill = FloatSpill::create(dir.path(), "pool.labels").unwrap();
+        spill.append(&values).unwrap();
+        spill.writer.flush().unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(spill.path())
+            .unwrap();
+        file.set_len(HEADER_LEN + 70_000).unwrap();
+        drop(file);
+        assert!(matches!(
+            spill.for_each_block(|_| Ok(())),
+            Err(StreamError::CorruptSpill { .. })
+        ));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! * **Corruption is rejected, structurally.** Flipping any single byte
 //!   of a valid `.redsart` file, or truncating it at any length, makes
 //!   the loader return a structured error — never a panic, hang, or
-//!   out-of-bounds read. The whole-file FNV-1a checksum (computed with
-//!   its own header field zeroed) guarantees this deterministically:
-//!   the per-byte FNV step is a bijection on the 64-bit state, so any
-//!   single-byte change of an equal-length file changes the digest.
+//!   out-of-bounds read. The whole-file checksum (computed with its own
+//!   header field zeroed) guarantees this deterministically: each step
+//!   of `reds_art::Checksum` is a bijection in the 8-byte word it
+//!   consumes, so any single-byte change of an equal-length file
+//!   changes the digest.
 //! * **Bit-identical serving.** For all three metamodel families, the
 //!   mapped model predicts bit-identically to the `reds-json` load
 //!   path, and a served `discover` returns the same boxes.
@@ -234,6 +235,61 @@ fn every_pool_artifact_corruption_is_rejected_by_both_readers() {
             ArtScan::open(&mutant).is_err(),
             "ArtScan missed truncation to {len}"
         );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A file of another format version is refused as `Unsupported`, not
+/// `Corrupt`, by every reader: the version check runs before the
+/// checksum (which the patched version byte breaks), and the message
+/// says how to get a readable file.
+#[test]
+fn other_format_versions_are_unsupported_by_every_reader() {
+    use reds_art::{ArtError, ArtFile, VERSION};
+    use reds_ooc::{OocConfig, OocError, OocPool};
+    use reds_serve::ArtifactError;
+    use reds_stream::{PoolBuilder, StreamConfig};
+
+    let dir = temp_dir("version");
+    let clean = dir.join("pool.redsart");
+    let (n, m) = (40usize, 2usize);
+    let points: Vec<f64> = (0..n * m).map(|i| (i % 13) as f64 / 13.0).collect();
+    let labels: Vec<f64> = (0..n).map(|i| (i % 2) as f64).collect();
+    let mut builder = PoolBuilder::new(m, &StreamConfig::new()).unwrap();
+    builder.push_chunk(&points, &labels).unwrap();
+    builder.finish_art(&clean, 16).unwrap();
+    let model = dir.join("model.redsart");
+    tiny_artifact("f", 3).save_art(&model).unwrap();
+
+    let unsupported =
+        |e: &ArtError| matches!(e, ArtError::Unsupported(msg) if msg.contains("reds_pack"));
+    for version in [1, VERSION + 1] {
+        let patch = |path: &Path| {
+            let mut bytes = std::fs::read(path).unwrap();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let patched = dir.join(format!("v{version}.redsart"));
+            std::fs::write(&patched, bytes).unwrap();
+            patched
+        };
+        let (pool_v, model_v) = (patch(&clean), patch(&model));
+        match ArtFile::open(&model_v) {
+            Err(e) => assert!(unsupported(&e), "ArtFile, version {version}: {e}"),
+            Ok(_) => panic!("ArtFile opened version {version}"),
+        }
+        match ModelArtifact::load_art(&model_v) {
+            Err(ArtifactError::Art(e)) => {
+                assert!(unsupported(&e), "load_art, version {version}: {e}")
+            }
+            Err(e) => panic!("load_art, version {version}: wrong error kind: {e}"),
+            Ok(_) => panic!("load_art loaded version {version}"),
+        }
+        match OocPool::open(&pool_v, &OocConfig::new()) {
+            Err(OocError::Art(e)) => {
+                assert!(unsupported(&e), "OocPool, version {version}: {e}")
+            }
+            Err(e) => panic!("OocPool, version {version}: wrong error kind: {e}"),
+            Ok(_) => panic!("OocPool opened version {version}"),
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
