@@ -1,4 +1,4 @@
-//! Ablation studies of the design choices called out in DESIGN.md §5:
+//! Ablation studies of six design choices:
 //!
 //! 1. hard vs probability pseudo-labels at `L = N` (Proposition 1);
 //! 2. REDS validation anchoring (`D_val = D` vs `D_val = D_new`);

@@ -28,6 +28,22 @@
 //! The delayed term is handled by storing the full `ω` history on the
 //! integration grid and interpolating linearly (history is zero before
 //! `t = 0`), with classic RK4 for the non-delayed part.
+//!
+//! Two pieces of work are shared, and both are exact, so the integrator
+//! returns the same bits as one that evaluates every term separately:
+//!
+//! - **Line flows.** Each RK4 stage computes the flow `K sin(θ_k − θ_0)`
+//!   of line `k` once; the producer adds it and consumer `k` subtracts
+//!   it (three sines per stage instead of six). The consumer's own term
+//!   `K sin(θ_0 − θ_k)` is the same number: round-to-nearest subtraction
+//!   is sign-symmetric, so `θ_0 − θ_k` is exactly `−(θ_k − θ_0)`; `sin`
+//!   is odd bit for bit (a test sweeps the angle differences the model
+//!   reaches); `K·(−s)` is exactly `−(K·s)`; and `acc − y` is the same
+//!   IEEE operation as `acc + (−y)`.
+//! - **Midpoint history.** Stages k2 and k3 both read the delayed
+//!   frequencies at `t + DT/2`, and the trace is appended only after a
+//!   whole step, so one interpolation serves both (12 per step instead
+//!   of 16).
 
 /// Number of simulation inputs.
 pub const DSGC_M: usize = 12;
@@ -114,34 +130,44 @@ impl History {
         let b = self.omega_trace[(i0 + 1).min(last)][j];
         a + frac * (b - a)
     }
+
+    /// The delayed frequencies `ω_j(t − τ_j)` every node reads at stage
+    /// time `t`.
+    fn delayed(&self, p: &DsgcParams, t: f64) -> [f64; NODES] {
+        std::array::from_fn(|j| self.omega_at(t - p.tau[j], j))
+    }
 }
 
-/// Right-hand side of the swing equations at time `t` for state
-/// `(θ, ω)`, reading delayed frequencies from `hist`.
+/// Right-hand side of the swing equations for state `(θ, ω)`, given the
+/// delayed frequencies `ω_j(t − τ_j)` of the stage time.
+///
+/// Each line's flow `K sin(θ_k − θ_0)` is computed once: the producer
+/// gains it and consumer `k` loses it. That is bit for bit the
+/// consumer's own `K sin(θ_0 − θ_k)` added (see the module doc).
 fn derivatives(
     p: &DsgcParams,
     theta: &[f64; NODES],
     omega: &[f64; NODES],
-    t: f64,
-    hist: &History,
+    delayed: &[f64; NODES],
 ) -> ([f64; NODES], [f64; NODES]) {
-    let mut dtheta = [0.0; NODES];
+    let mut flow = [0.0; NODES];
+    for k in 1..NODES {
+        flow[k] = p.coupling * (theta[k] - theta[0]).sin();
+    }
     let mut domega = [0.0; NODES];
     for j in 0..NODES {
-        dtheta[j] = omega[j];
-        let delayed = hist.omega_at(t - p.tau[j], j);
-        let mut acc = p.power[j] - ALPHA * omega[j] - p.gamma[j] * delayed;
+        let mut acc = p.power[j] - ALPHA * omega[j] - p.gamma[j] * delayed[j];
         // Star topology: node 0 couples to every consumer.
         if j == 0 {
-            for k in 1..NODES {
-                acc += p.coupling * (theta[k] - theta[0]).sin();
+            for f in &flow[1..] {
+                acc += f;
             }
         } else {
-            acc += p.coupling * (theta[0] - theta[j]).sin();
+            acc -= flow[j];
         }
         domega[j] = acc;
     }
-    (dtheta, domega)
+    (*omega, domega)
 }
 
 /// Fixed perturbation applied to the synchronous state: the stability
@@ -171,14 +197,18 @@ pub fn simulate_dsgc(p: &DsgcParams) -> f64 {
     let mut residual: f64 = 0.0;
     for step in 0..steps {
         let t = step as f64 * DT;
-        // RK4 with the delayed term interpolated from the stored history.
-        let (k1t, k1w) = derivatives(p, &theta, &omega, t, &hist);
+        // RK4 with the delayed term interpolated from the stored history,
+        // once per distinct stage time: k2 and k3 share the midpoint.
+        let start = hist.delayed(p, t);
+        let mid = hist.delayed(p, t + DT / 2.0);
+        let end = hist.delayed(p, t + DT);
+        let (k1t, k1w) = derivatives(p, &theta, &omega, &start);
         let (t2, w2) = advance(&theta, &omega, &k1t, &k1w, DT / 2.0);
-        let (k2t, k2w) = derivatives(p, &t2, &w2, t + DT / 2.0, &hist);
+        let (k2t, k2w) = derivatives(p, &t2, &w2, &mid);
         let (t3, w3) = advance(&theta, &omega, &k2t, &k2w, DT / 2.0);
-        let (k3t, k3w) = derivatives(p, &t3, &w3, t + DT / 2.0, &hist);
+        let (k3t, k3w) = derivatives(p, &t3, &w3, &mid);
         let (t4, w4) = advance(&theta, &omega, &k3t, &k3w, DT);
-        let (k4t, k4w) = derivatives(p, &t4, &w4, t + DT, &hist);
+        let (k4t, k4w) = derivatives(p, &t4, &w4, &end);
         for j in 0..NODES {
             theta[j] += DT / 6.0 * (k1t[j] + 2.0 * k2t[j] + 2.0 * k3t[j] + k4t[j]);
             omega[j] += DT / 6.0 * (k1w[j] + 2.0 * k2w[j] + 2.0 * k3w[j] + k4w[j]);
@@ -229,6 +259,135 @@ pub fn dsgc_raw(x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The direct right-hand side: every node evaluates its own coupling
+    /// sines and reads the history at the stage time.
+    fn reference_derivatives(
+        p: &DsgcParams,
+        theta: &[f64; NODES],
+        omega: &[f64; NODES],
+        t: f64,
+        hist: &History,
+    ) -> ([f64; NODES], [f64; NODES]) {
+        let mut dtheta = [0.0; NODES];
+        let mut domega = [0.0; NODES];
+        for j in 0..NODES {
+            dtheta[j] = omega[j];
+            let delayed = hist.omega_at(t - p.tau[j], j);
+            let mut acc = p.power[j] - ALPHA * omega[j] - p.gamma[j] * delayed;
+            if j == 0 {
+                for k in 1..NODES {
+                    acc += p.coupling * (theta[k] - theta[0]).sin();
+                }
+            } else {
+                acc += p.coupling * (theta[0] - theta[j]).sin();
+            }
+            domega[j] = acc;
+        }
+        (dtheta, domega)
+    }
+
+    /// [`simulate_dsgc`] in the direct form: two sines per line and one
+    /// history interpolation per RK4 stage.
+    fn reference_simulate(p: &DsgcParams) -> f64 {
+        let steps = (HORIZON / DT) as usize;
+        let mut theta = [0.0; NODES];
+        #[allow(clippy::needless_range_loop)] // theta and power are parallel arrays
+        for j in 1..NODES {
+            theta[j] = (p.power[j] / p.coupling).asin();
+        }
+        let mut omega = PERTURBATION;
+        let mut hist = History {
+            omega_trace: Vec::with_capacity(steps + 1),
+        };
+        hist.omega_trace.push(omega);
+        let tail_start = steps - steps / 4;
+        let mut residual: f64 = 0.0;
+        for step in 0..steps {
+            let t = step as f64 * DT;
+            let (k1t, k1w) = reference_derivatives(p, &theta, &omega, t, &hist);
+            let (t2, w2) = advance(&theta, &omega, &k1t, &k1w, DT / 2.0);
+            let (k2t, k2w) = reference_derivatives(p, &t2, &w2, t + DT / 2.0, &hist);
+            let (t3, w3) = advance(&theta, &omega, &k2t, &k2w, DT / 2.0);
+            let (k3t, k3w) = reference_derivatives(p, &t3, &w3, t + DT / 2.0, &hist);
+            let (t4, w4) = advance(&theta, &omega, &k3t, &k3w, DT);
+            let (k4t, k4w) = reference_derivatives(p, &t4, &w4, t + DT, &hist);
+            for j in 0..NODES {
+                theta[j] += DT / 6.0 * (k1t[j] + 2.0 * k2t[j] + 2.0 * k3t[j] + k4t[j]);
+                omega[j] += DT / 6.0 * (k1w[j] + 2.0 * k2w[j] + 2.0 * k3w[j] + k4w[j]);
+            }
+            if omega.iter().any(|w| !w.is_finite() || w.abs() > 50.0) {
+                return f64::INFINITY;
+            }
+            hist.omega_trace.push(omega);
+            if step >= tail_start {
+                for w in &omega {
+                    residual = residual.max(w.abs());
+                }
+            }
+        }
+        residual
+    }
+
+    fn assert_matches_reference(p: &DsgcParams) {
+        let fast = simulate_dsgc(p);
+        let reference = reference_simulate(p);
+        assert_eq!(
+            fast.to_bits(),
+            reference.to_bits(),
+            "{p:?}: {fast} vs reference {reference}"
+        );
+    }
+
+    #[test]
+    fn integrator_matches_reference_bitwise_on_the_unit_cube() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut points = vec![[0.0; DSGC_M], [1.0; DSGC_M]];
+        for _ in 0..200 {
+            points.push(std::array::from_fn(|_| rng.gen()));
+        }
+        for x in &points {
+            assert_matches_reference(&DsgcParams::from_unit(x));
+        }
+    }
+
+    #[test]
+    fn integrator_matches_reference_through_the_divergence_guard() {
+        // Outside the unit cube's ranges: slow, strong price response on
+        // a weak, heavily loaded grid blows the frequencies up.
+        let p = DsgcParams {
+            tau: [6.0; NODES],
+            gamma: [5.0; NODES],
+            power: [3.0, -1.0, -1.0, -1.0],
+            coupling: 5.0,
+        };
+        assert_eq!(reference_simulate(&p), f64::INFINITY);
+        assert_matches_reference(&p);
+    }
+
+    #[test]
+    fn sine_is_odd_bitwise_over_reachable_angle_differences() {
+        // Unit-cube runs reach |θ_k − θ_0| of about 46 rad, and the
+        // divergence guard stops a run soon after; sweep [−64, 64]
+        // evenly and at random bit patterns of every magnitude.
+        let mut rng = StdRng::seed_from_u64(29);
+        let even = (0..=1 << 18).map(|i| i as f64 * (64.0 / (1 << 18) as f64));
+        let any_magnitude = std::iter::repeat_with(|| f64::from_bits(rng.gen::<u64>() >> 1))
+            .filter(|x| *x <= 64.0)
+            .take(1 << 18)
+            .collect::<Vec<_>>();
+        for x in even.chain(any_magnitude) {
+            for x in [x, -x] {
+                assert_eq!(
+                    (-x).sin().to_bits(),
+                    (-(x.sin())).to_bits(),
+                    "sin is not odd at {x:e}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn fast_reaction_is_stable() {

@@ -104,31 +104,36 @@ impl BenchmarkFunction {
     /// One simulated binary label: deterministic threshold test, or a
     /// Bernoulli draw for stochastic functions.
     pub fn label(&self, x: &[f64], rng: &mut impl Rng) -> f64 {
-        let p = self.prob_positive(x);
-        // Deterministic outcomes skip the RNG draw so labeling a
-        // deterministic function never consumes randomness.
-        if p <= 0.0 {
-            0.0
-        } else if p >= 1.0 || rng.gen::<f64>() < p {
-            1.0
-        } else {
-            0.0
-        }
+        draw_label(self.prob_positive(x), rng)
     }
 
     /// Labels a row-major design into a [`Dataset`] — the "run the
     /// simulations" step of scenario discovery.
     ///
+    /// The simulations (`prob_positive` of every row) fan out across
+    /// `reds-par` workers; the Bernoulli draws of stochastic functions
+    /// then happen on the calling thread in row order, exactly as
+    /// [`label`](Self::label) row by row would make them. The labels, and
+    /// the state of `rng` afterwards, are therefore identical under any
+    /// `REDS_THREADS`.
+    ///
     /// # Errors
     ///
-    /// Returns a [`DataError`] when `points.len()` is not a multiple of
+    /// Returns [`DataError::ZeroDimensional`] when `self.m() == 0`, and
+    /// a [`DataError`] when `points.len()` is not a multiple of
     /// `self.m()`.
     pub fn label_dataset(
         &self,
         points: Vec<f64>,
         rng: &mut impl Rng,
     ) -> Result<Dataset, DataError> {
-        Dataset::from_fn(points, self.m, |x| self.label(x, rng))
+        if self.m == 0 {
+            return Err(DataError::ZeroDimensional);
+        }
+        let rows: Vec<&[f64]> = points.chunks_exact(self.m).collect();
+        let probs = reds_par::par_map(&rows, |x| self.prob_positive(x));
+        let labels = probs.into_iter().map(|p| draw_label(p, rng)).collect();
+        Dataset::new(points, labels, self.m)
     }
 
     /// Expected positive share under uniform inputs, estimated from `n`
@@ -149,6 +154,19 @@ impl BenchmarkFunction {
     }
 }
 
+/// One label from `P(y = 1 | x)`: a Bernoulli draw, except that certain
+/// outcomes skip the RNG so labeling a deterministic function never
+/// consumes randomness.
+fn draw_label(p: f64, rng: &mut impl Rng) -> f64 {
+    if p <= 0.0 {
+        0.0
+    } else if p >= 1.0 || rng.gen::<f64>() < p {
+        1.0
+    } else {
+        0.0
+    }
+}
+
 impl std::fmt::Debug for BenchmarkFunction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BenchmarkFunction")
@@ -164,6 +182,17 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// `reds_par`'s thread override is process-global; tests that set it
+    /// hold this lock so the parallel test harness cannot interleave them.
+    static THREADS: Mutex<()> = Mutex::new(());
+
+    /// Takes [`THREADS`]. A test that failed while holding it leaves
+    /// nothing to repair, since every holder sets the override it needs.
+    fn hold_threads() -> MutexGuard<'static, ()> {
+        THREADS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn halfline(x: &[f64]) -> f64 {
         x[0]
@@ -184,6 +213,36 @@ mod tests {
     );
     const STO: BenchmarkFunction =
         BenchmarkFunction::new("sto", 1, &[0], FunctionKind::Probabilistic { prob: coin });
+    const STO2: BenchmarkFunction =
+        BenchmarkFunction::new("sto2", 2, &[0], FunctionKind::Probabilistic { prob: coin });
+
+    /// Seed of the labeling generator in the thread-count tests.
+    const LABEL_SEED: u64 = 41;
+
+    /// `label_dataset` under a forced worker count, with the next output
+    /// of the generator it left behind.
+    fn label_with_threads(
+        f: &BenchmarkFunction,
+        points: &[f64],
+        threads: usize,
+    ) -> (Result<Dataset, DataError>, u64) {
+        reds_par::set_max_threads(Some(threads));
+        let mut rng = StdRng::seed_from_u64(LABEL_SEED);
+        let d = f.label_dataset(points.to_vec(), &mut rng);
+        reds_par::set_max_threads(None);
+        (d, rng.gen())
+    }
+
+    /// The labels of the design's whole rows made one `label` call at a
+    /// time, with the generator's next output.
+    fn label_row_by_row(f: &BenchmarkFunction, points: &[f64]) -> (Vec<u64>, u64) {
+        let mut rng = StdRng::seed_from_u64(LABEL_SEED);
+        let labels = points
+            .chunks_exact(f.m())
+            .map(|x| f.label(x, &mut rng).to_bits())
+            .collect();
+        (labels, rng.gen())
+    }
 
     #[test]
     fn deterministic_labeling_thresholds() {
@@ -217,6 +276,51 @@ mod tests {
             .unwrap();
         assert_eq!(d.n(), 2);
         assert_eq!(d.labels(), &[1.0, 0.0]);
+    }
+
+    #[test]
+    fn label_dataset_does_not_depend_on_the_thread_count() {
+        let _guard = hold_threads();
+        let mut design_rng = StdRng::seed_from_u64(40);
+        for f in crate::all_functions() {
+            let n = if f.name() == "dsgc" { 40 } else { 200 };
+            let points = reds_sampling::uniform(n, f.m(), &mut design_rng);
+            let (expected, next) = label_row_by_row(f, &points);
+            for threads in [1, 3] {
+                let (d, after) = label_with_threads(f, &points, threads);
+                let d = d.expect("a uniform design tiles into rows");
+                let labels: Vec<u64> = d.labels().iter().map(|y| y.to_bits()).collect();
+                assert_eq!(labels, expected, "{}: labels, threads {threads}", f.name());
+                assert_eq!(after, next, "{}: rng state, threads {threads}", f.name());
+            }
+        }
+    }
+
+    #[test]
+    fn label_dataset_errors_do_not_depend_on_the_thread_count() {
+        let _guard = hold_threads();
+        let flat =
+            BenchmarkFunction::new("flat", 0, &[], FunctionKind::Probabilistic { prob: coin });
+        let untouched: u64 = StdRng::seed_from_u64(LABEL_SEED).gen();
+        // Two whole rows and one coordinate over.
+        let ragged = [0.1, 0.2, 0.3, 0.4, 0.5];
+        let (_, next) = label_row_by_row(&STO2, &ragged);
+        for threads in [1, 3] {
+            let (d, after) = label_with_threads(&flat, &[0.1, 0.2], threads);
+            assert_eq!(d, Err(DataError::ZeroDimensional), "threads {threads}");
+            assert_eq!(after, untouched, "m = 0 draws nothing, threads {threads}");
+            let (d, after) = label_with_threads(&STO2, &ragged, threads);
+            let shape = DataError::ShapeMismatch {
+                points: 5,
+                labels: 2,
+                m: 2,
+            };
+            assert_eq!(d, Err(shape), "threads {threads}");
+            assert_eq!(
+                after, next,
+                "ragged draws for whole rows, threads {threads}"
+            );
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! Where the original publication's constants are not reproducible from
 //! the paper text, the implementation uses documented substitutions with
 //! the same structure (active dimensionality, boundary shape, noise
-//! level) and a positive share calibrated against Table 1 — see
-//! DESIGN.md §3.
+//! level) and a positive share calibrated against Table 1. Each
+//! substituted function's doc comment says so; the Dalal et al. family,
+//! whose shapes are all substitutions, says it once in its module doc.
 
 #![warn(missing_docs)]
 

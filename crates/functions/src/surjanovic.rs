@@ -7,7 +7,8 @@
 //! reproducible from the papers alone (`moon10*`, `morretal06`,
 //! `oakoh04`, `soblev99`, `linketal06sin`, `willetal06`, `ellipse`) use
 //! documented structural substitutions with the same active-input count
-//! and a positive share calibrated against Table 1; see DESIGN.md §3.
+//! and a positive share calibrated against Table 1; each one's doc
+//! comment states what it substitutes.
 
 use std::sync::OnceLock;
 
@@ -235,6 +236,9 @@ pub fn loepetal13(x: &[f64]) -> f64 {
 
 /// Moon high-dimensional function variant: all 20 inputs active with
 /// alternating-sign linear weights plus three interactions.
+/// Documented substitution: Moon (2010)'s coefficients are not
+/// reproducible from the REDS paper, so these keep its active inputs and
+/// are offset to Table 1's share.
 pub fn moon10hd(x: &[f64]) -> f64 {
     let linear: f64 = (0..20)
         .map(|i| {
@@ -251,6 +255,8 @@ pub fn moon10hd(x: &[f64]) -> f64 {
 
 /// Moon high-dimensional variant "c1": same structure but only the first
 /// five of twenty inputs are active.
+/// Documented substitution, like `moon10hd`: only the active inputs and
+/// Table 1's share are kept.
 pub fn moon10hdc1(x: &[f64]) -> f64 {
     1.1 * x[0] - 0.9 * x[1] + 0.8 * x[2] - 1.2 * x[3] + 0.6 * x[4] + 1.4 * x[0] * x[3]
         - 0.8 * x[1] * x[4]
@@ -259,6 +265,8 @@ pub fn moon10hdc1(x: &[f64]) -> f64 {
 
 /// Moon low-dimensional function: three active inputs, one interaction
 /// (offset calibrated to Table 1's 45.6 % share at thr = 1.5).
+/// Documented substitution, like `moon10hd`: only the active inputs and
+/// Table 1's share are kept.
 pub fn moon10low(x: &[f64]) -> f64 {
     x[0] + x[1] + 0.9 * x[2] + 0.3 * x[0] * x[2] + 0.057
 }
@@ -436,6 +444,9 @@ const ELLIPSE_C: [f64; 15] = [
 
 /// The paper's own `ellipse` function: `Σ w_j (x_j − c_j)²` over 15
 /// inputs with the last five weights zero (§8.3).
+/// Documented substitution: the paper does not list the weights and
+/// centres, so `ELLIPSE_W` and `ELLIPSE_C` are chosen here and the
+/// sum is scaled to Table 1's share.
 pub fn ellipse(x: &[f64]) -> f64 {
     ELLIPSE_W
         .iter()
