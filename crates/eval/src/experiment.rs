@@ -237,9 +237,11 @@ pub fn execute_unit(spec: &ExperimentSpec, test: &Dataset, unit: &WorkUnit) -> E
     opts.sampler = spec.design.sampler();
     let mut rng = StdRng::seed_from_u64(unit.rep_seed);
     let design = spec.design.sample(spec.n, m, unit.rep, &mut rng);
-    let d = spec
-        .function
-        .label_dataset(design, &mut rng)
+    // Units run on the workers of `execute_units_with`, which already
+    // keep the cores busy, so the design is labeled row by row on this
+    // thread: the fan-out of `label_dataset` would only oversubscribe
+    // them. The labels are the same either way.
+    let d = Dataset::from_fn(design, m, |x| spec.function.label(x, &mut rng))
         .expect("training design shape is consistent");
     let mut method_rng = StdRng::seed_from_u64(unit.method_seed);
     let start = Instant::now();

@@ -1,5 +1,6 @@
 use rand::Rng;
 use reds_data::{DataError, Dataset};
+use std::time::{Duration, Instant};
 
 /// How a benchmark source maps a point to the binary output.
 #[derive(Clone)]
@@ -110,12 +111,17 @@ impl BenchmarkFunction {
     /// Labels a row-major design into a [`Dataset`] — the "run the
     /// simulations" step of scenario discovery.
     ///
-    /// The simulations (`prob_positive` of every row) fan out across
-    /// `reds-par` workers; the Bernoulli draws of stochastic functions
-    /// then happen on the calling thread in row order, exactly as
+    /// Rows are labeled on the calling thread in doubling batches, timed
+    /// after each batch. Once the time they took shows that the rows
+    /// left are worth spawning workers for, the simulations of those rows
+    /// (`prob_positive`) fan out across `reds-par` workers, as many as
+    /// get about half a millisecond of work each: a simulator such as
+    /// `dsgc` fans out after its first row, while a closed form stays on
+    /// the calling thread. The Bernoulli draws of stochastic functions
+    /// always happen on the calling thread in row order, exactly as
     /// [`label`](Self::label) row by row would make them. The labels, and
     /// the state of `rng` afterwards, are therefore identical under any
-    /// `REDS_THREADS`.
+    /// `REDS_THREADS` and whichever rows fanned out.
     ///
     /// # Errors
     ///
@@ -127,13 +133,35 @@ impl BenchmarkFunction {
         points: Vec<f64>,
         rng: &mut impl Rng,
     ) -> Result<Dataset, DataError> {
-        if self.m == 0 {
+        let m = self.m;
+        if m == 0 {
             return Err(DataError::ZeroDimensional);
         }
-        let rows: Vec<&[f64]> = points.chunks_exact(self.m).collect();
-        let probs = reds_par::par_map(&rows, |x| self.prob_positive(x));
-        let labels = probs.into_iter().map(|p| draw_label(p, rng)).collect();
-        Dataset::new(points, labels, self.m)
+        let rows = points.len() / m;
+        let mut labels = Vec::with_capacity(rows);
+        let start = Instant::now();
+        let mut batch = 1;
+        while labels.len() < rows {
+            let done = labels.len();
+            let end = (done + batch).min(rows);
+            let x = &points[done * m..end * m];
+            labels.extend(x.chunks_exact(m).map(|x| self.label(x, rng)));
+            batch *= 2;
+            let workers = fan_out_workers(start.elapsed(), end, rows - end, reds_par::max_threads);
+            if workers > 1 {
+                // One contiguous block of rows per worker, joined in order.
+                let block = (rows - end).div_ceil(workers) * m;
+                let blocks: Vec<&[f64]> = points[end * m..rows * m].chunks(block).collect();
+                let probs = reds_par::par_map(&blocks, |b| {
+                    b.chunks_exact(m)
+                        .map(|x| self.prob_positive(x))
+                        .collect::<Vec<_>>()
+                });
+                let probs = probs.into_iter().flatten();
+                labels.extend(probs.map(|p| draw_label(p, rng)));
+            }
+        }
+        Dataset::new(points, labels, m)
     }
 
     /// Expected positive share under uniform inputs, estimated from `n`
@@ -152,6 +180,39 @@ impl BenchmarkFunction {
         }
         sum / n as f64
     }
+}
+
+/// Serial time the rows done so far must have taken before their cost is
+/// extrapolated; shorter spans are mostly clock and cache noise.
+const PROBE: Duration = Duration::from_micros(100);
+
+/// Estimated serial work each worker must take on for a fan-out to beat
+/// the calling thread alone. Spawning and joining two scoped threads
+/// costs about 0.1 ms on a 2-core Xeon, and labeling measured no faster
+/// fanned out until a design held about 1 ms of serial work.
+const WORK_PER_WORKER: Duration = Duration::from_micros(500);
+
+/// How many workers the `rest` rows should fan out across, given that the
+/// `done` rows before them took `spent` on the calling thread: as many as
+/// get [`WORK_PER_WORKER`] of estimated work each, up to `max_threads()`.
+/// `1` keeps the rows on the calling thread.
+fn fan_out_workers(
+    spent: Duration,
+    done: usize,
+    rest: usize,
+    max_threads: impl FnOnce() -> usize,
+) -> usize {
+    if spent < PROBE {
+        return 1;
+    }
+    let rest_work = spent.as_secs_f64() * rest as f64 / done as f64;
+    let affordable = (rest_work / WORK_PER_WORKER.as_secs_f64()) as usize;
+    // The thread count reads the environment and the cgroup CPU quota
+    // (about 12 µs), so it is looked up only when two workers would pay.
+    if affordable < 2 {
+        return 1;
+    }
+    affordable.min(max_threads())
 }
 
 /// One label from `P(y = 1 | x)`: a Bernoulli draw, except that certain
@@ -215,6 +276,27 @@ mod tests {
         BenchmarkFunction::new("sto", 1, &[0], FunctionKind::Probabilistic { prob: coin });
     const STO2: BenchmarkFunction =
         BenchmarkFunction::new("sto2", 2, &[0], FunctionKind::Probabilistic { prob: coin });
+
+    /// Threads that evaluated [`slow_halfline`].
+    static SLOW_THREADS: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+
+    /// `P(y = 1 | x) = x_0` at a simulator's cost of 0.2 ms per row,
+    /// recording the thread it ran on.
+    fn slow_halfline(x: &[f64]) -> f64 {
+        std::thread::sleep(Duration::from_micros(200));
+        let mut seen = SLOW_THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+        seen.push(std::thread::current().id());
+        x[0]
+    }
+
+    const SLOW: BenchmarkFunction = BenchmarkFunction::new(
+        "slow",
+        1,
+        &[0],
+        FunctionKind::Probabilistic {
+            prob: slow_halfline,
+        },
+    );
 
     /// Seed of the labeling generator in the thread-count tests.
     const LABEL_SEED: u64 = 41;
@@ -283,7 +365,7 @@ mod tests {
         let _guard = hold_threads();
         let mut design_rng = StdRng::seed_from_u64(40);
         for f in crate::all_functions() {
-            let n = if f.name() == "dsgc" { 40 } else { 200 };
+            let n = if f.name() == "dsgc" { 41 } else { 200 };
             let points = reds_sampling::uniform(n, f.m(), &mut design_rng);
             let (expected, next) = label_row_by_row(f, &points);
             for threads in [1, 3] {
@@ -321,6 +403,45 @@ mod tests {
                 "ragged draws for whole rows, threads {threads}"
             );
         }
+    }
+
+    #[test]
+    fn slow_stochastic_rows_fan_out_and_still_draw_in_row_order() {
+        let _guard = hold_threads();
+        let points: Vec<f64> = (0..65).map(|i| (i as f64 + 0.5) / 65.0).collect();
+        let (expected, next) = label_row_by_row(&SLOW, &points);
+        SLOW_THREADS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        let (d, after) = label_with_threads(&SLOW, &points, 3);
+        let labels: Vec<u64> = d.unwrap().labels().iter().map(|y| y.to_bits()).collect();
+        assert_eq!(labels, expected);
+        assert_eq!(after, next, "rng state");
+        let me = std::thread::current().id();
+        let seen = SLOW_THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(seen.len(), 65, "one evaluation per row");
+        assert_eq!(seen[0], me, "the first row runs on the calling thread");
+        assert!(seen.iter().any(|t| *t != me), "the other rows fan out");
+    }
+
+    #[test]
+    fn fan_out_workers_each_get_enough_measured_work() {
+        let us = Duration::from_micros;
+        let never = || -> usize { panic!("thread count looked up") };
+        // Under the probe the estimate is not trusted.
+        assert_eq!(fan_out_workers(us(99), 1, 1_000_000, never), 1);
+        // 1 000 rows took 0.1 ms, so 19 000 more take about 1.9 ms:
+        // enough for three workers of 0.5 ms, capped by the thread count.
+        assert_eq!(fan_out_workers(us(100), 1_000, 19_000, || 8), 3);
+        assert_eq!(fan_out_workers(us(100), 1_000, 19_000, || 2), 2);
+        assert_eq!(fan_out_workers(us(100), 1_000, 19_000, || 1), 1);
+        // Less than two workers' share left: the count is not looked up.
+        assert_eq!(fan_out_workers(us(100), 1_000, 9_000, never), 1);
+        assert_eq!(fan_out_workers(us(400), 40, 0, never), 1);
+        // One simulation of 0.4 ms with 39 to go: 15.6 ms of work.
+        assert_eq!(fan_out_workers(us(400), 1, 39, || 8), 8);
+        assert_eq!(fan_out_workers(us(400), 1, 39, || 64), 31);
     }
 
     #[test]
