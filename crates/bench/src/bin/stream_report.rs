@@ -38,12 +38,12 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reds_bench::{cli_fail, rss, Args};
-use reds_core::{Reds, RedsConfig, StreamConfig};
+use reds_core::{Backing, Pool, Reds, RedsConfig, StreamConfig};
 use reds_data::{Dataset, SortedView};
 use reds_json::Json;
 use reds_metamodel::{Metamodel, RandomForest, RandomForestParams};
 use reds_sampling::uniform;
-use reds_stream::{digest_pool, stream_scan, Labeling, SamplerSource, StreamSampler};
+use reds_stream::{digest_pool, stream_scan, SamplerSource, StreamSampler};
 use reds_subgroup::{Prim, SdResult};
 
 const USAGE: &str = "usage: stream_report [--l N] [--m N] [--chunk-rows N] [--n N] \
@@ -181,8 +181,7 @@ fn run_measure(mode: &str, spec: &Spec) {
             let mut source = SamplerSource::new(StreamSampler::Uniform, spec.l, spec.m, rng);
             let stats = stream_scan(
                 &mut source,
-                &mut |pts, m| Ok(forest.predict_batch(pts, m)),
-                Labeling::Hard { bnd: BND },
+                &mut |pts, m| forest.hard_labels(pts, m, BND),
                 &spec.stream_config(),
             )
             .unwrap_or_else(|e| cli_fail(format!("streaming scan failed: {e}"), ""));
@@ -208,7 +207,13 @@ fn run_measure(mode: &str, spec: &Spec) {
                     .run(&train, &Prim::default(), &mut rng)
                     .unwrap_or_else(|e| cli_fail(format!("pipeline failed: {e}"), "")),
                 "stream-discover" => reds
-                    .discover_streaming(&train, &Prim::default(), &mut rng, &spec.stream_config())
+                    .discover(
+                        &train,
+                        Pool::Sample,
+                        &Backing::Streamed(spec.stream_config()),
+                        &Prim::default(),
+                        &mut rng,
+                    )
                     .unwrap_or_else(|e| cli_fail(format!("streaming pipeline failed: {e}"), "")),
                 _ => reds
                     .discover_out_of_core(

@@ -1,14 +1,17 @@
 use std::fmt;
 
-/// Errors of the REDS pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
+use reds_ooc::OocError;
+use reds_stream::StreamError;
+
+/// Errors of the REDS pipeline, for every pool backing.
+#[derive(Debug)]
 pub enum RedsError {
     /// Training data is empty — no metamodel can be fitted.
     EmptyTrainingData,
-    /// The requested pseudo-label sample size is zero.
+    /// The requested pseudo-label sample size is zero, or the given
+    /// pool is empty.
     ZeroNewPoints,
-    /// The unlabeled pool handed to the semi-supervised entry point has
-    /// the wrong width.
+    /// The given unlabeled pool has the wrong width.
     PoolShapeMismatch {
         /// Width implied by the pool buffer.
         pool_len: usize,
@@ -22,6 +25,18 @@ pub enum RedsError {
         row: usize,
         /// Column of the offending coordinate.
         column: usize,
+    },
+    /// A failure of the streaming machinery (spill I/O, corrupt runs,
+    /// an unstreamable sampling design, …).
+    Stream(StreamError),
+    /// A failure of the out-of-core store (artifact verification,
+    /// paged I/O, mask scratch file).
+    OutOfCore(OocError),
+    /// The subgroup algorithm (or its configuration — e.g. PRIM with
+    /// pasting) has no out-of-core code path.
+    NoPagedPath {
+        /// `SubgroupDiscovery::name` of the algorithm.
+        algorithm: &'static str,
     },
 }
 
@@ -37,37 +52,6 @@ impl fmt::Display for RedsError {
             Self::NanInPoints { row, column } => {
                 write!(f, "NaN input coordinate at row {row}, column {column}")
             }
-        }
-    }
-}
-
-impl std::error::Error for RedsError {}
-
-/// Errors of the streaming pipeline entry points
-/// (`Reds::discover_streaming`): either an ordinary pipeline error or a
-/// failure of the bounded-memory machinery (spill I/O, corrupt runs,
-/// an unstreamable sampling design, …).
-#[derive(Debug)]
-pub enum StreamingError {
-    /// The pipeline-level failure the in-memory path would also report.
-    Pipeline(RedsError),
-    /// A failure specific to the streaming machinery.
-    Stream(reds_stream::StreamError),
-    /// A failure of the out-of-core store (artifact verification,
-    /// paged I/O, mask scratch file).
-    OutOfCore(reds_ooc::OocError),
-    /// The subgroup algorithm (or its configuration — e.g. PRIM with
-    /// pasting) has no out-of-core code path.
-    NoPagedPath {
-        /// `SubgroupDiscovery::name` of the algorithm.
-        algorithm: &'static str,
-    },
-}
-
-impl std::fmt::Display for StreamingError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Pipeline(e) => e.fmt(f),
             Self::Stream(e) => e.fmt(f),
             Self::OutOfCore(e) => e.fmt(f),
             Self::NoPagedPath { algorithm } => {
@@ -77,31 +61,24 @@ impl std::fmt::Display for StreamingError {
     }
 }
 
-impl std::error::Error for StreamingError {
+impl std::error::Error for RedsError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Self::Pipeline(e) => Some(e),
             Self::Stream(e) => Some(e),
             Self::OutOfCore(e) => Some(e),
-            Self::NoPagedPath { .. } => None,
+            _ => None,
         }
     }
 }
 
-impl From<RedsError> for StreamingError {
-    fn from(e: RedsError) -> Self {
-        Self::Pipeline(e)
-    }
-}
-
-impl From<reds_stream::StreamError> for StreamingError {
-    fn from(e: reds_stream::StreamError) -> Self {
+impl From<StreamError> for RedsError {
+    fn from(e: StreamError) -> Self {
         Self::Stream(e)
     }
 }
 
-impl From<reds_ooc::OocError> for StreamingError {
-    fn from(e: reds_ooc::OocError) -> Self {
+impl From<OocError> for RedsError {
+    fn from(e: OocError) -> Self {
         Self::OutOfCore(e)
     }
 }

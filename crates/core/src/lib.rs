@@ -29,10 +29,9 @@ mod error;
 mod pipeline;
 
 pub use active::{ActiveConfig, ActiveReds, Simulator};
-pub use error::{RedsError, StreamingError};
-pub use pipeline::{NewPointSampler, Reds, RedsConfig};
-// Streaming configuration re-exported so `Reds::discover_streaming`
-// callers need no direct `reds-stream` dependency.
-pub use reds_stream::{StreamConfig, StreamError, DEFAULT_CHUNK_ROWS};
-// Out-of-core configuration re-exported for `Reds::discover_out_of_core`.
+pub use error::RedsError;
+pub use pipeline::{Backing, NewPointSampler, Pool, Reds, RedsConfig};
+// The configurations of the streamed and paged backings, re-exported
+// so callers need no direct `reds-stream` or `reds-ooc` dependency.
 pub use reds_ooc::{OocConfig, OocError, OocPool, OocStats, DEFAULT_CACHE_BYTES};
+pub use reds_stream::{StreamConfig, StreamError, DEFAULT_CHUNK_ROWS};

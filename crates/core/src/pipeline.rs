@@ -10,26 +10,28 @@ use reds_metamodel::{GbdtParams, Metamodel, RandomForestParams, SvmParams, Train
 use reds_ooc::{OocConfig, OocPool};
 use reds_sampling::{logit_normal, mixed_design, uniform};
 use reds_stream::{
-    stream_art, stream_pool, Labeling, SamplerSource, SliceSource, StreamConfig, StreamError,
-    StreamSampler,
+    stream_art, stream_pool, ChunkSource, Labeling, SamplerSource, SliceSource, StreamConfig,
+    StreamError, StreamSampler,
 };
 use reds_subgroup::{SdResult, SubgroupDiscovery};
 
-use crate::{RedsError, StreamingError};
+use crate::RedsError;
 
-/// A unique scratch path for the pool artifact of one out-of-core run,
-/// under the stream config's spill parent (or the system temp dir).
-fn scratch_artifact_path(stream: &StreamConfig) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let parent = stream.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    parent.join(format!("reds-ooc-{}-{seq}.redsart", std::process::id()))
-}
-
-/// Removes the scratch artifact when the run ends, error paths
-/// included (the in-flight write itself is covered by `ArtWriter`'s
-/// own drop guard).
+/// The scratch pool artifact of one paged run: a unique path under the
+/// stream config's spill parent (or the system temp dir), removed when
+/// the run ends, error paths and panics included (the in-flight write
+/// itself is covered by `ArtWriter`'s own drop guard).
 struct ScratchFile(PathBuf);
+
+impl ScratchFile {
+    fn new(stream: &StreamConfig) -> Self {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let parent = stream.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
+        let _ = std::fs::create_dir_all(&parent);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        Self(parent.join(format!("reds-ooc-{}-{seq}.redsart", std::process::id())))
+    }
+}
 
 impl Drop for ScratchFile {
     fn drop(&mut self) {
@@ -125,6 +127,200 @@ impl RedsConfig {
         self.sampler = sampler;
         self
     }
+
+    /// The post-fit half of Algorithm 4 with an already-fitted `model`:
+    /// take the pool (line 3), pseudo-label it (lines 4–6), and run
+    /// `sd` on it validated on `d` (`D_val = D`, §8.5).
+    ///
+    /// Every backing gives the same boxes bit for bit and leaves `rng`
+    /// in the same state, because:
+    /// 1. a sampled pool is drawn from `rng` in one go in memory, and
+    ///    chunk by chunk from a clone of it otherwise; the streamable
+    ///    samplers draw element-sequentially, so the chunked draw
+    ///    replays the whole one and the advanced clone is adopted;
+    /// 2. labels are per-row, independent of batch composition;
+    /// 3. the streamed merge reproduces `SortedView::new`'s
+    ///    `(value, row)` order exactly, and the paged store serves every
+    ///    scan in that order, so each float sum associates identically.
+    ///
+    /// `d` is only the validation set here: it may be empty.
+    ///
+    /// # Errors
+    ///
+    /// [`RedsError::ZeroNewPoints`], [`RedsError::PoolShapeMismatch`],
+    /// [`RedsError::NanInPoints`], and [`RedsError::Stream`] for a
+    /// sampler that cannot stream, all before anything is drawn from
+    /// `rng`; then [`RedsError::Stream`] and [`RedsError::OutOfCore`]
+    /// for spill, artifact and paging failures, and
+    /// [`RedsError::NoPagedPath`] when `sd` cannot search a paged pool.
+    pub fn discover(
+        &self,
+        model: &dyn Metamodel,
+        d: &Dataset,
+        pool: Pool<'_>,
+        backing: &Backing,
+        sd: &dyn SubgroupDiscovery,
+        rng: &mut StdRng,
+    ) -> Result<SdResult, RedsError> {
+        self.check(d.m(), pool, backing)?;
+        self.discover_checked(model, d, pool, backing, sd, rng)
+    }
+
+    /// Rejects what the pipeline cannot run, before any work: no new
+    /// points, a ragged or NaN pool, and a sampler that cannot stream
+    /// into a streamed or paged backing.
+    fn check(&self, m: usize, pool: Pool<'_>, backing: &Backing) -> Result<(), RedsError> {
+        match pool {
+            Pool::Sample => {
+                if self.l == 0 {
+                    return Err(RedsError::ZeroNewPoints);
+                }
+                if !matches!(backing, Backing::InMemory) {
+                    self.sampler.streamable()?;
+                }
+            }
+            Pool::Given(points) => {
+                if points.is_empty() {
+                    return Err(RedsError::ZeroNewPoints);
+                }
+                if !points.len().is_multiple_of(m) {
+                    return Err(RedsError::PoolShapeMismatch {
+                        pool_len: points.len(),
+                        m,
+                    });
+                }
+                if let Some(at) = points.iter().position(|v| v.is_nan()) {
+                    return Err(RedsError::NanInPoints {
+                        row: at / m,
+                        column: at % m,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn discover_checked(
+        &self,
+        model: &dyn Metamodel,
+        d: &Dataset,
+        pool: Pool<'_>,
+        backing: &Backing,
+        sd: &dyn SubgroupDiscovery,
+        rng: &mut StdRng,
+    ) -> Result<SdResult, RedsError> {
+        let m = d.m();
+        let mut label = |points: &[f64], m: usize| self.label(model, points, m);
+        match backing {
+            Backing::InMemory => {
+                let points = match pool {
+                    Pool::Sample => self.sampler.sample(self.l, m, rng),
+                    Pool::Given(points) => points.to_vec(),
+                };
+                let labels = label(&points, m);
+                let d_new =
+                    Dataset::new(points, labels, m).expect("shape and NaN checked up front");
+                Ok(sd.discover(&d_new, d, &mut sd_rng(rng)))
+            }
+            Backing::Streamed(stream) => {
+                let streamed = self.stream(pool, m, rng, |source| {
+                    stream_pool(source, &mut label, stream)
+                })?;
+                Ok(sd.discover_presorted(&streamed.dataset, streamed.view, d, &mut sd_rng(rng)))
+            }
+            Backing::Paged { stream, ooc } => {
+                let art = ScratchFile::new(stream);
+                self.stream(pool, m, rng, |source| {
+                    stream_art(source, &mut label, stream, &art.0, ooc.page_rows)
+                })?;
+                let mut sd_rng = sd_rng(rng);
+                let mut store = OocPool::open(&art.0, ooc)?;
+                sd.discover_paged(&mut store, d, &mut sd_rng)
+                    .ok_or(RedsError::NoPagedPath {
+                        algorithm: sd.name(),
+                    })
+            }
+        }
+    }
+
+    /// Pseudo-labels one batch of points (Algorithm 4, lines 4–6): hard
+    /// labels through [`Metamodel::hard_labels`] (the random forest's
+    /// override stops walking trees once a row's label is settled),
+    /// probability labels through [`Metamodel::predict_batch`] and
+    /// [`Labeling::apply`]. In memory the batch is the whole pool;
+    /// streamed and paged, one chunk.
+    fn label(&self, model: &dyn Metamodel, points: &[f64], m: usize) -> Vec<f64> {
+        if self.probability_labels {
+            model
+                .predict_batch(points, m)
+                .into_iter()
+                .map(|p| Labeling::Probability.apply(p))
+                .collect()
+        } else {
+            model.hard_labels(points, m, self.bnd)
+        }
+    }
+
+    /// Runs `finish` over the pool as a chunk source. A sampled pool
+    /// replays the draw on a clone of `rng`, whose advanced state `rng`
+    /// then adopts; a given pool draws nothing.
+    fn stream<T>(
+        &self,
+        pool: Pool<'_>,
+        m: usize,
+        rng: &mut StdRng,
+        finish: impl FnOnce(&mut dyn ChunkSource) -> Result<T, StreamError>,
+    ) -> Result<T, RedsError> {
+        match pool {
+            Pool::Sample => {
+                let sampler = self.sampler.streamable()?;
+                let mut source = SamplerSource::new(sampler, self.l, m, rng.clone());
+                let out = finish(&mut source)?;
+                *rng = source.into_rng();
+                Ok(out)
+            }
+            Pool::Given(points) => Ok(finish(&mut SliceSource::new(points, m)?)?),
+        }
+    }
+}
+
+/// The subgroup-discovery seed: one draw from the pipeline generator
+/// after the pool is taken.
+fn sd_rng(rng: &mut StdRng) -> StdRng {
+    StdRng::seed_from_u64(rng.gen())
+}
+
+/// Where the pseudo-labeled points come from (Algorithm 4, line 3).
+#[derive(Debug, Clone, Copy)]
+pub enum Pool<'a> {
+    /// `L` fresh points from the configured [`NewPointSampler`].
+    Sample,
+    /// A caller's unlabeled pool (row-major, `d.m()` columns) from the
+    /// same `p(x)` as `d` — semi-supervised REDS (§6.1, §9.4) and the
+    /// third-party-data use of the abstract.
+    Given(&'a [f64]),
+}
+
+/// How the pseudo-labeled pool is held while `sd` searches it.
+#[derive(Debug, Clone)]
+pub enum Backing {
+    /// The whole `L × M` pool in one buffer, labeled in one batch.
+    InMemory,
+    /// Labeled and argsorted in chunks of `chunk_rows`, the sort runs
+    /// spilled to disk and k-way merged; the pool is materialized only
+    /// at the hand-off to `sd`.
+    Streamed(StreamConfig),
+    /// Streamed into a scratch `.redsart` artifact under
+    /// `stream.spill_dir` and searched through a paged column store
+    /// ([`OocPool`]) whose resident set is bounded by
+    /// [`OocConfig::cache_bytes`]; the pool is never materialized. The
+    /// artifact and its mask are removed when the run ends.
+    Paged {
+        /// Chunking and spill directory of the construction.
+        stream: StreamConfig,
+        /// Page size and cache budget of the store.
+        ooc: OocConfig,
+    },
 }
 
 /// The REDS scenario-discovery pipeline: a metamodel trainer plus a
@@ -179,176 +375,52 @@ impl Reds {
         Ok(self.trainer.train(d, rng))
     }
 
-    /// Pseudo-labels `points` with a fitted metamodel (lines 4–6).
-    ///
-    /// Labeling all `L` points is one batch call rather than `L` virtual
-    /// dispatches — the hot path at the paper's default `L = 10⁵`. Hard
-    /// labels go through [`Metamodel::hard_labels`], probability labels
-    /// through [`Metamodel::predict_batch`]. Ensemble models override
-    /// both with tree-major kernels that fan out across threads and
-    /// dispatch per call to the runtime-selected SIMD backend
-    /// (`reds_metamodel::kernels`, scalar ≡ AVX2 bit for bit); the
-    /// random forest's `hard_labels` also stops walking trees for a row
-    /// once the remaining trees cannot change its label. Both calls give
-    /// the labels [`Labeling::apply`] gives, bit for bit, which keeps
-    /// `run` ≡ `discover_streaming` ≡ `discover_out_of_core`.
-    fn pseudo_label(
-        &self,
-        model: &dyn Metamodel,
-        points: Vec<f64>,
-        m: usize,
-    ) -> Result<Dataset, RedsError> {
-        if !points.len().is_multiple_of(m) {
-            return Err(RedsError::PoolShapeMismatch {
-                pool_len: points.len(),
-                m,
-            });
-        }
-        // Datasets reject NaN coordinates; surface that as a pipeline
-        // error instead of panicking below (user-supplied pools can
-        // contain anything).
-        if let Some(at) = points.iter().position(|v| v.is_nan()) {
-            return Err(RedsError::NanInPoints {
-                row: at / m,
-                column: at % m,
-            });
-        }
-        // The streaming paths label with `Labeling::apply` on
-        // `predict_batch`; the bit-identity contract between `run` and
-        // `discover_streaming` hangs on `hard_labels` giving exactly
-        // that `p > bnd` rule.
-        let labels = match self.labeling() {
-            Labeling::Hard { bnd } => model.hard_labels(&points, m, bnd),
-            labeling => model
-                .predict_batch(&points, m)
-                .into_iter()
-                .map(|p| labeling.apply(p))
-                .collect(),
-        };
-        Ok(Dataset::new(points, labels, m).expect("shape and finiteness checked above"))
-    }
-
-    /// Runs the full REDS pipeline (Algorithm 4): train `AM` on `d`,
-    /// pseudo-label `L` fresh points, run `sd` on them.
+    /// The full REDS pipeline (Algorithm 4): fit `f^am` on `d` with
+    /// `rng`, then [`RedsConfig::discover`] with it on `pool` under
+    /// `backing`.
     ///
     /// # Errors
     ///
-    /// [`RedsError::EmptyTrainingData`] when `d` is empty;
-    /// [`RedsError::ZeroNewPoints`] when `config.l == 0`.
+    /// The argument errors of [`RedsConfig::discover`] and
+    /// [`RedsError::EmptyTrainingData`] come back before the fit, with
+    /// `rng` untouched; the rest as [`RedsConfig::discover`].
+    pub fn discover(
+        &self,
+        d: &Dataset,
+        pool: Pool<'_>,
+        backing: &Backing,
+        sd: &dyn SubgroupDiscovery,
+        rng: &mut StdRng,
+    ) -> Result<SdResult, RedsError> {
+        self.config.check(d.m(), pool, backing)?;
+        let model = self.train_metamodel(d, rng)?;
+        self.config
+            .discover_checked(model.as_ref(), d, pool, backing, sd, rng)
+    }
+
+    /// Algorithm 4 as the paper states it: `L` sampled points, held in
+    /// memory.
+    ///
+    /// # Errors
+    ///
+    /// [`RedsError::ZeroNewPoints`] when `config.l == 0`;
+    /// [`RedsError::EmptyTrainingData`] when `d` is empty.
     pub fn run(
         &self,
         d: &Dataset,
         sd: &dyn SubgroupDiscovery,
         rng: &mut StdRng,
     ) -> Result<SdResult, RedsError> {
-        if self.config.l == 0 {
-            return Err(RedsError::ZeroNewPoints);
-        }
-        let model = self.train_metamodel(d, rng)?;
-        let points = self.config.sampler.sample(self.config.l, d.m(), rng);
-        let d_new = self.pseudo_label(model.as_ref(), points, d.m())?;
-        let mut sd_rng = StdRng::seed_from_u64(rng.gen());
-        // The validation data stays the *original* simulated dataset
-        // (`D_val = D`, §8.5): PRIM's stopping rule and best-box choice
-        // are anchored to real labels, so the pseudo-labelled search
-        // cannot shrink the box below the support of the evidence.
-        Ok(sd.discover(&d_new, d, &mut sd_rng))
+        self.discover(d, Pool::Sample, &Backing::InMemory, sd, rng)
     }
 
-    /// The labeling rule of this configuration (hard threshold or the
-    /// probability "p" variant), shared with the streaming path so
-    /// both produce bit-identical pseudo-labels.
-    fn labeling(&self) -> Labeling {
-        if self.config.probability_labels {
-            Labeling::Probability
-        } else {
-            Labeling::Hard {
-                bnd: self.config.bnd,
-            }
-        }
-    }
-
-    /// Streaming REDS (Algorithm 4 in bounded memory): identical to
-    /// [`Reds::run`] — bit for bit, for every chunk size — but the `L`
-    /// new points are generated, pseudo-labeled, and argsorted in
-    /// chunks of `stream.chunk_rows` rows, with the per-column sort
-    /// runs spilled to disk and k-way merged. The full `L × M` point
-    /// buffer is materialized only once, at the final hand-off to the
-    /// subgroup-discovery algorithm (which needs random access to the
-    /// values); the construction pipeline itself never holds more than
-    /// one chunk plus `O(runs)` merge state.
-    ///
-    /// The discovered boxes are bit-identical to [`Reds::run`] with the
-    /// same `rng` because (1) the streamable samplers draw
-    /// element-sequentially, so chunked generation replays the
-    /// monolithic draw stream and leaves `rng` in the same state;
-    /// (2) `predict_batch` outputs are per-row, independent of batch
-    /// composition; (3) the out-of-core merge reproduces
-    /// `SortedView::new`'s `(value, row)` order exactly, and the
-    /// algorithms consume it through
-    /// [`SubgroupDiscovery::discover_presorted`].
+    /// [`Reds::run`] with the pool paged instead of held in memory
+    /// ([`Backing::Paged`]): bit-identical boxes, and a resident set
+    /// bounded by `ooc.cache_bytes` independent of `L`.
     ///
     /// # Errors
     ///
-    /// Everything [`Reds::run`] reports (wrapped in
-    /// [`StreamingError::Pipeline`]), plus
-    /// [`reds_stream::StreamError::UnstreamableSampler`] for the
-    /// mixed-inputs design and spill-store failures
-    /// ([`StreamingError::Stream`]).
-    pub fn discover_streaming(
-        &self,
-        d: &Dataset,
-        sd: &dyn SubgroupDiscovery,
-        rng: &mut StdRng,
-        stream: &StreamConfig,
-    ) -> Result<SdResult, StreamingError> {
-        if self.config.l == 0 {
-            return Err(RedsError::ZeroNewPoints.into());
-        }
-        let model = self.train_metamodel(d, rng)?;
-        let sampler = self.config.sampler.streamable()?;
-        let mut source = SamplerSource::new(sampler, self.config.l, d.m(), rng.clone());
-        let pool = stream_pool(
-            &mut source,
-            &mut |points, m| Ok(model.predict_batch(points, m)),
-            self.labeling(),
-            stream,
-        )?;
-        // Adopt the advanced generator state so the SD seed below (and
-        // anything the caller draws later) matches the monolithic path.
-        *rng = source.into_rng();
-        let mut sd_rng = StdRng::seed_from_u64(rng.gen());
-        Ok(sd.discover_presorted(&pool.dataset, pool.view, d, &mut sd_rng))
-    }
-
-    /// Out-of-core REDS: like [`Reds::discover_streaming`], but the
-    /// pseudo-labeled pool is **never materialized in memory at all**.
-    /// The streaming pipeline writes it to a `.redsart` artifact
-    /// (sorted columns with per-page key fences), and subgroup
-    /// discovery runs against a paged, rank-addressable column store
-    /// over that artifact ([`reds_ooc::OocPool`]) whose resident set is
-    /// bounded by [`OocConfig::cache_bytes`] — independent of `L`. The
-    /// validation data `d` (the paper's `D_val = D`) stays in memory.
-    ///
-    /// The discovered boxes are bit-identical to [`Reds::run`] and
-    /// [`Reds::discover_streaming`] with the same `rng`: the store
-    /// serves every scan in the exact `(value, row)` /
-    /// ascending-row orders of the in-memory `SortedView` path, and
-    /// the generic peel/search implementations keep every float
-    /// summation in the same association.
-    ///
-    /// The artifact and the membership-mask scratch file live beside
-    /// the spill directory (`stream.spill_dir`, defaulting to the
-    /// system temp dir) and are removed when the run ends, on error
-    /// paths included.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Reds::discover_streaming`] reports, plus
-    /// [`StreamingError::OutOfCore`] for artifact/paging failures and
-    /// [`StreamingError::NoPagedPath`] when `sd` (or its configuration
-    /// — e.g. PRIM with pasting) cannot run without random access to
-    /// the full pool.
+    /// As [`Reds::discover`].
     pub fn discover_out_of_core(
         &self,
         d: &Dataset,
@@ -356,93 +428,12 @@ impl Reds {
         rng: &mut StdRng,
         stream: &StreamConfig,
         ooc: &OocConfig,
-    ) -> Result<SdResult, StreamingError> {
-        if self.config.l == 0 {
-            return Err(RedsError::ZeroNewPoints.into());
-        }
-        let model = self.train_metamodel(d, rng)?;
-        let sampler = self.config.sampler.streamable()?;
-        let mut source = SamplerSource::new(sampler, self.config.l, d.m(), rng.clone());
-        let art_path = scratch_artifact_path(stream);
-        if let Some(parent) = art_path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let _guard = ScratchFile(art_path.clone());
-        stream_art(
-            &mut source,
-            &mut |points, m| Ok(model.predict_batch(points, m)),
-            self.labeling(),
-            stream,
-            &art_path,
-            ooc.page_rows,
-        )?;
-        // Adopt the advanced generator state so the SD seed below (and
-        // anything the caller draws later) matches the monolithic path.
-        *rng = source.into_rng();
-        let mut sd_rng = StdRng::seed_from_u64(rng.gen());
-        let mut pool = OocPool::open(&art_path, ooc)?;
-        let result = sd.discover_paged(&mut pool, d, &mut sd_rng);
-        drop(pool);
-        result.ok_or(StreamingError::NoPagedPath {
-            algorithm: sd.name(),
-        })
-    }
-
-    /// Streaming variant of [`Reds::run_on_pool`]: pseudo-labels a
-    /// caller-provided pool chunk by chunk with the out-of-core sort.
-    /// Bit-identical to [`Reds::run_on_pool`] for every chunk size.
-    ///
-    /// # Errors
-    ///
-    /// As [`Reds::run_on_pool`], with shape/NaN problems reported
-    /// through [`StreamingError::Stream`].
-    pub fn discover_streaming_on_pool(
-        &self,
-        d: &Dataset,
-        pool: &[f64],
-        sd: &dyn SubgroupDiscovery,
-        rng: &mut StdRng,
-        stream: &StreamConfig,
-    ) -> Result<SdResult, StreamingError> {
-        if pool.is_empty() {
-            return Err(RedsError::ZeroNewPoints.into());
-        }
-        let model = self.train_metamodel(d, rng)?;
-        let mut source = SliceSource::new(pool, d.m())?;
-        let streamed = stream_pool(
-            &mut source,
-            &mut |points, m| Ok(model.predict_batch(points, m)),
-            self.labeling(),
-            stream,
-        )?;
-        let mut sd_rng = StdRng::seed_from_u64(rng.gen());
-        Ok(sd.discover_presorted(&streamed.dataset, streamed.view, d, &mut sd_rng))
-    }
-
-    /// Semi-supervised REDS (§6.1, §9.4): instead of sampling fresh
-    /// points, pseudo-labels a caller-provided unlabeled pool drawn from
-    /// the same `p(x)` as `d` and runs `sd` on it.
-    ///
-    /// # Errors
-    ///
-    /// [`RedsError::EmptyTrainingData`] when `d` is empty;
-    /// [`RedsError::ZeroNewPoints`] when the pool is empty;
-    /// [`RedsError::PoolShapeMismatch`] when the pool width disagrees
-    /// with `d.m()`.
-    pub fn run_on_pool(
-        &self,
-        d: &Dataset,
-        pool: &[f64],
-        sd: &dyn SubgroupDiscovery,
-        rng: &mut StdRng,
     ) -> Result<SdResult, RedsError> {
-        if pool.is_empty() {
-            return Err(RedsError::ZeroNewPoints);
-        }
-        let model = self.train_metamodel(d, rng)?;
-        let d_new = self.pseudo_label(model.as_ref(), pool.to_vec(), d.m())?;
-        let mut sd_rng = StdRng::seed_from_u64(rng.gen());
-        Ok(sd.discover(&d_new, d, &mut sd_rng))
+        let backing = Backing::Paged {
+            stream: stream.clone(),
+            ooc: ooc.clone(),
+        };
+        self.discover(d, Pool::Sample, &backing, sd, rng)
     }
 }
 
@@ -553,7 +544,13 @@ mod tests {
         let mut pool = vec![0.5; 10];
         pool[3] = f64::NAN;
         assert!(matches!(
-            reds.run_on_pool(&d, &pool, &Prim::default(), &mut rng),
+            reds.discover(
+                &d,
+                Pool::Given(&pool),
+                &Backing::InMemory,
+                &Prim::default(),
+                &mut rng
+            ),
             Err(RedsError::NanInPoints { row: 1, column: 1 })
         ));
     }
@@ -565,12 +562,24 @@ mod tests {
         let reds = Reds::random_forest(quick_forest(), RedsConfig::default());
         let bad_pool = vec![0.5; 5]; // not a multiple of m = 2
         assert!(matches!(
-            reds.run_on_pool(&d, &bad_pool, &Prim::default(), &mut rng),
+            reds.discover(
+                &d,
+                Pool::Given(&bad_pool),
+                &Backing::InMemory,
+                &Prim::default(),
+                &mut rng
+            ),
             Err(RedsError::PoolShapeMismatch { .. })
         ));
         let pool = uniform(500, 2, &mut rng);
         let result = reds
-            .run_on_pool(&d, &pool, &Prim::default(), &mut rng)
+            .discover(
+                &d,
+                Pool::Given(&pool),
+                &Backing::InMemory,
+                &Prim::default(),
+                &mut rng,
+            )
             .unwrap();
         assert!(!result.boxes.is_empty());
     }
@@ -586,77 +595,6 @@ mod tests {
         }
     }
 
-    fn bounds_bits(result: &SdResult) -> Vec<(u64, u64)> {
-        result
-            .boxes
-            .iter()
-            .flat_map(|b| {
-                (0..b.m()).map(|j| {
-                    let (lo, hi) = b.bound(j);
-                    (lo.to_bits(), hi.to_bits())
-                })
-            })
-            .collect()
-    }
-
-    #[test]
-    fn streaming_discover_is_bit_identical_to_run() {
-        let d = corner_data(150, 30);
-        let reds = Reds::random_forest(quick_forest(), RedsConfig::default().with_l(2_000));
-        let reference = reds
-            .run(&d, &Prim::default(), &mut StdRng::seed_from_u64(31))
-            .unwrap();
-        for chunk in [1usize, 97, 2_000, 5_000] {
-            let cfg = StreamConfig::new().with_chunk_rows(chunk);
-            let streamed = reds
-                .discover_streaming(&d, &Prim::default(), &mut StdRng::seed_from_u64(31), &cfg)
-                .unwrap();
-            assert_eq!(
-                bounds_bits(&reference),
-                bounds_bits(&streamed),
-                "chunk = {chunk}"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_leaves_the_rng_in_the_monolithic_state() {
-        let d = corner_data(100, 40);
-        let reds = Reds::random_forest(quick_forest(), RedsConfig::default().with_l(500));
-        let mut rng_a = StdRng::seed_from_u64(41);
-        let mut rng_b = StdRng::seed_from_u64(41);
-        reds.run(&d, &Prim::default(), &mut rng_a).unwrap();
-        reds.discover_streaming(
-            &d,
-            &Prim::default(),
-            &mut rng_b,
-            &StreamConfig::new().with_chunk_rows(37),
-        )
-        .unwrap();
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-    }
-
-    #[test]
-    fn streaming_on_pool_matches_run_on_pool() {
-        let d = corner_data(90, 50);
-        let mut rng = StdRng::seed_from_u64(51);
-        let pool = uniform(700, 2, &mut rng);
-        let reds = Reds::random_forest(quick_forest(), RedsConfig::default());
-        let reference = reds
-            .run_on_pool(&d, &pool, &Prim::default(), &mut StdRng::seed_from_u64(52))
-            .unwrap();
-        let streamed = reds
-            .discover_streaming_on_pool(
-                &d,
-                &pool,
-                &Prim::default(),
-                &mut StdRng::seed_from_u64(52),
-                &StreamConfig::new().with_chunk_rows(64),
-            )
-            .unwrap();
-        assert_eq!(bounds_bits(&reference), bounds_bits(&streamed));
-    }
-
     #[test]
     fn mixed_design_is_rejected_as_unstreamable() {
         let d = corner_data(80, 60);
@@ -667,16 +605,17 @@ mod tests {
                 .with_sampler(NewPointSampler::MixedEven),
         );
         let err = reds
-            .discover_streaming(
+            .discover(
                 &d,
+                Pool::Sample,
+                &Backing::Streamed(StreamConfig::new()),
                 &Prim::default(),
                 &mut StdRng::seed_from_u64(61),
-                &StreamConfig::new(),
             )
             .expect_err("LHS-based designs cannot stream");
         assert!(matches!(
             err,
-            crate::StreamingError::Stream(StreamError::UnstreamableSampler { .. })
+            RedsError::Stream(StreamError::UnstreamableSampler { .. })
         ));
     }
 
@@ -687,70 +626,15 @@ mod tests {
         let mut pool = vec![0.5; 10];
         pool[7] = f64::NAN;
         let err = reds
-            .discover_streaming_on_pool(
+            .discover(
                 &d,
-                &pool,
+                Pool::Given(&pool),
+                &Backing::Streamed(StreamConfig::new().with_chunk_rows(2)),
                 &Prim::default(),
                 &mut StdRng::seed_from_u64(71),
-                &StreamConfig::new().with_chunk_rows(2),
             )
             .expect_err("NaN pool");
-        assert!(matches!(
-            err,
-            crate::StreamingError::Stream(StreamError::NanInPoint { row: 3, column: 1 })
-        ));
-    }
-
-    #[test]
-    fn out_of_core_discover_is_bit_identical_to_run() {
-        let d = corner_data(150, 80);
-        let reds = Reds::random_forest(quick_forest(), RedsConfig::default().with_l(2_000));
-        for sd in [
-            &Prim::default() as &dyn SubgroupDiscovery,
-            &BestInterval::default(),
-        ] {
-            let reference = reds.run(&d, sd, &mut StdRng::seed_from_u64(81)).unwrap();
-            // Pathological page sizes and a tiny cache stress paging;
-            // bit-identity must hold regardless.
-            for (page_rows, cache) in [(1u32, 1usize << 10), (257, 64 << 10), (4096, 48 << 20)] {
-                let ooc = OocConfig::new()
-                    .with_page_rows(page_rows)
-                    .with_cache_bytes(cache);
-                let paged = reds
-                    .discover_out_of_core(
-                        &d,
-                        sd,
-                        &mut StdRng::seed_from_u64(81),
-                        &StreamConfig::new().with_chunk_rows(173),
-                        &ooc,
-                    )
-                    .unwrap();
-                assert_eq!(
-                    bounds_bits(&reference),
-                    bounds_bits(&paged),
-                    "{} page_rows = {page_rows}",
-                    sd.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn out_of_core_leaves_the_rng_in_the_monolithic_state() {
-        let d = corner_data(100, 90);
-        let reds = Reds::random_forest(quick_forest(), RedsConfig::default().with_l(500));
-        let mut rng_a = StdRng::seed_from_u64(91);
-        let mut rng_b = StdRng::seed_from_u64(91);
-        reds.run(&d, &Prim::default(), &mut rng_a).unwrap();
-        reds.discover_out_of_core(
-            &d,
-            &Prim::default(),
-            &mut rng_b,
-            &StreamConfig::new().with_chunk_rows(37),
-            &OocConfig::new(),
-        )
-        .unwrap();
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
+        assert!(matches!(err, RedsError::NanInPoints { row: 3, column: 1 }));
     }
 
     #[test]
@@ -770,10 +654,103 @@ mod tests {
                 &OocConfig::new(),
             )
             .expect_err("pasting needs random access");
-        assert!(matches!(
-            err,
-            crate::StreamingError::NoPagedPath { algorithm: "P" }
-        ));
+        assert!(matches!(err, RedsError::NoPagedPath { algorithm: "P" }));
+    }
+
+    /// Every backing rejects a bad argument before the fit, so the
+    /// caller's generator comes back as it went in.
+    #[test]
+    fn rejected_arguments_leave_the_rng_untouched() {
+        let d = corner_data(60, 100);
+        let reds = Reds::random_forest(quick_forest(), RedsConfig::default().with_l(300));
+        let no_l = Reds::random_forest(quick_forest(), RedsConfig::default().with_l(0));
+        let mixed = Reds::random_forest(
+            quick_forest(),
+            RedsConfig::default()
+                .with_l(300)
+                .with_sampler(NewPointSampler::MixedEven),
+        );
+        let mut nan_pool = vec![0.5; 10];
+        nan_pool[7] = f64::NAN;
+        let backings = [
+            Backing::InMemory,
+            Backing::Streamed(StreamConfig::new().with_chunk_rows(3)),
+            Backing::Paged {
+                stream: StreamConfig::new().with_chunk_rows(3),
+                ooc: OocConfig::new(),
+            },
+        ];
+        for backing in &backings {
+            let cases: [(&Reds, Pool<'_>); 4] = [
+                (&no_l, Pool::Sample),
+                (&reds, Pool::Given(&[])),
+                (&reds, Pool::Given(&[0.5; 5])),
+                (&reds, Pool::Given(&nan_pool)),
+            ];
+            for (case, (reds, pool)) in cases.into_iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(101);
+                let err = reds
+                    .discover(&d, pool, backing, &Prim::default(), &mut rng)
+                    .expect_err("rejected");
+                let expected = match case {
+                    0 | 1 => matches!(err, RedsError::ZeroNewPoints),
+                    2 => matches!(err, RedsError::PoolShapeMismatch { pool_len: 5, m: 2 }),
+                    _ => matches!(err, RedsError::NanInPoints { row: 3, column: 1 }),
+                };
+                assert!(expected, "{backing:?}, case {case}: {err:?}");
+                let fresh = StdRng::seed_from_u64(101).gen::<u64>();
+                assert_eq!(rng.gen::<u64>(), fresh, "{backing:?}, case {case}");
+            }
+            let mut rng = StdRng::seed_from_u64(102);
+            let outcome = mixed.discover(&d, Pool::Sample, backing, &Prim::default(), &mut rng);
+            if let Backing::InMemory = backing {
+                assert!(outcome.is_ok(), "the mixed design runs in memory");
+                continue;
+            }
+            assert!(
+                matches!(
+                    outcome,
+                    Err(RedsError::Stream(StreamError::UnstreamableSampler { .. }))
+                ),
+                "{backing:?}"
+            );
+            let fresh = StdRng::seed_from_u64(102).gen::<u64>();
+            assert_eq!(rng.gen::<u64>(), fresh, "{backing:?}, mixed design");
+        }
+    }
+
+    /// The paged backing removes its scratch artifact, its mask and its
+    /// spill directory, whether the search ran or declined.
+    #[test]
+    fn paged_runs_leave_no_scratch_files() {
+        let dir = std::env::temp_dir().join(format!("reds-core-scratch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = corner_data(80, 110);
+        let reds = Reds::random_forest(quick_forest(), RedsConfig::default().with_l(500));
+        let backing = Backing::Paged {
+            stream: StreamConfig::new().with_chunk_rows(97).with_spill_dir(&dir),
+            ooc: OocConfig::new(),
+        };
+        let leftovers = || {
+            std::fs::read_dir(&dir)
+                .expect("the run created its spill parent")
+                .map(|e| e.expect("readable entry").file_name())
+                .collect::<Vec<_>>()
+        };
+        let rng = &mut StdRng::seed_from_u64(111);
+        reds.discover(&d, Pool::Sample, &backing, &Prim::default(), rng)
+            .expect("paged run");
+        assert!(leftovers().is_empty(), "after a run: {:?}", leftovers());
+        let pasting = Prim::new(reds_subgroup::PrimParams {
+            paste: true,
+            ..Default::default()
+        });
+        let err = reds
+            .discover(&d, Pool::Sample, &backing, &pasting, rng)
+            .expect_err("pasting needs random access");
+        assert!(matches!(err, RedsError::NoPagedPath { algorithm: "P" }));
+        assert!(leftovers().is_empty(), "after a decline: {:?}", leftovers());
+        std::fs::remove_dir(&dir).expect("empty scratch dir");
     }
 
     #[test]

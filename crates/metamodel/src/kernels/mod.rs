@@ -15,7 +15,7 @@
 //!
 //! ## Bit-identity contract
 //!
-//! Equivalence suites (`perf_equivalence`, `stream_equivalence`,
+//! Equivalence suites (`perf_equivalence`, `backing_equivalence`,
 //! `serve_end_to_end`) compare results to the exact bit, so the two
 //! paths must agree exactly — not merely to a tolerance:
 //!

@@ -98,8 +98,9 @@ pub(crate) fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, PersistErr
 /// document — the serving layer's unit of deployment.
 ///
 /// Serializes as `{"family": "f"|"x"|"s", "model": {…}}`; predictions
-/// delegate to the wrapped model, so `predict_batch` through a
-/// `SavedModel` is bit-identical to the original fitted model.
+/// and hard labels delegate to the wrapped model, so `predict_batch`
+/// and `hard_labels` through a `SavedModel` are bit-identical to the
+/// original fitted model's (the forest's early exit included).
 pub enum SavedModel {
     /// Random forest ("f").
     Forest(RandomForest),
@@ -169,6 +170,14 @@ impl Metamodel for SavedModel {
             Self::Forest(f) => f.predict_batch(points, m),
             Self::Gbdt(g) => g.predict_batch(points, m),
             Self::Svm(s) => s.predict_batch(points, m),
+        }
+    }
+
+    fn hard_labels(&self, points: &[f64], m: usize, bnd: f64) -> Vec<f64> {
+        match self {
+            Self::Forest(f) => f.hard_labels(points, m, bnd),
+            Self::Gbdt(g) => g.hard_labels(points, m, bnd),
+            Self::Svm(s) => s.hard_labels(points, m, bnd),
         }
     }
 }

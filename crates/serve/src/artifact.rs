@@ -103,6 +103,10 @@ impl Metamodel for ServedModel {
     fn predict_batch(&self, points: &[f64], m: usize) -> Vec<f64> {
         self.as_saved().predict_batch(points, m)
     }
+
+    fn hard_labels(&self, points: &[f64], m: usize, bnd: f64) -> Vec<f64> {
+        self.as_saved().hard_labels(points, m, bnd)
+    }
 }
 
 /// A fitted metamodel plus its training data, ready to serve.

@@ -31,6 +31,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
+use reds_metamodel::Metamodel;
+
 use crate::protocol::ServeError;
 use crate::registry::VersionSlot;
 

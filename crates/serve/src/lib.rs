@@ -71,7 +71,6 @@ pub use reactor::{poller_backend, ConnGauges, FrameHandler};
 pub use registry::{ModelEntry, ModelRegistry, ModelVersion, SwapOutcome, DEFAULT_MODEL};
 pub use router::Router;
 pub use server::{
-    run_discover, run_discover_streaming, run_discover_streaming_ooc, serve, serve_handler,
-    serve_service, validate_points, ServerHandle, Service,
+    run_discover, serve, serve_handler, serve_service, validate_points, ServerHandle, Service,
 };
 pub use wire::{Frame, FrameBuffer, FrameEvent, RetryBudget, Wait, WaitPolicy};

@@ -83,15 +83,33 @@ impl ModelVersion {
     pub fn m(&self) -> usize {
         self.artifact.model.m()
     }
+}
 
-    /// Predicts a row-major batch with this pinned version.
-    pub fn predict_batch(&self, points: &[f64], m: usize) -> Vec<f64> {
+/// A pinned version is the metamodel a served run predicts with, so
+/// one run never mixes versions. The test shim, when set, sees every
+/// batch: `hard_labels` then thresholds the shimmed `predict_batch`.
+impl Metamodel for ModelVersion {
+    fn predict(&self, x: &[f64]) -> f64 {
+        self.predict_batch(x, x.len())[0]
+    }
+
+    fn predict_batch(&self, points: &[f64], m: usize) -> Vec<f64> {
         if let Some(shim) = &self.shim {
             if let Some(preds) = shim(points, m) {
                 return preds;
             }
         }
         self.artifact.model.predict_batch(points, m)
+    }
+
+    fn hard_labels(&self, points: &[f64], m: usize, bnd: f64) -> Vec<f64> {
+        if self.shim.is_none() {
+            return self.artifact.model.hard_labels(points, m, bnd);
+        }
+        self.predict_batch(points, m)
+            .into_iter()
+            .map(|p| if p > bnd { 1.0 } else { 0.0 })
+            .collect()
     }
 }
 

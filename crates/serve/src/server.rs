@@ -11,18 +11,16 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use reds_core::{Backing, NewPointSampler, OocConfig, Pool, RedsConfig, RedsError, StreamConfig};
 use reds_data::Dataset;
 use reds_json::Json;
-use reds_ooc::{OocConfig, OocPool};
 use reds_subgroup::{BestInterval, Prim, SdResult, SubgroupDiscovery};
-
-use reds_stream::{stream_art, stream_pool, Labeling, SamplerSource, StreamConfig, StreamSampler};
 
 use crate::artifact::ModelArtifact;
 use crate::protocol::{
@@ -36,7 +34,7 @@ use crate::registry::{ModelEntry, ModelRegistry, SwapOutcome};
 /// must match the model, the buffer must tile into whole rows, no
 /// coordinate may be NaN, and the row count must respect the limit.
 ///
-/// The pipeline's `pseudo_label` performs the same checks for library
+/// `reds-core` performs the same checks on a given pool for library
 /// callers; repeating them here means a *served* request can never
 /// reach the kernels with data the pipeline would have rejected.
 pub fn validate_points(
@@ -73,14 +71,17 @@ pub fn validate_points(
     Ok(())
 }
 
-/// Serves one `discover` request against an already-fitted metamodel:
-/// pseudo-label `L` uniform points (Algorithm 4 lines 3–6 with the
-/// loaded `f^am`), then run the chosen SD algorithm validated on the
-/// artifact's original training data (`D_val = D`, §8.5).
+/// One `discover` request against an already-fitted metamodel, written
+/// out independently of `reds-core`: pseudo-label `L` uniform points
+/// with `predict` and the threshold `p > bnd` (Algorithm 4 lines 3–6
+/// with the loaded `f^am`), then run the chosen SD algorithm validated
+/// on the artifact's original training data (`D_val = D`, §8.5).
 ///
-/// `predict` abstracts over the direct model call (tests, offline use)
-/// and the server's pinned registry version — both produce identical
-/// bits, so served and in-process discovery agree exactly.
+/// The server does not call this: [`Service::discover`] runs
+/// `reds-core`'s pipeline with the pinned version's `hard_labels`.
+/// This is the reference that path is checked against, by
+/// `service_discover_matches_run_discover` and by the digest check of
+/// `redsbench`'s serve-mixed workload.
 pub fn run_discover(
     predict: impl Fn(Vec<f64>) -> Result<Vec<f64>, ServeError>,
     m: usize,
@@ -105,162 +106,6 @@ pub fn run_discover(
         Algorithm::BestInterval => BestInterval::default().discover(&d_new, train, &mut sd_rng),
     };
     Ok(result)
-}
-
-/// Serves one `discover` request through the bounded-memory streaming
-/// pipeline: the `L` uniform points are generated, pseudo-labeled, and
-/// argsorted in chunks (spilled sort runs, k-way merge), and the
-/// subgroup search consumes the merged order through
-/// `discover_presorted`.
-///
-/// With the same resolved `params` this returns boxes **bit-identical**
-/// to [`run_discover`]: the chunked draws replay the monolithic RNG
-/// stream, `predict_batch` is per-row, and the merge reproduces the
-/// in-memory sort order exactly.
-pub fn run_discover_streaming(
-    predict: impl Fn(Vec<f64>) -> Result<Vec<f64>, ServeError>,
-    m: usize,
-    train: &Dataset,
-    params: &DiscoverParams,
-    stream: &StreamConfig,
-) -> Result<SdResult, ServeError> {
-    if params.l == 0 {
-        return Err(ServeError::bad_request("discover needs l > 0"));
-    }
-    let rng = StdRng::seed_from_u64(params.seed);
-    let mut source = SamplerSource::new(StreamSampler::Uniform, params.l, m, rng);
-    // The streaming layer transports predictor failures as strings;
-    // capture the original typed error so the client still sees the
-    // proper code (`internal` vs `too_large` …) instead of a re-wrap.
-    let captured: std::cell::RefCell<Option<ServeError>> = std::cell::RefCell::new(None);
-    let mut chunk_predict = |points: &[f64], _m: usize| {
-        predict(points.to_vec()).map_err(|e| {
-            let msg = e.to_string();
-            *captured.borrow_mut() = Some(e);
-            reds_stream::StreamError::Predict(msg)
-        })
-    };
-    let outcome = stream_pool(
-        &mut source,
-        &mut chunk_predict,
-        Labeling::Hard { bnd: params.bnd },
-        stream,
-    );
-    let _ = chunk_predict;
-    let pool = match outcome {
-        Ok(pool) => pool,
-        Err(e) => {
-            return Err(captured.into_inner().unwrap_or_else(|| {
-                ServeError::internal(format!("streaming pipeline failed: {e}"))
-            }))
-        }
-    };
-    let mut rng = source.into_rng();
-    let mut sd_rng = StdRng::seed_from_u64(rng.gen());
-    let result = match params.algorithm {
-        Algorithm::Prim => {
-            Prim::default().discover_presorted(&pool.dataset, pool.view, train, &mut sd_rng)
-        }
-        Algorithm::BestInterval => {
-            BestInterval::default().discover_presorted(&pool.dataset, pool.view, train, &mut sd_rng)
-        }
-    };
-    Ok(result)
-}
-
-/// A unique scratch path for a served out-of-core run's `.redsart`
-/// artifact, under the stream config's spill directory (or the system
-/// temp directory).
-fn scratch_artifact_path(stream: &StreamConfig) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let parent = stream.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    parent.join(format!(
-        "reds-serve-ooc-{}-{seq}.redsart",
-        std::process::id()
-    ))
-}
-
-/// Removes the scratch artifact when the run ends — success, error, or
-/// panic alike (the discover executor's catch-unwind unwinds through
-/// it).
-struct ScratchFile(PathBuf);
-
-impl Drop for ScratchFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
-/// Serves one `discover` request **out of core**: the pseudo-labelled
-/// pool streams straight into a scratch `.redsart` artifact (sorted,
-/// paged, fenced columns — never materialized in memory), and the
-/// subgroup search pages it back in through a bounded cache
-/// (`reds-ooc`).
-///
-/// Boxes are **bit-identical** to [`run_discover`] and
-/// [`run_discover_streaming`] with the same resolved `params`: the
-/// paged search replays the exact floating-point visit order of the
-/// in-memory path. The scratch artifact is removed when the run ends.
-pub fn run_discover_streaming_ooc(
-    predict: impl Fn(Vec<f64>) -> Result<Vec<f64>, ServeError>,
-    m: usize,
-    train: &Dataset,
-    params: &DiscoverParams,
-    stream: &StreamConfig,
-    ooc: &OocConfig,
-) -> Result<SdResult, ServeError> {
-    if params.l == 0 {
-        return Err(ServeError::bad_request("discover needs l > 0"));
-    }
-    let rng = StdRng::seed_from_u64(params.seed);
-    let mut source = SamplerSource::new(StreamSampler::Uniform, params.l, m, rng);
-    // Same typed-error capture as run_discover_streaming: the client
-    // sees the predictor's original code, not a re-wrap.
-    let captured: std::cell::RefCell<Option<ServeError>> = std::cell::RefCell::new(None);
-    let mut chunk_predict = |points: &[f64], _m: usize| {
-        predict(points.to_vec()).map_err(|e| {
-            let msg = e.to_string();
-            *captured.borrow_mut() = Some(e);
-            reds_stream::StreamError::Predict(msg)
-        })
-    };
-    let art_path = scratch_artifact_path(stream);
-    if let Some(parent) = art_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let _guard = ScratchFile(art_path.clone());
-    let outcome = stream_art(
-        &mut source,
-        &mut chunk_predict,
-        Labeling::Hard { bnd: params.bnd },
-        stream,
-        &art_path,
-        ooc.page_rows,
-    );
-    let _ = chunk_predict;
-    if let Err(e) = outcome {
-        return Err(captured
-            .into_inner()
-            .unwrap_or_else(|| ServeError::internal(format!("out-of-core pipeline failed: {e}"))));
-    }
-    let mut rng = source.into_rng();
-    let mut sd_rng = StdRng::seed_from_u64(rng.gen());
-    let mut pool = OocPool::open(&art_path, ooc)
-        .map_err(|e| ServeError::internal(format!("cannot open scratch artifact: {e}")))?;
-    let result = match params.algorithm {
-        Algorithm::Prim => Prim::default().discover_paged(&mut pool, train, &mut sd_rng),
-        Algorithm::BestInterval => {
-            BestInterval::default().discover_paged(&mut pool, train, &mut sd_rng)
-        }
-    };
-    drop(pool);
-    result.ok_or_else(|| {
-        ServeError::internal(format!(
-            "algorithm \"{}\" has no out-of-core code path",
-            params.algorithm.as_str()
-        ))
-    })
 }
 
 /// The request handler shared by every connection: a model registry,
@@ -354,47 +199,38 @@ impl Service {
         })
     }
 
-    /// Served scenario discovery (see [`run_discover`]); the whole run
-    /// predicts against one pinned registry version, so a swap landing
-    /// mid-run never mixes models inside a single result.
+    /// Served scenario discovery, in memory: `reds-core`'s pipeline on
+    /// `L` uniform points drawn from `params.seed`, bit-identical to
+    /// [`run_discover`]. The whole run predicts against one pinned
+    /// registry version, so a swap landing mid-run never mixes models
+    /// inside a single result.
     pub fn discover(
         &self,
         params: &DiscoverParams,
         model: Option<&str>,
     ) -> Result<SdResult, ServeError> {
-        if params.l > self.limits.max_discover_l {
-            return Err(ServeError::too_large(format!(
-                "l = {} exceeds the limit of {}",
-                params.l, self.limits.max_discover_l
-            )));
-        }
-        let entry = self.registry.get(model)?;
-        let _slot = self.begin_discover(&entry)?;
-        let version = entry.current();
-        let m = entry.m();
-        run_discover(
-            |points| Ok(version.predict_batch(&points, m)),
-            m,
-            &version.artifact.train,
-            params,
+        self.check_discover_l(params.l)?;
+        self.discover_pinned(
+            model,
+            params.l,
+            Some(params.seed),
+            params.algorithm,
+            params.bnd,
+            &Backing::InMemory,
         )
     }
 
-    /// Served streaming scenario discovery (see
-    /// [`run_discover_streaming`]). A request without an explicit seed
-    /// streams the pinned version's recorded `pool_seed`, so the run
-    /// is reproducible from the artifact file alone.
+    /// Served scenario discovery through the streamed backing, or the
+    /// paged one with `params.ooc`; bit-identical to [`Service::discover`]
+    /// at the same seed. A request without an explicit seed streams the
+    /// pinned version's recorded `pool_seed`, so the run is reproducible
+    /// from the artifact file alone.
     pub fn discover_streaming(
         &self,
         params: &StreamDiscoverParams,
         model: Option<&str>,
     ) -> Result<SdResult, ServeError> {
-        if params.l > self.limits.max_discover_l {
-            return Err(ServeError::too_large(format!(
-                "l = {} exceeds the limit of {}",
-                params.l, self.limits.max_discover_l
-            )));
-        }
+        self.check_discover_l(params.l)?;
         // A chunk above the largest admissible pool can never take
         // effect (chunks are clamped to l rows) — reject it as a
         // client bug rather than silently serving something else.
@@ -404,16 +240,6 @@ impl Service {
                 params.chunk_rows, self.limits.max_discover_l
             )));
         }
-        let entry = self.registry.get(model)?;
-        let _slot = self.begin_discover(&entry)?;
-        let version = entry.current();
-        let m = entry.m();
-        let resolved = DiscoverParams {
-            l: params.l,
-            seed: params.seed.unwrap_or(version.artifact.pool_seed),
-            algorithm: params.algorithm,
-            bnd: params.bnd,
-        };
         // The merge holds one open file + buffered reader per spilled
         // run, and runs = ⌈l / chunk_rows⌉ — a client asking for
         // chunk_rows = 1 at l = 10⁶ would exhaust the process's file
@@ -426,23 +252,76 @@ impl Service {
             .effective_chunk_rows();
         let floor = params.l.div_ceil(MAX_RUNS_PER_COLUMN);
         let stream = StreamConfig::new().with_chunk_rows(requested.max(floor));
-        if params.ooc {
-            return run_discover_streaming_ooc(
-                |points| Ok(version.predict_batch(&points, m)),
-                m,
-                &version.artifact.train,
-                &resolved,
-                &stream,
-                &OocConfig::default(),
-            );
-        }
-        run_discover_streaming(
-            |points| Ok(version.predict_batch(&points, m)),
-            m,
-            &version.artifact.train,
-            &resolved,
-            &stream,
+        let backing = if params.ooc {
+            Backing::Paged {
+                stream,
+                ooc: OocConfig::default(),
+            }
+        } else {
+            Backing::Streamed(stream)
+        };
+        self.discover_pinned(
+            model,
+            params.l,
+            params.seed,
+            params.algorithm,
+            params.bnd,
+            &backing,
         )
+    }
+
+    fn check_discover_l(&self, l: usize) -> Result<(), ServeError> {
+        if l > self.limits.max_discover_l {
+            return Err(ServeError::too_large(format!(
+                "l = {l} exceeds the limit of {}",
+                self.limits.max_discover_l
+            )));
+        }
+        Ok(())
+    }
+
+    /// The one served discovery: takes a discover slot, pins the
+    /// current version and runs `reds-core`'s pipeline with it as
+    /// `f^am`, on `l` uniform points drawn from `seed` (the version's
+    /// `pool_seed` when `None`) under `backing`, validated on the
+    /// version's training data.
+    fn discover_pinned(
+        &self,
+        model: Option<&str>,
+        l: usize,
+        seed: Option<u64>,
+        algorithm: Algorithm,
+        bnd: f64,
+        backing: &Backing,
+    ) -> Result<SdResult, ServeError> {
+        let entry = self.registry.get(model)?;
+        let _slot = self.begin_discover(&entry)?;
+        let version = entry.current();
+        let mut rng = StdRng::seed_from_u64(seed.unwrap_or(version.artifact.pool_seed));
+        let config = RedsConfig {
+            l,
+            bnd,
+            probability_labels: false,
+            sampler: NewPointSampler::Uniform,
+        };
+        let (prim, bi) = (Prim::default(), BestInterval::default());
+        let sd: &dyn SubgroupDiscovery = match algorithm {
+            Algorithm::Prim => &prim,
+            Algorithm::BestInterval => &bi,
+        };
+        config
+            .discover(
+                &*version,
+                &version.artifact.train,
+                Pool::Sample,
+                backing,
+                sd,
+                &mut rng,
+            )
+            .map_err(|e| match e {
+                RedsError::ZeroNewPoints => ServeError::bad_request("discover needs l > 0"),
+                e => ServeError::internal(e.to_string()),
+            })
     }
 
     /// Hot-swaps a registry model to the artifact at `path` (loaded and
@@ -996,6 +875,48 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err.code, crate::protocol::ErrorCode::TooLarge);
+    }
+
+    #[test]
+    fn zero_l_discovers_are_bad_requests_and_release_the_slot() {
+        let service = tiny_service();
+        let discover = service.discover(
+            &DiscoverParams {
+                l: 0,
+                ..Default::default()
+            },
+            None,
+        );
+        let [streamed, paged] = [false, true].map(|ooc| {
+            service.discover_streaming(
+                &StreamDiscoverParams {
+                    l: 0,
+                    seed: Some(3),
+                    ooc,
+                    ..Default::default()
+                },
+                None,
+            )
+        });
+        for (what, outcome) in [
+            ("discover", discover),
+            ("discover_streaming", streamed),
+            ("discover_streaming --ooc", paged),
+        ] {
+            let err = outcome.expect_err(what);
+            assert_eq!(err.code, crate::protocol::ErrorCode::BadRequest, "{what}");
+            assert!(err.message.contains("l > 0"), "{what}: {}", err.message);
+        }
+        assert_eq!(service.active_discovers.load(Ordering::SeqCst), 0);
+        service
+            .discover(
+                &DiscoverParams {
+                    l: 500,
+                    ..Default::default()
+                },
+                None,
+            )
+            .expect("serves after the rejected requests");
     }
 
     #[test]

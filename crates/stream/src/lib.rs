@@ -12,11 +12,11 @@
 //!    element-sequential samplers, so **any** chunking (including
 //!    chunk = 1 and chunk ≥ L) reproduces the monolithic draw sequence
 //!    bit for bit.
-//! 2. Each chunk is pseudo-labeled (`predict_batch` on the chunk —
-//!    which dispatches to `reds_metamodel::kernels`' runtime-selected
-//!    scalar/AVX2 backend, resolved once per chunk call, bit-identical
-//!    either way) and
-//!    folded into per-column accumulators: chunk-local radix argsort
+//! 2. Each chunk is pseudo-labeled by the caller's labeler (in
+//!    `reds-core`, `Metamodel::hard_labels` or `predict_batch` on the
+//!    chunk — which dispatch to `reds_metamodel::kernels`'
+//!    runtime-selected scalar/AVX2 backend, bit-identical either way)
+//!    and folded into per-column accumulators: chunk-local radix argsort
 //!    runs spilled to a temp-file run store ([`PoolBuilder`]), plus the
 //!    raw points/labels appended to a data spill — no `L × M` buffer
 //!    ever exists during construction.
@@ -34,8 +34,8 @@
 //! Equivalence contract: for any chunk size, [`stream_pool`] produces a
 //! `Dataset` and `SortedView` bit-identical to the monolithic
 //! generate-label-argsort path, and the generator RNG it hands back is
-//! in the same state — so a full `discover_streaming` run is
-//! bit-identical to `discover`.
+//! in the same state — so a streamed `Reds::discover` run is
+//! bit-identical to the in-memory one.
 
 #![warn(missing_docs)]
 
@@ -143,8 +143,8 @@ pub enum StreamError {
         /// Requested row count.
         rows: usize,
     },
-    /// The chunk predictor failed, or returned the wrong number of
-    /// predictions for a chunk.
+    /// The chunk labeler returned the wrong number of labels for a
+    /// chunk.
     Predict(String),
     /// The source produced no rows at all.
     ZeroRows,
@@ -178,7 +178,7 @@ impl fmt::Display for StreamError {
             Self::TooManyRows { rows } => {
                 write!(f, "{rows} rows exceed the u32 row-id space of SortedView")
             }
-            Self::Predict(msg) => write!(f, "chunk prediction failed: {msg}"),
+            Self::Predict(msg) => write!(f, "chunk labeling failed: {msg}"),
             Self::ZeroRows => write!(f, "the chunk source produced no rows"),
             Self::Data(e) => write!(f, "cannot assemble streamed pool: {e}"),
             Self::Art(e) => write!(f, "pool artifact failure: {e}"),

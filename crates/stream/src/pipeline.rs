@@ -1,11 +1,11 @@
-//! The streaming pseudo-labeling loop: source → predict → label → fold.
+//! The streaming pseudo-labeling loop: source → label → fold.
 
 use crate::build::{PoolBuilder, StreamStats, StreamedPool};
 use crate::{ChunkSource, StreamConfig, StreamError};
 
-/// How raw metamodel outputs become pseudo-labels — must mirror the
-/// in-memory pipeline's mapping exactly (Algorithm 4, lines 4–6; §6.1
-/// for the probability variants).
+/// How raw metamodel outputs become pseudo-labels (Algorithm 4, lines
+/// 4–6; §6.1 for the probability variants). `Metamodel::hard_labels`
+/// must reproduce the `Hard` rule bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Labeling {
     /// Hard labels `I(f^am(x) > bnd)`.
@@ -34,38 +34,28 @@ impl Labeling {
     }
 }
 
-/// The type every chunk predictor conforms to: row-major points of the
-/// declared width in, one raw metamodel output per row out. In-process
-/// callers wrap `Metamodel::predict_batch`; the serving layer wraps its
-/// micro-batching worker.
-pub type ChunkPredict<'a> = dyn FnMut(&[f64], usize) -> Result<Vec<f64>, StreamError> + 'a;
-
 fn drive(
     source: &mut dyn ChunkSource,
-    predict: &mut ChunkPredict<'_>,
-    labeling: Labeling,
+    label: &mut dyn FnMut(&[f64], usize) -> Vec<f64>,
     cfg: &StreamConfig,
 ) -> Result<PoolBuilder, StreamError> {
     let m = source.m();
     let chunk_rows = cfg.effective_chunk_rows();
     let mut builder = PoolBuilder::new(m, cfg)?;
     let mut chunk: Vec<f64> = Vec::new();
-    let mut labels: Vec<f64> = Vec::new();
     loop {
         chunk.clear();
         let got = source.next_chunk(chunk_rows, &mut chunk);
         if got == 0 {
             break;
         }
-        let preds = predict(&chunk, m)?;
-        if preds.len() != got {
+        let labels = label(&chunk, m);
+        if labels.len() != got {
             return Err(StreamError::Predict(format!(
-                "predictor returned {} values for a {got}-row chunk",
-                preds.len()
+                "labeler returned {} labels for a {got}-row chunk",
+                labels.len()
             )));
         }
-        labels.clear();
-        labels.extend(preds.into_iter().map(|p| labeling.apply(p)));
         builder.push_chunk(&chunk, &labels)?;
     }
     if builder.rows() == 0 {
@@ -75,16 +65,17 @@ fn drive(
 }
 
 /// Streams the whole source through pseudo-labeling and the out-of-core
-/// sort, materializing the final [`StreamedPool`]. Bit-identical to the
-/// monolithic generate → `predict_batch` → `Dataset::new` →
-/// `SortedView::new` path for **any** chunk size.
+/// sort, materializing the final [`StreamedPool`]. `label` maps one
+/// chunk (row-major points of the source's width) to one pseudo-label
+/// per row. Bit-identical to the monolithic generate → label →
+/// `Dataset::new` → `SortedView::new` path for **any** chunk size,
+/// provided `label` is row-independent.
 pub fn stream_pool(
     source: &mut dyn ChunkSource,
-    predict: &mut ChunkPredict<'_>,
-    labeling: Labeling,
+    label: &mut dyn FnMut(&[f64], usize) -> Vec<f64>,
     cfg: &StreamConfig,
 ) -> Result<StreamedPool, StreamError> {
-    drive(source, predict, labeling, cfg)?.finish_pool()
+    drive(source, label, cfg)?.finish_pool()
 }
 
 /// Like [`stream_pool`] but finishes into a `.redsart` pool artifact
@@ -95,13 +86,12 @@ pub fn stream_pool(
 /// back).
 pub fn stream_art(
     source: &mut dyn ChunkSource,
-    predict: &mut ChunkPredict<'_>,
-    labeling: Labeling,
+    label: &mut dyn FnMut(&[f64], usize) -> Vec<f64>,
     cfg: &StreamConfig,
     path: &std::path::Path,
     page_rows: u32,
 ) -> Result<StreamStats, StreamError> {
-    drive(source, predict, labeling, cfg)?.finish_art(path, page_rows)
+    drive(source, label, cfg)?.finish_art(path, page_rows)
 }
 
 /// Like [`stream_pool`] but finishes into a digest + stats without
@@ -109,11 +99,10 @@ pub fn stream_art(
 /// used by the peak-RSS benches.
 pub fn stream_scan(
     source: &mut dyn ChunkSource,
-    predict: &mut ChunkPredict<'_>,
-    labeling: Labeling,
+    label: &mut dyn FnMut(&[f64], usize) -> Vec<f64>,
     cfg: &StreamConfig,
 ) -> Result<StreamStats, StreamError> {
-    drive(source, predict, labeling, cfg)?.finish_stats()
+    drive(source, label, cfg)?.finish_stats()
 }
 
 #[cfg(test)]
@@ -125,11 +114,21 @@ mod tests {
     use reds_data::{Dataset, SortedView};
 
     /// A cheap deterministic "metamodel": mean of the coordinates.
-    fn toy_predict(points: &[f64], m: usize) -> Result<Vec<f64>, StreamError> {
-        Ok(points
+    fn toy_predict(points: &[f64], m: usize) -> Vec<f64> {
+        points
             .chunks_exact(m)
             .map(|row| row.iter().sum::<f64>() / m as f64)
-            .collect())
+            .collect()
+    }
+
+    /// Labels a chunk with `toy_predict` under `labeling`.
+    fn toy_labeler(labeling: Labeling) -> impl FnMut(&[f64], usize) -> Vec<f64> {
+        move |points, m| {
+            toy_predict(points, m)
+                .into_iter()
+                .map(|p| labeling.apply(p))
+                .collect()
+        }
     }
 
     fn monolithic_reference(
@@ -140,11 +139,7 @@ mod tests {
     ) -> (Dataset, Vec<Vec<u32>>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let points = reds_sampling::uniform(l, m, &mut rng);
-        let labels: Vec<f64> = toy_predict(&points, m)
-            .unwrap()
-            .into_iter()
-            .map(|p| labeling.apply(p))
-            .collect();
+        let labels = toy_labeler(labeling)(&points, m);
         let d = Dataset::new(points, labels, m).unwrap();
         let cols = SortedView::new(&d).into_columns();
         (d, cols)
@@ -159,7 +154,7 @@ mod tests {
             let mut source =
                 SamplerSource::new(StreamSampler::Uniform, l, m, StdRng::seed_from_u64(seed));
             let cfg = StreamConfig::new().with_chunk_rows(chunk);
-            let pool = stream_pool(&mut source, &mut toy_predict, labeling, &cfg).unwrap();
+            let pool = stream_pool(&mut source, &mut toy_labeler(labeling), &cfg).unwrap();
             assert_eq!(pool.dataset, ref_d, "chunk = {chunk}");
             for (j, ref_col) in ref_cols.iter().enumerate() {
                 assert_eq!(pool.view.column(j), &ref_col[..], "chunk = {chunk}");
@@ -175,7 +170,7 @@ mod tests {
         let mut source =
             SamplerSource::new(StreamSampler::Uniform, l, m, StdRng::seed_from_u64(seed));
         let cfg = StreamConfig::new().with_chunk_rows(10);
-        let pool = stream_pool(&mut source, &mut toy_predict, labeling, &cfg).unwrap();
+        let pool = stream_pool(&mut source, &mut toy_labeler(labeling), &cfg).unwrap();
         assert_eq!(pool.dataset, ref_d);
     }
 
@@ -184,15 +179,11 @@ mod tests {
         let m = 2;
         let pool_values: Vec<f64> = (0..64).map(|i| ((i * 31) % 17) as f64 / 17.0).collect();
         let labeling = Labeling::Hard { bnd: 0.4 };
-        let labels: Vec<f64> = toy_predict(&pool_values, m)
-            .unwrap()
-            .into_iter()
-            .map(|p| labeling.apply(p))
-            .collect();
+        let labels = toy_labeler(labeling)(&pool_values, m);
         let ref_d = Dataset::new(pool_values.clone(), labels, m).unwrap();
         let mut source = SliceSource::new(&pool_values, m).unwrap();
         let cfg = StreamConfig::new().with_chunk_rows(5);
-        let streamed = stream_pool(&mut source, &mut toy_predict, labeling, &cfg).unwrap();
+        let streamed = stream_pool(&mut source, &mut toy_labeler(labeling), &cfg).unwrap();
         assert_eq!(streamed.dataset, ref_d);
     }
 
@@ -203,7 +194,7 @@ mod tests {
         let cfg = StreamConfig::new().with_chunk_rows(33);
         let mut source =
             SamplerSource::new(StreamSampler::Uniform, l, m, StdRng::seed_from_u64(seed));
-        let stats = stream_scan(&mut source, &mut toy_predict, labeling, &cfg).unwrap();
+        let stats = stream_scan(&mut source, &mut toy_labeler(labeling), &cfg).unwrap();
         let (ref_d, ref_cols) = monolithic_reference(l, m, seed, labeling);
         assert_eq!(stats.digest, crate::digest_pool(&ref_cols, ref_d.labels()));
         assert_eq!(stats.rows, l as u64);
@@ -214,14 +205,8 @@ mod tests {
     fn predictor_length_mismatch_is_an_error() {
         let mut source =
             SamplerSource::new(StreamSampler::Uniform, 10, 2, StdRng::seed_from_u64(1));
-        let mut bad = |_: &[f64], _: usize| Ok(vec![0.5; 3]);
-        let err = stream_pool(
-            &mut source,
-            &mut bad,
-            Labeling::Hard { bnd: 0.5 },
-            &StreamConfig::new(),
-        )
-        .unwrap_err();
+        let mut bad = |_: &[f64], _: usize| vec![0.5; 3];
+        let err = stream_pool(&mut source, &mut bad, &StreamConfig::new()).unwrap_err();
         assert!(matches!(err, StreamError::Predict(_)));
     }
 
@@ -230,8 +215,7 @@ mod tests {
         let mut source = SamplerSource::new(StreamSampler::Uniform, 0, 2, StdRng::seed_from_u64(1));
         let err = stream_scan(
             &mut source,
-            &mut toy_predict,
-            Labeling::Hard { bnd: 0.5 },
+            &mut toy_labeler(Labeling::Hard { bnd: 0.5 }),
             &StreamConfig::new(),
         )
         .unwrap_err();

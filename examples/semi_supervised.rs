@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use reds::core::{Reds, RedsConfig};
+use reds::core::{Backing, Pool, Reds, RedsConfig};
 use reds::functions::by_name;
 use reds::metamodel::GbdtParams;
 use reds::metrics::score_box;
@@ -41,7 +41,13 @@ fn main() {
         RedsConfig::default().with_probability_labels(),
     );
     let semi = reds
-        .run_on_pool(&labeled, &pool, &prim, &mut rng)
+        .discover(
+            &labeled,
+            Pool::Given(&pool),
+            &Backing::InMemory,
+            &prim,
+            &mut rng,
+        )
         .expect("pipeline runs");
 
     // Honest evaluation data from the same distribution.

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use reds::core::{NewPointSampler, Reds, RedsConfig};
+use reds::core::{Backing, NewPointSampler, Pool, Reds, RedsConfig};
 use reds::eval::{run_experiment, run_method, ExperimentSpec, MethodOpts};
 use reds::functions::by_name;
 use reds::metamodel::{GbdtParams, RandomForestParams};
@@ -104,7 +104,13 @@ fn semi_supervised_entry_point_uses_the_pool_distribution() {
         RedsConfig::default(),
     );
     let result = reds
-        .run_on_pool(&d, &pool, &Prim::default(), &mut rng)
+        .discover(
+            &d,
+            Pool::Given(&pool),
+            &Backing::InMemory,
+            &Prim::default(),
+            &mut rng,
+        )
         .expect("pool run succeeds");
     let test_points = reds::sampling::uniform(5_000, f.m(), &mut rng);
     let test = f
