@@ -1,5 +1,6 @@
-//! Byte-level layout constants, the header and table-of-contents checks
-//! both readers share, and bounds-checked decoding primitives.
+//! Byte-level layout constants, the header, table-of-contents and
+//! section-header checks both readers share, and bounds-checked
+//! decoding primitives.
 //!
 //! Everything in a `.redsart` file is **little-endian**. The header is
 //! 48 bytes, every section payload starts on an 8-byte boundary
@@ -167,6 +168,182 @@ impl TocEntry {
     }
 }
 
+/// A `u64` from the file that must also fit `usize` (32-bit targets).
+fn usize_of(v: u64, what: &str) -> Result<usize, ArtError> {
+    usize::try_from(v).map_err(|_| corrupt(format!("{what} does not fit this address space")))
+}
+
+/// The section-header decoders' view of an in-memory payload: fills a
+/// buffer from a payload offset.
+pub(crate) fn payload_reader(
+    payload: &[u8],
+) -> impl FnMut(u64, &mut [u8]) -> Result<(), ArtError> + '_ {
+    move |at, buf| {
+        let src = usize::try_from(at)
+            .ok()
+            .and_then(|at| payload.get(at..at.checked_add(buf.len())?))
+            .ok_or_else(|| corrupt("read past the section payload"))?;
+        buf.copy_from_slice(src);
+        Ok(())
+    }
+}
+
+/// The header of a DATASET section: `n: u64` and `m: u64`, followed by
+/// `n·m` row-major points and `n` labels, all `f64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DatasetHeader {
+    n: usize,
+    m: usize,
+}
+
+impl DatasetHeader {
+    /// Header length in bytes; the points start right after it.
+    pub const LEN: usize = 16;
+
+    /// Decodes the header of a DATASET payload of verified length
+    /// `payload_len`, reading it through `read(offset, buf)`, and checks
+    /// that the payload is exactly `16 + 8·(n·m + n)` bytes (checked
+    /// arithmetic). Reads nothing past the header.
+    pub fn read(
+        payload_len: u64,
+        read: impl FnOnce(u64, &mut [u8]) -> Result<(), ArtError>,
+    ) -> Result<Self, ArtError> {
+        if payload_len < Self::LEN as u64 {
+            return Err(corrupt("dataset section is shorter than its header"));
+        }
+        let mut head = [0u8; Self::LEN];
+        read(0, &mut head)?;
+        let (n, m) = (le_u64(&head[..8]), le_u64(&head[8..]));
+        let want = n
+            .checked_mul(m)
+            .and_then(|cells| cells.checked_add(n))
+            .and_then(|values| values.checked_mul(8))
+            .and_then(|bytes| bytes.checked_add(Self::LEN as u64));
+        if want != Some(payload_len) {
+            return Err(corrupt(format!(
+                "dataset section of {payload_len} bytes does not hold n = {n}, m = {m}"
+            )));
+        }
+        Ok(Self {
+            n: usize_of(n, "dataset row count")?,
+            m: usize_of(m, "dataset column count")?,
+        })
+    }
+
+    /// Row count.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Column count.
+    pub fn m(&self) -> usize {
+        self.m
+    }
+
+    /// Payload offset of the first label (the points end there).
+    pub fn labels_at(&self) -> u64 {
+        // Cannot overflow: `read` checked the payload holds all points.
+        Self::LEN as u64 + 8 * self.n as u64 * self.m as u64
+    }
+}
+
+/// The header of a COLUMN section: `column: u32`, `reserved: u32`
+/// (zero), `n_rows: u64`, `run_count: u64` and one `u64` length per
+/// run, followed by the packed 12-byte records and zero padding to 8.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnHeader {
+    column: usize,
+    n_rows: usize,
+    runs: Vec<usize>,
+}
+
+impl ColumnHeader {
+    /// Length of the fields before the run table.
+    const FIXED_LEN: u64 = 24;
+
+    /// Decodes the header of a COLUMN payload of verified length
+    /// `payload_len`, reading it through `read(offset, buf)`, and
+    /// checks: `reserved == 0`; a payload of exactly the header, the
+    /// records and the padding to 8 (checked arithmetic); run lengths
+    /// summing to `n_rows`; zero padding. Reads the header and the ≤ 4
+    /// padding bytes, never the records.
+    pub fn read(
+        payload_len: u64,
+        mut read: impl FnMut(u64, &mut [u8]) -> Result<(), ArtError>,
+    ) -> Result<Self, ArtError> {
+        if payload_len < Self::FIXED_LEN {
+            return Err(corrupt("column section is shorter than its header"));
+        }
+        let mut fixed = [0u8; Self::FIXED_LEN as usize];
+        read(0, &mut fixed)?;
+        let column = le_u32(&fixed[..4]);
+        if le_u32(&fixed[4..8]) != 0 {
+            return Err(corrupt("column reserved field must be zero"));
+        }
+        let (n_rows, run_count) = (le_u64(&fixed[8..16]), le_u64(&fixed[16..24]));
+        // The record area's bounds, proven to fit the payload before the
+        // run table (sized by the untrusted count) is read.
+        let records_at = run_count
+            .checked_mul(8)
+            .and_then(|table| table.checked_add(Self::FIXED_LEN));
+        let records_end = records_at
+            .and_then(|at| at.checked_add(n_rows.checked_mul(12)?))
+            .filter(|end| end.checked_next_multiple_of(8) == Some(payload_len));
+        let (Some(records_at), Some(records_end)) = (records_at, records_end) else {
+            return Err(corrupt(format!(
+                "column {column} section of {payload_len} bytes does not hold \
+                 {run_count} runs of {n_rows} rows"
+            )));
+        };
+        let mut table = vec![0u8; usize_of(records_at - Self::FIXED_LEN, "run table")?];
+        read(Self::FIXED_LEN, &mut table)?;
+        let mut runs = Vec::with_capacity(table.len() / 8);
+        let mut total = 0u64;
+        for len in table.chunks_exact(8).map(le_u64) {
+            total = total
+                .checked_add(len)
+                .ok_or_else(|| corrupt("run lengths overflow"))?;
+            runs.push(usize_of(len, "run length")?);
+        }
+        if total != n_rows {
+            return Err(corrupt(format!(
+                "run lengths sum to {total}, column records {n_rows} rows"
+            )));
+        }
+        let mut pad = [0u8; 8];
+        let pad = &mut pad[..(payload_len - records_end) as usize];
+        read(records_end, pad)?;
+        if pad.iter().any(|&b| b != 0) {
+            return Err(corrupt("nonzero alignment padding"));
+        }
+        Ok(Self {
+            column: column as usize,
+            n_rows: usize_of(n_rows, "column row count")?,
+            runs,
+        })
+    }
+
+    /// Which dataset column the records sort.
+    pub fn column(&self) -> usize {
+        self.column
+    }
+
+    /// Records across all runs.
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Records in each sorted run, in file order; they sum to `n_rows`.
+    pub fn runs(&self) -> &[usize] {
+        &self.runs
+    }
+
+    /// Payload offset of the first record.
+    pub fn records_at(&self) -> u64 {
+        Self::FIXED_LEN + 8 * self.runs.len() as u64
+    }
+}
+
 /// A bounds-checked little-endian cursor over a section payload. Every
 /// read returns a structured error instead of panicking — this is the
 /// only way payload bytes are decoded.
@@ -178,11 +355,6 @@ pub(crate) struct Cur<'a> {
 impl<'a> Cur<'a> {
     pub(crate) fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
-    }
-
-    /// Offset of the next unread byte (relative to the payload start).
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
     }
 
     /// Takes the next `n` bytes.
@@ -233,8 +405,7 @@ impl<'a> Cur<'a> {
 
     /// A `u64` count that must also fit `usize` (32-bit targets).
     pub(crate) fn count(&mut self, what: &str) -> Result<usize, ArtError> {
-        usize::try_from(self.u64(what)?)
-            .map_err(|_| corrupt(format!("{what} does not fit this address space")))
+        usize_of(self.u64(what)?, what)
     }
 
     /// Skips alignment padding up to the next multiple of `align`
@@ -260,5 +431,100 @@ impl<'a> Cur<'a> {
             )));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Decodes `payload` through a reader that logs every byte range
+    /// it is asked for.
+    fn logged<T>(
+        payload: &[u8],
+        decode: impl FnOnce(&mut dyn FnMut(u64, &mut [u8]) -> Result<(), ArtError>) -> T,
+    ) -> (T, Vec<std::ops::Range<u64>>) {
+        let mut reads = Vec::new();
+        let mut inner = payload_reader(payload);
+        let out = decode(&mut |at, buf| {
+            reads.push(at..at + buf.len() as u64);
+            inner(at, buf)
+        });
+        (out, reads)
+    }
+
+    fn dataset(n: u64, m: u64, values: usize) -> Vec<u8> {
+        let mut b = [n.to_le_bytes(), m.to_le_bytes()].concat();
+        b.resize(b.len() + 8 * values, 0);
+        b
+    }
+
+    /// A COLUMN payload: header, `n_rows` zero records, `pad` padding.
+    fn column(reserved: u32, n_rows: u64, runs: &[u64], pad: &[u8]) -> Vec<u8> {
+        let mut b = [3u32.to_le_bytes(), reserved.to_le_bytes()].concat();
+        b.extend(n_rows.to_le_bytes());
+        b.extend((runs.len() as u64).to_le_bytes());
+        runs.iter().for_each(|r| b.extend(r.to_le_bytes()));
+        b.resize(b.len() + 12 * n_rows as usize, 0);
+        b.extend(pad);
+        b
+    }
+
+    #[test]
+    fn dataset_header_reads_only_the_header_and_checks_the_length() {
+        let payload = dataset(3, 2, 3 * 2 + 3);
+        let (head, reads) = logged(&payload, |r| DatasetHeader::read(payload.len() as u64, r));
+        assert_eq!(head.unwrap(), DatasetHeader { n: 3, m: 2 });
+        assert_eq!(reads, vec![0..16]);
+        assert_eq!(DatasetHeader { n: 3, m: 2 }.labels_at(), 16 + 48);
+        for bad in [
+            dataset(3, 2, 8),        // one value short
+            dataset(3, 2, 10),       // one value over
+            dataset(u64::MAX, 2, 0), // n·m overflows
+            dataset(1 << 61, 0, 0),  // 8·n overflows
+            b"short".to_vec(),       // no header
+        ] {
+            let err = DatasetHeader::read(bad.len() as u64, payload_reader(&bad));
+            assert!(matches!(err, Err(ArtError::Corrupt(_))), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn column_header_reads_header_and_padding_only_and_enforces_the_rules() {
+        // Two runs, odd n: 12·5 record bytes leave 4 bytes of padding.
+        let payload = column(0, 5, &[2, 3], &[0; 4]);
+        let (head, reads) = logged(&payload, |r| ColumnHeader::read(payload.len() as u64, r));
+        let head = head.unwrap();
+        let want = ColumnHeader {
+            column: 3,
+            n_rows: 5,
+            runs: vec![2, 3],
+        };
+        assert_eq!(head, want);
+        assert_eq!(head.records_at(), 40);
+        assert_eq!(reads, vec![0..24, 24..40, 100..104]);
+
+        let cases = [
+            ("reserved word set", column(1, 5, &[2, 3], &[0; 4])),
+            ("nonzero padding", column(0, 5, &[2, 3], &[0, 0, 7, 0])),
+            ("missing padding", column(0, 5, &[2, 3], &[])),
+            ("runs sum short", column(0, 5, &[2, 2], &[0; 4])),
+            ("runs sum wraps", column(0, 5, &[u64::MAX, 6], &[0; 4])),
+            ("run count overflows", {
+                let mut b = column(0, 0, &[], &[]);
+                b[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+                b
+            }),
+            ("row count overflows", {
+                let mut b = column(0, 0, &[], &[]);
+                b[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+                b
+            }),
+            ("no header", vec![0; 16]),
+        ];
+        for (what, bad) in cases {
+            let err = ColumnHeader::read(bad.len() as u64, payload_reader(&bad));
+            assert!(matches!(err, Err(ArtError::Corrupt(_))), "{what}: {err:?}");
+        }
     }
 }

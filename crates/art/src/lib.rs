@@ -11,44 +11,52 @@
 //!   the record layout `reds-stream` spills, rank-addressable when
 //!   merged to a single run.
 //!
-//! The reader ([`ArtFile::open`]) memory-maps the file and refuses to
-//! expose a single byte of payload before the full verification chain
-//! passes: magic, version, recorded-vs-actual length, a whole-file
-//! [`Checksum`], per-section bounds/alignment/checksums, and then the
-//! same structural validation `reds-json` loading performs
-//! (`FlatTree` invariants via
-//! [`FlatTree::from_parts`](reds_metamodel::FlatTree::from_parts),
-//! shape checks on SVM/dataset buffers). A crafted `.redsart` can no
-//! more loop `predict` or read out of bounds than a crafted JSON model
-//! document can — and because every step of the checksum is a
-//! bijection in the word it consumes, *any* single-byte corruption of
-//! a valid file is guaranteed to change the whole-file digest and be
-//! rejected.
+//! Two readers share one verification chain — magic, version,
+//! recorded-vs-actual length, a whole-file [`Checksum`],
+//! per-section bounds/alignment/checksums — and one decoder per section
+//! header ([`DatasetHeader`], [`ColumnHeader`], [`PageIndex`]). Which
+//! reader runs is the consumer's choice:
+//!
+//! * [`ArtFile::open`] reads the file once into owned memory and
+//!   verifies that copy, for consumers that decode a whole artifact (a
+//!   served model, `load_art_pool`). It then runs the same structural
+//!   validation `reds-json` loading performs (`FlatTree` invariants via
+//!   [`FlatTree::from_parts`](reds_metamodel::FlatTree::from_parts),
+//!   shape checks on SVM/dataset buffers);
+//! * [`ArtScan::open`] verifies by streaming and then reads by
+//!   position, for the bounded-memory paged store.
+//!
+//! A crafted `.redsart` can no more loop `predict` or read out of
+//! bounds than a crafted JSON model document can — and because every
+//! step of the checksum is a bijection in the word it consumes, *any*
+//! single-byte corruption of a valid file is guaranteed to change the
+//! whole-file digest and be rejected.
 //!
 //! `reds-json` remains the interchange format; `.redsart` is the
 //! deployment format. Opening one reads every byte twice for the
-//! checksums (whole file, then per section) and decodes the model with no JSON parsing into the same
-//! owned [`SavedModel`](reds_metamodel::SavedModel) the JSON loader
-//! builds, so a loaded model never reads its file again.
+//! checksums (whole file, then per section) and decodes the model with
+//! no JSON parsing into the same owned
+//! [`SavedModel`](reds_metamodel::SavedModel) the JSON loader builds,
+//! so a loaded model never reads its file again. The crate has no
+//! `unsafe` code.
 //!
 //! See `docs/artifact-format.md` for the byte-level layout.
 
 #![warn(missing_docs)]
 
-mod bytes;
 mod checksum;
 mod layout;
 mod read;
 mod scan;
 mod write;
 
-pub use bytes::ArtBytes;
 pub use checksum::Checksum;
 pub use layout::{
-    FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, HEADER_LEN, MAGIC, SECTION_COLUMN, SECTION_DATASET,
-    SECTION_META, SECTION_MODEL, SECTION_PAGE_INDEX, TOC_ENTRY_LEN, VERSION,
+    ColumnHeader, DatasetHeader, FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, HEADER_LEN, MAGIC,
+    SECTION_COLUMN, SECTION_DATASET, SECTION_META, SECTION_MODEL, SECTION_PAGE_INDEX,
+    TOC_ENTRY_LEN, VERSION,
 };
-pub use read::{ArtFile, ArtMeta, ColumnSection, MappedArtifact, SectionInfo};
+pub use read::{read_regular_file, ArtFile, ArtMeta, ColumnSection, PackedArtifact};
 pub use scan::{ArtScan, PageIndex, ScanSection, DEFAULT_PAGE_ROWS};
 pub use write::{write_model_artifact, ArtWriter, ModelArtifactSpec};
 
@@ -57,7 +65,7 @@ pub use write::{write_model_artifact, ArtWriter, ModelArtifactSpec};
 /// the readers never panic on file contents.
 #[derive(Debug)]
 pub enum ArtError {
-    /// Underlying filesystem / mapping failure.
+    /// Underlying filesystem failure.
     Io(std::io::Error),
     /// The bytes violate the format: truncated, bad magic, checksum
     /// mismatch, out-of-bounds section, or a payload failing the same

@@ -1,7 +1,8 @@
-//! Verified memory-mapped `.redsart` reader.
+//! Verified in-memory `.redsart` reader.
 //!
-//! [`ArtFile::open`] runs the full verification chain before any
-//! payload is exposed, in this order:
+//! [`ArtFile::open`] reads the file once into owned memory
+//! ([`read_regular_file`]) and runs the full verification chain over
+//! that copy before any payload is exposed, in this order:
 //!
 //! 1. length ≥ header, magic, version (a version other than
 //!    [`VERSION`](crate::VERSION) is [`ArtError::Unsupported`]);
@@ -16,128 +17,140 @@
 //! 5. on typed access, bounds-checked little-endian decoding plus the
 //!    same structural validation the JSON loaders run
 //!    (`FlatTree::from_parts` arena invariants, SVM/dataset shape
-//!    checks, sorted-run checks).
+//!    checks, sorted-run checks). DATASET and COLUMN headers go through
+//!    [`DatasetHeader`] and [`ColumnHeader`], the decoders the paged
+//!    store uses too.
 //!
 //! No check reads the zero padding between sections or anything between
 //! the last section and the table of contents: those bytes are covered
 //! by the whole-file checksum alone. (Alignment padding *inside* a
 //! payload is checked when the payload is decoded.)
 //!
+//! Every decoder reads with `from_le_bytes`, so the buffer needs no
+//! alignment. Because the checks run on the copy, a file rewritten
+//! while it is read fails a checksum instead of faulting the process.
 //! Models and datasets decode into owned memory ([`ArtFile::model`]
 //! yields the same [`SavedModel`] the `reds-json` loader does), so a
-//! loaded model never reads the file again. Column sections stay
-//! borrowed from the buffer and are read through it on demand.
+//! loaded model never reads the file again.
 
 use std::collections::BinaryHeap;
-use std::ops::Range;
+use std::fs::File;
+use std::io::Read;
 use std::path::Path;
-use std::sync::Arc;
 
 use reds_data::Dataset;
 use reds_metamodel::{FlatTree, Gbdt, RandomForest, SavedModel, Svm};
 
-use crate::bytes::ArtBytes;
 use crate::layout::{
-    Cur, Header, TocEntry, FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, HEADER_LEN, SECTION_COLUMN,
-    SECTION_DATASET, SECTION_META, SECTION_MODEL, TOC_ENTRY_LEN,
+    payload_reader, ColumnHeader, Cur, DatasetHeader, Header, TocEntry, FAMILY_FOREST, FAMILY_GBDT,
+    FAMILY_SVM, HEADER_LEN, SECTION_COLUMN, SECTION_DATASET, SECTION_META, SECTION_MODEL,
+    SECTION_PAGE_INDEX, TOC_ENTRY_LEN,
 };
-use crate::{corrupt, ArtError, Checksum};
+use crate::{corrupt, ArtError, Checksum, PageIndex, ScanSection};
 
-/// One table-of-contents entry, as exposed to callers.
-#[derive(Debug, Clone, Copy)]
-pub struct SectionInfo {
-    /// Section kind code (`SECTION_*`; unknown kinds are tolerated for
-    /// forward compatibility — they are checksummed but never parsed).
-    pub kind: u32,
-    /// Payload length in bytes.
-    pub len: usize,
+/// Reads a whole regular file with one read of exactly the length its
+/// metadata reports. Anything else — a directory, a character device
+/// such as `/dev/zero`, a FIFO — is refused before a byte is read, so
+/// no path can stream unbounded input into memory.
+pub fn read_regular_file(path: &Path) -> std::io::Result<Vec<u8>> {
+    // Checked before opening: opening a FIFO blocks until a writer
+    // appears.
+    let meta = std::fs::metadata(path)?;
+    if !meta.is_file() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{} is not a regular file", path.display()),
+        ));
+    }
+    let len = usize::try_from(meta.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "file too large for this address space",
+        )
+    })?;
+    let mut bytes = vec![0u8; len];
+    File::open(path)?.read_exact(&mut bytes)?;
+    Ok(bytes)
 }
 
-struct Section {
-    kind: u32,
-    range: Range<usize>,
-}
-
-/// A verified `.redsart` file, memory-mapped while it is open.
+/// A verified `.redsart` file, held in memory while it is open.
 pub struct ArtFile {
-    bytes: Arc<ArtBytes>,
-    sections: Vec<Section>,
+    bytes: Vec<u8>,
+    sections: Vec<ScanSection>,
 }
 
 impl ArtFile {
-    /// Maps `path` and runs the verification chain (see module docs).
+    /// Reads `path` once and runs the verification chain (see module
+    /// docs) over that copy.
     pub fn open(path: &Path) -> Result<Self, ArtError> {
-        let bytes = Arc::new(ArtBytes::open(path)?);
-        Self::from_bytes(bytes)
+        Self::from_bytes(read_regular_file(path)?)
     }
 
-    /// Verifies an already-loaded buffer (the mmap-free entry point,
-    /// also used by the byte-mutation tests).
-    pub fn from_bytes(bytes: Arc<ArtBytes>) -> Result<Self, ArtError> {
-        let buf: &[u8] = &bytes;
-        if buf.len() < HEADER_LEN {
+    /// Runs the verification chain over a whole file's bytes.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, ArtError> {
+        if bytes.len() < HEADER_LEN {
             return Err(corrupt(format!(
                 "file of {} bytes is shorter than the {HEADER_LEN}-byte header",
-                buf.len()
+                bytes.len()
             )));
         }
-        let head: &[u8; HEADER_LEN] = buf[..HEADER_LEN].try_into().expect("header length");
-        let header = Header::parse(head, buf.len() as u64)?;
+        let head: &[u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().expect("header length");
+        let header = Header::parse(head, bytes.len() as u64)?;
         // Whole-file checksum, with the checksum field itself zeroed.
         let mut sum = Header::sum_start(head);
-        sum.update(&buf[HEADER_LEN..]);
+        sum.update(&bytes[HEADER_LEN..]);
         header.verify(&sum)?;
         // Per-section bounds, alignment, and payload checksums.
-        let toc = &buf[header.toc_offset as usize..];
+        let toc = &bytes[header.toc_offset as usize..];
         let mut sections = Vec::with_capacity(header.section_count);
         for (i, e) in toc.chunks_exact(TOC_ENTRY_LEN).enumerate() {
             let entry = TocEntry::parse(e, i, header.toc_offset)?;
-            let range = entry.offset as usize..(entry.offset + entry.len) as usize;
             let mut sum = Checksum::new();
-            sum.update(&buf[range.clone()]);
+            sum.update(&bytes[entry.offset as usize..(entry.offset + entry.len) as usize]);
             entry.verify(i, &sum)?;
-            sections.push(Section {
+            sections.push(ScanSection {
                 kind: entry.kind,
-                range,
+                offset: entry.offset,
+                len: entry.len,
             });
         }
         Ok(Self { bytes, sections })
     }
 
-    /// The table of contents (unknown kinds included).
-    pub fn sections(&self) -> Vec<SectionInfo> {
+    /// The verified table of contents (unknown kinds included).
+    pub fn sections(&self) -> &[ScanSection] {
+        &self.sections
+    }
+
+    /// A verified section's payload (its bounds lie inside the file,
+    /// which is in memory).
+    fn payload(&self, s: &ScanSection) -> &[u8] {
+        &self.bytes[s.offset as usize..(s.offset + s.len) as usize]
+    }
+
+    /// The payload of the one section of `kind`.
+    fn unique(&self, kind: u32, name: &str) -> Result<&[u8], ArtError> {
+        let mut found = self.sections.iter().filter(|s| s.kind == kind);
+        match (found.next(), found.next()) {
+            (Some(s), None) => Ok(self.payload(s)),
+            (None, _) => Err(ArtError::Unsupported(format!("no {name} section"))),
+            (Some(_), Some(_)) => Err(ArtError::Unsupported(format!(
+                "multiple {name} sections (expected exactly one)"
+            ))),
+        }
+    }
+
+    /// The payloads of every section of `kind`, in file order.
+    fn all(&self, kind: u32) -> impl Iterator<Item = &[u8]> {
         self.sections
             .iter()
-            .map(|s| SectionInfo {
-                kind: s.kind,
-                len: s.range.len(),
-            })
-            .collect()
-    }
-
-    fn payload(&self, idx: usize) -> &[u8] {
-        &self.bytes[self.sections[idx].range.clone()]
-    }
-
-    fn find_unique(&self, kind: u32, name: &str) -> Result<usize, ArtError> {
-        let mut found = None;
-        for (i, s) in self.sections.iter().enumerate() {
-            if s.kind == kind {
-                if found.is_some() {
-                    return Err(ArtError::Unsupported(format!(
-                        "multiple {name} sections (expected exactly one)"
-                    )));
-                }
-                found = Some(i);
-            }
-        }
-        found.ok_or_else(|| ArtError::Unsupported(format!("no {name} section")))
+            .filter(move |s| s.kind == kind)
+            .map(|s| self.payload(s))
     }
 
     /// Decodes the metadata section.
     pub fn meta(&self) -> Result<ArtMeta, ArtError> {
-        let idx = self.find_unique(SECTION_META, "metadata")?;
-        let mut cur = Cur::new(self.payload(idx));
+        let mut cur = Cur::new(self.unique(SECTION_META, "metadata")?);
         let family = cur.u32("meta family")?;
         let m = cur.u32("meta m")? as usize;
         let seed = cur.u64("meta seed")?;
@@ -162,8 +175,7 @@ impl ArtFile {
     /// the same [`SavedModel`] the `reds-json` loader builds, so both
     /// formats predict through one code path.
     pub fn model(&self) -> Result<SavedModel, ArtError> {
-        let idx = self.find_unique(SECTION_MODEL, "model")?;
-        let mut cur = Cur::new(self.payload(idx));
+        let mut cur = Cur::new(self.unique(SECTION_MODEL, "model")?);
         let family = cur.u32("model family")?;
         let m = cur.u32("model m")? as usize;
         let model = match family {
@@ -201,42 +213,24 @@ impl ArtFile {
     /// Decodes and validates the dataset section into an owned
     /// [`Dataset`].
     pub fn dataset(&self) -> Result<Dataset, ArtError> {
-        let idx = self.find_unique(SECTION_DATASET, "dataset")?;
-        let mut cur = Cur::new(self.payload(idx));
-        let n = cur.count("dataset row count")?;
-        let m = cur.count("dataset column count")?;
-        let cells = n
-            .checked_mul(m)
-            .ok_or_else(|| corrupt("dataset size overflows"))?;
-        let points = cur.array(cells, "dataset points", f64::from_le_bytes)?;
+        let payload = self.unique(SECTION_DATASET, "dataset")?;
+        let head = DatasetHeader::read(payload.len() as u64, payload_reader(payload))?;
+        let (n, m) = (head.n(), head.m());
+        // The header checked that the two arrays fill the payload exactly.
+        let mut cur = Cur::new(&payload[DatasetHeader::LEN..]);
+        let points = cur.array(n * m, "dataset points", f64::from_le_bytes)?;
         let labels = cur.array(n, "dataset labels", f64::from_le_bytes)?;
-        cur.finish("dataset")?;
         Dataset::new(points, labels, m).map_err(|e| corrupt(format!("dataset rejected: {e}")))
     }
 
     /// Decodes and validates every column section, in file order.
-    pub fn columns(&self) -> Result<Vec<ColumnSection>, ArtError> {
-        let mut out = Vec::new();
-        for (i, s) in self.sections.iter().enumerate() {
-            if s.kind == SECTION_COLUMN {
-                out.push(ColumnSection::parse(
-                    Arc::clone(&self.bytes),
-                    self.sections[i].range.clone(),
-                )?);
-            }
-        }
-        Ok(out)
+    pub fn columns(&self) -> Result<Vec<ColumnSection<'_>>, ArtError> {
+        self.all(SECTION_COLUMN).map(ColumnSection::parse).collect()
     }
 
     /// Decodes and validates every page-index section, in file order.
-    pub fn page_indexes(&self) -> Result<Vec<crate::PageIndex>, ArtError> {
-        let mut out = Vec::new();
-        for s in &self.sections {
-            if s.kind == crate::SECTION_PAGE_INDEX {
-                out.push(crate::PageIndex::parse(&self.bytes[s.range.clone()])?);
-            }
-        }
-        Ok(out)
+    pub fn page_indexes(&self) -> Result<Vec<PageIndex>, ArtError> {
+        self.all(SECTION_PAGE_INDEX).map(PageIndex::parse).collect()
     }
 }
 
@@ -281,11 +275,10 @@ fn decode_trees(cur: &mut Cur<'_>, m: usize) -> Result<Vec<FlatTree>, ArtError> 
     Ok(trees)
 }
 
-/// A complete model artifact decoded from a `.redsart` file — the
-/// counterpart of the `reds-serve` JSON artifact. Everything is owned:
-/// the file is mapped only while [`MappedArtifact::open`] verifies and
-/// decodes it.
-pub struct MappedArtifact {
+/// A complete model artifact decoded from a `.redsart` file's bytes —
+/// the counterpart of the `reds-serve` JSON artifact. Everything is
+/// owned.
+pub struct PackedArtifact {
     /// Benchmark-function name.
     pub function: String,
     /// Training RNG seed.
@@ -300,12 +293,13 @@ pub struct MappedArtifact {
     pub train: Dataset,
 }
 
-impl MappedArtifact {
-    /// Opens and cross-validates a packed model artifact: sections
-    /// present exactly once, family/dimensionality consistent between
-    /// metadata, model, and training data, training set non-empty.
-    pub fn open(path: &Path) -> Result<Self, ArtError> {
-        let file = ArtFile::open(path)?;
+impl PackedArtifact {
+    /// Verifies, decodes and cross-validates a packed model artifact
+    /// read whole into `bytes`: sections present exactly once,
+    /// family/dimensionality consistent between metadata, model, and
+    /// training data, training set non-empty.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, ArtError> {
+        let file = ArtFile::from_bytes(bytes)?;
         let meta = file.meta()?;
         let model = file.model()?;
         let train = file.dataset()?;
@@ -335,64 +329,33 @@ impl MappedArtifact {
 }
 
 /// One column's sorted `(key u64, row u32)` runs, borrowed from the
-/// mapping — the on-disk twin of `reds-stream`'s spill runs. With a
+/// [`ArtFile`] — the on-disk twin of `reds-stream`'s spill runs. With a
 /// single merged run the records are **rank-addressable**: record `i`
 /// is the `i`-th smallest `(key, row)` of the column.
-pub struct ColumnSection {
-    bytes: Arc<ArtBytes>,
+pub struct ColumnSection<'a> {
     column: usize,
     n_rows: usize,
-    /// Per-run byte ranges of the packed 12-byte records.
-    runs: Vec<Range<usize>>,
+    /// Each run's packed 12-byte records.
+    runs: Vec<&'a [u8]>,
 }
 
-impl ColumnSection {
-    fn parse(bytes: Arc<ArtBytes>, range: Range<usize>) -> Result<Self, ArtError> {
-        let base = range.start;
-        let payload = &bytes[range.clone()];
-        let mut cur = Cur::new(payload);
-        let column = cur.u32("column index")? as usize;
-        let reserved = cur.u32("column reserved")?;
-        if reserved != 0 {
-            return Err(corrupt("column reserved field must be zero"));
-        }
-        let n_rows = cur.count("column row count")?;
-        let run_count = cur.count("run count")?;
-        // Take the run-length table before allocating from its size.
-        let table_bytes = run_count
-            .checked_mul(8)
-            .ok_or_else(|| corrupt("run table size overflows"))?;
-        let table = cur.take(table_bytes, "run lengths")?;
-        let mut runs = Vec::with_capacity(table.len() / 8);
-        let mut total = 0usize;
-        let mut pos = base + cur.pos();
-        for chunk in table.chunks_exact(8) {
-            let len = usize::try_from(u64::from_le_bytes(chunk.try_into().expect("8 bytes")))
-                .map_err(|_| corrupt("run length does not fit this address space"))?;
-            let byte_len = len
-                .checked_mul(12)
-                .ok_or_else(|| corrupt("run size overflows"))?;
-            runs.push(pos..pos + byte_len);
-            pos += byte_len;
-            total = total
-                .checked_add(len)
-                .ok_or_else(|| corrupt("run lengths overflow"))?;
-        }
-        if total != n_rows {
-            return Err(corrupt(format!(
-                "run lengths sum to {total}, column records {n_rows} rows"
-            )));
-        }
-        let record_bytes = n_rows
-            .checked_mul(12)
-            .ok_or_else(|| corrupt("record area overflows"))?;
-        cur.take(record_bytes, "column records")?;
-        cur.align(8)?;
-        cur.finish("column")?;
+impl<'a> ColumnSection<'a> {
+    fn parse(payload: &'a [u8]) -> Result<Self, ArtError> {
+        let header = ColumnHeader::read(payload.len() as u64, payload_reader(payload))?;
+        // The header checked that the runs fill the record area.
+        let mut records = &payload[header.records_at() as usize..];
+        let runs = header
+            .runs()
+            .iter()
+            .map(|&len| {
+                let (run, rest) = records.split_at(12 * len);
+                records = rest;
+                run
+            })
+            .collect();
         Ok(Self {
-            bytes,
-            column,
-            n_rows,
+            column: header.column(),
+            n_rows: header.n_rows(),
             runs,
         })
     }
@@ -415,8 +378,7 @@ impl ColumnSection {
     /// Record `i` of run `run` (packed little-endian decode — records
     /// are 12 bytes, so they are read byte-wise, not cast).
     pub fn record(&self, run: usize, i: usize) -> (u64, u32) {
-        let r = &self.bytes[self.runs[run].clone()];
-        let rec = &r[i * 12..(i + 1) * 12];
+        let rec = &self.runs[run][i * 12..(i + 1) * 12];
         let key = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
         let row = u32::from_le_bytes(rec[8..12].try_into().expect("4 bytes"));
         (key, row)

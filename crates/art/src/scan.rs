@@ -1,11 +1,10 @@
-//! Streaming (mmap-free) `.redsart` verification and positioned reads.
+//! Streaming `.redsart` verification and positioned reads.
 //!
-//! The mmap reader ([`ArtFile`](crate::ArtFile)) is the right tool when
-//! the whole artifact is welcome in the address space. The out-of-core
-//! search path is the opposite case: its entire point is that resident
-//! memory stays bounded by a page-cache budget, and mapping the file
-//! would make every touched page count against the process — peak-RSS
-//! accounting under `mmap` reflects the file size, not the working set.
+//! The in-memory reader ([`ArtFile`](crate::ArtFile)) is the right tool
+//! when the whole artifact is welcome in memory. The out-of-core search
+//! path is the opposite case: its entire point is that resident memory
+//! stays bounded by a page-cache budget, so it can neither copy nor map
+//! the file.
 //!
 //! [`ArtScan`] therefore verifies the **identical** chain
 //! `ArtFile::from_bytes` runs — header, recorded length, TOC geometry,
@@ -13,9 +12,11 @@
 //! zeroed, per-section bounds/alignment/checksums — using only a
 //! bounded streaming buffer, and then serves positioned reads (`pread`)
 //! against the verified byte ranges. Any single-byte corruption is
-//! rejected up front for the same bijection reason as the mmap path.
-//! Like the mmap path, it reads the padding between sections only
-//! through the whole-file checksum.
+//! rejected up front for the same bijection reason as the in-memory
+//! path, which it also follows in reading the padding between sections
+//! only through the whole-file checksum. The reads after verification
+//! go to the file again, so a pool artifact must not change while a run
+//! uses it.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
@@ -25,9 +26,8 @@ use std::path::Path;
 use crate::layout::{Cur, Header, TocEntry, HEADER_LEN, TOC_ENTRY_LEN};
 use crate::{corrupt, ArtError, Checksum};
 
-/// One verified section as the streaming reader exposes it: absolute
-/// payload position instead of a borrowed slice.
-#[derive(Debug, Clone, Copy)]
+/// One verified table-of-contents entry, as both readers list it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanSection {
     /// Section kind code (`SECTION_*`).
     pub kind: u32,
@@ -37,9 +37,9 @@ pub struct ScanSection {
     pub len: u64,
 }
 
-/// A verified `.redsart` file served by positioned reads instead of a
-/// memory mapping (see the module docs for why out-of-core readers
-/// must not map).
+/// A verified `.redsart` file served by positioned reads (see the
+/// module docs for why out-of-core readers must not hold the file in
+/// memory).
 pub struct ArtScan {
     file: File,
     file_len: u64,
@@ -66,7 +66,7 @@ fn sum_range(file: &mut File, offset: u64, len: u64, sum: &mut Checksum) -> Resu
 impl ArtScan {
     /// Opens and verifies `path` with bounded memory: the same checks,
     /// in the same order, as [`ArtFile::from_bytes`](crate::ArtFile) —
-    /// just streamed instead of mapped.
+    /// just streamed instead of read whole.
     pub fn open(path: &Path) -> Result<Self, ArtError> {
         let mut file = File::open(path)?;
         let actual_len = file.metadata()?.len();
@@ -233,17 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_agrees_with_the_mapped_reader() {
+    fn scan_agrees_with_the_in_memory_reader() {
         let path = scratch("agree");
         tiny_artifact(&path);
         let scan = ArtScan::open(&path).unwrap();
-        let mapped = crate::ArtFile::open(&path).unwrap();
-        let msecs = mapped.sections();
-        assert_eq!(scan.sections().len(), msecs.len());
-        for (s, m) in scan.sections().iter().zip(&msecs) {
-            assert_eq!(s.kind, m.kind);
-            assert_eq!(s.len as usize, m.len);
-        }
+        let file = crate::ArtFile::open(&path).unwrap();
+        assert_eq!(scan.sections(), file.sections());
         // Positioned reads return the exact payload bytes.
         let sec = scan.sections()[0];
         let mut buf = vec![0u8; sec.len as usize];

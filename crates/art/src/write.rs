@@ -319,7 +319,7 @@ pub(crate) fn family_code(model: &SavedModel) -> u32 {
 
 /// Packs a complete model artifact (META + MODEL + DATASET sections)
 /// to `path`. The encoding preserves every bit of the model arrays, so
-/// loading back through [`MappedArtifact`](crate::MappedArtifact)
+/// loading back through [`PackedArtifact`](crate::PackedArtifact)
 /// predicts bit-identically to the in-memory model.
 pub fn write_model_artifact(path: &Path, spec: &ModelArtifactSpec<'_>) -> Result<(), ArtError> {
     let mut w = ArtWriter::create(path)?;

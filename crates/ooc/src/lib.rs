@@ -9,11 +9,14 @@
 //! [`ColumnAccess`](reds_data::ColumnAccess) surface — sorted-column
 //! scans, label sums, deactivation cuts — through:
 //!
-//! * **positioned reads, never `mmap`** — an
-//!   [`ArtScan`](reds_art::ArtScan) verifies the
-//!   full checksum chain streaming, then every page is fetched with
-//!   `pread`; mapping the file would make the whole artifact count
-//!   toward peak RSS and defeat the memory budget;
+//! * **positioned reads, never the whole file** — an
+//!   [`ArtScan`](reds_art::ArtScan) verifies the full checksum chain
+//!   streaming, the DATASET and COLUMN headers go through the same
+//!   decoders ([`DatasetHeader`](reds_art::DatasetHeader),
+//!   [`ColumnHeader`](reds_art::ColumnHeader)) the in-memory reader
+//!   uses, and then every page is fetched with `pread`; copying or
+//!   mapping the file would make the whole artifact count toward peak
+//!   RSS and defeat the memory budget;
 //! * **fixed-size pages** of the column's 12-byte `(key, row)`
 //!   records, rank-addressable (`rank → page = rank / page_rows`),
 //!   with per-page min/max key fences from the artifact's

@@ -1,8 +1,10 @@
 //! [`OocPool`]: the paged, rank-addressable column store.
 //!
-//! Opens a `.redsart` pool artifact (streaming-verified, never
-//! mapped), validates that every column is fully merged and carries a
-//! page index, and serves [`ColumnAccess`] over it:
+//! Opens a `.redsart` pool artifact (streaming-verified, then read by
+//! position), decodes its DATASET and COLUMN headers with the decoders
+//! `reds-art`'s in-memory reader uses, validates that every column is
+//! fully merged and carries a page index, and serves [`ColumnAccess`]
+//! over it:
 //!
 //! * a column's sorted records are addressed by **rank** — rank `r`
 //!   lives in page `r / page_rows` at a fixed byte offset, one `pread`
@@ -26,7 +28,8 @@ use std::path::Path;
 use std::rc::Rc;
 
 use reds_art::{
-    ArtScan, PageIndex, ScanSection, SECTION_COLUMN, SECTION_DATASET, SECTION_PAGE_INDEX,
+    ArtScan, ColumnHeader, DatasetHeader, PageIndex, ScanSection, SECTION_COLUMN, SECTION_DATASET,
+    SECTION_PAGE_INDEX,
 };
 use reds_data::{ord_key_inverse, ColumnAccess, PointVisitor};
 
@@ -104,57 +107,40 @@ impl OocPool {
             }
         }
         let dataset = dataset.ok_or_else(|| unsupported("no dataset section"))?;
-
-        // Dataset geometry: n, m, then n·m points and n labels.
-        let mut head = [0u8; 16];
-        scan.read_exact_at(&mut head, dataset.offset)?;
-        let n = u64::from_le_bytes(head[..8].try_into().expect("8 bytes")) as usize;
-        let m = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes")) as usize;
-        let body = (n as u64)
-            .checked_mul(m as u64)
-            .and_then(|c| c.checked_add(n as u64))
-            .and_then(|c| c.checked_mul(8))
-            .and_then(|c| c.checked_add(16));
-        if n == 0 || m == 0 || body != Some(dataset.len) {
+        let head = DatasetHeader::read(dataset.len, |at, buf| {
+            scan.read_exact_at(buf, dataset.offset + at)
+        })?;
+        let (n, m) = (head.n(), head.m());
+        if n == 0 || m == 0 {
             return Err(unsupported(format!(
-                "dataset section of {} bytes does not hold an n = {n}, m = {m} pool",
-                dataset.len
+                "dataset section holds an n = {n}, m = {m} pool"
             )));
         }
-        let points_off = dataset.offset + 16;
-        let labels_off = points_off + (n * m * 8) as u64;
+        let points_off = dataset.offset + DatasetHeader::LEN as u64;
+        let labels_off = dataset.offset + head.labels_at();
 
         // Columns: exactly one fully merged section per dimension.
         let mut records: Vec<Option<u64>> = vec![None; m];
         for s in &col_secs {
-            let mut head = [0u8; 32];
-            scan.read_exact_at(&mut head, s.offset)?;
-            let col = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
-            let n_rows = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes"));
-            let run_count = u64::from_le_bytes(head[16..24].try_into().expect("8 bytes"));
+            let head = ColumnHeader::read(s.len, |at, buf| scan.read_exact_at(buf, s.offset + at))?;
+            let col = head.column();
             if col >= m {
                 return Err(unsupported(format!("column {col} of an m = {m} pool")));
             }
-            if run_count != 1 {
+            if head.runs().len() != 1 {
                 return Err(unsupported(format!(
-                    "column {col} holds {run_count} runs; the out-of-core store needs fully \
-                     merged (rank-addressable) columns"
+                    "column {col} holds {} runs; the out-of-core store needs fully \
+                     merged (rank-addressable) columns",
+                    head.runs().len()
                 )));
             }
-            let run_len = u64::from_le_bytes(head[24..32].try_into().expect("8 bytes"));
-            if n_rows != n as u64 || run_len != n as u64 {
+            if head.n_rows() != n {
                 return Err(unsupported(format!(
-                    "column {col} sorts {n_rows} rows, dataset has {n}"
+                    "column {col} sorts {} rows, dataset has {n}",
+                    head.n_rows()
                 )));
             }
-            let payload = (32 + 12 * n as u64).next_multiple_of(8);
-            if s.len != payload {
-                return Err(unsupported(format!(
-                    "column {col} section is {} bytes, expected {payload}",
-                    s.len
-                )));
-            }
-            if records[col].replace(s.offset + 32).is_some() {
+            if records[col].replace(s.offset + head.records_at()).is_some() {
                 return Err(unsupported(format!("column {col} appears twice")));
             }
         }
@@ -736,6 +722,63 @@ mod tests {
             Ok(_) => panic!("expected Unsupported, got a pool"),
         }
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Copies the pool artifact at `from` to `to` section by section, so
+    /// every checksum stays valid, passing each COLUMN payload through
+    /// `edit`.
+    fn rewrite_columns(from: &Path, to: &Path, edit: impl Fn(&mut [u8])) {
+        let scan = ArtScan::open(from).unwrap();
+        let mut w = reds_art::ArtWriter::create(to).unwrap();
+        for s in scan.sections() {
+            let mut payload = vec![0u8; s.len as usize];
+            scan.read_exact_at(&mut payload, s.offset).unwrap();
+            if s.kind == SECTION_COLUMN {
+                edit(&mut payload);
+            }
+            w.section(s.kind, &payload).unwrap();
+        }
+        w.finish().unwrap();
+    }
+
+    /// The format requires a zero COLUMN `reserved` word and zero
+    /// padding after the records; the paged store refuses a checksummed
+    /// artifact breaking either, as `load_art_pool` does.
+    #[test]
+    fn column_header_violations_are_refused_by_both_readers() {
+        use reds_art::ArtError;
+        use reds_stream::{load_art_pool, StreamError};
+
+        // Odd n: 12·n record bytes end 4 bytes short of an 8-byte
+        // boundary, so each column payload ends in 4 padding bytes.
+        let d = demo(21, 2);
+        let path = write_art(&d, 8, "header-rules");
+        let edited = path.with_file_name("edited.redsart");
+        // The untouched copy opens, so only the edits are refused.
+        rewrite_columns(&path, &edited, |_| {});
+        assert!(OocPool::open(&edited, &OocConfig::new()).is_ok());
+        assert!(load_art_pool(&edited).is_ok());
+        let refused = |what: &str| {
+            assert!(
+                matches!(
+                    OocPool::open(&edited, &OocConfig::new()),
+                    Err(OocError::Art(ArtError::Corrupt(_)))
+                ),
+                "OocPool accepted {what}"
+            );
+            assert!(
+                matches!(
+                    load_art_pool(&edited),
+                    Err(StreamError::Art(ArtError::Corrupt(_)))
+                ),
+                "load_art_pool accepted {what}"
+            );
+        };
+        rewrite_columns(&path, &edited, |p| p[4] = 1);
+        refused("reserved = 1");
+        rewrite_columns(&path, &edited, |p| p[p.len() - 1] = 1);
+        refused("nonzero padding");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     proptest! {

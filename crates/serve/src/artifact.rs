@@ -10,7 +10,7 @@
 use std::fmt;
 use std::path::Path;
 
-use reds_art::{MappedArtifact, ModelArtifactSpec};
+use reds_art::{ModelArtifactSpec, PackedArtifact};
 use reds_data::Dataset;
 use reds_json::Json;
 use reds_metamodel::persist::{f64_from_json, f64_to_json, usize_from_json};
@@ -339,52 +339,45 @@ impl ModelArtifact {
         Ok(())
     }
 
-    /// Reads and validates an artifact file in either format, sniffed
-    /// from the file's leading bytes: `.redsart` containers decode with
-    /// no JSON parsing; anything else takes the JSON interchange path.
-    /// Either way the artifact is fully owned once this returns.
+    /// Reads and validates an artifact file in either format. The file
+    /// is read once, and only if it is a regular file; the format is
+    /// sniffed from its leading bytes (extensions lie, leading bytes
+    /// don't): `.redsart` containers decode with no JSON parsing;
+    /// anything else takes the JSON interchange path. Either way the
+    /// artifact is fully owned once this returns.
     pub fn load(path: &Path) -> Result<Self, ArtifactError> {
-        if file_has_art_magic(path)? {
-            return Self::load_art(path);
+        let bytes = reds_art::read_regular_file(path)?;
+        if bytes.starts_with(&reds_art::MAGIC) {
+            return Self::from_art_bytes(bytes);
         }
-        let text = std::fs::read_to_string(path)?;
+        let text = String::from_utf8(bytes)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let doc = reds_json::from_str(&text).map_err(ArtifactError::Parse)?;
         Self::from_json(&doc)
     }
 
-    /// Verifies and decodes a `.redsart` artifact; the file is not read
-    /// again afterwards.
+    /// Reads a `.redsart` artifact once, then verifies and decodes it;
+    /// the file is not read again afterwards.
     pub fn load_art(path: &Path) -> Result<Self, ArtifactError> {
-        let mapped = MappedArtifact::open(path)?;
-        if mapped.pool_design != ART_POOL_DESIGN_UNIFORM {
+        Self::from_art_bytes(reds_art::read_regular_file(path)?)
+    }
+
+    fn from_art_bytes(bytes: Vec<u8>) -> Result<Self, ArtifactError> {
+        let packed = PackedArtifact::from_bytes(bytes)?;
+        if packed.pool_design != ART_POOL_DESIGN_UNIFORM {
             return Err(format_err(format!(
                 "unsupported pool design code {} (this build serves '{POOL_DESIGN_UNIFORM}')",
-                mapped.pool_design
+                packed.pool_design
             )));
         }
         Ok(Self {
-            function: mapped.function,
-            seed: mapped.seed,
-            pool_seed: mapped.pool_seed,
+            function: packed.function,
+            seed: packed.seed,
+            pool_seed: packed.pool_seed,
             pool_design: POOL_DESIGN_UNIFORM.to_string(),
-            model: ServedModel::Art(mapped.model),
-            train: mapped.train,
+            model: ServedModel::Art(packed.model),
+            train: packed.train,
         })
-    }
-}
-
-/// Whether `path` starts with the `.redsart` magic (format sniffing —
-/// extensions lie, leading bytes don't).
-fn file_has_art_magic(path: &Path) -> Result<bool, std::io::Error> {
-    use std::io::Read;
-    let mut head = [0u8; 8];
-    let mut file = std::fs::File::open(path)?;
-    match file.read_exact(&mut head) {
-        Ok(()) => Ok(head == reds_art::MAGIC),
-        // Shorter than 8 bytes: not a .redsart; let the JSON parser
-        // produce its structured error.
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e),
     }
 }
 
@@ -450,6 +443,35 @@ mod tests {
         let reloaded = ModelArtifact::load(&back).expect("reload");
         assert_eq!(bits(&reloaded.model.predict_batch(&q, 2)), bits(&a));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `load` and `load_art` of a path that is not a regular file fail
+    /// at once, before reading a byte.
+    fn assert_refused_as_not_regular(path: &Path) {
+        for load in [ModelArtifact::load, ModelArtifact::load_art] {
+            match load(path) {
+                Err(ArtifactError::Io(e)) => assert!(
+                    e.to_string().contains("not a regular file"),
+                    "{}: {e}",
+                    path.display()
+                ),
+                Err(e) => panic!("{}: wrong error kind: {e}", path.display()),
+                Ok(_) => panic!("{} loaded", path.display()),
+            }
+        }
+    }
+
+    /// A character device that never ends (read to its end, it would
+    /// grow the process until it dies).
+    #[cfg(unix)]
+    #[test]
+    fn dev_zero_is_refused_at_once() {
+        assert_refused_as_not_regular(Path::new("/dev/zero"));
+    }
+
+    #[test]
+    fn a_directory_is_refused() {
+        assert_refused_as_not_regular(&std::env::temp_dir());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! thread-per-connection accept loop.
 //!
 //! One reactor thread owns every socket. It multiplexes readiness with
-//! `epoll(7)` on Linux (`poll(2)` elsewhere — both via direct FFI, the
-//! same no-libc-crate pattern as the mmap bindings in `reds-art`),
+//! `epoll(7)` on Linux (`poll(2)` elsewhere — both via direct FFI, with
+//! no libc crate; with the SIMD kernels of `reds-metamodel`, the only
+//! `unsafe` code in the workspace),
 //! feeds raw bytes through the shared [`wire::FrameBuffer`] framing,
 //! and hands complete frames to a small executor pool. Replies flow
 //! back over an in-memory bus plus a socketpair wakeup, and are
@@ -713,8 +714,7 @@ pub fn poller_backend() -> &'static str {
 mod sys {
     //! `epoll(7)` via direct FFI. std already links libc on unix
     //! targets, so declaring the handful of symbols we need avoids a
-    //! libc crate dependency (the same pattern as `reds-art`'s mmap
-    //! bindings).
+    //! libc crate dependency.
 
     use std::io;
     use std::os::fd::RawFd;

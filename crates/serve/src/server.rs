@@ -1010,6 +1010,57 @@ mod tests {
         );
     }
 
+    /// A swap to a bad file answers `bad_request` and leaves the
+    /// serving model untouched: same version, no swap counted, same
+    /// prediction bits.
+    #[test]
+    fn failed_swaps_change_nothing() {
+        let service = tiny_service();
+        let dir = std::env::temp_dir().join(format!("reds-serve-bad-swap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = dir.join("model.redsart");
+        let entry = service.registry().get(None).unwrap();
+        entry.current().artifact.save_art(&good).unwrap();
+        let bytes = std::fs::read(&good).unwrap();
+        let truncated = dir.join("truncated.redsart");
+        std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+        let flipped = dir.join("flipped.redsart");
+        let mut bad = bytes.clone();
+        bad[bytes.len() / 3] ^= 1;
+        std::fs::write(&flipped, bad).unwrap();
+
+        let predict =
+            "{\"id\":1,\"cmd\":\"predict_batch\",\"m\":2,\"points\":[0.9,0.9,0.1,0.1,0.6,0.2]}";
+        let before = service.handle_frame(predict).0.to_string_compact();
+        let mut paths = vec![truncated, flipped, dir.join("missing.redsart"), dir.clone()];
+        if cfg!(unix) {
+            paths.push("/dev/zero".into());
+        }
+        for path in &paths {
+            let frame = Json::obj([
+                ("id", Json::num(2.0)),
+                ("cmd", Json::str("swap")),
+                ("path", Json::str(path.to_str().unwrap())),
+            ]);
+            let (resp, _) = service.handle_frame(&frame.to_string_compact());
+            assert_eq!(
+                resp.get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Json::as_str),
+                Some("bad_request"),
+                "{} → {resp}",
+                path.display()
+            );
+        }
+        let (resp, _) = service.handle_frame("{\"id\":3,\"cmd\":\"info\"}");
+        let info = resp.get("result").expect("info result");
+        assert_eq!(info.get("version").and_then(Json::as_f64), Some(1.0));
+        let models = info.get("models").and_then(Json::as_array).unwrap();
+        assert_eq!(models[0].get("swaps").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(service.handle_frame(predict).0.to_string_compact(), before);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn handle_frame_serves_requests_and_flags_shutdown() {
         let service = tiny_service();
