@@ -1,6 +1,6 @@
-//! Byte-level layout constants, the header, table-of-contents and
-//! section-header checks both readers share, and bounds-checked
-//! decoding primitives.
+//! Byte-level layout constants, the verification chain both readers
+//! run ([`verify`]), the header, table-of-contents and section-header
+//! checks it and they share, and bounds-checked decoding primitives.
 //!
 //! Everything in a `.redsart` file is **little-endian**. The header is
 //! 48 bytes, every section payload starts on an 8-byte boundary
@@ -9,7 +9,7 @@
 //! their sizes up front. `docs/artifact-format.md` is the normative
 //! description.
 
-use crate::{corrupt, ArtError, Checksum};
+use crate::{corrupt, ArtError, Checksum, ScanSection};
 
 /// File magic: `REDSART1`.
 pub const MAGIC: [u8; 8] = *b"REDSART1";
@@ -54,10 +54,10 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b.try_into().expect("8 bytes"))
 }
 
-/// The fixed header, checked by both readers before any checksum.
-pub(crate) struct Header {
-    pub(crate) section_count: usize,
-    pub(crate) toc_offset: u64,
+/// The fixed header, checked before any checksum.
+struct Header {
+    section_count: usize,
+    toc_offset: u64,
     /// The stored whole-file checksum.
     file_sum: u64,
 }
@@ -68,7 +68,7 @@ impl Header {
     /// places the TOC last, so it must end exactly at the file end,
     /// which bounds `section_count` before any multiplication can
     /// overflow.
-    pub(crate) fn parse(head: &[u8; HEADER_LEN], actual_len: u64) -> Result<Self, ArtError> {
+    fn parse(head: &[u8; HEADER_LEN], actual_len: u64) -> Result<Self, ArtError> {
         if head[..8] != MAGIC {
             return Err(corrupt("bad magic (not a .redsart file)"));
         }
@@ -104,7 +104,7 @@ impl Header {
 
     /// Starts the whole-file checksum: the header with its checksum
     /// field zeroed. The caller feeds the rest of the file.
-    pub(crate) fn sum_start(head: &[u8; HEADER_LEN]) -> Checksum {
+    fn sum_start(head: &[u8; HEADER_LEN]) -> Checksum {
         let mut sum = Checksum::new();
         sum.update(&head[..SUM_FIELD_OFFSET]);
         sum.update(&[0u8; 8]);
@@ -114,7 +114,7 @@ impl Header {
 
     /// Compares the whole-file checksum (from [`Header::sum_start`] fed
     /// the rest of the file) with the stored one.
-    pub(crate) fn verify(&self, sum: &Checksum) -> Result<(), ArtError> {
+    fn verify(&self, sum: &Checksum) -> Result<(), ArtError> {
         let computed = sum.finish();
         if computed != self.file_sum {
             return Err(corrupt(format!(
@@ -127,10 +127,10 @@ impl Header {
 }
 
 /// One table-of-contents entry, bounds-checked against the payload area.
-pub(crate) struct TocEntry {
-    pub(crate) kind: u32,
-    pub(crate) offset: u64,
-    pub(crate) len: u64,
+struct TocEntry {
+    kind: u32,
+    offset: u64,
+    len: u64,
     /// The stored payload checksum.
     sum: u64,
 }
@@ -138,7 +138,7 @@ pub(crate) struct TocEntry {
 impl TocEntry {
     /// Decodes entry `i` and checks that its payload starts 8-aligned
     /// inside `[HEADER_LEN, toc_offset)` and ends by `toc_offset`.
-    pub(crate) fn parse(e: &[u8], i: usize, toc_offset: u64) -> Result<Self, ArtError> {
+    fn parse(e: &[u8], i: usize, toc_offset: u64) -> Result<Self, ArtError> {
         let entry = Self {
             kind: le_u32(&e[..4]),
             offset: le_u64(&e[8..16]),
@@ -157,7 +157,7 @@ impl TocEntry {
     }
 
     /// Compares the checksum of entry `i`'s payload with the stored one.
-    pub(crate) fn verify(&self, i: usize, sum: &Checksum) -> Result<(), ArtError> {
+    fn verify(&self, i: usize, sum: &Checksum) -> Result<(), ArtError> {
         if sum.finish() != self.sum {
             return Err(corrupt(format!(
                 "section {i} (kind {}) checksum mismatch",
@@ -166,6 +166,95 @@ impl TocEntry {
         }
         Ok(())
     }
+}
+
+/// Bytes per block of the verification pass: small enough that the
+/// second checksum of a block (its section's) finds it in cache.
+pub(crate) const VERIFY_BLOCK: usize = 64 * 1024;
+
+/// Verifies a whole `.redsart` file and returns its table of contents:
+/// the one verification chain of both readers. `actual_len` is the
+/// file's length; `read_at(offset, buf)` fills `buf` from the file (the
+/// header, then the table of contents); `stream(visit)` hands `visit`
+/// every byte from [`HEADER_LEN`] to the end, in order, in blocks.
+///
+/// The checks, each failing with its own error, run in this order: a
+/// length that holds the header; [`Header::parse`] (magic, version,
+/// recorded length, TOC geometry); the whole-file checksum; then, entry
+/// by entry, the bounds and the payload checksum. One sequential pass
+/// feeds both kinds of checksum, so every byte is read once: the TOC,
+/// which the geometry check confines to the file's tail, is read ahead
+/// of the pass, and each block of the pass goes to the whole-file sum
+/// and to the sum of every section it overlaps. Entries after the
+/// first out-of-bounds one are not summed, since the chain stops there.
+pub(crate) fn verify(
+    actual_len: u64,
+    mut read_at: impl FnMut(u64, &mut [u8]) -> Result<(), ArtError>,
+    stream: impl FnOnce(&mut dyn FnMut(&[u8])) -> Result<(), ArtError>,
+) -> Result<Vec<ScanSection>, ArtError> {
+    if actual_len < HEADER_LEN as u64 {
+        return Err(corrupt(format!(
+            "file of {actual_len} bytes is shorter than the {HEADER_LEN}-byte header"
+        )));
+    }
+    let mut head = [0u8; HEADER_LEN];
+    read_at(0, &mut head)?;
+    let header = Header::parse(&head, actual_len)?;
+    // Bounded by the file length, which the geometry check spans.
+    let mut toc = vec![0u8; header.section_count * TOC_ENTRY_LEN];
+    read_at(header.toc_offset, &mut toc)?;
+    let mut entries = Vec::with_capacity(header.section_count);
+    let mut out_of_bounds = None;
+    for (i, e) in toc.chunks_exact(TOC_ENTRY_LEN).enumerate() {
+        match TocEntry::parse(e, i, header.toc_offset) {
+            Ok(entry) => entries.push(entry),
+            Err(e) => {
+                out_of_bounds = Some(e);
+                break;
+            }
+        }
+    }
+
+    let mut file_sum = Header::sum_start(&head);
+    let mut sums = vec![Checksum::new(); entries.len()];
+    // Entries by payload offset; `open` holds those whose payload the
+    // pass is inside, `pos` the file offset of the next streamed byte.
+    let mut by_offset: Vec<usize> = (0..entries.len()).collect();
+    by_offset.sort_by_key(|&i| entries[i].offset);
+    let mut by_offset = by_offset.into_iter().peekable();
+    let mut open: Vec<usize> = Vec::new();
+    let mut pos = HEADER_LEN as u64;
+    stream(&mut |block| {
+        file_sum.update(block);
+        let end = pos + block.len() as u64;
+        while let Some(i) = by_offset.next_if(|&i| entries[i].offset < end) {
+            open.push(i);
+        }
+        open.retain(|&i| {
+            let e = &entries[i];
+            let (from, to) = (e.offset.max(pos), (e.offset + e.len).min(end));
+            if from < to {
+                sums[i].update(&block[(from - pos) as usize..(to - pos) as usize]);
+            }
+            e.offset + e.len > end
+        });
+        pos = end;
+    })?;
+    header.verify(&file_sum)?;
+    for (i, (entry, sum)) in entries.iter().zip(&sums).enumerate() {
+        entry.verify(i, sum)?;
+    }
+    if let Some(e) = out_of_bounds {
+        return Err(e);
+    }
+    Ok(entries
+        .iter()
+        .map(|e| ScanSection {
+            kind: e.kind,
+            offset: e.offset,
+            len: e.len,
+        })
+        .collect())
 }
 
 /// A `u64` from the file that must also fit `usize` (32-bit targets).

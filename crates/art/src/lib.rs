@@ -11,7 +11,7 @@
 //!   the record layout `reds-stream` spills, rank-addressable when
 //!   merged to a single run.
 //!
-//! Two readers share one verification chain — magic, version,
+//! Two readers share one verifier — magic, version,
 //! recorded-vs-actual length, a whole-file [`Checksum`],
 //! per-section bounds/alignment/checksums — and one decoder per section
 //! header ([`DatasetHeader`], [`ColumnHeader`], [`PageIndex`]). Which
@@ -33,9 +33,9 @@
 //! whole-file digest and be rejected.
 //!
 //! `reds-json` remains the interchange format; `.redsart` is the
-//! deployment format. Opening one reads every byte twice for the
-//! checksums (whole file, then per section) and decodes the model with
-//! no JSON parsing into the same owned
+//! deployment format. Opening one reads every byte once for the
+//! checksums (one pass feeds the whole-file sum and every section sum)
+//! and decodes the model with no JSON parsing into the same owned
 //! [`SavedModel`](reds_metamodel::SavedModel) the JSON loader builds,
 //! so a loaded model never reads its file again. The crate has no
 //! `unsafe` code.

@@ -21,6 +21,10 @@
 //!    [`DatasetHeader`] and [`ColumnHeader`], the decoders the paged
 //!    store uses too.
 //!
+//! Steps 1–4 are the verifier in `layout.rs`, which
+//! [`ArtScan`](crate::ArtScan) shares: one sequential pass over the
+//! copy feeds the whole-file checksum and every section checksum.
+//!
 //! No check reads the zero padding between sections or anything between
 //! the last section and the table of contents: those bytes are covered
 //! by the whole-file checksum alone. (Alignment padding *inside* a
@@ -42,11 +46,11 @@ use reds_data::Dataset;
 use reds_metamodel::{FlatTree, Gbdt, RandomForest, SavedModel, Svm};
 
 use crate::layout::{
-    payload_reader, ColumnHeader, Cur, DatasetHeader, Header, TocEntry, FAMILY_FOREST, FAMILY_GBDT,
+    payload_reader, verify, ColumnHeader, Cur, DatasetHeader, FAMILY_FOREST, FAMILY_GBDT,
     FAMILY_SVM, HEADER_LEN, SECTION_COLUMN, SECTION_DATASET, SECTION_META, SECTION_MODEL,
-    SECTION_PAGE_INDEX, TOC_ENTRY_LEN,
+    SECTION_PAGE_INDEX, VERIFY_BLOCK,
 };
-use crate::{corrupt, ArtError, Checksum, PageIndex, ScanSection};
+use crate::{corrupt, ArtError, PageIndex, ScanSection};
 
 /// Reads a whole regular file with one read of exactly the length its
 /// metadata reports. Anything else — a directory, a character device
@@ -88,32 +92,10 @@ impl ArtFile {
 
     /// Runs the verification chain over a whole file's bytes.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, ArtError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt(format!(
-                "file of {} bytes is shorter than the {HEADER_LEN}-byte header",
-                bytes.len()
-            )));
-        }
-        let head: &[u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().expect("header length");
-        let header = Header::parse(head, bytes.len() as u64)?;
-        // Whole-file checksum, with the checksum field itself zeroed.
-        let mut sum = Header::sum_start(head);
-        sum.update(&bytes[HEADER_LEN..]);
-        header.verify(&sum)?;
-        // Per-section bounds, alignment, and payload checksums.
-        let toc = &bytes[header.toc_offset as usize..];
-        let mut sections = Vec::with_capacity(header.section_count);
-        for (i, e) in toc.chunks_exact(TOC_ENTRY_LEN).enumerate() {
-            let entry = TocEntry::parse(e, i, header.toc_offset)?;
-            let mut sum = Checksum::new();
-            sum.update(&bytes[entry.offset as usize..(entry.offset + entry.len) as usize]);
-            entry.verify(i, &sum)?;
-            sections.push(ScanSection {
-                kind: entry.kind,
-                offset: entry.offset,
-                len: entry.len,
-            });
-        }
+        let sections = verify(bytes.len() as u64, payload_reader(&bytes), |visit| {
+            bytes[HEADER_LEN..].chunks(VERIFY_BLOCK).for_each(visit);
+            Ok(())
+        })?;
         Ok(Self { bytes, sections })
     }
 
@@ -396,10 +378,10 @@ impl<'a> ColumnSection<'a> {
     }
 
     /// K-way-merges the runs in ascending `(key, row)` order, emitting
-    /// rows — the exact algorithm (and therefore the exact order) of
-    /// `reds-stream`'s spill merge. Validates along the way that every
-    /// run is strictly increasing and every row is in range; a file
-    /// violating that is rejected, not mis-merged.
+    /// rows — the order of `reds-stream`'s spill merge, which is the one
+    /// total order of distinct `(key, row)` pairs. Validates along the
+    /// way that every run is strictly increasing and every row is in
+    /// range; a file violating that is rejected, not mis-merged.
     pub fn merged_order(&self) -> Result<Vec<u32>, ArtError> {
         let run_len = |r: usize| self.runs[r].len() / 12;
         let mut order = Vec::with_capacity(self.n_rows);

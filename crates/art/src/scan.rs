@@ -6,25 +6,24 @@
 //! stays bounded by a page-cache budget, so it can neither copy nor map
 //! the file.
 //!
-//! [`ArtScan`] therefore verifies the **identical** chain
-//! `ArtFile::from_bytes` runs — header, recorded length, TOC geometry,
-//! whole-file [`Checksum`](crate::Checksum) with the digest field
-//! zeroed, per-section bounds/alignment/checksums — using only a
-//! bounded streaming buffer, and then serves positioned reads (`pread`)
-//! against the verified byte ranges. Any single-byte corruption is
-//! rejected up front for the same bijection reason as the in-memory
-//! path, which it also follows in reading the padding between sections
-//! only through the whole-file checksum. The reads after verification
-//! go to the file again, so a pool artifact must not change while a run
-//! uses it.
+//! [`ArtScan`] therefore runs the **identical** verification chain as
+//! `ArtFile::from_bytes` — the one in `layout.rs`: header, recorded
+//! length, TOC geometry, whole-file [`Checksum`](crate::Checksum) with
+//! the digest field zeroed, per-section bounds/alignment/checksums —
+//! feeding it one sequential pass through a bounded buffer, and then
+//! serves positioned reads (`pread`) against the verified byte ranges.
+//! Any single-byte corruption is rejected up front for the same
+//! bijection reason as the in-memory path, which it also follows in
+//! reading the padding between sections only through the whole-file
+//! checksum. The reads after verification go to the file again, so a
+//! pool artifact must not change while a run uses it.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use crate::layout::{Cur, Header, TocEntry, HEADER_LEN, TOC_ENTRY_LEN};
-use crate::{corrupt, ArtError, Checksum};
+use crate::layout::{verify, Cur, HEADER_LEN, VERIFY_BLOCK};
+use crate::{corrupt, ArtError};
 
 /// One verified table-of-contents entry, as both readers list it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,65 +45,29 @@ pub struct ArtScan {
     sections: Vec<ScanSection>,
 }
 
-/// Streams `len` bytes starting at `offset` through `sum`.
-fn sum_range(file: &mut File, offset: u64, len: u64, sum: &mut Checksum) -> Result<(), ArtError> {
-    file.seek(SeekFrom::Start(offset))?;
-    let mut reader = BufReader::with_capacity(256 * 1024, file);
-    let mut remaining = len;
-    let mut buf = [0u8; 64 * 1024];
-    while remaining > 0 {
-        let want = remaining.min(buf.len() as u64) as usize;
-        reader
-            .read_exact(&mut buf[..want])
-            .map_err(|_| corrupt("file shrank while being verified"))?;
-        sum.update(&buf[..want]);
-        remaining -= want as u64;
-    }
-    Ok(())
-}
-
 impl ArtScan {
     /// Opens and verifies `path` with bounded memory: the same checks,
     /// in the same order, as [`ArtFile::from_bytes`](crate::ArtFile) —
-    /// just streamed instead of read whole.
+    /// just streamed instead of read whole, every byte once.
     pub fn open(path: &Path) -> Result<Self, ArtError> {
-        let mut file = File::open(path)?;
+        let file = File::open(path)?;
         let actual_len = file.metadata()?.len();
-        if actual_len < HEADER_LEN as u64 {
-            return Err(corrupt(format!(
-                "file of {actual_len} bytes is shorter than the {HEADER_LEN}-byte header"
-            )));
-        }
-        let mut head = [0u8; HEADER_LEN];
-        file.read_exact_at(&mut head, 0)?;
-        let header = Header::parse(&head, actual_len)?;
-        // Whole-file checksum with the digest field zeroed, in one
-        // sequential bounded-buffer pass.
-        let mut sum = Header::sum_start(&head);
-        sum_range(
-            &mut file,
-            HEADER_LEN as u64,
-            actual_len - HEADER_LEN as u64,
-            &mut sum,
+        let sections = verify(
+            actual_len,
+            |at, buf| Ok(file.read_exact_at(buf, at)?),
+            |visit| {
+                let mut buf = vec![0u8; VERIFY_BLOCK];
+                let mut at = HEADER_LEN as u64;
+                while at < actual_len {
+                    let block = &mut buf[..(actual_len - at).min(VERIFY_BLOCK as u64) as usize];
+                    file.read_exact_at(block, at)
+                        .map_err(|_| corrupt("file shrank while being verified"))?;
+                    visit(block);
+                    at += block.len() as u64;
+                }
+                Ok(())
+            },
         )?;
-        header.verify(&sum)?;
-        // The TOC itself: geometry bounds it to the file tail, and the
-        // count is bounded by the file length, so this allocation is
-        // safe.
-        let mut toc = vec![0u8; header.section_count * TOC_ENTRY_LEN];
-        file.read_exact_at(&mut toc, header.toc_offset)?;
-        let mut sections = Vec::with_capacity(header.section_count);
-        for (i, e) in toc.chunks_exact(TOC_ENTRY_LEN).enumerate() {
-            let entry = TocEntry::parse(e, i, header.toc_offset)?;
-            let mut sum = Checksum::new();
-            sum_range(&mut file, entry.offset, entry.len, &mut sum)?;
-            entry.verify(i, &sum)?;
-            sections.push(ScanSection {
-                kind: entry.kind,
-                offset: entry.offset,
-                len: entry.len,
-            });
-        }
         Ok(Self {
             file,
             file_len: actual_len,
@@ -213,7 +176,7 @@ impl PageIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ArtWriter;
+    use crate::{ArtWriter, TOC_ENTRY_LEN};
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("reds-art-scan-{}-{name}", std::process::id()));
@@ -259,6 +222,97 @@ mod tests {
         }
         std::fs::write(&path, &pristine).unwrap();
         assert!(ArtScan::open(&path).is_ok());
+    }
+
+    /// Recomputes the whole-file checksum after an edit, so that the
+    /// checks after it are reached.
+    fn reseal(bytes: &mut [u8]) {
+        bytes[32..40].fill(0);
+        let mut sum = crate::Checksum::new();
+        sum.update(bytes);
+        bytes[32..40].copy_from_slice(&sum.finish().to_le_bytes());
+    }
+
+    /// Both readers' verdicts on `bytes`: the sections, or the error.
+    fn verdicts(path: &Path, bytes: &[u8]) -> [Result<Vec<ScanSection>, String>; 2] {
+        std::fs::write(path, bytes).unwrap();
+        [
+            ArtScan::open(path).map(|s| s.sections().to_vec()),
+            crate::ArtFile::from_bytes(bytes.to_vec()).map(|f| f.sections().to_vec()),
+        ]
+        .map(|r| r.map_err(|e| e.to_string()))
+    }
+
+    #[test]
+    fn sections_spanning_many_blocks_verify_in_one_pass() {
+        let path = scratch("blocks");
+        let big: Vec<u8> = (0..3 * VERIFY_BLOCK + 1234)
+            .map(|i| (i * 31 + 7) as u8)
+            .collect();
+        let mut w = ArtWriter::create(&path).unwrap();
+        w.section(7, b"head").unwrap();
+        w.section(42, &big).unwrap();
+        w.section(9, b"tail").unwrap();
+        w.finish().unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let [scan, file] = verdicts(&path, &pristine);
+        let sections = scan.unwrap();
+        assert_eq!(sections.len(), 3);
+        assert_eq!(file.unwrap(), sections);
+        // A flip in the big section's third block, under a resealed
+        // file checksum, fails that section's own checksum.
+        let mut bad = pristine;
+        bad[sections[1].offset as usize + 2 * VERIFY_BLOCK + 5] ^= 1;
+        reseal(&mut bad);
+        for verdict in verdicts(&path, &bad) {
+            assert_eq!(
+                verdict.unwrap_err(),
+                "corrupt artifact: section 1 (kind 42) checksum mismatch"
+            );
+        }
+    }
+
+    #[test]
+    fn both_readers_report_the_first_failing_check() {
+        let path = scratch("order");
+        tiny_artifact(&path);
+        let pristine = std::fs::read(&path).unwrap();
+        let toc = u64::from_le_bytes(pristine[16..24].try_into().unwrap()) as usize;
+        let entry = |i: usize| toc + TOC_ENTRY_LEN * i;
+        let mut out_of_bounds = pristine.clone();
+        out_of_bounds[entry(1) + 8..entry(1) + 16].copy_from_slice(&4u64.to_le_bytes());
+        // The whole-file checksum comes before any entry ...
+        let mut payload_flip = pristine.clone();
+        payload_flip[HEADER_LEN] ^= 1; // the first section's first byte
+        let mut cases = vec![
+            (payload_flip, Err("file checksum mismatch")),
+            (out_of_bounds.clone(), Err("file checksum mismatch")),
+        ];
+        // ... an entry's bounds after the checksums of those before it
+        // ...
+        let mut bad_sum_first = out_of_bounds.clone();
+        reseal(&mut out_of_bounds);
+        cases.push((out_of_bounds, Err("section 1 is out of bounds")));
+        bad_sum_first[entry(0) + 24] ^= 1; // entry 0's stored checksum
+        reseal(&mut bad_sum_first);
+        cases.push((bad_sum_first, Err("section 0 (kind 42) checksum mismatch")));
+        // ... and a repeated entry is summed, and listed, twice.
+        let mut repeated = pristine.clone();
+        repeated.copy_within(entry(0)..entry(1), entry(1));
+        reseal(&mut repeated);
+        cases.push((repeated, Ok(2)));
+        for (i, (bytes, want)) in cases.into_iter().enumerate() {
+            let [scan, file] = verdicts(&path, &bytes);
+            assert_eq!(scan, file, "case {i}");
+            match (scan, want) {
+                (Err(got), Err(want)) => assert!(got.contains(want), "case {i}: {got}"),
+                (Ok(sections), Ok(n)) => {
+                    assert_eq!(sections.len(), n, "case {i}");
+                    assert_eq!(sections[0], sections[1], "case {i}");
+                }
+                (got, want) => panic!("case {i}: {got:?}, expected {want:?}"),
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! the header is patched, and the whole-file checksum is computed in a
 //! final sequential re-read (with the checksum field still zero) and
 //! patched in. A crash mid-write leaves a file that fails every
-//! checksum — never a half-valid artifact.
+//! checksum — never a half-valid artifact. [`ArtWriter::finish`] then
+//! syncs the file to disk; [`ArtWriter::finish_scratch`], for a file
+//! its own process reads and deletes, leaves that to the OS.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -167,11 +169,32 @@ impl ArtWriter {
     }
 
     /// Writes the TOC, patches the header, computes the whole-file
-    /// checksum in a sequential re-read, and patches it in. Only a
-    /// writer that returns `Ok` from here leaves a file on disk; every
+    /// checksum in a sequential re-read, patches it in, and syncs the
+    /// file to disk. Only a writer that returns `Ok` from here (or from
+    /// [`ArtWriter::finish_scratch`]) leaves a file on disk; every
     /// other exit path (error, panic, plain drop) removes the partial
     /// artifact.
     pub fn finish(mut self) -> Result<(), ArtError> {
+        self.seal()?.sync_all()?;
+        self.finished = true;
+        Ok(())
+    }
+
+    /// [`ArtWriter::finish`] without the final `sync_all`: the same
+    /// bytes, left for the OS to write back. For a scratch artifact
+    /// that the process writing it also reads and deletes — after a
+    /// crash nothing would read it again, so durability buys nothing.
+    /// A file someone may keep (a packed model, a caller-named pool)
+    /// takes [`ArtWriter::finish`].
+    pub fn finish_scratch(mut self) -> Result<(), ArtError> {
+        self.seal()?;
+        self.finished = true;
+        Ok(())
+    }
+
+    /// Writes the TOC and the header, then patches in the whole-file
+    /// checksum; returns the file, not yet synced.
+    fn seal(&mut self) -> Result<File, ArtError> {
         assert!(self.cur.is_none(), "unclosed section");
         let mut out = self.out.take().expect("writer already finished");
         let toc_offset = self.offset;
@@ -210,10 +233,7 @@ impl ArtWriter {
         }
         file.seek(SeekFrom::Start(SUM_FIELD_OFFSET as u64))?;
         file.write_all(&sum.finish().to_le_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        self.finished = true;
-        Ok(())
+        Ok(file)
     }
 }
 

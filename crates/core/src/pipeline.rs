@@ -10,8 +10,8 @@ use reds_metamodel::{GbdtParams, Metamodel, RandomForestParams, SvmParams, Train
 use reds_ooc::{OocConfig, OocPool};
 use reds_sampling::{logit_normal, mixed_design, uniform};
 use reds_stream::{
-    stream_art, stream_pool, ChunkSource, Labeling, SamplerSource, SliceSource, StreamConfig,
-    StreamError, StreamSampler,
+    stream_pool, stream_scratch_art, ChunkSource, Labeling, SamplerSource, SliceSource,
+    StreamConfig, StreamError, StreamSampler,
 };
 use reds_subgroup::{SdResult, SubgroupDiscovery};
 
@@ -20,7 +20,8 @@ use crate::RedsError;
 /// The scratch pool artifact of one paged run: a unique path under the
 /// stream config's spill parent (or the system temp dir), removed when
 /// the run ends, error paths and panics included (the in-flight write
-/// itself is covered by `ArtWriter`'s own drop guard).
+/// itself is covered by `ArtWriter`'s own drop guard). It is sealed
+/// without a sync (`stream_scratch_art`): only this run reads it.
 struct ScratchFile(PathBuf);
 
 impl ScratchFile {
@@ -231,7 +232,7 @@ impl RedsConfig {
             Backing::Paged { stream, ooc } => {
                 let art = ScratchFile::new(stream);
                 self.stream(pool, m, rng, |source| {
-                    stream_art(source, &mut label, stream, &art.0, ooc.page_rows)
+                    stream_scratch_art(source, &mut label, stream, &art.0, ooc.page_rows)
                 })?;
                 let mut sd_rng = sd_rng(rng);
                 let mut store = OocPool::open(&art.0, ooc)?;

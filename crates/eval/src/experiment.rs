@@ -101,7 +101,9 @@ pub struct ExperimentSpec {
     pub test_size: usize,
     /// Base seed; repetition `r` uses `seed + r`.
     pub seed: u64,
-    /// Worker threads (0 = all available cores).
+    /// Worker threads of the sweep pool. `0` takes
+    /// `reds_par::max_threads()`: a `reds_par::set_max_threads`
+    /// override, else `REDS_THREADS`, else every available core.
     pub threads: usize,
 }
 
@@ -265,9 +267,10 @@ pub fn execute_unit(spec: &ExperimentSpec, test: &Dataset, unit: &WorkUnit) -> E
     }
 }
 
-/// Executes a set of units in parallel (`spec.threads` workers; 0 = all
-/// cores), invoking `on_complete` under a lock as each unit finishes —
-/// the checkpoint hook. Returns results in the order of `units`.
+/// Executes a set of units in parallel (`spec.threads` workers; 0 =
+/// `reds_par::max_threads()`), invoking `on_complete` under a lock as
+/// each unit finishes — the checkpoint hook. Returns results in the
+/// order of `units`.
 pub fn execute_units_with<F>(
     spec: &ExperimentSpec,
     units: &[WorkUnit],
@@ -283,12 +286,7 @@ where
     let cells: Vec<Mutex<Option<Evaluation>>> = units.iter().map(|_| Mutex::new(None)).collect();
     let sink = Mutex::new(on_complete);
     let next = AtomicUsize::new(0);
-    let threads = if spec.threads == 0 {
-        std::thread::available_parallelism().map_or(4, |p| p.get())
-    } else {
-        spec.threads
-    }
-    .min(units.len());
+    let threads = pool_width(spec.threads, units.len());
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -319,6 +317,18 @@ where
             (u, eval)
         })
         .collect()
+}
+
+/// Workers of the sweep pool for `units` units: `threads`, or
+/// `reds_par::max_threads()` when it is 0, and never more than one per
+/// unit.
+fn pool_width(threads: usize, units: usize) -> usize {
+    let threads = if threads == 0 {
+        reds_par::max_threads()
+    } else {
+        threads
+    };
+    threads.min(units)
 }
 
 /// [`execute_units_with`] without a completion hook.
@@ -511,6 +521,21 @@ mod tests {
         strip_runtimes(&mut a);
         strip_runtimes(&mut b);
         assert_bit_identical(&a, &b);
+    }
+
+    #[test]
+    fn pool_width_follows_the_reds_par_thread_count() {
+        for n in [1, 3] {
+            reds_par::set_max_threads(Some(n));
+            let resolved = (pool_width(0, 10), pool_width(0, 2));
+            reds_par::set_max_threads(None);
+            assert_eq!(resolved, (n, n.min(2)), "set_max_threads({n})");
+        }
+        // An explicit width wins over the override.
+        reds_par::set_max_threads(Some(1));
+        let explicit = pool_width(5, 10);
+        reds_par::set_max_threads(None);
+        assert_eq!(explicit, 5);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! scans, label sums, deactivation cuts — through:
 //!
 //! * **positioned reads, never the whole file** — an
-//!   [`ArtScan`](reds_art::ArtScan) verifies the full checksum chain
-//!   streaming, the DATASET and COLUMN headers go through the same
-//!   decoders ([`DatasetHeader`](reds_art::DatasetHeader),
+//!   [`ArtScan`](reds_art::ArtScan) verifies the full checksum chain in
+//!   one streaming pass, the DATASET and COLUMN headers go through the
+//!   same decoders ([`DatasetHeader`](reds_art::DatasetHeader),
 //!   [`ColumnHeader`](reds_art::ColumnHeader)) the in-memory reader
 //!   uses, and then every page is fetched with `pread`; copying or
 //!   mapping the file would make the whole artifact count toward peak

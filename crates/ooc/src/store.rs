@@ -89,9 +89,10 @@ fn unsupported(msg: impl Into<String>) -> OocError {
 
 impl OocPool {
     /// Opens and validates a pool artifact written by
-    /// `reds_stream::PoolBuilder::finish_art`. Creates the membership
-    /// mask scratch file beside it (`<artifact>.mask`, removed when
-    /// the pool drops), with every row active.
+    /// `reds_stream::PoolBuilder::finish_art` or `finish_scratch_art`
+    /// (the same bytes). Creates the membership mask scratch file
+    /// beside it (`<artifact>.mask`, removed when the pool drops), with
+    /// every row active.
     pub fn open(path: &Path, cfg: &OocConfig) -> Result<Self, OocError> {
         let scan = ArtScan::open(path)?;
         let mut dataset: Option<ScanSection> = None;

@@ -1,11 +1,15 @@
 //! Chunk-folding construction of the streamed pool.
 //!
-//! [`PoolBuilder`] is the per-column accumulator the ISSUE's pipeline
-//! folds into: each pushed chunk is radix-argsorted locally per column
+//! [`PoolBuilder`] is the per-column accumulator the pipeline folds
+//! into: each pushed chunk is radix-argsorted locally per column
 //! (`O(chunk)` scratch), spilled as one sorted run per column, and its
-//! raw points/labels appended to the data spill. Nothing proportional
-//! to the total row count `L` is held in memory until the caller picks
-//! a finisher:
+//! raw points/labels appended to the data spill. A chunk with at least
+//! two workers' worth of sorting (`10⁴` row-columns, about 0.5 ms, per
+//! worker) sorts its columns on `reds-par` workers, each taking a
+//! contiguous block of columns and holding one column's keys and index
+//! scratch at a time; the runs are the same bytes either way. Nothing
+//! proportional to the total row count `L` is held in memory until the
+//! caller picks a finisher:
 //!
 //! * [`PoolBuilder::finish_pool`] — k-way merge every column into the
 //!   final `SortedView` order and read the points/labels back into a
@@ -14,9 +18,13 @@
 //! * [`PoolBuilder::finish_stats`] — stream the merge into a
 //!   [`Checksum`] digest instead: `O(chunk + runs)` peak memory end to
 //!   end, used by the peak-RSS benches and as the cross-mode
-//!   equivalence witness.
+//!   equivalence witness;
+//! * [`PoolBuilder::finish_art`] and [`PoolBuilder::finish_scratch_art`]
+//!   — stream the merge into a `.redsart` pool artifact, synced to disk
+//!   or, for a scratch artifact the same run reads and deletes, not.
 
 use std::path::Path;
+use std::sync::Mutex;
 
 use reds_art::{
     ArtFile, ArtWriter, Checksum, PageIndex, SECTION_COLUMN, SECTION_DATASET, SECTION_PAGE_INDEX,
@@ -66,6 +74,13 @@ const DIGEST_BLOCK: usize = 16 * 1024;
 /// Bytes of 12-byte column records [`PoolBuilder::finish_art`] collects
 /// before each [`ArtWriter::write`] (4096 records, 48 KiB).
 const WRITE_BLOCK_BYTES: usize = 4096 * 12;
+
+/// Row-columns of sorting that pay for one sort worker: about 0.5 ms at
+/// the 50–60 ns a row-column takes (key gather, radix argsort, run
+/// encoding) — the share per worker at which `label_dataset` fans out
+/// too. A chunk fans out across `n·m / SORT_PER_WORKER` workers, at most
+/// one per column and `reds_par::max_threads()` in all.
+const SORT_PER_WORKER: usize = 10_000;
 
 /// The pool digest: a [`Checksum`] fed through a block buffer.
 struct PoolDigest {
@@ -187,20 +202,47 @@ impl PoolBuilder {
             });
         }
         let base = self.rows as u32;
-        for (j, writer) in self.columns.iter_mut().enumerate() {
-            self.keys.clear();
-            self.keys
-                .extend(points.iter().skip(j).step_by(m).map(|&v| ord_key(v)));
-            // Local ranks sorted by (key, local rank); adding the chunk
-            // base preserves the tie order globally because all rows of
-            // this chunk follow all previously pushed rows.
-            let order = argsort_stable(&self.keys);
-            let keys = &self.keys;
-            writer.push_run(
-                order
-                    .iter()
-                    .map(|&local| (keys[local as usize], base + local)),
-            )?;
+        // Sorts the columns from `first` on into `writers`, with one
+        // reused key buffer.
+        let sort = |keys: &mut Vec<u64>, first: usize, writers: &mut [RunWriter]| {
+            for (j, writer) in (first..).zip(writers) {
+                keys.clear();
+                keys.extend(points.iter().skip(j).step_by(m).map(|&v| ord_key(v)));
+                // Local ranks sorted by (key, local rank); adding the
+                // chunk base preserves the tie order globally because
+                // all rows of this chunk follow all previously pushed
+                // rows.
+                let order = argsort_stable(keys);
+                writer.push_run(
+                    order
+                        .iter()
+                        .map(|&local| (keys[local as usize], base + local)),
+                )?;
+            }
+            Ok::<(), StreamError>(())
+        };
+        let workers = (n * m / SORT_PER_WORKER).min(m);
+        if workers < 2 {
+            sort(&mut self.keys, 0, &mut self.columns)?;
+        } else {
+            // The first failing column's error, whichever worker hit it.
+            let failed: Mutex<Option<(usize, StreamError)>> = Mutex::new(None);
+            reds_par::par_fill_chunks_with(
+                &mut self.columns,
+                m.div_ceil(workers),
+                Vec::new,
+                |keys, first, writers| {
+                    if let Err(e) = sort(keys, first, writers) {
+                        let mut slot = failed.lock().expect("no poisoned locks");
+                        if slot.as_ref().is_none_or(|&(at, _)| first < at) {
+                            *slot = Some((first, e));
+                        }
+                    }
+                },
+            );
+            if let Some((_, e)) = failed.into_inner().expect("no poisoned locks") {
+                return Err(e);
+            }
         }
         self.points.append(points)?;
         self.labels.append(labels)?;
@@ -308,8 +350,31 @@ impl PoolBuilder {
     /// are `O(L / page_rows)`). The returned stats (digest included)
     /// equal [`PoolBuilder::finish_stats`] of the same pushes, and
     /// [`load_art_pool`] reconstructs the exact [`StreamedPool`] that
-    /// [`PoolBuilder::finish_pool`] would have built.
+    /// [`PoolBuilder::finish_pool`] would have built. The artifact is
+    /// synced to disk before this returns ([`ArtWriter::finish`]).
     pub fn finish_art(self, path: &Path, page_rows: u32) -> Result<StreamStats, StreamError> {
+        self.write_art(path, page_rows, ArtWriter::finish)
+    }
+
+    /// [`PoolBuilder::finish_art`] for a scratch artifact: the same
+    /// bytes, sealed without the sync ([`ArtWriter::finish_scratch`]).
+    /// Only for a file that the process writing it also reads and
+    /// deletes, such as the paged backing's pool, which a crash would
+    /// orphan unread anyway.
+    pub fn finish_scratch_art(
+        self,
+        path: &Path,
+        page_rows: u32,
+    ) -> Result<StreamStats, StreamError> {
+        self.write_art(path, page_rows, ArtWriter::finish_scratch)
+    }
+
+    fn write_art(
+        self,
+        path: &Path,
+        page_rows: u32,
+        seal: fn(ArtWriter) -> Result<(), reds_art::ArtError>,
+    ) -> Result<StreamStats, StreamError> {
         if self.rows == 0 {
             return Err(StreamError::ZeroRows);
         }
@@ -337,17 +402,19 @@ impl PoolBuilder {
             // block-write error and surface it right after.
             let mut write_err: Option<reds_art::ArtError> = None;
             fences.clear();
-            let mut rank = 0u64;
+            // Records left in the current page; 0 opens the next one.
+            let mut page_left = 0u32;
             col.merge(|row, key| {
                 digest.update(&row.to_le_bytes());
                 // Records arrive in ascending key order, so the page's
                 // min is its first key and its max its latest.
-                if rank.is_multiple_of(page_rows as u64) {
+                if page_left == 0 {
                     fences.push((key, key));
+                    page_left = page_rows;
                 } else if let Some(last) = fences.last_mut() {
                     last.1 = key;
                 }
-                rank += 1;
+                page_left -= 1;
                 records.extend_from_slice(&key.to_le_bytes());
                 records.extend_from_slice(&row.to_le_bytes());
                 if records.len() == WRITE_BLOCK_BYTES {
@@ -382,7 +449,7 @@ impl PoolBuilder {
             Ok(writer.write(bytes)?)
         })?;
         writer.end_section()?;
-        writer.finish()?;
+        seal(writer)?;
         Ok(StreamStats {
             rows: rows as u64,
             m: self.m,
@@ -653,6 +720,63 @@ mod tests {
             "failed merge left an orphaned artifact behind"
         );
         std::fs::remove_dir_all(&parent).unwrap();
+    }
+
+    #[test]
+    fn finish_art_bytes_do_not_depend_on_the_sort_workers() {
+        // 8192-row chunks of M = 5 fan out (4 workers' worth of
+        // sorting each), the last 3616-row chunk stays serial; so do
+        // all the 1000-row chunks, whose artifact is the same pool.
+        let m = 5;
+        let (points, labels) = demo_points(20_000, m);
+        let dir = std::env::temp_dir().join(format!("reds-stream-par-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut files = Vec::new();
+        for (threads, chunk) in [(1, 8192), (3, 8192), (3, 1000)] {
+            reds_par::set_max_threads(Some(threads));
+            let path = dir.join(format!("pool-{threads}-{chunk}.redsart"));
+            let built =
+                build_chunked(&points, &labels, m, chunk).and_then(|b| b.finish_art(&path, 64));
+            reds_par::set_max_threads(None);
+            built.unwrap();
+            files.push(std::fs::read(&path).unwrap());
+        }
+        assert!(
+            files[0] == files[1],
+            "1 and 3 sort workers wrote different bytes"
+        );
+        assert!(
+            files[1] == files[2],
+            "the fanned-out and the serial fold wrote different bytes"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn finish_art_bytes_are_pinned() {
+        // The whole-file checksum of one small pool artifact, as the
+        // format and the heap merge first wrote it: any change to the
+        // merge order, the block I/O or the sealing shows here. The
+        // scratch artifact is the same bytes, unsynced.
+        let (points, labels) = demo_points(157, 3);
+        let dir = std::env::temp_dir().join(format!("reds-stream-pin-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pool.redsart");
+        for scratch in [false, true] {
+            let builder = build_chunked(&points, &labels, 3, 13).unwrap();
+            let stats = if scratch {
+                builder.finish_scratch_art(&path, 16)
+            } else {
+                builder.finish_art(&path, 16)
+            };
+            stats.unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let mut sum = Checksum::new();
+            sum.update(&bytes);
+            assert_eq!(bytes.len(), 11_600);
+            assert_eq!(sum.finish(), 0x2d31_f442_0898_62e1);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -78,20 +78,23 @@ pub fn stream_pool(
     drive(source, label, cfg)?.finish_pool()
 }
 
-/// Like [`stream_pool`] but finishes into a `.redsart` pool artifact
-/// at `path` (merged columns + page-index fences at `page_rows`
-/// records per page + dataset) without materializing anything of size
-/// `O(L)` in memory — the construction half of the out-of-core
-/// discovery path ([`crate::load_art_pool`] or `reds-ooc` read it
-/// back).
-pub fn stream_art(
+/// Like [`stream_pool`] but finishes into a scratch `.redsart` pool
+/// artifact at `path` (merged columns + page-index fences at
+/// `page_rows` records per page + dataset) without materializing
+/// anything of size `O(L)` in memory — the construction half of the
+/// out-of-core discovery path, whose `reds-ooc` store reads it back.
+/// The file is sealed without a sync
+/// ([`PoolBuilder::finish_scratch_art`]): the caller reads it and
+/// deletes it in the same process. A pool artifact meant to be kept
+/// goes through [`PoolBuilder::finish_art`].
+pub fn stream_scratch_art(
     source: &mut dyn ChunkSource,
     label: &mut dyn FnMut(&[f64], usize) -> Vec<f64>,
     cfg: &StreamConfig,
     path: &std::path::Path,
     page_rows: u32,
 ) -> Result<StreamStats, StreamError> {
-    drive(source, label, cfg)?.finish_art(path, page_rows)
+    drive(source, label, cfg)?.finish_scratch_art(path, page_rows)
 }
 
 /// Like [`stream_pool`] but finishes into a digest + stats without

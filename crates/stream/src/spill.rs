@@ -9,12 +9,23 @@
 //! * `pool.points` / `pool.labels` — the raw row-major point buffer and
 //!   the pseudo-labels, appended chunk by chunk as little-endian `f64`.
 //!
+//! Bytes move in blocks, never one `write_all` or `read_exact` per
+//! value: a run or a slice of values is encoded into a block of at most
+//! 32 KiB and written with one call, and each merge cursor refills a
+//! block of at most 32 KiB of its run with one positioned read and
+//! decodes records from it. A column's runs merge through one
+//! tournament (loser) tree over the runs' heads, each packed into a
+//! `u128` as `key << 32 | row` (`Tournament`): a pop replays one
+//! leaf-to-root path of `⌈log₂ runs⌉` compares whose outcome only
+//! selects values, so the loop has no data-dependent branch.
+//!
 //! Readers re-validate lengths against the writer's bookkeeping; any
 //! mismatch (a truncated file, a foreign file, a bad header) surfaces
 //! as [`StreamError::CorruptSpill`] instead of a panic or garbage data.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,6 +39,13 @@ const POOL_MAGIC: &[u8; 8] = b"RSPOOL01";
 const HEADER_LEN: u64 = 16;
 /// Bytes per sorted-run record: `u64` key + `u32` row id.
 const RECORD_LEN: u64 = 12;
+/// Records per run block: the most whole records in 32 KiB (32 760
+/// bytes), both for writing a run and for each merge cursor.
+const RUN_BLOCK_RECORDS: usize = 32 * 1024 / RECORD_LEN as usize;
+/// `f64` values per [`FloatSpill::append`] block (32 KiB).
+const VALUE_BLOCK: usize = 32 * 1024 / 8;
+/// Bytes per [`FloatSpill::for_each_block`] block.
+const READ_BLOCK: usize = 64 * 1024;
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -73,8 +91,9 @@ impl Drop for SpillDir {
 }
 
 fn write_header(file: &mut impl Write, magic: &[u8; 8]) -> Result<(), StreamError> {
-    file.write_all(magic)?;
-    file.write_all(&[0u8; 8])?;
+    let mut head = [0u8; HEADER_LEN as usize];
+    head[..8].copy_from_slice(magic);
+    file.write_all(&head)?;
     Ok(())
 }
 
@@ -98,7 +117,8 @@ fn check_header(reader: &mut impl Read, magic: &[u8; 8], column: usize) -> Resul
 /// Writer for one column's sorted runs.
 pub(crate) struct RunWriter {
     path: PathBuf,
-    writer: BufWriter<File>,
+    /// Unbuffered: [`RunWriter::push_run`] writes whole blocks.
+    writer: File,
     /// Record count of every completed run, in push order.
     run_lens: Vec<u64>,
     column: usize,
@@ -107,7 +127,7 @@ pub(crate) struct RunWriter {
 impl RunWriter {
     pub(crate) fn create(dir: &Path, column: usize) -> Result<Self, StreamError> {
         let path = dir.join(format!("col{column}.runs"));
-        let mut writer = BufWriter::new(File::create(&path)?);
+        let mut writer = File::create(&path)?;
         write_header(&mut writer, RUN_MAGIC)?;
         Ok(Self {
             path,
@@ -117,18 +137,31 @@ impl RunWriter {
         })
     }
 
-    /// Appends one ascending `(key, row)` run.
+    /// Appends one ascending `(key, row)` run, encoded into blocks of
+    /// [`RUN_BLOCK_RECORDS`] records, one `write_all` each.
     pub(crate) fn push_run(
         &mut self,
-        records: impl Iterator<Item = (u64, u32)>,
+        mut records: impl Iterator<Item = (u64, u32)>,
     ) -> Result<(), StreamError> {
+        let mut block = [0u8; RUN_BLOCK_RECORDS * RECORD_LEN as usize];
         let mut n = 0u64;
-        let mut buf = [0u8; RECORD_LEN as usize];
-        for (key, row) in records {
-            buf[..8].copy_from_slice(&key.to_le_bytes());
-            buf[8..].copy_from_slice(&row.to_le_bytes());
-            self.writer.write_all(&buf)?;
-            n += 1;
+        loop {
+            // `zip` asks the block for a slot first, so a full block
+            // leaves the next record in `records`.
+            let mut filled = 0;
+            for (slot, (key, row)) in block
+                .chunks_exact_mut(RECORD_LEN as usize)
+                .zip(&mut records)
+            {
+                slot[..8].copy_from_slice(&key.to_le_bytes());
+                slot[8..].copy_from_slice(&row.to_le_bytes());
+                filled += RECORD_LEN as usize;
+            }
+            if filled == 0 {
+                break;
+            }
+            self.writer.write_all(&block[..filled])?;
+            n += (filled / RECORD_LEN as usize) as u64;
         }
         if n > 0 {
             self.run_lens.push(n);
@@ -136,9 +169,8 @@ impl RunWriter {
         Ok(())
     }
 
-    /// Flushes and reopens the runs for merging.
-    pub(crate) fn into_runs(mut self) -> Result<ColumnRuns, StreamError> {
-        self.writer.flush()?;
+    /// Closes the file and checks its length for merging.
+    pub(crate) fn into_runs(self) -> Result<ColumnRuns, StreamError> {
         drop(self.writer);
         let total: u64 = self.run_lens.iter().sum();
         let expected = HEADER_LEN + total * RECORD_LEN;
@@ -165,9 +197,131 @@ pub(crate) struct ColumnRuns {
     column: usize,
 }
 
+/// A drained run's head: above every packed record, whose key takes
+/// the upper 64 and whose row the lower 32 of the low 96 bits.
+const EXHAUSTED: u128 = u128::MAX;
+
+/// Packs a record so that `u128` order is `(key, row)` order.
+#[inline]
+fn pack(key: u64, row: u32) -> u128 {
+    (key as u128) << 32 | row as u128
+}
+
+/// One run's read position: a block of its records and where the rest
+/// starts in the run file.
 struct RunCursor {
-    reader: BufReader<File>,
-    remaining: u64,
+    /// File offset of the first record not yet in `block`.
+    next: u64,
+    /// Records of the run not yet in `block`.
+    unread: u64,
+    /// At most [`RUN_BLOCK_RECORDS`] records.
+    block: Vec<u8>,
+    /// Byte offset of the next record to decode in `block`.
+    at: usize,
+}
+
+impl RunCursor {
+    fn new(offset: u64, len: u64) -> Self {
+        Self {
+            next: offset,
+            unread: len,
+            block: Vec::new(),
+            at: 0,
+        }
+    }
+
+    /// The run's next record, packed, or [`EXHAUSTED`].
+    #[inline]
+    fn pop(&mut self, file: &File, column: usize) -> Result<u128, StreamError> {
+        if self.at == self.block.len() {
+            if self.unread == 0 {
+                return Ok(EXHAUSTED);
+            }
+            self.refill(file, column)?;
+        }
+        let rec = &self.block[self.at..self.at + RECORD_LEN as usize];
+        self.at += RECORD_LEN as usize;
+        let key = u64::from_le_bytes(rec[..8].try_into().expect("8-byte slice"));
+        let row = u32::from_le_bytes(rec[8..].try_into().expect("4-byte slice"));
+        Ok(pack(key, row))
+    }
+
+    #[cold]
+    fn refill(&mut self, file: &File, column: usize) -> Result<(), StreamError> {
+        let records = self.unread.min(RUN_BLOCK_RECORDS as u64);
+        self.block.resize((records * RECORD_LEN) as usize, 0);
+        file.read_exact_at(&mut self.block, self.next)
+            .map_err(|e| StreamError::CorruptSpill {
+                column,
+                detail: format!("run truncated mid-record: {e}"),
+            })?;
+        self.next += records * RECORD_LEN;
+        self.unread -= records;
+        self.at = 0;
+        Ok(())
+    }
+}
+
+/// A tournament (loser) tree over the heads of `k` sorted runs, for
+/// every `k ≥ 1`. The leaves are padded to a power of two with
+/// [`EXHAUSTED`] heads; inner node `n` (children `2n` and `2n + 1`,
+/// leaf `i` at `leaves + i`) keeps the leaf that lost the match there,
+/// and the overall winner sits above the root.
+struct Tournament {
+    /// Each leaf's current head, packed by [`pack`].
+    heads: Vec<u128>,
+    /// `nodes[0]` is the winning leaf; `nodes[n]` for `n ≥ 1` the leaf
+    /// that lost at inner node `n`.
+    nodes: Vec<usize>,
+}
+
+impl Tournament {
+    fn new(mut heads: Vec<u128>) -> Self {
+        let leaves = heads.len().next_power_of_two();
+        heads.resize(leaves, EXHAUSTED);
+        // Winner of every subtree, bottom-up, once.
+        let mut winner = vec![0; 2 * leaves];
+        for (i, w) in winner[leaves..].iter_mut().enumerate() {
+            *w = i;
+        }
+        let mut nodes = vec![0; leaves];
+        for n in (1..leaves).rev() {
+            let (a, b) = (winner[2 * n], winner[2 * n + 1]);
+            (winner[n], nodes[n]) = if heads[b] < heads[a] { (b, a) } else { (a, b) };
+        }
+        nodes[0] = winner[1];
+        Self { heads, nodes }
+    }
+
+    /// The winning leaf and its head.
+    #[inline]
+    fn winner(&self) -> (usize, u128) {
+        let w = self.nodes[0];
+        (w, self.heads[w])
+    }
+
+    /// Gives the winning leaf a new head and replays its path to the
+    /// root. Live heads are distinct (every row id is), so the smaller
+    /// one wins each match outright, and which of two [`EXHAUSTED`]
+    /// heads wins does not matter; the outcome only selects values
+    /// (compiled to conditional moves, not jumps).
+    #[inline]
+    fn replace_winner(&mut self, head: u128) {
+        let mut w = self.nodes[0];
+        self.heads[w] = head;
+        let mut wh = head;
+        let mut n = (self.heads.len() + w) / 2;
+        while n > 0 {
+            let l = self.nodes[n];
+            let lh = self.heads[l];
+            let lost = lh < wh;
+            self.nodes[n] = if lost { w } else { l };
+            w = if lost { l } else { w };
+            wh = if lost { lh } else { wh };
+            n /= 2;
+        }
+        self.nodes[0] = w;
+    }
 }
 
 impl ColumnRuns {
@@ -183,64 +337,37 @@ impl ColumnRuns {
         HEADER_LEN + self.total_rows() * RECORD_LEN
     }
 
-    fn read_record(&self, cursor: &mut RunCursor) -> Result<(u64, u32), StreamError> {
-        let mut buf = [0u8; RECORD_LEN as usize];
-        cursor
-            .reader
-            .read_exact(&mut buf)
-            .map_err(|e| StreamError::CorruptSpill {
-                column: self.column,
-                detail: format!("run truncated mid-record: {e}"),
-            })?;
-        let key = u64::from_le_bytes(buf[..8].try_into().expect("8-byte slice"));
-        let row = u32::from_le_bytes(buf[8..].try_into().expect("4-byte slice"));
-        Ok((key, row))
-    }
-
     /// K-way merges the runs in ascending `(key, row)` order, calling
     /// `emit(row, key)` once per record.
     ///
     /// Each run was written ascending by `(key, local rank)` with
-    /// globally increasing row ids across runs, so an ordinary binary
-    /// heap on `(key, row)` reproduces **exactly** the order a
-    /// monolithic `(key, row)` argsort would — including every tie.
+    /// globally increasing row ids across runs, so the tournament on
+    /// `(key, row)` reproduces **exactly** the order a monolithic
+    /// `(key, row)` argsort would — including every tie.
     pub(crate) fn merge(&self, mut emit: impl FnMut(u32, u64)) -> Result<(), StreamError> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
+        let mut file = File::open(&self.path)?;
         // Validate the header once (catches foreign / clobbered files).
-        let mut head_file = File::open(&self.path)?;
-        check_header(&mut head_file, RUN_MAGIC, self.column)?;
-        drop(head_file);
-
-        // One bounded reader per run; memory is O(runs), not O(rows).
-        let mut cursors = Vec::with_capacity(self.run_lens.len());
+        check_header(&mut file, RUN_MAGIC, self.column)?;
+        // One block per run: memory is O(runs), not O(rows).
         let mut offset = HEADER_LEN;
-        for &len in &self.run_lens {
-            let mut file = File::open(&self.path)?;
-            file.seek(SeekFrom::Start(offset))?;
-            cursors.push(RunCursor {
-                reader: BufReader::with_capacity(32 * 1024, file),
-                remaining: len,
-            });
-            offset += len * RECORD_LEN;
-        }
-        let mut heap: BinaryHeap<Reverse<(u64, u32, usize)>> = BinaryHeap::new();
-        for (i, cursor) in cursors.iter_mut().enumerate() {
-            if cursor.remaining > 0 {
-                cursor.remaining -= 1;
-                let (key, row) = self.read_record(cursor)?;
-                heap.push(Reverse((key, row, i)));
-            }
-        }
-        while let Some(Reverse((key, row, i))) = heap.pop() {
-            emit(row, key);
-            let cursor = &mut cursors[i];
-            if cursor.remaining > 0 {
-                cursor.remaining -= 1;
-                let (key, row) = self.read_record(cursor)?;
-                heap.push(Reverse((key, row, i)));
-            }
+        let mut cursors: Vec<RunCursor> = self
+            .run_lens
+            .iter()
+            .map(|&len| {
+                let cursor = RunCursor::new(offset, len);
+                offset += len * RECORD_LEN;
+                cursor
+            })
+            .collect();
+        let heads = cursors
+            .iter_mut()
+            .map(|c| c.pop(&file, self.column))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut tree = Tournament::new(heads);
+        for _ in 0..self.total_rows() {
+            let (run, head) = tree.winner();
+            emit(head as u32, (head >> 32) as u64);
+            tree.replace_winner(cursors[run].pop(&file, self.column)?);
         }
         Ok(())
     }
@@ -249,14 +376,15 @@ impl ColumnRuns {
 /// Append-only spill of `f64` values (the raw points or the labels).
 pub(crate) struct FloatSpill {
     path: PathBuf,
-    writer: BufWriter<File>,
+    /// Unbuffered: [`FloatSpill::append`] writes whole blocks.
+    writer: File,
     values: u64,
 }
 
 impl FloatSpill {
     pub(crate) fn create(dir: &Path, name: &str) -> Result<Self, StreamError> {
         let path = dir.join(name);
-        let mut writer = BufWriter::new(File::create(&path)?);
+        let mut writer = File::create(&path)?;
         write_header(&mut writer, POOL_MAGIC)?;
         Ok(Self {
             path,
@@ -265,9 +393,15 @@ impl FloatSpill {
         })
     }
 
+    /// Appends `values` as little-endian bytes, in blocks of
+    /// [`VALUE_BLOCK`] values, one `write_all` each.
     pub(crate) fn append(&mut self, values: &[f64]) -> Result<(), StreamError> {
-        for &v in values {
-            self.writer.write_all(&v.to_le_bytes())?;
+        let mut block = [0u8; 8 * VALUE_BLOCK];
+        for chunk in values.chunks(VALUE_BLOCK) {
+            for (slot, v) in block.chunks_exact_mut(8).zip(chunk) {
+                slot.copy_from_slice(&v.to_le_bytes());
+            }
+            self.writer.write_all(&block[..8 * chunk.len()])?;
         }
         self.values += values.len() as u64;
         Ok(())
@@ -277,10 +411,29 @@ impl FloatSpill {
         HEADER_LEN + self.values * 8
     }
 
-    /// Flushes and reads the whole spill back (bit-exact round trip) —
-    /// the final materialization step, after the bounded-memory phase.
-    pub(crate) fn into_vec(mut self) -> Result<Vec<f64>, StreamError> {
-        self.writer.flush()?;
+    /// Reads the whole spill back (bit-exact round trip) — the final
+    /// materialization step, after the bounded-memory phase.
+    pub(crate) fn into_vec(self) -> Result<Vec<f64>, StreamError> {
+        let mut out = Vec::with_capacity(self.values as usize);
+        self.for_each_block(|bytes| {
+            out.extend(
+                bytes
+                    .chunks_exact(8)
+                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+            );
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Streams the values' little-endian bytes — exactly the bytes
+    /// after the header — through `visit` in blocks of at most
+    /// [`READ_BLOCK`] bytes, without materializing them, after checking
+    /// the file's length against the values appended.
+    pub(crate) fn for_each_block(
+        self,
+        mut visit: impl FnMut(&[u8]) -> Result<(), StreamError>,
+    ) -> Result<(), StreamError> {
         drop(self.writer);
         let expected = HEADER_LEN + self.values * 8;
         let actual = std::fs::metadata(&self.path)?.len();
@@ -293,37 +446,12 @@ impl FloatSpill {
                 ),
             });
         }
-        let mut reader = BufReader::with_capacity(256 * 1024, File::open(&self.path)?);
-        check_header(&mut reader, POOL_MAGIC, 0)?;
-        let mut out = Vec::with_capacity(self.values as usize);
-        let mut buf = [0u8; 8];
-        for _ in 0..self.values {
-            reader
-                .read_exact(&mut buf)
-                .map_err(|e| StreamError::CorruptSpill {
-                    column: 0,
-                    detail: format!("pool spill truncated: {e}"),
-                })?;
-            out.push(f64::from_le_bytes(buf));
-        }
-        Ok(out)
-    }
-
-    /// Flushes and streams the values' little-endian bytes — exactly
-    /// the bytes after the header — through `visit` in blocks of at
-    /// most 64 KiB, without materializing them.
-    pub(crate) fn for_each_block(
-        mut self,
-        mut visit: impl FnMut(&[u8]) -> Result<(), StreamError>,
-    ) -> Result<(), StreamError> {
-        self.writer.flush()?;
-        drop(self.writer);
         let mut file = File::open(&self.path)?;
         check_header(&mut file, POOL_MAGIC, 0)?;
-        let mut buf = vec![0u8; 64 * 1024];
+        let mut buf = vec![0u8; READ_BLOCK];
         let mut remaining = self.values * 8;
         while remaining > 0 {
-            let block = &mut buf[..remaining.min(64 * 1024) as usize];
+            let block = &mut buf[..remaining.min(READ_BLOCK as u64) as usize];
             file.read_exact(block)
                 .map_err(|e| StreamError::CorruptSpill {
                     column: 0,
@@ -344,6 +472,76 @@ impl FloatSpill {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use reds_data::argsort_stable;
+
+    /// Spills `runs` (each a slice of keys, rows numbered on from the
+    /// runs before it) as one sorted run each, merges them, and checks
+    /// the merge against the argsort of the concatenated keys.
+    fn merge_matches_argsort(runs: &[&[u64]]) {
+        let dir = SpillDir::create_in(None).unwrap();
+        let mut writer = RunWriter::create(dir.path(), 0).unwrap();
+        let mut all: Vec<u64> = Vec::new();
+        for run in runs {
+            let base = all.len() as u32;
+            let order = argsort_stable(run);
+            writer
+                .push_run(order.iter().map(|&i| (run[i as usize], base + i)))
+                .unwrap();
+            all.extend_from_slice(run);
+        }
+        let runs = writer.into_runs().unwrap();
+        let mut merged = Vec::new();
+        runs.merge(|row, key| merged.push((row, key))).unwrap();
+        let want: Vec<(u32, u64)> = argsort_stable(&all)
+            .into_iter()
+            .map(|row| (row, all[row as usize]))
+            .collect();
+        assert_eq!(merged, want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn merge_is_the_argsort_of_the_concatenated_runs(
+            lens in prop::collection::vec(1usize..50, 31),
+            keys in prop::collection::vec(0u64..7, 31 * 50),
+        ) {
+            // Seven distinct keys over up to 1550 rows: ties within and
+            // across runs everywhere.
+            for k in [1usize, 2, 3, 5, 8, 31] {
+                let mut at = 0;
+                let runs: Vec<&[u64]> = lens[..k]
+                    .iter()
+                    .map(|&len| {
+                        at += len;
+                        &keys[at - len..at]
+                    })
+                    .collect();
+                merge_matches_argsort(&runs);
+            }
+        }
+    }
+
+    #[test]
+    fn merge_refills_cursors_across_block_boundaries() {
+        // Runs longer than one cursor block, one exactly a block, and
+        // short ones, all drawing from the same 5 keys.
+        let lens = [2 * RUN_BLOCK_RECORDS + 1, RUN_BLOCK_RECORDS, 1, 7, 3001];
+        let keys: Vec<u64> = (0..lens.iter().sum::<usize>())
+            .map(|i| (i as u64 * 7919) % 5)
+            .collect();
+        let mut at = 0;
+        let runs: Vec<&[u64]> = lens
+            .iter()
+            .map(|&len| {
+                at += len;
+                &keys[at - len..at]
+            })
+            .collect();
+        merge_matches_argsort(&runs);
+    }
 
     #[test]
     fn spill_dir_is_removed_on_drop() {

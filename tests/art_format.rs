@@ -11,8 +11,9 @@
 //!   consumes, so any single-byte change of an equal-length file
 //!   changes the digest.
 //! * **Bit-identical serving.** For all three metamodel families, the
-//!   mapped model predicts bit-identically to the `reds-json` load
-//!   path, and a served `discover` returns the same boxes.
+//!   model loaded from a `.redsart` file predicts bit-identically to
+//!   the `reds-json` load path, and a served `discover` returns the same
+//!   boxes.
 
 use std::path::{Path, PathBuf};
 
@@ -118,7 +119,7 @@ fn every_single_byte_corruption_is_rejected() {
 /// For every family: the `.redsart` and `reds-json` load paths predict
 /// bit-identically and discover the same boxes.
 #[test]
-fn mapped_models_are_bit_identical_to_json_for_all_families() {
+fn packed_models_are_bit_identical_to_json_for_all_families() {
     let dir = temp_dir("bitid");
     for family in ["f", "x", "s"] {
         for seed in [3u64, 17] {
@@ -295,7 +296,7 @@ fn other_format_versions_are_unsupported_by_every_reader() {
 }
 
 /// Format sniffing goes by leading bytes, not extension: a `.redsart`
-/// blob under a `.json` name still maps, and vice versa.
+/// blob under a `.json` name still loads as `.redsart`, and vice versa.
 #[test]
 fn format_sniffing_ignores_the_extension() {
     let dir = temp_dir("sniff");
@@ -311,7 +312,7 @@ fn format_sniffing_ignores_the_extension() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The mapped reader also rejects files that are well-formed at the
+/// The `.redsart` reader also rejects files that are well-formed at the
 /// container level but structurally invalid — here, an empty file and
 /// a non-artifact file.
 #[test]

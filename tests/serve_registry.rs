@@ -5,7 +5,7 @@
 //!   underneath them: zero dropped requests, zero mixed-version
 //!   batches, versions observed in monotonic order — in-process and
 //!   over a real socket.
-//! * **Drain-before-unmap.** An old version stays alive exactly as
+//! * **Drain-before-free.** An old version stays alive exactly as
 //!   long as some request holds it pinned, observed through a `Weak`
 //!   handle; the swap reports whether the drain window sufficed.
 //! * **Monotonicity.** Property test: any interleaving of swaps,
@@ -243,15 +243,15 @@ fn old_versions_live_exactly_as_long_as_a_request_pins_them() {
     );
     assert!(
         weak.upgrade().is_some(),
-        "v1 must stay alive (mapped) while pinned"
+        "v1 must stay alive (loaded) while pinned"
     );
 
     // New work already serves version 2 — the flip never waited.
     let (version, _) = entry.predict(vec![0.5, 0.5]).expect("predicts");
     assert_eq!(version, 2);
 
-    // Releasing the last pin frees the old version (drop = unmap for
-    // mmap-backed artifacts).
+    // Releasing the last pin frees the old version (drop frees its
+    // owned model and training data).
     drop(pinned);
     let mut freed = false;
     for _ in 0..200 {
