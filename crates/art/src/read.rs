@@ -52,13 +52,12 @@ use crate::layout::{
 };
 use crate::{corrupt, ArtError, PageIndex, ScanSection};
 
-/// Reads a whole regular file with one read of exactly the length its
-/// metadata reports. Anything else — a directory, a character device
-/// such as `/dev/zero`, a FIFO — is refused before a byte is read, so
-/// no path can stream unbounded input into memory.
-pub fn read_regular_file(path: &Path) -> std::io::Result<Vec<u8>> {
-    // Checked before opening: opening a FIFO blocks until a writer
-    // appears.
+/// Opens a regular file and returns it with the length its metadata
+/// reports. Anything else — a directory, a character device such as
+/// `/dev/zero`, a FIFO — is refused before it is opened: opening a FIFO
+/// blocks until a writer appears, and a device can stream unbounded
+/// input. Both `.redsart` readers open their file here.
+pub(crate) fn open_regular_file(path: &Path) -> std::io::Result<(File, u64)> {
     let meta = std::fs::metadata(path)?;
     if !meta.is_file() {
         return Err(std::io::Error::new(
@@ -66,14 +65,22 @@ pub fn read_regular_file(path: &Path) -> std::io::Result<Vec<u8>> {
             format!("{} is not a regular file", path.display()),
         ));
     }
-    let len = usize::try_from(meta.len()).map_err(|_| {
+    Ok((File::open(path)?, meta.len()))
+}
+
+/// Reads a whole regular file ([`open_regular_file`]) with one read of
+/// exactly the length its metadata reports, so no path can stream
+/// unbounded input into memory.
+pub fn read_regular_file(path: &Path) -> std::io::Result<Vec<u8>> {
+    let (mut file, len) = open_regular_file(path)?;
+    let len = usize::try_from(len).map_err(|_| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "file too large for this address space",
         )
     })?;
     let mut bytes = vec![0u8; len];
-    File::open(path)?.read_exact(&mut bytes)?;
+    file.read_exact(&mut bytes)?;
     Ok(bytes)
 }
 

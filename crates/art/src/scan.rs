@@ -23,6 +23,7 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::layout::{verify, Cur, HEADER_LEN, VERIFY_BLOCK};
+use crate::read::open_regular_file;
 use crate::{corrupt, ArtError};
 
 /// One verified table-of-contents entry, as both readers list it.
@@ -50,8 +51,7 @@ impl ArtScan {
     /// in the same order, as [`ArtFile::from_bytes`](crate::ArtFile) —
     /// just streamed instead of read whole, every byte once.
     pub fn open(path: &Path) -> Result<Self, ArtError> {
-        let file = File::open(path)?;
-        let actual_len = file.metadata()?.len();
+        let (file, actual_len) = open_regular_file(path)?;
         let sections = verify(
             actual_len,
             |at, buf| Ok(file.read_exact_at(buf, at)?),

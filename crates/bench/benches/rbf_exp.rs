@@ -4,9 +4,9 @@
 //! support-vector counts under scalar-libm (the pre-`vexp` baseline),
 //! scalar-poly, and dispatched-poly.
 //!
-//! These are the numbers behind the `kernels/svm` acceptance gate in
-//! `perf_report` (dispatched ≥ 2.5× scalar-libm): run with
-//! `cargo bench -p reds-bench --bench rbf_exp`.
+//! These are the numbers behind the `kernels/svm` acceptance gate of
+//! `bench_report --section perf` (dispatched ≥ 2.5× scalar-libm): run
+//! with `cargo bench -p reds-bench --bench rbf_exp`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

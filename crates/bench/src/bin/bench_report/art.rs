@@ -1,20 +1,19 @@
-//! Cold-start report: loading a serving artifact from `reds-json`
-//! vs the `.redsart` binary container.
+//! `--section art`: cold starts from a `reds-json` model file against
+//! the `.redsart` binary container.
 //!
 //! ```text
-//! cargo run --release -p reds-bench --bin art_report -- \
-//!     [--function morris] [--n 400] [--trees 100] [--seed 7] \
-//!     [--family f|x|s] [--reps 5] [--probe-rows 4096] [--out-dir .]
+//! bench_report --section art [--function morris] [--n 400] [--trees 100] \
+//!     [--seed 7] [--family f|x|s] [--reps 5] [--probe-rows 4096] [--out-dir .]
 //! ```
 //!
 //! Fits one metamodel, saves it in both formats, then measures the
 //! cold-start path a server pays on boot: `ModelArtifact::load`
 //! (parse-and-validate for JSON, verify-and-decode for `.redsart`)
 //! followed by a first `predict_batch` over `--probe-rows` fresh
-//! points. Every repetition also bit-compares the two formats'
-//! predictions — a speedup that changed a prediction bit would be a
-//! bug, not a result. Emits `BENCH_art.json` with per-format median
-//! wall times and the file sizes.
+//! points. The gate: every repetition's predictions are bit-identical
+//! across the two formats — a speedup that changed a prediction bit
+//! would be a bug, not a result. Writes `BENCH_art.json` with per-format
+//! median wall times and the file sizes.
 //!
 //! Page-cache effects are *not* controlled here (both formats benefit
 //! equally on a warm cache); the interesting gap is the JSON parse and
@@ -26,6 +25,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use reds_bench::report::{median, same_bits, write_report, Gates};
 use reds_bench::{cli_fail, resolve_function, Args};
 use reds_json::Json;
 use reds_metamodel::{
@@ -34,46 +34,26 @@ use reds_metamodel::{
 use reds_sampling::{latin_hypercube, uniform};
 use reds_serve::{ArtifactFormat, ModelArtifact};
 
-const USAGE: &str = "usage: art_report [--function NAME] [--n N] [--trees N] [--seed N] \
-[--family f|x|s] [--reps N] [--probe-rows N] [--out-dir DIR]";
-
-struct Sample {
-    load_s: f64,
-    probe_s: f64,
-    predictions: Vec<f64>,
-}
-
-/// One cold-start repetition: load from disk, predict a probe batch.
-fn cold_start(path: &Path, expect: ArtifactFormat, probe: &[f64], m: usize) -> Sample {
+/// One cold start: load `path`, predict `probe`. Returns the load and
+/// the probe seconds and the predictions.
+fn cold_start(path: &str, expect: ArtifactFormat, probe: &[f64], m: usize) -> (f64, f64, Vec<f64>) {
     let t0 = Instant::now();
-    let artifact = match ModelArtifact::load(path) {
-        Ok(a) => a,
-        Err(e) => cli_fail(format!("cannot load {}: {e}", path.display()), ""),
-    };
+    let artifact = ModelArtifact::load(Path::new(path))
+        .unwrap_or_else(|e| cli_fail(format!("cannot load {path}: {e}"), ""));
     let load_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        artifact.format(),
-        expect,
-        "format sniffing disagrees with the file we wrote"
-    );
+    if artifact.format() != expect {
+        cli_fail(
+            format!("{path} was not read as the format it was written in"),
+            "",
+        );
+    }
     let t1 = Instant::now();
     let predictions = artifact.model.predict_batch(probe, m);
-    Sample {
-        load_s,
-        probe_s: t1.elapsed().as_secs_f64(),
-        predictions,
-    }
+    (load_s, t1.elapsed().as_secs_f64(), predictions)
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-fn main() {
-    let args = Args::parse();
-    let fname = args.get_str("function", "morris");
-    let f = resolve_function(&fname);
+pub fn run(args: &Args, gates: &mut Gates) {
+    let f = resolve_function(&args.get_str("function", "morris"));
     let n = args.get_usize("n", 400);
     let trees = args.get_usize("trees", 100);
     let seed = args.get_usize("seed", 7) as u64;
@@ -82,10 +62,7 @@ fn main() {
     let probe_rows = args.get_usize("probe-rows", 4096).max(1);
     let out_dir = args.get_str("out-dir", ".");
     if n == 0 {
-        cli_fail("--n must be positive", USAGE);
-    }
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        cli_fail(format!("cannot create {out_dir}: {e}"), "");
+        cli_fail("--n must be positive", super::USAGE);
     }
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -111,7 +88,7 @@ fn main() {
         "s" => SavedModel::Svm(Svm::fit(&train, &SvmParams::default(), &mut rng)),
         other => cli_fail(
             format!("unknown family '{other}' (expected f, x, or s)"),
-            USAGE,
+            super::USAGE,
         ),
     };
     let m = train.m();
@@ -125,6 +102,9 @@ fn main() {
         model: model.into(),
         train,
     };
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        cli_fail(format!("cannot create {out_dir}: {e}"), "");
+    }
     let json_path = format!("{out_dir}/art_report_model.json");
     let art_path = format!("{out_dir}/art_report_model.redsart");
     if let Err(e) = artifact.save(Path::new(&json_path)) {
@@ -133,33 +113,36 @@ fn main() {
     if let Err(e) = artifact.save_art(Path::new(&art_path)) {
         cli_fail(format!("cannot save {art_path}: {e}"), "");
     }
-    let file_len = |p: &str| std::fs::metadata(p).map(|md| md.len()).unwrap_or(0);
+    let file_len = |p: &str| std::fs::metadata(p).map_or(0, |md| md.len());
 
-    let mut json_load = Vec::new();
-    let mut json_probe = Vec::new();
-    let mut art_load = Vec::new();
-    let mut art_probe = Vec::new();
+    let (mut json_load, mut json_probe) = (Vec::new(), Vec::new());
+    let (mut art_load, mut art_probe) = (Vec::new(), Vec::new());
     let mut identical = true;
     for _ in 0..reps {
-        let j = cold_start(Path::new(&json_path), ArtifactFormat::Json, &probe, m);
-        let a = cold_start(Path::new(&art_path), ArtifactFormat::Art, &probe, m);
-        identical &= j.predictions.len() == a.predictions.len()
-            && j.predictions
-                .iter()
-                .zip(&a.predictions)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-        json_load.push(j.load_s);
-        json_probe.push(j.probe_s);
-        art_load.push(a.load_s);
-        art_probe.push(a.probe_s);
+        let (load, probe_s, from_json) = cold_start(&json_path, ArtifactFormat::Json, &probe, m);
+        json_load.push(load);
+        json_probe.push(probe_s);
+        let (load, probe_s, from_art) = cold_start(&art_path, ArtifactFormat::Art, &probe, m);
+        art_load.push(load);
+        art_probe.push(probe_s);
+        identical &= same_bits(&from_json, &from_art);
     }
+    gates.check(
+        identical,
+        "predictions differ between the reds-json and the .redsart model",
+    );
 
     let json_load_med = median(json_load);
     let art_load_med = median(art_load);
+    let load_speedup = if art_load_med > 0.0 {
+        json_load_med / art_load_med
+    } else {
+        f64::INFINITY
+    };
     let report = Json::obj([
         ("bench", Json::str("art_cold_start")),
         ("function", Json::str(f.name())),
-        ("family", Json::str(family.clone())),
+        ("family", Json::str(family)),
         ("n_train", Json::num(n as f64)),
         ("trees", Json::num(trees as f64)),
         ("seed", Json::num(seed as f64)),
@@ -171,35 +154,14 @@ fn main() {
         ("redsart_load_s", Json::num(art_load_med)),
         ("json_probe_s", Json::num(median(json_probe))),
         ("redsart_probe_s", Json::num(median(art_probe))),
-        (
-            "load_speedup",
-            Json::num(if art_load_med > 0.0 {
-                json_load_med / art_load_med
-            } else {
-                f64::INFINITY
-            }),
-        ),
+        ("load_speedup", Json::num(load_speedup)),
         ("bit_identical", Json::Bool(identical)),
     ]);
-    let path = format!("{out_dir}/BENCH_art.json");
-    let mut text = report.to_string_pretty();
-    text.push('\n');
-    if let Err(e) = std::fs::write(&path, text) {
-        cli_fail(format!("cannot write {path}: {e}"), "");
-    }
-    eprintln!("wrote {path}");
+    write_report(&out_dir, "BENCH_art.json", &report);
     eprintln!(
-        "cold start: reds-json {:.1} ms, .redsart {:.1} ms ({:.1}x); predictions {}",
+        "cold start: reds-json {:.1} ms, .redsart {:.1} ms ({load_speedup:.1}x); predictions {}",
         json_load_med * 1e3,
         art_load_med * 1e3,
-        if art_load_med > 0.0 {
-            json_load_med / art_load_med
-        } else {
-            f64::INFINITY
-        },
         if identical { "bit-identical" } else { "DIFFER" },
     );
-    if !identical {
-        std::process::exit(1);
-    }
 }

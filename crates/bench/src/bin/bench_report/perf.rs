@@ -1,71 +1,44 @@
-//! Machine-readable perf report for the presorted-column engine.
-//!
-//! Runs the `reds/vs_l` pipeline configuration (default [`RedsConfig`]
-//! with PRIM) through `Reds::run` and through the naive path in the
-//! same process, verifies the discovered boxes are **bit-identical**,
-//! and emits `BENCH_prim.json`, `BENCH_forest.json` (which times the
-//! forest's `hard_labels` next to `predict_batch`) and
-//! `BENCH_kernels.json`.
+//! `--section perf`: the presorted-column engine and the prediction
+//! kernels against the references they must reproduce.
 //!
 //! ```text
-//! cargo run --release -p reds-bench --bin perf_report -- \
-//!     [--l 80000] [--n 400] [--m 10] [--reps 2] [--out-dir .]
+//! bench_report --section perf [--l 80000] [--n 400] [--m 10] [--reps 2] [--out-dir .]
 //! ```
 //!
-//! The naive path is the pre-optimization implementation kept as the
-//! reference oracle: per-step re-sorting PRIM, serial naive-builder
-//! forest training, and per-point virtual-dispatch pseudo-labeling.
-
-use std::time::Instant;
+//! The references are the pre-optimization implementations, kept as
+//! oracles: per-step re-sorting PRIM, serial naive-builder forest
+//! training, per-point virtual-dispatch pseudo-labeling and the forced
+//! scalar kernels. Every timing is best of `--reps`. Gates:
+//!
+//! * naive ≡ presorted PRIM boxes at `L/4` and at `L`;
+//! * naive ≡ `Reds::run` pipeline boxes (`reds/vs_l`);
+//! * per-point ≡ batch forest predictions, and `hard_labels` ≡
+//!   `predict_batch` + threshold;
+//! * scalar ≡ dispatched `predict_batch` for each family (the libm `exp`
+//!   is a deliberately different function and is timed only);
+//! * at `--l` ≥ 80 000 only: the pipeline ≥ 3× the naive one; and,
+//!   where dispatch selects SIMD, the forest and GBDT kernels ≥ 1.5×
+//!   scalar, and the SVM ≥ 2.5× scalar-libm when the `exp` backend is
+//!   the polynomial.
+//!
+//! Writes `BENCH_prim.json`, `BENCH_forest.json` (which times the
+//! forest's `hard_labels` next to `predict_batch`) and
+//! `BENCH_kernels.json`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use reds_bench::report::{box_bits, corner_data, same_bits, time_best, write_report, Gates};
 use reds_bench::Args;
 use reds_core::{Reds, RedsConfig};
 use reds_data::Dataset;
 use reds_json::Json;
+use reds_metamodel::kernels::{self, ExpBackend, Kernel};
 use reds_metamodel::{
-    kernels, Gbdt, GbdtParams, Metamodel, NaiveRandomForest, RandomForest, RandomForestParams, Svm,
+    Gbdt, GbdtParams, Metamodel, NaiveRandomForest, RandomForest, RandomForestParams, Svm,
     SvmParams,
 };
 use reds_sampling::uniform;
 use reds_subgroup::{HyperBox, NaivePrim, Prim, SdResult, SubgroupDiscovery};
-
-fn corner_data(n: usize, m: usize, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    Dataset::from_fn((0..n * m).map(|_| rng.gen::<f64>()).collect(), m, |x| {
-        if x[0] > 0.6 && x[1] > 0.6 {
-            1.0
-        } else {
-            0.0
-        }
-    })
-    .expect("valid shape")
-}
-
-/// Best-of-`reps` wall time of `f`, in milliseconds, plus its result.
-fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        let value = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        out = Some(value);
-    }
-    (best, out.expect("at least one rep"))
-}
-
-fn boxes_bits_equal(a: &SdResult, b: &SdResult) -> bool {
-    a.boxes.len() == b.boxes.len()
-        && a.boxes.iter().zip(&b.boxes).all(|(x, y)| {
-            x.m() == y.m()
-                && (0..x.m()).all(|j| {
-                    let ((la, ha), (lb, hb)) = (x.bound(j), y.bound(j));
-                    la.to_bits() == lb.to_bits() && ha.to_bits() == hb.to_bits()
-                })
-        })
-}
 
 /// One REDS pipeline run at `seed`. The optimized path is `Reds::run`
 /// itself; the naive path replicates its exact RNG stream, so both see
@@ -86,17 +59,19 @@ fn run_pipeline(d: &Dataset, config: &RedsConfig, naive: bool, seed: u64) -> SdR
     let points = uniform(config.l, m, &mut rng);
     let labels: Vec<f64> = points
         .chunks_exact(m)
-        .map(|x| {
-            if model.predict(x) > config.bnd {
-                1.0
-            } else {
-                0.0
-            }
-        })
+        .map(|x| threshold(model.predict(x), config.bnd))
         .collect();
     let d_new = Dataset::new(points, labels, m).expect("valid shape");
     let mut sd_rng = StdRng::seed_from_u64(rng.gen());
     NaivePrim::default().discover(&d_new, d, &mut sd_rng)
+}
+
+fn threshold(p: f64, bnd: f64) -> f64 {
+    if p > bnd {
+        1.0
+    } else {
+        0.0
+    }
 }
 
 fn box_summary(b: &HyperBox) -> Json {
@@ -106,8 +81,7 @@ fn box_summary(b: &HyperBox) -> Json {
     }))
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, gates: &mut Gates) {
     let l = args.get_usize("l", 80_000);
     let n = args.get_usize("n", 400);
     let m = args.get_usize("m", 10);
@@ -124,8 +98,10 @@ fn main() {
         let (fast_ms, fast_result) = time_best(reps, || {
             Prim::default().discover(&d, &d, &mut StdRng::seed_from_u64(12))
         });
-        let identical = boxes_bits_equal(&naive_result, &fast_result);
-        assert!(identical, "PRIM paths diverged at n = {peel_n}");
+        let identical = gates.check(
+            box_bits(&naive_result) == box_bits(&fast_result),
+            format!("PRIM paths diverged at n = {peel_n}"),
+        );
         println!(
             "prim/peel n={peel_n} m={m}: naive {naive_ms:.1} ms, presorted {fast_ms:.1} ms \
              ({:.1}x), identical boxes: {identical}",
@@ -146,14 +122,16 @@ fn main() {
     let train = corner_data(n, m, 1);
     let (naive_ms, naive_result) = time_best(reps, || run_pipeline(&train, &config, true, 2));
     let (fast_ms, fast_result) = time_best(reps, || run_pipeline(&train, &config, false, 2));
-    let identical = boxes_bits_equal(&naive_result, &fast_result);
+    let identical = gates.check(
+        box_bits(&naive_result) == box_bits(&fast_result),
+        "pipeline paths diverged",
+    );
     let speedup = naive_ms / fast_ms;
     println!(
         "reds/vs_l l={l}: naive {naive_ms:.0} ms, optimized {fast_ms:.0} ms ({speedup:.1}x), \
          identical boxes: {identical} ({} boxes)",
         fast_result.boxes.len()
     );
-    assert!(identical, "pipeline paths diverged");
     let pipeline = Json::obj([
         ("bench", Json::str("reds/vs_l")),
         ("l", Json::num(l as f64)),
@@ -166,16 +144,11 @@ fn main() {
         ("n_boxes", Json::num(fast_result.boxes.len() as f64)),
         (
             "last_box",
-            fast_result
-                .last_box()
-                .map(box_summary)
-                .unwrap_or(Json::Null),
+            fast_result.last_box().map_or(Json::Null, box_summary),
         ),
     ]);
     let prim_doc = Json::obj([("peel", Json::Arr(prim_rows)), ("pipeline", pipeline)]);
-    let prim_path = format!("{out_dir}/BENCH_prim.json");
-    std::fs::write(&prim_path, prim_doc.to_string_pretty()).expect("write BENCH_prim.json");
-    println!("wrote {prim_path}");
+    write_report(&out_dir, "BENCH_prim.json", &prim_doc);
 
     // ---------------- Forest: fit and predict paths ----------------
     let params = RandomForestParams::default();
@@ -193,24 +166,18 @@ fn main() {
             .collect::<Vec<f64>>()
     });
     let (batch_ms, batch_preds) = time_best(reps, || fast_forest.predict_batch(&query, m));
-    let preds_identical = point_preds.len() == batch_preds.len()
-        && point_preds
-            .iter()
-            .zip(&batch_preds)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(preds_identical, "forest prediction paths diverged");
+    let preds_identical = gates.check(
+        same_bits(&point_preds, &batch_preds),
+        "forest prediction paths diverged",
+    );
     // Hard labels, as `Reds::run` pseudo-labels: the early exit against
     // the full walk it must reproduce.
     let bnd = config.bnd;
     let (hard_ms, hard_labels) = time_best(reps, || fast_forest.hard_labels(&query, m, bnd));
-    let labels_identical = hard_labels.len() == batch_preds.len()
-        && hard_labels
-            .iter()
-            .zip(&batch_preds)
-            .all(|(h, p)| h.to_bits() == if *p > bnd { 1.0f64 } else { 0.0 }.to_bits());
-    assert!(
-        labels_identical,
-        "forest hard labels diverged from predict_batch + threshold"
+    let thresholded: Vec<f64> = batch_preds.iter().map(|&p| threshold(p, bnd)).collect();
+    let labels_identical = gates.check(
+        same_bits(&hard_labels, &thresholded),
+        "forest hard labels diverged from predict_batch + threshold",
     );
     println!(
         "forest/fit n={n} trees={}: naive-serial {fit_naive_ms:.0} ms, presorted-parallel \
@@ -263,20 +230,13 @@ fn main() {
             ]),
         ),
     ]);
-    let forest_path = format!("{out_dir}/BENCH_forest.json");
-    std::fs::write(&forest_path, forest_doc.to_string_pretty()).expect("write BENCH_forest.json");
-    println!("wrote {forest_path}");
+    write_report(&out_dir, "BENCH_forest.json", &forest_doc);
 
     // -------- Kernels: scalar vs runtime-dispatched SIMD --------
     //
-    // Times every metamodel family's `predict_batch` under three
-    // configurations — forced scalar with libm `exp` (the
-    // pre-vexp baseline), forced scalar with the polynomial `exp`, and
-    // runtime dispatch — asserts the two polynomial runs are
-    // bit-identical (the kernel contract; libm is a deliberately
-    // different function), and gates forest/GBDT at ≥ 1.5×
-    // dispatched-vs-scalar and SVM at ≥ 2.5× dispatched-vs-scalar-libm
-    // when the dispatched backend is actually SIMD.
+    // Every family's `predict_batch` under forced scalar with libm
+    // `exp` (the pre-vexp baseline), forced scalar with the polynomial
+    // `exp`, and runtime dispatch.
     let dispatched = kernels::active();
     let exp_backend = kernels::vexp::backend();
     let gbdt = Gbdt::fit(
@@ -285,31 +245,24 @@ fn main() {
         &mut StdRng::seed_from_u64(5),
     );
     let svm = Svm::fit(&train, &SvmParams::default(), &mut StdRng::seed_from_u64(6));
+    let families: [(&str, &dyn Metamodel); 3] =
+        [("forest", &fast_forest), ("gbdt", &gbdt), ("svm", &svm)];
     let mut kernel_rows = Vec::new();
-    let mut gated_speedups: Vec<(&str, f64, f64)> = Vec::new();
-    let mut svm_libm_speedup = 1.0f64;
-    let families: [(&str, &dyn Metamodel, bool); 3] = [
-        ("forest", &fast_forest, true),
-        ("gbdt", &gbdt, true),
-        ("svm", &svm, false),
-    ];
-    for (family, model, gated) in families {
-        kernels::set_kernel(Some(kernels::Kernel::Scalar));
-        kernels::vexp::set_backend(Some(kernels::ExpBackend::Libm));
+    let mut speedups = Vec::new();
+    for (family, model) in families {
+        kernels::set_kernel(Some(Kernel::Scalar));
+        kernels::vexp::set_backend(Some(ExpBackend::Libm));
         let (libm_ms, _) = time_best(reps, || model.predict_batch(&query, m));
         kernels::vexp::set_backend(None);
         let (scalar_ms, scalar_preds) = time_best(reps, || model.predict_batch(&query, m));
         kernels::set_kernel(None);
         let (simd_ms, simd_preds) = time_best(reps, || model.predict_batch(&query, m));
-        let identical = scalar_preds.len() == simd_preds.len()
-            && scalar_preds
-                .iter()
-                .zip(&simd_preds)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(
-            identical,
-            "{family}: scalar and {} kernels diverged",
-            dispatched.name()
+        let identical = gates.check(
+            same_bits(&scalar_preds, &simd_preds),
+            format!(
+                "{family}: scalar and {} kernels diverged",
+                dispatched.name()
+            ),
         );
         let kernel_speedup = scalar_ms / simd_ms;
         let libm_speedup = libm_ms / simd_ms;
@@ -319,11 +272,7 @@ fn main() {
              identical: {identical}",
             dispatched.name()
         );
-        if gated {
-            gated_speedups.push((family, kernel_speedup, libm_speedup));
-        } else {
-            svm_libm_speedup = libm_speedup;
-        }
+        speedups.push((family, kernel_speedup, libm_speedup));
         kernel_rows.push(Json::obj([
             ("family", Json::str(family)),
             ("l", Json::num(l as f64)),
@@ -334,7 +283,9 @@ fn main() {
             ("speedup", Json::num(kernel_speedup)),
             ("speedup_vs_libm", Json::num(libm_speedup)),
             ("identical_predictions", Json::Bool(identical)),
-            ("gated", Json::Bool(gated || family == "svm")),
+            // Each family has a ratio gate: forest and GBDT against
+            // scalar, the SVM against scalar-libm.
+            ("gated", Json::Bool(true)),
         ]));
     }
     let kernels_doc = Json::obj([
@@ -344,43 +295,41 @@ fn main() {
         ("threads", Json::num(reds_par::max_threads() as f64)),
         ("families", Json::Arr(kernel_rows)),
     ]);
-    let kernels_path = format!("{out_dir}/BENCH_kernels.json");
-    std::fs::write(&kernels_path, kernels_doc.to_string_pretty())
-        .expect("write BENCH_kernels.json");
-    println!("wrote {kernels_path}");
+    write_report(&out_dir, "BENCH_kernels.json", &kernels_doc);
 
-    // The acceptance gates apply at the benchmark's reference size;
-    // reduced-size CI runs only check equivalence. The kernel gate is
-    // meaningful only where dispatch actually selects SIMD — on
-    // scalar-only hardware (or under REDS_KERNEL=scalar) the comparison
-    // is scalar-vs-scalar and the report is informational.
-    let mut failed = false;
-    if l >= 80_000 && speedup < 3.0 {
-        eprintln!("WARNING: pipeline speedup {speedup:.2}x below the 3x acceptance target");
-        failed = true;
+    // The ratio gates apply at the benchmark's reference size; reduced
+    // runs check equivalence only. The kernel gates mean something only
+    // where dispatch selects SIMD: on scalar-only hardware (or under
+    // REDS_KERNEL=scalar) they would compare scalar with scalar.
+    if l < 80_000 {
+        return;
     }
-    if l >= 80_000 && dispatched != kernels::Kernel::Scalar {
-        for (family, s, _) in gated_speedups {
-            if s < 1.5 {
-                eprintln!(
-                    "WARNING: {family} kernel speedup {s:.2}x below the 1.5x acceptance target"
-                );
-                failed = true;
-            }
-        }
-        // The SVM is exp-bound, so its gate measures the whole vexp
-        // story: dispatched polynomial SIMD vs the scalar-libm
-        // baseline the pre-vexp kernels were stuck at. Only meaningful
-        // when the polynomial backend is active.
-        if exp_backend == kernels::ExpBackend::Poly && svm_libm_speedup < 2.5 {
-            eprintln!(
-                "WARNING: svm dispatched-vs-scalar-libm speedup {svm_libm_speedup:.2}x below \
-                 the 2.5x acceptance target"
+    gates.check(
+        speedup >= 3.0,
+        format!("pipeline speedup {speedup:.2}x below the 3x acceptance target"),
+    );
+    if dispatched == Kernel::Scalar {
+        return;
+    }
+    for (family, kernel_speedup, libm_speedup) in speedups {
+        if family != "svm" {
+            gates.check(
+                kernel_speedup >= 1.5,
+                format!(
+                    "{family} kernel speedup {kernel_speedup:.2}x below the 1.5x acceptance target"
+                ),
             );
-            failed = true;
+        } else if exp_backend == ExpBackend::Poly {
+            // The SVM is exp-bound, so its gate measures the whole vexp
+            // story: dispatched polynomial SIMD against the scalar-libm
+            // baseline the pre-vexp kernels were stuck at.
+            gates.check(
+                libm_speedup >= 2.5,
+                format!(
+                    "svm dispatched-vs-scalar-libm speedup {libm_speedup:.2}x below the 2.5x \
+                     acceptance target"
+                ),
+            );
         }
-    }
-    if failed {
-        std::process::exit(1);
     }
 }

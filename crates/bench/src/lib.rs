@@ -1,9 +1,11 @@
 //! Shared plumbing for the table/figure reproduction binaries: a tiny
 //! `--flag value` argument parser, result-row printing, JSON output,
-//! and the sharded/checkpointable [`sweep`] driver.
+//! the sharded/checkpointable [`sweep`] driver, and the [`report`]
+//! harness of `bench_report`.
 
 #![warn(missing_docs)]
 
+pub mod report;
 pub mod rss;
 pub mod sweep;
 

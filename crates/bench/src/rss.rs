@@ -2,10 +2,10 @@
 //!
 //! Linux exposes a process's resident-set high-water mark as the
 //! `VmHWM` field of `/proc/self/status` (and the current RSS as
-//! `VmRSS`). The streaming benches spawn one subprocess per measured
-//! configuration precisely because `VmHWM` is a *high-water* mark: it
-//! never decreases, so two configurations measured in one process
-//! would shadow each other.
+//! `VmRSS`). `bench_report`'s pool section spawns one subprocess per
+//! measured configuration precisely because `VmHWM` is a *high-water*
+//! mark: it never decreases, so two configurations measured in one
+//! process would shadow each other.
 
 /// Peak resident set size (`VmHWM`) of this process, in bytes.
 /// `None` on platforms without `/proc/self/status`.

@@ -94,3 +94,30 @@ fn fit_model_requires_its_flags_and_validates_them() {
     );
     assert_usage_error(&out, "--n", "zero n");
 }
+
+#[test]
+fn bench_report_rejects_bad_sections_and_unwritable_out_dirs() {
+    let report = |args: &str| {
+        let args: Vec<&str> = args.split_whitespace().collect();
+        run(env!("CARGO_BIN_EXE_bench_report"), &args)
+    };
+    assert_usage_error(&report(""), "--section", "missing --section");
+    assert_usage_error(&report("--section stream"), "--section", "unknown section");
+    assert_usage_error(
+        &report("--section pool --algorithm cart"),
+        "--algorithm",
+        "unknown algorithm",
+    );
+    // A report that cannot be written is a bad invocation, not a panic
+    // and not a failed gate.
+    assert_usage_error(
+        &report("--section perf --l 400 --n 60 --reps 1 --out-dir /dev/null/reports"),
+        "cannot write",
+        "unwritable perf out-dir",
+    );
+    assert_usage_error(
+        &report("--section art --n 40 --trees 2 --reps 1 --out-dir /dev/null/reports"),
+        "cannot create",
+        "unwritable art out-dir",
+    );
+}

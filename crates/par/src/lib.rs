@@ -12,6 +12,8 @@
 //! 2. the `REDS_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
+//! A fan-out across `w` workers spawns `w − 1` threads: the calling
+//! thread takes the first share itself rather than waiting in `join`.
 //! With one resolved thread every helper degenerates to a plain serial
 //! loop on the calling thread — no spawn overhead, same numbers.
 
@@ -47,7 +49,8 @@ pub fn max_threads() -> usize {
 }
 
 /// Maps `f` over `items`, preserving order. Runs on the calling thread
-/// when one worker suffices; panics from workers propagate.
+/// when one worker suffices; otherwise the calling thread maps the
+/// first slice. Panics from workers propagate.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -58,22 +61,19 @@ where
     if workers <= 1 || items.len() <= 1 {
         return items.iter().map(f).collect();
     }
-    let chunk = items.len().div_ceil(workers);
-    let mut parts: Vec<Vec<U>> = Vec::with_capacity(workers);
+    let mut slices = items.chunks(items.len().div_ceil(workers));
+    let first = slices.next().expect("two or more items");
+    let mut out = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
+        let handles: Vec<_> = slices
             .map(|slice| scope.spawn(move || slice.iter().map(f).collect::<Vec<U>>()))
             .collect();
+        out.extend(first.iter().map(f));
         for handle in handles {
-            parts.push(handle.join().expect("parallel worker panicked"));
+            out.extend(handle.join().expect("parallel worker panicked"));
         }
     });
-    let mut out = Vec::with_capacity(items.len());
-    for part in parts {
-        out.extend(part);
-    }
     out
 }
 
@@ -128,22 +128,25 @@ where
         }
         return;
     }
-    // One thread per worker, each iterating a contiguous run of whole
-    // chunks — the chunk grid (and therefore `f`'s view of the data)
-    // is identical to the serial loop's.
+    // Each worker iterates a contiguous run of whole chunks — the chunk
+    // grid (and therefore `f`'s view of the data) is identical to the
+    // serial loop's. The calling thread fills the first run.
     let run_len = n_chunks.div_ceil(workers) * chunk_len;
     std::thread::scope(|scope| {
-        let f = &f;
-        let init = &init;
-        let mut handles = Vec::new();
-        for (w, run) in out.chunks_mut(run_len).enumerate() {
-            handles.push(scope.spawn(move || {
-                let mut scratch = init();
-                for (c, chunk) in run.chunks_mut(chunk_len).enumerate() {
-                    f(&mut scratch, w * run_len + c * chunk_len, chunk);
-                }
-            }));
-        }
+        let (f, init) = (&f, &init);
+        let fill = move |w: usize, run: &mut [U]| {
+            let mut scratch = init();
+            for (c, chunk) in run.chunks_mut(chunk_len).enumerate() {
+                f(&mut scratch, w * run_len + c * chunk_len, chunk);
+            }
+        };
+        let mut runs = out.chunks_mut(run_len);
+        let first = runs.next().expect("two or more chunks");
+        let handles: Vec<_> = runs
+            .enumerate()
+            .map(|(w, run)| scope.spawn(move || fill(w + 1, run)))
+            .collect();
+        fill(0, first);
         for handle in handles {
             handle.join().expect("parallel worker panicked");
         }
@@ -234,6 +237,38 @@ mod tests {
             assert_eq!(out, (0..1_001).collect::<Vec<_>>(), "threads {threads}");
         }
         set_max_threads(None);
+    }
+
+    #[test]
+    fn the_calling_thread_takes_the_first_share() {
+        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..40).collect();
+        for threads in [2, 3] {
+            set_max_threads(Some(threads));
+            let mapped = par_map(&items, |&i| (i * 3, std::thread::current().id()));
+            let mut filled = vec![(0, caller); 40];
+            par_fill_chunks_with(
+                &mut filled,
+                4,
+                || std::thread::current().id(),
+                |&mut id, start, chunk| {
+                    for (k, slot) in chunk.iter_mut().enumerate() {
+                        *slot = ((start + k) * 3, id);
+                    }
+                },
+            );
+            set_max_threads(None);
+            for out in [&mapped, &filled] {
+                let values: Vec<usize> = out.iter().map(|&(v, _)| v).collect();
+                assert_eq!(values, (0..40).map(|i| i * 3).collect::<Vec<_>>());
+                assert_eq!(out[0].1, caller, "threads {threads}: first chunk");
+                assert!(
+                    out.iter().any(|&(_, id)| id != caller),
+                    "threads {threads}: no chunk left the calling thread"
+                );
+            }
+        }
     }
 
     #[test]

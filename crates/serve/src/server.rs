@@ -240,12 +240,14 @@ impl Service {
                 params.chunk_rows, self.limits.max_discover_l
             )));
         }
-        // The merge holds one open file + buffered reader per spilled
-        // run, and runs = ⌈l / chunk_rows⌉ — a client asking for
-        // chunk_rows = 1 at l = 10⁶ would exhaust the process's file
-        // descriptors. Chunking never changes the result (bit-identity
-        // holds for any chunk size), so the server is free to raise a
-        // too-small chunk until the run count is bounded.
+        // A column's merge opens its run file once and holds one block
+        // of at most 32 760 bytes per spilled run, and runs =
+        // ⌈l / chunk_rows⌉ — a client asking for chunk_rows = 1 at
+        // l = 10⁶ would make every column's merge hold ~32 GB. Chunking
+        // never changes the result (bit-identity holds for any chunk
+        // size), so the server is free to raise a too-small chunk until
+        // the run count, and with it the merge memory (1 024 runs ≈
+        // 32 MiB per column), is bounded.
         const MAX_RUNS_PER_COLUMN: usize = 1_024;
         let requested = StreamConfig::new()
             .with_chunk_rows(params.chunk_rows)
@@ -778,9 +780,10 @@ mod tests {
     fn tiny_chunk_requests_are_clamped_but_still_bit_identical() {
         let service = tiny_service();
         // chunk_rows = 1 at l = 3000 would mean 3000 spilled runs (and
-        // 3000 open files in the merge); the server clamps the chunk so
-        // runs stay bounded — and the result is unchanged, because
-        // chunking never affects the boxes.
+        // a 32 760-byte merge block for each, per column); the server
+        // clamps the chunk so runs and merge memory stay bounded — and
+        // the result is unchanged, because chunking never affects the
+        // boxes.
         let clamped = service
             .discover_streaming(
                 &StreamDiscoverParams {

@@ -79,7 +79,8 @@ const WRITE_BLOCK_BYTES: usize = 4096 * 12;
 /// the 50–60 ns a row-column takes (key gather, radix argsort, run
 /// encoding) — the share per worker at which `label_dataset` fans out
 /// too. A chunk fans out across `n·m / SORT_PER_WORKER` workers, at most
-/// one per column and `reds_par::max_threads()` in all.
+/// one per column and `reds_par::max_threads()` in all; the calling
+/// thread is one of them, so `w` workers spawn `w − 1` threads.
 const SORT_PER_WORKER: usize = 10_000;
 
 /// The pool digest: a [`Checksum`] fed through a block buffer.

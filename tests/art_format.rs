@@ -181,6 +181,57 @@ fn packed_models_are_bit_identical_to_json_for_all_families() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Neither `.redsart` reader, nor the paged store on top of one, opens
+/// a path that is not a regular file. Opening a FIFO blocks until a
+/// writer appears, so the opens run on a helper thread that must answer
+/// within a few seconds.
+#[cfg(unix)]
+#[test]
+fn fifos_and_directories_are_refused_without_blocking() {
+    use reds_art::{ArtError, ArtFile, ArtScan};
+    use reds_ooc::{OocConfig, OocError, OocPool};
+    use std::time::Duration;
+
+    let dir = temp_dir("non-regular");
+    let fifo = dir.join("pool.fifo");
+    let made = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("mkfifo runs");
+    assert!(made.success(), "mkfifo failed");
+    for path in [fifo, dir.clone()] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let probe = path.clone();
+        std::thread::spawn(move || {
+            let file = ArtFile::open(&probe).err();
+            let scan = ArtScan::open(&probe).err();
+            let pool = OocPool::open(&probe, &OocConfig::default()).err();
+            let _ = tx.send((file, scan, pool));
+        });
+        let (file, scan, pool) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("opening {} blocked", path.display()));
+        for err in [
+            file,
+            scan,
+            pool.map(|e| match e {
+                OocError::Art(e) => e,
+                other => panic!("{}: OocPool: {other}", path.display()),
+            }),
+        ] {
+            match err {
+                Some(ArtError::Io(e)) => assert!(
+                    e.to_string().contains("not a regular file"),
+                    "{}: {e}",
+                    path.display()
+                ),
+                other => panic!("{}: expected a refusal, got {other:?}", path.display()),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The same XOR-every-byte bar for a *pool* artifact — one that
 /// carries COLUMN, PAGE_INDEX, and DATASET sections (the out-of-core
 /// store's input): both the materializing reader ([`ArtFile`]) and the
