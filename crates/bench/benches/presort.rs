@@ -1,12 +1,13 @@
-//! Naive-vs-presorted microbenchmarks for the §7 hot paths:
-//! PRIM peeling with and without the `SortedView` columnar index,
-//! serial-naive vs parallel-presorted forest training, and per-point vs
-//! tree-major batched forest prediction.
+//! Naive-vs-presorted microbenchmarks for the §7 hot paths: the
+//! presort itself (`argsort_stable` on one column, `SortedView::new` on
+//! a whole pool), PRIM peeling with and without the `SortedView`
+//! columnar index, serial-naive vs parallel-presorted forest training,
+//! and per-point vs tree-major batched forest prediction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reds_data::Dataset;
+use reds_data::{argsort_stable, ord_key, Dataset, SortedView};
 use reds_metamodel::{Metamodel, NaiveRandomForest, RandomForest, RandomForestParams};
 use reds_subgroup::{NaivePrim, Prim, SubgroupDiscovery};
 
@@ -20,6 +21,38 @@ fn corner_data(n: usize, m: usize, seed: u64) -> Dataset {
         }
     })
     .expect("valid shape")
+}
+
+/// `n × m` points, uniform in `[0, 1)` or on a 16-level grid (every
+/// value tied about `n / 16` times).
+fn presort_pool(n: usize, m: usize, grid: bool, seed: u64) -> Dataset {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let points = (0..n * m)
+        .map(|_| {
+            let v = rng.gen::<f64>();
+            if grid {
+                (v * 16.0).floor() / 16.0
+            } else {
+                v
+            }
+        })
+        .collect();
+    Dataset::new(points, vec![0.0; n], m).expect("valid shape")
+}
+
+fn bench_presort(c: &mut Criterion) {
+    let mut group = c.benchmark_group("presort/sort");
+    group.sample_size(10);
+    for (name, grid) in [("uniform", false), ("grid16", true)] {
+        let d = presort_pool(100_000, 12, grid, 8);
+        group.bench_function(BenchmarkId::new("argsort_stable_1e5", name), |b| {
+            b.iter(|| argsort_stable(d.n(), |i| ord_key(d.value(i, 0))))
+        });
+        group.bench_function(BenchmarkId::new("sorted_view_1e5x12", name), |b| {
+            b.iter(|| SortedView::new(&d))
+        });
+    }
+    group.finish();
 }
 
 fn bench_prim_naive_vs_presorted(c: &mut Criterion) {
@@ -85,6 +118,7 @@ fn bench_predict_point_vs_batch(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_presort,
     bench_prim_naive_vs_presorted,
     bench_forest_serial_vs_parallel,
     bench_predict_point_vs_batch

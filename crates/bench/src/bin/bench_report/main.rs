@@ -16,8 +16,9 @@
 //!
 //! Each section's module documents its flags and gates. Every gate that
 //! fails is printed as a `FAIL:` line and the report exits with status
-//! 1; a bad invocation, or an `--out-dir` that cannot be written, exits
-//! with status 2.
+//! 1; a bad invocation (a flag or token the section does not take
+//! included), or an `--out-dir` that cannot be written, exits with
+//! status 2.
 
 mod art;
 mod perf;
@@ -34,17 +35,64 @@ const USAGE: &str = "usage: bench_report --section perf|pool|art [flags]
   art:  [--function NAME] [--n N] [--trees N] [--seed N] [--family f|x|s] [--reps N]
         [--probe-rows N] [--out-dir DIR]";
 
+/// The `--key value` options (`section` among them) and the bare flags
+/// of each section, as `USAGE` lists them; `pool` also takes the
+/// `--measure MODE` its measurement children are started with.
+fn accepted(section: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match section {
+        "perf" => (&["section", "l", "n", "m", "reps", "out-dir"], &[]),
+        "pool" => (
+            &[
+                "section",
+                "l",
+                "m",
+                "chunk-rows",
+                "mem-budget",
+                "cache-mib",
+                "page-rows",
+                "algorithm",
+                "n",
+                "trees",
+                "seed",
+                "out-dir",
+                "spill-dir",
+                "measure",
+            ],
+            &["construct-only", "skip-inmem"],
+        ),
+        "art" => (
+            &[
+                "section",
+                "function",
+                "n",
+                "trees",
+                "seed",
+                "family",
+                "reps",
+                "probe-rows",
+                "out-dir",
+            ],
+            &[],
+        ),
+        _ => return None,
+    })
+}
+
 fn main() {
     let args = Args::parse();
+    let section = args.get_str("section", "");
+    let Some((options, flags)) = accepted(&section) else {
+        cli_fail(
+            format!("--section expects perf, pool or art, got '{section}'"),
+            USAGE,
+        )
+    };
+    args.accept_only(options, flags, USAGE);
     let mut gates = Gates::default();
-    match args.get_str("section", "").as_str() {
+    match section.as_str() {
         "perf" => perf::run(&args, &mut gates),
         "pool" => pool::run(&args, &mut gates),
-        "art" => art::run(&args, &mut gates),
-        other => cli_fail(
-            format!("--section expects perf, pool or art, got '{other}'"),
-            USAGE,
-        ),
+        _ => art::run(&args, &mut gates),
     }
     gates.finish();
 }

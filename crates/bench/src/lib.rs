@@ -40,6 +40,10 @@ pub fn resolve_function(name: &str) -> &'static reds_functions::BenchmarkFunctio
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    /// Every `--key`, in command-line order.
+    keys: Vec<String>,
+    /// Tokens that were neither a `--key` nor its value.
+    stray: Vec<String>,
 }
 
 impl Args {
@@ -52,18 +56,51 @@ impl Args {
     pub fn from_tokens(tokens: impl IntoIterator<Item = String>) -> Self {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
+        let mut keys = Vec::new();
+        let mut stray = Vec::new();
         let mut iter = tokens.into_iter().peekable();
         while let Some(tok) = iter.next() {
             if let Some(key) = tok.strip_prefix("--") {
+                keys.push(key.to_string());
                 match iter.peek() {
                     Some(next) if !next.starts_with("--") => {
                         values.insert(key.to_string(), iter.next().expect("peeked"));
                     }
                     _ => flags.push(key.to_string()),
                 }
+            } else {
+                stray.push(tok);
             }
         }
-        Self { values, flags }
+        Self {
+            values,
+            flags,
+            keys,
+            stray,
+        }
+    }
+
+    /// Exits with status 2, naming the first offender and printing
+    /// `usage`, unless every `--key value` pair has its key in `options`
+    /// and every bare `--flag` is in `flags`, with no stray token: a typo
+    /// or a retired flag must not silently run the defaults.
+    pub fn accept_only(&self, options: &[&str], flags: &[&str], usage: &str) {
+        if let Some(tok) = self.stray.first() {
+            cli_fail(format!("unexpected argument '{tok}'"), usage);
+        }
+        for key in &self.keys {
+            let (takes_value, bare) = (
+                options.contains(&key.as_str()),
+                flags.contains(&key.as_str()),
+            );
+            let problem = match (self.values.contains_key(key), takes_value, bare) {
+                (_, false, false) => "is not a flag of this command",
+                (true, false, true) => "takes no value",
+                (false, true, false) => "expects a value",
+                _ => continue,
+            };
+            cli_fail(format!("--{key} {problem}"), usage);
+        }
     }
 
     /// Integer option with default; a malformed value exits with a
@@ -157,6 +194,13 @@ mod tests {
         assert!(args.has_flag("all"));
         assert_eq!(args.get_str("functions", ""), "morris,sobol");
         assert_eq!(args.get_usize("missing", 7), 7);
+    }
+
+    #[test]
+    fn parser_keeps_stray_tokens() {
+        let args = Args::from_tokens(["x", "--n", "4", "y"].iter().map(|s| s.to_string()));
+        assert_eq!(args.stray, vec!["x", "y"]);
+        assert_eq!(args.get_usize("n", 0), 4);
     }
 
     #[test]

@@ -108,6 +108,35 @@ fn bench_report_rejects_bad_sections_and_unwritable_out_dirs() {
         "--algorithm",
         "unknown algorithm",
     );
+    // A flag the section does not take, a typo of one it does, or a
+    // stray token is refused before anything runs, with the usage.
+    let out = report("--section art --ooc --discover-l 5 --mem-budge 1");
+    assert_usage_error(
+        &out,
+        "--ooc is not a flag of this command",
+        "flags the art section does not take",
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: bench_report"));
+    assert_usage_error(
+        &report("--section pool --mem-budge 1"),
+        "--mem-budge is not a flag of this command",
+        "misspelt pool flag",
+    );
+    assert_usage_error(
+        &report("--section perf --l 400 extra"),
+        "unexpected argument 'extra'",
+        "stray token",
+    );
+    assert_usage_error(
+        &report("--section pool --skip-inmem yes"),
+        "--skip-inmem takes no value",
+        "bare flag given a value",
+    );
+    assert_usage_error(
+        &report("--section perf --reps"),
+        "--reps expects a value",
+        "option without its value",
+    );
     // A report that cannot be written is a bad invocation, not a panic
     // and not a failed gate.
     assert_usage_error(

@@ -6,10 +6,10 @@
 //! raw points/labels appended to the data spill. A chunk with at least
 //! two workers' worth of sorting (`10⁴` row-columns, about 0.5 ms, per
 //! worker) sorts its columns on `reds-par` workers, each taking a
-//! contiguous block of columns and holding one column's keys and index
-//! scratch at a time; the runs are the same bytes either way. Nothing
-//! proportional to the total row count `L` is held in memory until the
-//! caller picks a finisher:
+//! contiguous block of columns and holding one column's sort scratch
+//! (16 bytes per row) at a time; the runs are the same bytes either
+//! way. Nothing proportional to the total row count `L` is held in
+//! memory until the caller picks a finisher:
 //!
 //! * [`PoolBuilder::finish_pool`] — k-way merge every column into the
 //!   final `SortedView` order and read the points/labels back into a
@@ -139,8 +139,6 @@ pub struct PoolBuilder {
     labels: FloatSpill,
     label_sum: f64,
     positives: u64,
-    /// Chunk-local scratch, reused across chunks.
-    keys: Vec<u64>,
 }
 
 impl PoolBuilder {
@@ -164,7 +162,6 @@ impl PoolBuilder {
             labels,
             label_sum: 0.0,
             positives: 0,
-            keys: Vec::new(),
         })
     }
 
@@ -203,44 +200,37 @@ impl PoolBuilder {
             });
         }
         let base = self.rows as u32;
-        // Sorts the columns from `first` on into `writers`, with one
-        // reused key buffer.
-        let sort = |keys: &mut Vec<u64>, first: usize, writers: &mut [RunWriter]| {
+        // Sorts the columns from `first` on into `writers`.
+        let sort = |first: usize, writers: &mut [RunWriter]| {
             for (j, writer) in (first..).zip(writers) {
-                keys.clear();
-                keys.extend(points.iter().skip(j).step_by(m).map(|&v| ord_key(v)));
+                let key = |local: usize| ord_key(points[local * m + j]);
                 // Local ranks sorted by (key, local rank); adding the
                 // chunk base preserves the tie order globally because
                 // all rows of this chunk follow all previously pushed
                 // rows.
-                let order = argsort_stable(keys);
+                let order = argsort_stable(n, key);
                 writer.push_run(
                     order
                         .iter()
-                        .map(|&local| (keys[local as usize], base + local)),
+                        .map(|&local| (key(local as usize), base + local)),
                 )?;
             }
             Ok::<(), StreamError>(())
         };
         let workers = (n * m / SORT_PER_WORKER).min(m);
         if workers < 2 {
-            sort(&mut self.keys, 0, &mut self.columns)?;
+            sort(0, &mut self.columns)?;
         } else {
             // The first failing column's error, whichever worker hit it.
             let failed: Mutex<Option<(usize, StreamError)>> = Mutex::new(None);
-            reds_par::par_fill_chunks_with(
-                &mut self.columns,
-                m.div_ceil(workers),
-                Vec::new,
-                |keys, first, writers| {
-                    if let Err(e) = sort(keys, first, writers) {
-                        let mut slot = failed.lock().expect("no poisoned locks");
-                        if slot.as_ref().is_none_or(|&(at, _)| first < at) {
-                            *slot = Some((first, e));
-                        }
+            reds_par::par_fill_chunks(&mut self.columns, m.div_ceil(workers), |first, writers| {
+                if let Err(e) = sort(first, writers) {
+                    let mut slot = failed.lock().expect("no poisoned locks");
+                    if slot.as_ref().is_none_or(|&(at, _)| first < at) {
+                        *slot = Some((first, e));
                     }
-                },
-            );
+                }
+            });
             if let Some((_, e)) = failed.into_inner().expect("no poisoned locks") {
                 return Err(e);
             }

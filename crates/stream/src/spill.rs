@@ -484,7 +484,7 @@ mod tests {
         let mut all: Vec<u64> = Vec::new();
         for run in runs {
             let base = all.len() as u32;
-            let order = argsort_stable(run);
+            let order = argsort_stable(run.len(), |i| run[i]);
             writer
                 .push_run(order.iter().map(|&i| (run[i as usize], base + i)))
                 .unwrap();
@@ -493,7 +493,7 @@ mod tests {
         let runs = writer.into_runs().unwrap();
         let mut merged = Vec::new();
         runs.merge(|row, key| merged.push((row, key))).unwrap();
-        let want: Vec<(u32, u64)> = argsort_stable(&all)
+        let want: Vec<(u32, u64)> = argsort_stable(all.len(), |i| all[i])
             .into_iter()
             .map(|row| (row, all[row as usize]))
             .collect();

@@ -72,10 +72,31 @@ fn dataset_for_seed(seed: u64) -> Dataset {
     Dataset::new(points, labels, m).expect("valid shape")
 }
 
+/// `n` rows on a grid (40 levels in three columns, 7 in the fourth):
+/// every value is tied many times over, and a pool this long makes the
+/// presorted view compact each column several times along a peel.
+fn quantized_pool(n: usize, seed: u64) -> Dataset {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let points: Vec<f64> = (0..n * 4)
+        .map(|k| {
+            let levels = if k % 4 == 3 { 7.0 } else { 40.0 };
+            (rng.gen::<f64>() * levels).floor() / levels
+        })
+        .collect();
+    Dataset::from_fn(points, 4, |x| {
+        if x[0] > 0.3 && x[1] < 0.7 && x[3] > 0.2 {
+            1.0
+        } else {
+            0.0
+        }
+    })
+    .expect("valid shape")
+}
+
 #[test]
 fn prim_matches_naive_bitwise_across_twenty_plus_seeds() {
-    for seed in 0..24u64 {
-        let d = dataset_for_seed(seed);
+    let small = (0..24u64).map(|seed| (seed, dataset_for_seed(seed)));
+    for (seed, d) in small.chain([(24, quantized_pool(20_000, 24))]) {
         let params = PrimParams {
             alpha: if seed % 2 == 0 { 0.05 } else { 0.13 },
             min_points: 15,
