@@ -9,25 +9,42 @@
 //!
 //! ```text
 //! cargo run --release -p reds-bench --bin fig12 -- \
-//!     [--reps 10] [--ns 200,400,800,1600,3200] [--ls 400,800,1600,3200,6400,25000]
+//!     [--reps 10] [--ns 200,400,800,1600,3200] [--ls 400,800,1600,3200,6400,25000] \
+//!     [--l 50000] [--test 20000]
 //! ```
 
-use reds_bench::Args;
+use reds_bench::{cli_fail, Args};
 use reds_eval::savings::mean_savings;
 use reds_eval::{run_experiment, ExperimentSpec, MethodOpts};
 use reds_functions::by_name;
 
-fn parse_list(s: &str) -> Vec<usize> {
-    s.split(',')
-        .map(|v| v.trim().parse().expect("expects integers"))
+const USAGE: &str = "usage: fig12 [--reps N] [--ns N,N,...] [--ls L,L,...] [--l L] [--test N]";
+
+/// The `--key value` options `USAGE` lists; fig12 takes no bare flag.
+const OPTIONS: [&str; 5] = ["reps", "ns", "ls", "l", "test"];
+
+/// The comma-separated integers of `--key`, `default` when it is absent;
+/// a malformed list exits with status 2 and the usage.
+fn parse_list(args: &Args, key: &str, default: &str) -> Vec<usize> {
+    let raw = args.get_str(key, default);
+    raw.split(',')
+        .map(|v| {
+            v.trim().parse().unwrap_or_else(|_| {
+                cli_fail(
+                    format!("--{key} expects comma-separated integers, got '{raw}'"),
+                    USAGE,
+                )
+            })
+        })
         .collect()
 }
 
 fn main() {
     let args = Args::parse();
+    args.accept_only(&OPTIONS, &[], USAGE);
     let reps = args.get_usize("reps", 10);
-    let ns = parse_list(&args.get_str("ns", "200,400,800,1600,3200"));
-    let ls = parse_list(&args.get_str("ls", "400,800,1600,3200,6400,25000"));
+    let ns = parse_list(&args, "ns", "200,400,800,1600,3200");
+    let ls = parse_list(&args, "ls", "400,800,1600,3200,6400,25000");
     let l_default = args.get_usize("l", 50_000);
     let test_size = args.get_usize("test", 20_000);
     let f = by_name("morris").expect("registry");

@@ -19,11 +19,22 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use reds_bench::sweep::{merge_dir, render, rows_json, Sweep};
+use reds_bench::sweep::{merge_dir, render, rows_json, Sweep, SWEEP_OPTIONS, SWEEP_USAGE};
 use reds_bench::Args;
+
+const USAGE: &str = "usage: merge_shards --table 3|4 --checkpoint-dir DIR [sweep flags]
+  (the sweep flags the shards ran with, bar --shard and --resume)";
 
 fn main() -> ExitCode {
     let args = Args::parse();
+    // `--table`, and the sweep's flags bar the two that steer one shard.
+    let options: Vec<&str> = SWEEP_OPTIONS
+        .iter()
+        .copied()
+        .filter(|&o| o != "shard")
+        .chain(["table"])
+        .collect();
+    args.accept_only(&options, &["all"], &format!("{USAGE}\n\n{SWEEP_USAGE}"));
     let sweep = match args.get_str("table", "").as_str() {
         "3" => Sweep::table3(&args),
         "4" => Sweep::table4(&args),

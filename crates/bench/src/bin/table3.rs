@@ -21,11 +21,12 @@
 //! and recombined by the `merge_shards` binary — bit-identically to a
 //! monolithic run; see README "Running paper-scale sweeps".
 
-use reds_bench::sweep::{run_cli, Sweep};
+use reds_bench::sweep::{run_cli, Sweep, SWEEP_FLAGS, SWEEP_OPTIONS, SWEEP_USAGE};
 use reds_bench::Args;
 
 fn main() {
     let args = Args::parse();
+    args.accept_only(&SWEEP_OPTIONS, &SWEEP_FLAGS, SWEEP_USAGE);
     let sweep = Sweep::table3(&args);
     run_cli(&sweep, &args);
 }

@@ -13,11 +13,12 @@
 //! Supports the same sharding/checkpoint/resume workflow as `table3`;
 //! see README "Running paper-scale sweeps".
 
-use reds_bench::sweep::{run_cli, Sweep};
+use reds_bench::sweep::{run_cli, Sweep, SWEEP_FLAGS, SWEEP_OPTIONS, SWEEP_USAGE};
 use reds_bench::Args;
 
 fn main() {
     let args = Args::parse();
+    args.accept_only(&SWEEP_OPTIONS, &SWEEP_FLAGS, SWEEP_USAGE);
     let sweep = Sweep::table4(&args);
     run_cli(&sweep, &args);
 }

@@ -44,6 +44,25 @@ pub const SWEEP_USAGE: &str = "sweep flags:
   --checkpoint-dir DIR  JSONL checkpoint directory
   --resume              skip units already checkpointed";
 
+/// The `--key value` options [`SWEEP_USAGE`] lists, for
+/// [`Args::accept_only`].
+pub const SWEEP_OPTIONS: [&str; 11] = [
+    "functions",
+    "ns",
+    "reps",
+    "l",
+    "l-bi",
+    "q",
+    "test",
+    "methods",
+    "json",
+    "shard",
+    "checkpoint-dir",
+];
+
+/// The bare flags [`SWEEP_USAGE`] lists.
+pub const SWEEP_FLAGS: [&str; 2] = ["all", "resume"];
+
 /// Which table's grid and report a sweep reproduces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableKind {

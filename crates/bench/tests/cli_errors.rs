@@ -75,6 +75,70 @@ fn table4_rejects_unknown_function_names() {
 }
 
 #[test]
+fn sweep_and_figure_bins_refuse_flags_they_do_not_take() {
+    // One misspelt or foreign flag per bin, refused before any work.
+    let cases: [(&str, &[&str], &str); 5] = [
+        (env!("CARGO_BIN_EXE_table3"), &["--rep", "2"], "--rep"),
+        (
+            env!("CARGO_BIN_EXE_table4"),
+            &["--function", "2"],
+            "--function",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig12"),
+            &["--reps", "1", "--n", "400"],
+            "--n",
+        ),
+        (
+            env!("CARGO_BIN_EXE_merge_shards"),
+            &["--table", "3", "--checkpoint-dri", "/tmp/x"],
+            "--checkpoint-dri",
+        ),
+        (
+            env!("CARGO_BIN_EXE_merge_shards"),
+            &[
+                "--table",
+                "3",
+                "--checkpoint-dir",
+                "/tmp/x",
+                "--shard",
+                "0/2",
+            ],
+            "--shard",
+        ),
+    ];
+    for (bin, args, flag) in cases {
+        let out = run(bin, args);
+        let what = format!("{bin} {}", args.join(" "));
+        assert_usage_error(
+            &out,
+            &format!("{flag} is not a flag of this command"),
+            &what,
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("--reps N"),
+            "{what}: no usage printed"
+        );
+    }
+}
+
+#[test]
+fn fig12_rejects_malformed_lists() {
+    let out = run(env!("CARGO_BIN_EXE_fig12"), &["--ns", "2x0,400"]);
+    assert_usage_error(
+        &out,
+        "--ns expects comma-separated integers",
+        "malformed --ns",
+    );
+    let out = run(env!("CARGO_BIN_EXE_fig12"), &["--ls", "400,"]);
+    assert_usage_error(
+        &out,
+        "--ls expects comma-separated integers",
+        "trailing comma",
+    );
+}
+
+#[test]
 fn fit_model_requires_its_flags_and_validates_them() {
     let out = run(env!("CARGO_BIN_EXE_fit_model"), &[]);
     assert_usage_error(&out, "--function", "missing --function");

@@ -30,7 +30,7 @@ pub enum RedsError {
     /// an unstreamable sampling design, …).
     Stream(StreamError),
     /// A failure of the out-of-core store (artifact verification,
-    /// paged I/O, mask scratch file).
+    /// paged I/O).
     OutOfCore(OocError),
     /// The subgroup algorithm (or its configuration — e.g. PRIM with
     /// pasting) has no out-of-core code path.

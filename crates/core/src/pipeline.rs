@@ -720,8 +720,8 @@ mod tests {
         }
     }
 
-    /// The paged backing removes its scratch artifact, its mask and its
-    /// spill directory, whether the search ran or declined.
+    /// The paged backing removes its scratch artifact and its spill
+    /// directory, whether the search ran or declined.
     #[test]
     fn paged_runs_leave_no_scratch_files() {
         let dir = std::env::temp_dir().join(format!("reds-core-scratch-{}", std::process::id()));

@@ -29,8 +29,10 @@ pub type PointVisitor<'a> = dyn FnMut(f64, u32, &[f64], f64) + 'a;
 /// * column scans visit active entries in ascending (front) or
 ///   descending (back) `(value, row id)` order — the `SortedView`
 ///   total order;
-/// * [`active_label_sum`](ColumnAccess::active_label_sum) sums labels
-///   of active rows in **ascending row order**;
+/// * [`label_sum`](ColumnAccess::label_sum) sums labels in the order
+///   of the rows it is given, and
+///   [`active_label_sum`](ColumnAccess::active_label_sum) those of the
+///   active rows in **ascending row order**, both from `-0.0`;
 /// * [`scan_rows`](ColumnAccess::scan_rows) visits **all** rows (the
 ///   membership mask is not consulted) in ascending row order;
 /// * deactivation is monotone — a deactivated row never comes back.
@@ -49,6 +51,19 @@ pub trait ColumnAccess {
 
     /// The label of `row`.
     fn label(&mut self, row: u32) -> f64;
+
+    /// Sum of the labels of `rows`, accumulated in the given order from
+    /// `-0.0` (the identity `Iterator::sum::<f64>` folds from), repeats
+    /// included; the empty sum is `-0.0`. The default folds
+    /// [`label`](ColumnAccess::label); a backing that can fetch the
+    /// labels in bulk overrides it with the same association.
+    fn label_sum(&mut self, rows: &[u32]) -> f64 {
+        let mut sum = -0.0;
+        for &row in rows {
+            sum += self.label(row);
+        }
+        sum
+    }
 
     /// Sum of the labels of all **active** rows, accumulated in
     /// ascending row order.
@@ -145,6 +160,12 @@ impl ColumnAccess for ViewAccess<'_> {
 
     fn label(&mut self, row: u32) -> f64 {
         self.d.label(row as usize)
+    }
+
+    fn label_sum(&mut self, rows: &[u32]) -> f64 {
+        let labels = self.d.labels();
+        rows.iter()
+            .fold(-0.0, |sum, &row| sum + labels[row as usize])
     }
 
     fn active_label_sum(&mut self) -> f64 {

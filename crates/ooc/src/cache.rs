@@ -13,7 +13,7 @@
 //! a scan over the resident slots that only runs on a miss, next to the
 //! disk read it is much cheaper than.
 
-use std::ops::{Index, IndexMut};
+use std::ops::Index;
 use std::rc::Rc;
 
 /// One decoded column record: the value (already through
@@ -89,6 +89,7 @@ impl<T> SlotTable<T> {
     }
 
     /// Number of resident pages.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
@@ -134,11 +135,6 @@ impl<T> SlotTable<T> {
         Some((gone.id, gone.value))
     }
 
-    /// Every resident page with its id, in no particular order.
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
-        self.slots.iter_mut().map(|s| (s.id, &mut s.value))
-    }
-
     /// Resident page ids, least recently used first, after checking
     /// that the page table and the slots agree.
     #[cfg(test)]
@@ -162,12 +158,6 @@ impl<T> Index<usize> for SlotTable<T> {
     }
 }
 
-impl<T> IndexMut<usize> for SlotTable<T> {
-    fn index_mut(&mut self, slot: usize) -> &mut T {
-        &mut self.slots[slot].value
-    }
-}
-
 /// LRU page cache with a hard byte budget. The budget bounds what the
 /// cache *retains*; the page currently being inserted is always kept
 /// (evicting everything else if need be), so a budget smaller than one
@@ -180,6 +170,8 @@ pub(crate) struct PageCache {
     pub hits: u64,
     /// Fetches that had to load from disk.
     pub misses: u64,
+    /// Pages dropped to make room for a miss.
+    pub evictions: u64,
 }
 
 impl PageCache {
@@ -191,6 +183,7 @@ impl PageCache {
             pages: SlotTable::new(n_pages),
             hits: 0,
             misses: 0,
+            evictions: 0,
         }
     }
 
@@ -198,6 +191,12 @@ impl PageCache {
     #[cfg(test)]
     pub(crate) fn used(&self) -> usize {
         self.used
+    }
+
+    /// Number of resident pages.
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> usize {
+        self.pages.len()
     }
 
     /// Looks page `id` up, refreshing its recency; returns its slot.
@@ -223,6 +222,7 @@ impl PageCache {
                 break;
             };
             self.used -= gone.bytes();
+            self.evictions += 1;
         }
         self.used += bytes;
         self.pages.insert(id, page)

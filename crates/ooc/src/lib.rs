@@ -3,9 +3,9 @@
 //! The streaming pipeline (`reds-stream`) already *builds* a pool of
 //! `L ≫ 10⁶` pseudo-labeled rows in bounded memory, but subgroup
 //! discovery then loads the whole thing back: `O(L·M)` points plus an
-//! `O(L)` sort order per column. This crate removes that last `O(L)`
-//! resident requirement. [`OocPool`] opens a `.redsart` pool artifact
-//! written by `PoolBuilder::finish_art` and serves the
+//! `O(L)` sort order per column. This crate keeps one bit per row
+//! resident and pages everything else. [`OocPool`] opens a `.redsart`
+//! pool artifact written by `PoolBuilder::finish_art` and serves the
 //! [`ColumnAccess`](reds_data::ColumnAccess) surface — sorted-column
 //! scans, label sums, deactivation cuts — through:
 //!
@@ -24,29 +24,31 @@
 //! * **an exact-LRU page cache with a hard byte budget** shared by
 //!   record, label, and point pages ([`OocConfig::cache_bytes`]); every
 //!   page has a dense id, so a hit is an index into a page table;
-//! * **a paged membership bitmask persisted beside the artifact** —
-//!   the active-row mask lives in a scratch file with its own paged
-//!   write-back LRU cache, not in an `O(L)` resident vector;
+//! * **a resident membership bitset** — one bit per row (`L/8` bytes,
+//!   31 KiB at `L = 2.5·10⁵`), the only per-row state the store keeps:
+//!   scans read the bits of each block of up to 64 records before
+//!   handing any out, and label sums walk it a word at a time;
 //! * **monotone dead-page skipping** — deactivation only ever removes
 //!   rows, so a page once observed with zero active rows is skipped
 //!   with zero I/O forever after.
 //!
 //! Every visit order is pinned to the in-memory `SortedView` path
 //! (ascending `(value, row id)` per column; ascending row order for
-//! label sums), so a discovery run over [`OocPool`] is bit-identical
-//! to one over the materialized pool.
+//! the active label sum, the caller's order for
+//! [`label_sum`](reds_data::ColumnAccess::label_sum)), so a discovery
+//! run over [`OocPool`] is bit-identical to one over the materialized
+//! pool.
 
 #![warn(missing_docs)]
 
 mod cache;
-mod mask;
 mod store;
 
 pub use store::{OocPool, OocStats};
 
 /// Default page-cache budget: 48 MiB — comfortably inside the 64 MiB
 /// process budget the out-of-core bench gates on, leaving room for the
-/// mask cache and scan scratch.
+/// membership bitset (`L/8` bytes) and scan scratch.
 pub const DEFAULT_CACHE_BYTES: usize = 48 << 20;
 
 /// Configuration of an out-of-core pool.
@@ -55,8 +57,8 @@ pub struct OocConfig {
     /// Hard byte budget of the shared record/label/point page cache,
     /// taken as given: the cache retains at most this many bytes, except
     /// that the page being handed out is always kept, so a budget under
-    /// one page caches only that page. The membership mask caches
-    /// `max(2, cache_bytes / 8 / 4096)` pages of 4 KiB on top.
+    /// one page caches only that page. The membership bitset, `L/8`
+    /// bytes, is held on top.
     pub cache_bytes: usize,
     /// Rows per column page when *building* an artifact for this store
     /// ([`reds_art::DEFAULT_PAGE_ROWS`] by default). Readers take the
@@ -95,7 +97,7 @@ impl OocConfig {
 /// Structured failure opening or validating an out-of-core pool.
 #[derive(Debug)]
 pub enum OocError {
-    /// Filesystem failure (scratch mask file, positioned reads).
+    /// Filesystem failure opening or reading the artifact.
     Io(std::io::Error),
     /// The artifact failed verification or is structurally unusable.
     Art(reds_art::ArtError),

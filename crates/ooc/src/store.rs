@@ -16,8 +16,10 @@
 //! * pages *inside* the bracket that a scan observes with zero active
 //!   rows are marked **dead** and skipped without I/O from then on —
 //!   sound because deactivation is monotone (rows never reactivate);
-//! * the active-row mask is the paged scratch file of
-//!   [`mask`](crate::mask), not a resident vector.
+//! * the active-row mask is a resident bitset of `⌈n/64⌉` words, one bit
+//!   per row: a scan reads the bits of each block of up to 64 records
+//!   before it hands any of them out, and label sums walk it a word at a
+//!   time.
 //!
 //! Every visit order matches the in-memory
 //! [`ViewAccess`](reds_data::ViewAccess) exactly; the equivalence
@@ -34,14 +36,12 @@ use reds_art::{
 use reds_data::{ord_key_inverse, ColumnAccess, PointVisitor};
 
 use crate::cache::{Page, PageCache, Rec};
-use crate::mask::{PagedMask, MASK_PAGE_BYTES};
 use crate::{OocConfig, OocError};
 
 /// Why a read that passed full verification at open time can still be
 /// trusted to succeed: the only failures left are catastrophic
 /// filesystem ones, which have no better answer than stopping.
 const READ_EXPECT: &str = "verified pool artifact became unreadable mid-search";
-const MASK_EXPECT: &str = "membership mask scratch file became unusable mid-search";
 
 struct ColMeta {
     /// Absolute file offset of the column's first 12-byte record.
@@ -63,11 +63,91 @@ pub struct OocStats {
     pub cache_hits: u64,
     /// Page fetches that went to disk.
     pub cache_misses: u64,
+    /// Pages dropped from the cache to make room for a miss.
+    pub evictions: u64,
+    /// Bytes the misses read from the artifact with `pread`: 12 per
+    /// column record, 8 per label and `8·m` per point.
+    pub bytes_read: u64,
+}
+
+/// Scratch of [`OocPool::label_sum`], kept between calls.
+#[derive(Default)]
+struct LabelGather {
+    /// Per label page: the call's rows in it, then the end of its
+    /// bucket in `order`. All zero between calls.
+    fill: Vec<u32>,
+    /// The label pages the call touches, in order of first touch.
+    pages: Vec<u32>,
+    /// Positions in the call's rows, bucketed by label page.
+    order: Vec<u32>,
+    /// The label at each position.
+    labels: Vec<f64>,
+}
+
+/// `true` when `row`'s bit is set in `bits` (bit `row % 64` of word
+/// `row / 64`).
+fn is_set(bits: &[u64], row: u32) -> bool {
+    bits[row as usize / 64] >> (row % 64) & 1 != 0
+}
+
+/// Clears `row`'s bit; returns 1 if it was set, else 0.
+fn clear(bits: &mut [u64], row: u32) -> usize {
+    let (word, bit) = (row as usize / 64, row % 64);
+    let was = bits[word] >> bit & 1;
+    bits[word] &= !(1 << bit);
+    was as usize
+}
+
+/// What a scan found in one page.
+enum PageVisit {
+    /// No active entry: the page is dead from now on.
+    Dead,
+    /// Every entry was visited, some of them active.
+    Live,
+    /// `f` asked to stop.
+    Stopped,
+}
+
+/// Hands `f` the active ones of `recs`, in order, until it returns
+/// `false`. Each block of up to 64 records has its active entries
+/// gathered branch-free before `f` sees any of them, as `SortedView`
+/// scans do: a branch on the mask would mispredict at inactive entries,
+/// and each misprediction discards the loads the caller's `f` has in
+/// flight.
+fn visit_page<'r>(
+    active: &[u64],
+    mut recs: impl Iterator<Item = &'r Rec>,
+    f: &mut dyn FnMut(f64, u32) -> bool,
+) -> PageVisit {
+    const BLOCK: usize = 64;
+    let mut block = [Rec { value: 0.0, row: 0 }; BLOCK];
+    let mut any_active = false;
+    loop {
+        let (mut taken, mut kept) = (0, 0);
+        for &r in recs.by_ref().take(BLOCK) {
+            block[kept] = r;
+            kept += usize::from(is_set(active, r.row));
+            taken += 1;
+        }
+        any_active |= kept > 0;
+        for r in &block[..kept] {
+            if !f(r.value, r.row) {
+                return PageVisit::Stopped;
+            }
+        }
+        if taken < BLOCK {
+            return if any_active {
+                PageVisit::Live
+            } else {
+                PageVisit::Dead
+            };
+        }
+    }
 }
 
 /// An out-of-core pool: [`ColumnAccess`] served from a verified
-/// `.redsart` artifact through a budgeted page cache and a paged
-/// membership mask. See the [module docs](self).
+/// `.redsart` artifact through a budgeted page cache, with a resident
+/// membership bitset. See the [crate docs](crate).
 pub struct OocPool {
     scan: ArtScan,
     n: usize,
@@ -79,8 +159,13 @@ pub struct OocPool {
     labels_off: u64,
     cols: Vec<ColMeta>,
     cache: PageCache,
-    mask: PagedMask,
+    /// Bit `r % 64` of word `r / 64` is set while row `r` is active, so
+    /// ascending bit order is ascending row order; bits past `n` are
+    /// clear.
+    active: Vec<u64>,
     n_active: usize,
+    bytes_read: u64,
+    gather: LabelGather,
 }
 
 fn unsupported(msg: impl Into<String>) -> OocError {
@@ -90,9 +175,7 @@ fn unsupported(msg: impl Into<String>) -> OocError {
 impl OocPool {
     /// Opens and validates a pool artifact written by
     /// `reds_stream::PoolBuilder::finish_art` or `finish_scratch_art`
-    /// (the same bytes). Creates the membership mask scratch file
-    /// beside it (`<artifact>.mask`, removed when the pool drops), with
-    /// every row active.
+    /// (the same bytes), with every row active.
     pub fn open(path: &Path, cfg: &OocConfig) -> Result<Self, OocError> {
         let scan = ArtScan::open(path)?;
         let mut dataset: Option<ScanSection> = None;
@@ -196,10 +279,10 @@ impl OocPool {
             });
         }
 
-        let mut mask_name = path.as_os_str().to_os_string();
-        mask_name.push(".mask");
-        let mask_pages = ((cfg.cache_bytes / 8) / MASK_PAGE_BYTES).max(2);
-        let mask = PagedMask::create(Path::new(&mask_name), n, mask_pages)?;
+        let mut active = vec![u64::MAX; n.div_ceil(64)];
+        if n % 64 != 0 {
+            active[n / 64] = (1 << (n % 64)) - 1;
+        }
 
         Ok(Self {
             scan,
@@ -213,8 +296,13 @@ impl OocPool {
             // Sized from the validated page indexes, which already hold
             // `m·col_pages` fences of 16 bytes each.
             cache: PageCache::new(cfg.cache_bytes, (m + 2) * col_pages),
-            mask,
+            active,
             n_active: n,
+            bytes_read: 0,
+            gather: LabelGather {
+                fill: vec![0; col_pages],
+                ..LabelGather::default()
+            },
         })
     }
 
@@ -228,6 +316,8 @@ impl OocPool {
         OocStats {
             cache_hits: self.cache.hits,
             cache_misses: self.cache.misses,
+            evictions: self.cache.evictions,
+            bytes_read: self.bytes_read,
         }
     }
 
@@ -245,7 +335,7 @@ impl OocPool {
         self.cache.page(slot)
     }
 
-    fn read_page(&self, id: usize) -> Page {
+    fn read_page(&mut self, id: usize) -> Page {
         let (array, page) = (id / self.col_pages, id % self.col_pages);
         let base = page * self.page_rows;
         let rows = self.page_rows.min(self.n - base);
@@ -260,6 +350,7 @@ impl OocPool {
         self.scan
             .read_exact_at(&mut buf, start + (base * width) as u64)
             .expect(READ_EXPECT);
+        self.bytes_read += buf.len() as u64;
         let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
         if array < self.m {
             Page::Records(
@@ -306,7 +397,7 @@ impl ColumnAccess for OocPool {
     }
 
     fn is_active(&mut self, row: u32) -> bool {
-        self.mask.is_set(row).expect(MASK_EXPECT)
+        is_set(&self.active, row)
     }
 
     fn label(&mut self, row: u32) -> f64 {
@@ -314,27 +405,66 @@ impl ColumnAccess for OocPool {
         self.page(self.labels_id(page)).floats()[at]
     }
 
+    fn label_sum(&mut self, rows: &[u32]) -> f64 {
+        // The rows are bucketed by label page (a counting sort), so each
+        // page is fetched once and read in place; the labels land at
+        // their positions and are summed in the given order.
+        let page_rows = self.page_rows;
+        let mut g = std::mem::take(&mut self.gather);
+        for &row in rows {
+            let p = row as usize / page_rows;
+            if g.fill[p] == 0 {
+                g.pages.push(p as u32);
+            }
+            g.fill[p] += 1;
+        }
+        let mut end = 0;
+        for &p in &g.pages {
+            let count = std::mem::replace(&mut g.fill[p as usize], end);
+            end += count;
+        }
+        g.order.resize(rows.len(), 0);
+        for (i, &row) in rows.iter().enumerate() {
+            let slot = &mut g.fill[row as usize / page_rows];
+            g.order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        g.labels.resize(rows.len(), 0.0);
+        let mut from = 0;
+        for &p in &g.pages {
+            let to = std::mem::replace(&mut g.fill[p as usize], 0) as usize;
+            let base = p as usize * page_rows;
+            let labels = self.page(self.labels_id(p as usize)).floats();
+            for &i in &g.order[from..to] {
+                g.labels[i as usize] = labels[rows[i as usize] as usize - base];
+            }
+            from = to;
+        }
+        g.pages.clear();
+        let sum = g.labels.iter().fold(-0.0, |sum, &y| sum + y);
+        self.gather = g;
+        sum
+    }
+
     fn active_label_sum(&mut self) -> f64 {
         // -0.0 is the additive identity `Iterator::sum::<f64>` folds
         // from; starting at +0.0 would differ bitwise on empty or
         // all-negative-zero sums.
         let mut sum = -0.0;
-        let mut labels: Option<(usize, Rc<[f64]>)> = None;
-        for mask_page in 0..self.mask.n_pages() {
-            let bits = self.mask.page_bits(mask_page).expect(MASK_EXPECT);
-            let base_row = mask_page * MASK_PAGE_BYTES * 8;
-            for (i, &byte) in bits.iter().enumerate() {
-                let mut rest = byte;
-                while rest != 0 {
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    let row = base_row + i * 8 + bit;
-                    let page = row / self.page_rows;
-                    if labels.as_ref().map(|(p, _)| *p) != Some(page) {
-                        labels = Some((page, self.page(self.labels_id(page)).floats().clone()));
-                    }
-                    sum += labels.as_ref().expect("just set").1[row % self.page_rows];
+        // The label page in hand and the rows `[start, end)` it holds.
+        let (mut start, mut end) = (0, 0);
+        let mut labels: Rc<[f64]> = Rc::new([]);
+        for w in 0..self.active.len() {
+            let mut bits = self.active[w];
+            while bits != 0 {
+                let row = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if row >= end {
+                    let p = row / self.page_rows;
+                    (start, end) = (p * self.page_rows, (p + 1) * self.page_rows);
+                    labels = self.page(self.labels_id(p)).floats().clone();
                 }
+                sum += labels[row - start];
             }
         }
         sum
@@ -344,29 +474,20 @@ impl ColumnAccess for OocPool {
         let page_rows = self.page_rows;
         let (lo, hi) = (self.cols[dim].lo, self.cols[dim].hi);
         let mut rank = lo;
-        'outer: while rank < hi {
+        while rank < hi {
             let p = rank / page_rows;
             let page_end = ((p + 1) * page_rows).min(hi);
-            if self.cols[dim].dead[p] {
-                rank = page_end;
-                continue;
-            }
-            let recs = self.records_page(dim, p);
-            let base = p * page_rows;
-            let mut any_active = false;
-            for idx in (rank - base)..(page_end - base) {
-                let r = recs[idx];
-                rank += 1;
-                if self.mask.is_set(r.row).expect(MASK_EXPECT) {
-                    any_active = true;
-                    if !f(r.value, r.row) {
-                        break 'outer;
-                    }
+            if !self.cols[dim].dead[p] {
+                let recs = self.records_page(dim, p);
+                let base = p * page_rows;
+                let visit = recs[rank - base..page_end - base].iter();
+                match visit_page(&self.active, visit, f) {
+                    PageVisit::Stopped => return,
+                    PageVisit::Dead => self.cols[dim].dead[p] = true,
+                    PageVisit::Live => {}
                 }
             }
-            if !any_active {
-                self.cols[dim].dead[p] = true;
-            }
+            rank = page_end;
         }
     }
 
@@ -374,29 +495,20 @@ impl ColumnAccess for OocPool {
         let page_rows = self.page_rows;
         let (lo, hi) = (self.cols[dim].lo, self.cols[dim].hi);
         let mut rank = hi;
-        'outer: while rank > lo {
+        while rank > lo {
             let p = (rank - 1) / page_rows;
             let page_start = (p * page_rows).max(lo);
-            if self.cols[dim].dead[p] {
-                rank = page_start;
-                continue;
-            }
-            let recs = self.records_page(dim, p);
-            let base = p * page_rows;
-            let mut any_active = false;
-            for idx in ((page_start - base)..(rank - base)).rev() {
-                let r = recs[idx];
-                rank -= 1;
-                if self.mask.is_set(r.row).expect(MASK_EXPECT) {
-                    any_active = true;
-                    if !f(r.value, r.row) {
-                        break 'outer;
-                    }
+            if !self.cols[dim].dead[p] {
+                let recs = self.records_page(dim, p);
+                let base = p * page_rows;
+                let visit = recs[page_start - base..rank - base].iter().rev();
+                match visit_page(&self.active, visit, f) {
+                    PageVisit::Stopped => return,
+                    PageVisit::Dead => self.cols[dim].dead[p] = true,
+                    PageVisit::Live => {}
                 }
             }
-            if !any_active {
-                self.cols[dim].dead[p] = true;
-            }
+            rank = page_start;
         }
     }
 
@@ -419,7 +531,7 @@ impl ColumnAccess for OocPool {
             for idx in (rank - base)..(page_end - base) {
                 let r = recs[idx];
                 rank += 1;
-                if self.mask.is_set(r.row).expect(MASK_EXPECT) {
+                if is_set(&self.active, r.row) {
                     any_active = true;
                     let row = r.row as usize;
                     let (dpage, at) = (row / page_rows, row % page_rows);
@@ -482,9 +594,7 @@ impl ColumnAccess for OocPool {
             for idx in (rank - base)..(page_end - base) {
                 let r = recs[idx];
                 if r.value < bound {
-                    if self.mask.clear(r.row).expect(MASK_EXPECT) {
-                        removed += 1;
-                    }
+                    removed += clear(&mut self.active, r.row);
                     rank += 1;
                 } else {
                     break 'outer;
@@ -516,9 +626,7 @@ impl ColumnAccess for OocPool {
             for idx in ((page_start - base)..(rank - base)).rev() {
                 let r = recs[idx];
                 if r.value > bound {
-                    if self.mask.clear(r.row).expect(MASK_EXPECT) {
-                        removed += 1;
-                    }
+                    removed += clear(&mut self.active, r.row);
                     rank -= 1;
                 } else {
                     break 'outer;
@@ -780,6 +888,127 @@ mod tests {
         rewrite_columns(&path, &edited, |p| p[p.len() - 1] = 1);
         refused("nonzero padding");
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn stats_count_evictions_and_the_bytes_each_miss_read() {
+        // Five full pages per array: a column record page reads 12 bytes
+        // a row, a label page 8 and a point page 8·m.
+        let (page_rows, m) = (16, 3);
+        let d = demo(5 * page_rows, m);
+        let path = write_art(&d, page_rows as u32, "stats");
+        let (records, labels) = (12 * page_rows as u64, 8 * page_rows as u64);
+
+        // A cache that holds the whole pool: each page misses once and
+        // stays, so nothing is evicted.
+        let mut ooc = OocPool::open(&path, &OocConfig::new()).unwrap();
+        for _ in 0..2 {
+            for dim in 0..m {
+                front(&mut ooc, dim);
+            }
+            ooc.scan_rows(&mut |_, _, _| {});
+        }
+        let s = ooc.stats();
+        assert_eq!(s.cache_misses, 5 * (m as u64 + 2));
+        assert_eq!(s.bytes_read, (d.n() * (12 * m + 8 + 8 * m)) as u64);
+        assert_eq!(s.evictions, 0);
+        assert_eq!(ooc.cache.resident() as u64, s.cache_misses);
+
+        // Room for one record page (16 bytes a row in memory) or two
+        // label pages: every operation below reads pages of one kind.
+        let cfg = OocConfig::new().with_cache_bytes(2 * 8 * page_rows);
+        let mut ooc = OocPool::open(&path, &cfg).unwrap();
+        let rows: Vec<u32> = (0..d.n() as u32).rev().step_by(3).collect();
+        for step in 0..12 {
+            let before = ooc.stats();
+            let page_bytes = match step % 4 {
+                0 => {
+                    front(&mut ooc, step % m);
+                    records
+                }
+                1 => {
+                    ooc.active_label_sum();
+                    labels
+                }
+                2 => {
+                    back(&mut ooc, step % m);
+                    records
+                }
+                _ => {
+                    ooc.label_sum(&rows);
+                    labels
+                }
+            };
+            let after = ooc.stats();
+            let missed = after.cache_misses - before.cache_misses;
+            assert!(missed > 0, "step {step} hit every page");
+            assert_eq!(
+                after.bytes_read - before.bytes_read,
+                missed * page_bytes,
+                "step {step}"
+            );
+            assert_eq!(
+                after.evictions,
+                after.cache_misses - ooc.cache.resident() as u64,
+                "step {step}"
+            );
+        }
+        assert!(ooc.stats().evictions > 0);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// `label_sum` is `label` folded from −0.0 in the given order,
+        /// bit for bit, on both backings: over rows with repeats, in
+        /// descending order and none at all (−0.0 itself), with
+        /// probability labels (so the order shows in the bits), at page
+        /// sizes of 1, 3, 7 and more than `n` rows, with a cache smaller
+        /// than one page and one larger than the pool.
+        #[test]
+        fn label_sum_folds_labels_in_the_given_order(
+            n in 1usize..300,
+            page_pick in 0usize..4,
+            big_cache in prop::bool::ANY,
+            raw in prop::collection::vec(0u32..u32::MAX, 1..200),
+            case in 0u64..u64::MAX,
+        ) {
+            let page_rows = [1, 3, 7, n + 1 + (case % 50) as usize][page_pick] as u32;
+            let points: Vec<f64> = (0..2 * n).map(|i| ((i * 7919) % 13) as f64).collect();
+            let labels: Vec<f64> = (0..n)
+                .map(|i| ((i as u64 ^ case).wrapping_mul(2654435761) % 1000) as f64 / 997.0)
+                .collect();
+            let d = Dataset::new(points, labels, 2).unwrap();
+            let dir = std::env::temp_dir()
+                .join(format!("reds-ooc-labelsum-{}-{case}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("pool.redsart");
+            let mut b = PoolBuilder::new(2, &StreamConfig::new()).unwrap();
+            b.push_chunk(d.points(), d.labels()).unwrap();
+            b.finish_art(&path, page_rows).unwrap();
+            let cache_bytes = if big_cache { 1 << 22 } else { 4 };
+            let cfg = OocConfig::new().with_cache_bytes(cache_bytes);
+            let mut ooc = OocPool::open(&path, &cfg).unwrap();
+            let mut mem = ViewAccess::new(&d, SortedView::new(&d));
+
+            let rows: Vec<u32> = raw.iter().map(|&r| r % n as u32).collect();
+            let mut descending = rows.clone();
+            descending.sort_unstable_by(|a, b| b.cmp(a));
+            let twice: Vec<u32> = rows.iter().chain(&rows).copied().collect();
+            for seq in [rows, descending, twice, Vec::new()] {
+                let want = seq.iter().fold(-0.0, |sum: f64, &r| sum + d.label(r as usize));
+                let stores: [&mut dyn ColumnAccess; 2] = [&mut ooc, &mut mem];
+                for store in stores {
+                    let folded = seq.iter().fold(-0.0, |sum: f64, &r| sum + store.label(r));
+                    prop_assert_eq!(folded.to_bits(), want.to_bits());
+                    prop_assert_eq!(store.label_sum(&seq).to_bits(), want.to_bits());
+                }
+            }
+            prop_assert_eq!(ooc.label_sum(&[]).to_bits(), (-0.0f64).to_bits());
+            prop_assert_eq!(mem.label_sum(&[]).to_bits(), (-0.0f64).to_bits());
+            drop(ooc);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     proptest! {

@@ -11,14 +11,20 @@
 //!
 //! ## Performance
 //!
-//! Peeling runs on a [`SortedView`]: every dimension is argsorted once
-//! (`O(M·N log N)`), each step scans the surviving prefix/suffix of each
-//! presorted column (`O(α·n)` per candidate) and compacts the columns
-//! (`O(M·n)`), matching the paper's §7 bound `O(M·(N log N + N/α))`
-//! instead of re-sorting all `M` columns at every step. The in-box count
-//! on the validation data is maintained incrementally as well — a cut
-//! only ever removes validation rows through the freshly moved face, so
-//! no full `contains` rescan is needed.
+//! Peeling runs on any [`ColumnAccess`] backing: the in-memory
+//! [`ViewAccess`] over a [`SortedView`] (every dimension argsorted once,
+//! `O(M·N log N)`) or the out-of-core paged store, whose columns were
+//! sorted when its artifact was built. With `n` points in the box and
+//! `k = ⌊α·n⌋`, each step makes `2M` scans, each handing out the `k + 1`
+//! lowest or highest active entries of one sorted column, one
+//! [`label_sum`](ColumnAccess::label_sum) over the removed rows of each
+//! of the up to `2M` candidates, one
+//! [`active_label_sum`](ColumnAccess::active_label_sum), and the one cut
+//! it chooses. No column is re-sorted, matching the paper's §7 bound
+//! `O(M·(N log N + N/α))`. The in-box count on the validation data is
+//! maintained incrementally as well — a cut only ever removes validation
+//! rows through the freshly moved face, so no full `contains` rescan is
+//! needed.
 //!
 //! The pre-optimization implementation is kept as [`NaivePrim`] (hidden
 //! from docs): it is the reference oracle for the equivalence tests and
@@ -227,6 +233,8 @@ impl Prim {
         };
         let mut front: Vec<(f64, u32)> = Vec::with_capacity(k + 1);
         let mut back: Vec<(f64, u32)> = Vec::with_capacity(k + 1);
+        // The removed rows of one candidate, in summation order.
+        let mut removed: Vec<u32> = Vec::with_capacity(k);
         for dim in 0..store.m() {
             // `front[r]` is the active entry at rank `r`; `back[i]` the
             // one at rank `n_in − 1 − i`.
@@ -252,12 +260,10 @@ impl Prim {
             }
             if removed_low > 0 && removed_low < n_in {
                 // Removed labels summed in forward column order — the
-                // association of the in-memory `label_sum`; −0.0 is the
-                // identity `Iterator::sum::<f64>` folds from.
-                let mut removed_pos = -0.0;
-                for &(_, row) in &front[..removed_low] {
-                    removed_pos += store.label(row);
-                }
+                // association of the naive reference's sorted sum.
+                removed.clear();
+                removed.extend(front[..removed_low].iter().map(|&(_, row)| row));
+                let removed_pos = store.label_sum(&removed);
                 let n_after = n_in - removed_low;
                 let mean_after = (total_pos - removed_pos) / n_after as f64;
                 consider(Candidate {
@@ -277,10 +283,9 @@ impl Prim {
                 removed_high -= 1;
             }
             if removed_high > 0 && removed_high < n_in {
-                let mut removed_pos = -0.0;
-                for &(_, row) in back[..removed_high].iter().rev() {
-                    removed_pos += store.label(row);
-                }
+                removed.clear();
+                removed.extend(back[..removed_high].iter().rev().map(|&(_, row)| row));
+                let removed_pos = store.label_sum(&removed);
                 let n_after = n_in - removed_high;
                 let mean_after = (total_pos - removed_pos) / n_after as f64;
                 consider(Candidate {
