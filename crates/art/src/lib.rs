@@ -7,9 +7,10 @@
 //!   structure-of-arrays arenas (feature `u32`, value `f64`, right
 //!   `u32`) plus forest/GBDT/SVM metadata, which decode straight into
 //!   the arenas the prediction kernels walk;
-//! * **column sections** — `(key u64, row u32)` sorted runs in exactly
-//!   the record layout `reds-stream` spills, rank-addressable when
-//!   merged to a single run.
+//! * **pool sections** — a pseudo-labeled pool's points and labels, and
+//!   per column one fully merged run of `(key u64, row u32)` records
+//!   in exactly the layout `reds-stream` spills (rank-addressable: record
+//!   `i` is the column's `i`-th smallest), with its page-index fences.
 //!
 //! Two readers share one verifier — magic, version,
 //! recorded-vs-actual length, a whole-file [`Checksum`],
@@ -18,13 +19,14 @@
 //! reader runs is the consumer's choice:
 //!
 //! * [`ArtFile::open`] reads the file once into owned memory and
-//!   verifies that copy, for consumers that decode a whole artifact (a
-//!   served model, `load_art_pool`). It then runs the same structural
+//!   verifies that copy, for consumers that decode a whole artifact
+//!   (a served model). It then runs the same structural
 //!   validation `reds-json` loading performs (`FlatTree` invariants via
 //!   [`FlatTree::from_parts`](reds_metamodel::FlatTree::from_parts),
 //!   shape checks on SVM/dataset buffers);
 //! * [`ArtScan::open`] verifies by streaming and then reads by
-//!   position, for the bounded-memory paged store.
+//!   position, for the bounded-memory paged store, the one reader of
+//!   COLUMN sections.
 //!
 //! A crafted `.redsart` can no more loop `predict` or read out of
 //! bounds than a crafted JSON model document can — and because every
@@ -56,7 +58,7 @@ pub use layout::{
     SECTION_COLUMN, SECTION_DATASET, SECTION_META, SECTION_MODEL, SECTION_PAGE_INDEX,
     TOC_ENTRY_LEN, VERSION,
 };
-pub use read::{read_regular_file, ArtFile, ArtMeta, ColumnSection, PackedArtifact};
+pub use read::{read_regular_file, ArtFile, ArtMeta, PackedArtifact};
 pub use scan::{ArtScan, PageIndex, ScanSection, DEFAULT_PAGE_ROWS};
 pub use write::{write_model_artifact, ArtWriter, ModelArtifactSpec};
 

@@ -17,9 +17,8 @@
 //! 5. on typed access, bounds-checked little-endian decoding plus the
 //!    same structural validation the JSON loaders run
 //!    (`FlatTree::from_parts` arena invariants, SVM/dataset shape
-//!    checks, sorted-run checks). DATASET and COLUMN headers go through
-//!    [`DatasetHeader`] and [`ColumnHeader`], the decoders the paged
-//!    store uses too.
+//!    checks). DATASET headers go through [`DatasetHeader`], the
+//!    decoder the paged store uses too.
 //!
 //! Steps 1–4 are the verifier in `layout.rs`, which
 //! [`ArtScan`](crate::ArtScan) shares: one sequential pass over the
@@ -37,7 +36,6 @@
 //! yields the same [`SavedModel`] the `reds-json` loader does), so a
 //! loaded model never reads the file again.
 
-use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
@@ -46,9 +44,8 @@ use reds_data::Dataset;
 use reds_metamodel::{FlatTree, Gbdt, RandomForest, SavedModel, Svm};
 
 use crate::layout::{
-    payload_reader, verify, ColumnHeader, Cur, DatasetHeader, FAMILY_FOREST, FAMILY_GBDT,
-    FAMILY_SVM, HEADER_LEN, SECTION_COLUMN, SECTION_DATASET, SECTION_META, SECTION_MODEL,
-    SECTION_PAGE_INDEX, VERIFY_BLOCK,
+    payload_reader, verify, Cur, DatasetHeader, FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, HEADER_LEN,
+    SECTION_DATASET, SECTION_META, SECTION_MODEL, SECTION_PAGE_INDEX, VERIFY_BLOCK,
 };
 use crate::{corrupt, ArtError, PageIndex, ScanSection};
 
@@ -212,11 +209,6 @@ impl ArtFile {
         Dataset::new(points, labels, m).map_err(|e| corrupt(format!("dataset rejected: {e}")))
     }
 
-    /// Decodes and validates every column section, in file order.
-    pub fn columns(&self) -> Result<Vec<ColumnSection<'_>>, ArtError> {
-        self.all(SECTION_COLUMN).map(ColumnSection::parse).collect()
-    }
-
     /// Decodes and validates every page-index section, in file order.
     pub fn page_indexes(&self) -> Result<Vec<PageIndex>, ArtError> {
         self.all(SECTION_PAGE_INDEX).map(PageIndex::parse).collect()
@@ -314,122 +306,5 @@ impl PackedArtifact {
             model,
             train,
         })
-    }
-}
-
-/// One column's sorted `(key u64, row u32)` runs, borrowed from the
-/// [`ArtFile`] — the on-disk twin of `reds-stream`'s spill runs. With a
-/// single merged run the records are **rank-addressable**: record `i`
-/// is the `i`-th smallest `(key, row)` of the column.
-pub struct ColumnSection<'a> {
-    column: usize,
-    n_rows: usize,
-    /// Each run's packed 12-byte records.
-    runs: Vec<&'a [u8]>,
-}
-
-impl<'a> ColumnSection<'a> {
-    fn parse(payload: &'a [u8]) -> Result<Self, ArtError> {
-        let header = ColumnHeader::read(payload.len() as u64, payload_reader(payload))?;
-        // The header checked that the runs fill the record area.
-        let mut records = &payload[header.records_at() as usize..];
-        let runs = header
-            .runs()
-            .iter()
-            .map(|&len| {
-                let (run, rest) = records.split_at(12 * len);
-                records = rest;
-                run
-            })
-            .collect();
-        Ok(Self {
-            column: header.column(),
-            n_rows: header.n_rows(),
-            runs,
-        })
-    }
-
-    /// Which dataset column these runs sort.
-    pub fn column(&self) -> usize {
-        self.column
-    }
-
-    /// Total records across all runs.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of sorted runs (1 = fully merged, rank-addressable).
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Record `i` of run `run` (packed little-endian decode — records
-    /// are 12 bytes, so they are read byte-wise, not cast).
-    pub fn record(&self, run: usize, i: usize) -> (u64, u32) {
-        let rec = &self.runs[run][i * 12..(i + 1) * 12];
-        let key = u64::from_le_bytes(rec[..8].try_into().expect("8 bytes"));
-        let row = u32::from_le_bytes(rec[8..12].try_into().expect("4 bytes"));
-        (key, row)
-    }
-
-    /// The `rank`-th smallest `(key, row)` of a fully merged column.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the column holds more than one run (merge first) or
-    /// `rank` is out of range.
-    pub fn rank(&self, rank: usize) -> (u64, u32) {
-        assert_eq!(self.runs.len(), 1, "rank addressing needs a merged column");
-        self.record(0, rank)
-    }
-
-    /// K-way-merges the runs in ascending `(key, row)` order, emitting
-    /// rows — the order of `reds-stream`'s spill merge, which is the one
-    /// total order of distinct `(key, row)` pairs. Validates along the
-    /// way that every run is strictly increasing and every row is in
-    /// range; a file violating that is rejected, not mis-merged.
-    pub fn merged_order(&self) -> Result<Vec<u32>, ArtError> {
-        let run_len = |r: usize| self.runs[r].len() / 12;
-        let mut order = Vec::with_capacity(self.n_rows);
-        let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32, usize)>> =
-            BinaryHeap::with_capacity(self.runs.len());
-        let mut cursors = vec![0usize; self.runs.len()];
-        for (r, cursor) in cursors.iter_mut().enumerate() {
-            if run_len(r) > 0 {
-                let (key, row) = self.record(r, 0);
-                heap.push(std::cmp::Reverse((key, row, r)));
-                *cursor = 1;
-            }
-        }
-        let mut last: Option<(u64, u32)> = None;
-        while let Some(std::cmp::Reverse((key, row, r))) = heap.pop() {
-            if (row as usize) >= self.n_rows {
-                return Err(corrupt(format!(
-                    "column {} references row {row} of {}",
-                    self.column, self.n_rows
-                )));
-            }
-            order.push(row);
-            // Strictness across the merged stream implies strictness
-            // within every run, and catches duplicated rows early
-            // (each row id appears exactly once per column).
-            if let Some(prev) = last {
-                if prev >= (key, row) {
-                    return Err(corrupt(format!(
-                        "column {} runs are not strictly sorted",
-                        self.column
-                    )));
-                }
-            }
-            last = Some((key, row));
-            let i = cursors[r];
-            if i < run_len(r) {
-                let (k, w) = self.record(r, i);
-                heap.push(std::cmp::Reverse((k, w, r)));
-                cursors[r] = i + 1;
-            }
-        }
-        Ok(order)
     }
 }

@@ -27,7 +27,7 @@ fn main() {
     let variants = ["P", "CART", "RPx", "R-CART-x"];
     println!("Baselines (PR AUC on test data), N = {n}, L = {l}");
     println!("| function | {} |", variants.join(" | "));
-    println!("|---|{}|", "---|".repeat(variants.len()));
+    println!("|---|{}", "---|".repeat(variants.len()));
     let mut totals: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
     for fname in &functions {
         let f = resolve_function(fname);

@@ -8,8 +8,8 @@
 //! * `perf` — the presorted PRIM, the forest and the prediction kernels
 //!   against their naive and scalar references (`BENCH_prim.json`,
 //!   `BENCH_forest.json`, `BENCH_kernels.json`);
-//! * `pool` — the streamed and paged pool backings against the
-//!   in-memory pipeline, in bits, wall time and peak RSS
+//! * `pool` — the streamed construction and the paged pool backing
+//!   against the in-memory pipeline, in bits, wall time and peak RSS
 //!   (`BENCH_pool.json`);
 //! * `art` — cold starts from `reds-json` and `.redsart` model files
 //!   (`BENCH_art.json`).

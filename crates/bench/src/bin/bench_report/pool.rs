@@ -1,5 +1,6 @@
-//! `--section pool`: the streamed and paged pool backings against the
-//! in-memory pipeline, in bits, wall time and peak RSS.
+//! `--section pool`: the streamed construction and the paged pool
+//! backing against the in-memory pipeline, in bits, wall time and peak
+//! RSS.
 //!
 //! ```text
 //! bench_report --section pool [--l 2000000] [--m 12] [--chunk-rows 65536] \
@@ -14,22 +15,22 @@
 //! * construction: the monolithic generate → `predict_batch` → argsort
 //!   path (`mono-construct`) against `reds-stream`'s bounded-memory scan
 //!   (`stream-construct`);
-//! * discovery: `Reds::discover` over the in-memory (`inmem-discover`),
-//!   streamed (`stream-discover`) and paged (`ooc-discover`) backings.
-//!   The page cache takes `--cache-mib`, by default half the budget.
+//! * discovery: `Reds::discover` over the in-memory (`inmem-discover`)
+//!   and paged (`ooc-discover`) backings. The page cache takes
+//!   `--cache-mib`, by default half the budget.
 //!
 //! Gates:
 //!
 //! * the construction digests (sort orders and labels) are equal;
 //! * the streamed construction's peak RSS is below the `L × M` point
 //!   buffer it replaces and below the monolithic construction's peak;
-//! * the three backings' box digests are equal;
+//! * the two backings' box digests are equal;
 //! * the paged run's peak RSS is below `--mem-budget` MiB.
 //!
 //! `--construct-only` skips discovery. `--skip-inmem` skips the children
-//! that hold the whole pool in memory (monolithic construction,
-//! in-memory and streamed discovery), and the gates that compare with
-//! them, for paper-scale runs (`--l 10000000 --m 12`) where the pool
+//! that hold the whole pool in memory (monolithic construction and
+//! in-memory discovery), and the gates that compare with them, for
+//! paper-scale runs (`--l 10000000 --m 12`) where the pool
 //! alone needs more than 1.5 GiB. Writes `BENCH_pool.json`, with
 //! `ooc_slowdown`, the paged wall time over the in-memory one.
 
@@ -149,10 +150,9 @@ fn measure(mode: &str, spec: &Spec) {
             ]);
             stats.digest
         }
-        "inmem-discover" | "stream-discover" | "ooc-discover" => {
+        "inmem-discover" | "ooc-discover" => {
             let backing = match mode {
                 "inmem-discover" => Backing::InMemory,
-                "stream-discover" => Backing::Streamed(spec.stream_config()),
                 _ => Backing::Paged {
                     stream: spec.stream_config(),
                     ooc: OocConfig::new()
@@ -252,7 +252,6 @@ pub fn run(args: &Args, gates: &mut Gates) {
 
     // ----- discovery ---------------------------------------------------
     let in_memory = (discover && inmem).then(|| measured("inmem-discover"));
-    let streamed = (discover && inmem).then(|| measured("stream-discover"));
     let paged = discover.then(|| measured("ooc-discover"));
     let under_budget = paged.as_ref().and_then(|p| p.peak).map(|peak| {
         eprintln!(
@@ -267,18 +266,15 @@ pub fn run(args: &Args, gates: &mut Gates) {
             ),
         )
     });
-    let mut same_boxes = |other: &Option<Measured>, name: &str| {
-        let (base, other) = (in_memory.as_ref()?, other.as_ref()?);
-        Some(gates.check(
-            base.digest == other.digest,
+    let ooc_identical = in_memory.as_ref().zip(paged.as_ref()).map(|(base, paged)| {
+        gates.check(
+            base.digest == paged.digest,
             format!(
-                "discover boxes differ between in-memory and {name} at L = {}",
+                "discover boxes differ between in-memory and out-of-core at L = {}",
                 spec.l
             ),
-        ))
-    };
-    let discover_identical = same_boxes(&streamed, "streamed");
-    let ooc_identical = same_boxes(&paged, "out-of-core");
+        )
+    });
     let inmem_ms = in_memory.as_ref().and_then(|m| m.ms);
     let ooc_ms = paged.as_ref().and_then(|p| p.ms);
     let slowdown = inmem_ms.zip(ooc_ms).map(|(i, o)| o / i);
@@ -301,7 +297,6 @@ pub fn run(args: &Args, gates: &mut Gates) {
         ("lxm_buffer_bytes", Json::num(lxm_bytes)),
         ("construct_bit_identical", flag(construct_identical)),
         ("stream_peak_below_lxm_buffer", flag(below_lxm)),
-        ("discover_bit_identical", flag(discover_identical)),
         ("ooc_bit_identical", flag(ooc_identical)),
         ("ooc_peak_below_budget", flag(under_budget)),
         (
@@ -314,7 +309,7 @@ pub fn run(args: &Args, gates: &mut Gates) {
         (
             "measurements",
             Json::arr(
-                [mono, Some(stream), in_memory, streamed, paged]
+                [mono, Some(stream), in_memory, paged]
                     .into_iter()
                     .flatten()
                     .map(|m| m.row),

@@ -53,7 +53,7 @@ fn main() {
 
     println!("Figure 11 (left): smoothed peeling trajectories, morris N = {n}");
     println!("| recall bin | {} |", methods.join(" | "));
-    println!("|---|{}|", "---|".repeat(methods.len()));
+    println!("|---|{}", "---|".repeat(methods.len()));
     for bin in 0..BINS {
         let lo = bin as f64 / BINS as f64;
         let cells: Vec<String> = curves

@@ -34,7 +34,7 @@ fn main() {
     ] {
         println!("\nFigure 9 ({title}): mean runtime in ms");
         println!("| N | {} |", methods.join(" | "));
-        println!("|---|{}|", "---|".repeat(methods.len()));
+        println!("|---|{}", "---|".repeat(methods.len()));
         for n in &ns {
             let mut totals = vec![0.0; methods.len()];
             let mut count = 0.0;

@@ -443,7 +443,7 @@ fn render_table3(sweep: &Sweep, results: &[Vec<MethodSummary>]) -> String {
     for (title, metric) in metric_tables {
         let _ = writeln!(out, "\nTable 3 {title}");
         let _ = writeln!(out, "| N | {} |", methods.join(" | "));
-        let _ = writeln!(out, "|---|{}|", "---|".repeat(methods.len()));
+        let _ = writeln!(out, "|---|{}", "---|".repeat(methods.len()));
         for n in &sweep.ns {
             let cells: Vec<String> = (0..methods.len())
                 .map(|mi| {
@@ -543,7 +543,7 @@ fn render_table4(sweep: &Sweep, results: &[Vec<MethodSummary>]) -> String {
     for (title, metric) in tables {
         let _ = writeln!(out, "\nTable 4 {title}");
         let _ = writeln!(out, "| N | {} |", methods.join(" | "));
-        let _ = writeln!(out, "|---|{}|", "---|".repeat(methods.len()));
+        let _ = writeln!(out, "|---|{}", "---|".repeat(methods.len()));
         for n in &sweep.ns {
             let cells: Vec<String> = (0..methods.len())
                 .map(|mi| {
@@ -891,6 +891,41 @@ mod tests {
             base,
             Sweep::table3(&Args::from_tokens(tokens)).fingerprint()
         );
+    }
+
+    /// Every markdown separator row has as many cells as the header
+    /// row above it, in both tables.
+    #[test]
+    fn rendered_separators_match_their_headers() {
+        for sweep in [Sweep::table3(&tiny_args()), Sweep::table4(&tiny_args())] {
+            let summary = |(i, method): (usize, &String)| MethodSummary {
+                method: method.clone(),
+                pr_auc: 40.0 + i as f64,
+                precision: 50.0 + i as f64,
+                wracc: 1.0 + i as f64,
+                consistency: 60.0,
+                n_restricted: 2.0,
+                n_irrel: 0.5,
+                runtime_ms: 1.0,
+                per_rep: Vec::new(),
+            };
+            let results: Vec<Vec<MethodSummary>> = sweep
+                .specs
+                .iter()
+                .map(|_| sweep.methods.iter().enumerate().map(summary).collect())
+                .collect();
+            let report = render(&sweep, &results);
+            let cells = |row: &str| row.matches('|').count() - 1;
+            let lines: Vec<&str> = report.lines().collect();
+            let mut separators = 0;
+            for pair in lines.windows(2) {
+                if pair[1].starts_with("|---|") {
+                    assert_eq!(cells(pair[1]), cells(pair[0]), "{}\n{}", pair[0], pair[1]);
+                    separators += 1;
+                }
+            }
+            assert!(separators > 0, "no table rendered:\n{report}");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ mod pipeline;
 pub use active::{ActiveConfig, ActiveReds, Simulator};
 pub use error::RedsError;
 pub use pipeline::{Backing, NewPointSampler, Pool, Reds, RedsConfig};
-// The configurations of the streamed and paged backings, re-exported
-// so callers need no direct `reds-stream` or `reds-ooc` dependency.
+// The configuration of the paged backing, re-exported so callers need
+// no direct `reds-stream` or `reds-ooc` dependency.
 pub use reds_ooc::{OocConfig, OocError, OocPool, OocStats, DEFAULT_CACHE_BYTES};
 pub use reds_stream::{StreamConfig, StreamError, DEFAULT_CHUNK_ROWS};

@@ -10,8 +10,8 @@ use reds_metamodel::{GbdtParams, Metamodel, RandomForestParams, SvmParams, Train
 use reds_ooc::{OocConfig, OocPool};
 use reds_sampling::{logit_normal, mixed_design, uniform};
 use reds_stream::{
-    stream_pool, stream_scratch_art, ChunkSource, Labeling, SamplerSource, SliceSource,
-    StreamConfig, StreamError, StreamSampler,
+    stream_scratch_art, ChunkSource, Labeling, SamplerSource, SliceSource, StreamConfig,
+    StreamError, StreamSampler,
 };
 use reds_subgroup::{SdResult, SubgroupDiscovery};
 
@@ -140,7 +140,7 @@ impl RedsConfig {
     ///    samplers draw element-sequentially, so the chunked draw
     ///    replays the whole one and the advanced clone is adopted;
     /// 2. labels are per-row, independent of batch composition;
-    /// 3. the streamed merge reproduces `SortedView::new`'s
+    /// 3. the paged build's merge reproduces `SortedView::new`'s
     ///    `(value, row)` order exactly, and the paged store serves every
     ///    scan in that order, so each float sum associates identically.
     ///
@@ -169,7 +169,7 @@ impl RedsConfig {
 
     /// Rejects what the pipeline cannot run, before any work: no new
     /// points, a ragged or NaN pool, and a sampler that cannot stream
-    /// into a streamed or paged backing.
+    /// into a paged backing.
     fn check(&self, m: usize, pool: Pool<'_>, backing: &Backing) -> Result<(), RedsError> {
         match pool {
             Pool::Sample => {
@@ -223,12 +223,6 @@ impl RedsConfig {
                     Dataset::new(points, labels, m).expect("shape and NaN checked up front");
                 Ok(sd.discover(&d_new, d, &mut sd_rng(rng)))
             }
-            Backing::Streamed(stream) => {
-                let streamed = self.stream(pool, m, rng, |source| {
-                    stream_pool(source, &mut label, stream)
-                })?;
-                Ok(sd.discover_presorted(&streamed.dataset, streamed.view, d, &mut sd_rng(rng)))
-            }
             Backing::Paged { stream, ooc } => {
                 let art = ScratchFile::new(stream);
                 self.stream(pool, m, rng, |source| {
@@ -249,7 +243,7 @@ impl RedsConfig {
     /// override stops walking trees once a row's label is settled),
     /// probability labels through [`Metamodel::predict_batch`] and
     /// [`Labeling::apply`]. In memory the batch is the whole pool;
-    /// streamed and paged, one chunk.
+    /// paged, one chunk.
     fn label(&self, model: &dyn Metamodel, points: &[f64], m: usize) -> Vec<f64> {
         if self.probability_labels {
             model
@@ -307,15 +301,12 @@ pub enum Pool<'a> {
 pub enum Backing {
     /// The whole `L × M` pool in one buffer, labeled in one batch.
     InMemory,
-    /// Labeled and argsorted in chunks of `chunk_rows`, the sort runs
-    /// spilled to disk and k-way merged; the pool is materialized only
-    /// at the hand-off to `sd`.
-    Streamed(StreamConfig),
-    /// Streamed into a scratch `.redsart` artifact under
-    /// `stream.spill_dir` and searched through a paged column store
-    /// ([`OocPool`]) whose resident set is bounded by
+    /// Labeled and argsorted in chunks of `stream.chunk_rows`, the sort
+    /// runs spilled to disk and k-way merged into a scratch `.redsart`
+    /// artifact under `stream.spill_dir`, then searched through a paged
+    /// column store ([`OocPool`]) whose resident set is bounded by
     /// [`OocConfig::cache_bytes`]; the pool is never materialized. The
-    /// artifact and its mask are removed when the run ends.
+    /// artifact is removed when the run ends.
     Paged {
         /// Chunking and spill directory of the construction.
         stream: StreamConfig,
@@ -609,7 +600,10 @@ mod tests {
             .discover(
                 &d,
                 Pool::Sample,
-                &Backing::Streamed(StreamConfig::new()),
+                &Backing::Paged {
+                    stream: StreamConfig::new(),
+                    ooc: OocConfig::new(),
+                },
                 &Prim::default(),
                 &mut StdRng::seed_from_u64(61),
             )
@@ -630,7 +624,10 @@ mod tests {
             .discover(
                 &d,
                 Pool::Given(&pool),
-                &Backing::Streamed(StreamConfig::new().with_chunk_rows(2)),
+                &Backing::Paged {
+                    stream: StreamConfig::new().with_chunk_rows(2),
+                    ooc: OocConfig::new(),
+                },
                 &Prim::default(),
                 &mut StdRng::seed_from_u64(71),
             )
@@ -675,7 +672,6 @@ mod tests {
         nan_pool[7] = f64::NAN;
         let backings = [
             Backing::InMemory,
-            Backing::Streamed(StreamConfig::new().with_chunk_rows(3)),
             Backing::Paged {
                 stream: StreamConfig::new().with_chunk_rows(3),
                 ooc: OocConfig::new(),

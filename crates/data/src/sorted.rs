@@ -104,16 +104,14 @@ impl SortedView {
         }
     }
 
-    /// Builds the index from externally presorted columns — the
-    /// entry point of out-of-core construction, where each column's
-    /// `(value, row id)` order was produced by merging spilled
-    /// chunk-local runs instead of one in-memory argsort.
+    /// Builds the index from externally presorted columns, such as
+    /// `covering`'s: each round filters one full argsort down to the
+    /// rows still uncovered instead of sorting them again.
     ///
     /// `cols[j]` must list **every** row id `0..n` exactly once, in
     /// ascending `(value_j, row id)` order. The permutation property is
     /// validated (`O(M·n)`); the sort order itself is the caller's
-    /// contract — it cannot be checked without the value buffer, which
-    /// out-of-core callers deliberately do not hold.
+    /// contract, which is not checked against the values.
     ///
     /// # Errors
     ///

@@ -213,10 +213,12 @@ impl Default for DiscoverParams {
     }
 }
 
-/// Parameters of a served `discover_streaming` request: scenario
-/// discovery through the bounded-memory pipeline (`reds-stream`) —
-/// bit-identical boxes to `discover` with the same resolved seed, at a
-/// working set bounded by `chunk_rows` during construction.
+/// Parameters of a served `discover_streaming` request: `discover`
+/// whose seed defaults to the artifact's recorded `pool_seed`, with the
+/// pool held in memory, or with `ooc` built by the bounded-memory
+/// pipeline (`reds-stream`) and searched through the paged store
+/// (`reds-ooc`). The boxes are bit-identical to `discover` with the
+/// same resolved seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamDiscoverParams {
     /// Number of pseudo-labelled points `L`.
@@ -229,7 +231,8 @@ pub struct StreamDiscoverParams {
     pub algorithm: Algorithm,
     /// Hard-label threshold `bnd` on the metamodel output.
     pub bnd: f64,
-    /// Rows per streamed chunk; `0` selects the server default. On the
+    /// Rows per streamed chunk of the paged build (`ooc`); `0` selects
+    /// the server default. Validated with or without `ooc`. On the
     /// wire, `0` is spelled by **omitting** the field — an explicit
     /// `"chunk_rows": 0` is rejected with `bad_request`, so a client
     /// that meant to pick a chunk size never silently gets the default.
@@ -278,7 +281,7 @@ pub enum Request {
         /// Registry model to query; `None` is the default model.
         model: Option<String>,
     },
-    /// Run scenario discovery through the streaming pipeline.
+    /// Run scenario discovery on a seeded pool, in memory or paged.
     DiscoverStreaming {
         /// Echoed request id.
         id: u64,

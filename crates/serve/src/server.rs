@@ -220,11 +220,12 @@ impl Service {
         )
     }
 
-    /// Served scenario discovery through the streamed backing, or the
-    /// paged one with `params.ooc`; bit-identical to [`Service::discover`]
-    /// at the same seed. A request without an explicit seed streams the
-    /// pinned version's recorded `pool_seed`, so the run is reproducible
-    /// from the artifact file alone.
+    /// Served scenario discovery in memory, or through the paged backing
+    /// with `params.ooc`; bit-identical to [`Service::discover`] at the
+    /// same seed. A request without an explicit seed draws the pinned
+    /// version's recorded `pool_seed`, so the run is reproducible from
+    /// the artifact file alone. `params.chunk_rows` is validated either
+    /// way and chunks the paged build.
     pub fn discover_streaming(
         &self,
         params: &StreamDiscoverParams,
@@ -240,27 +241,26 @@ impl Service {
                 params.chunk_rows, self.limits.max_discover_l
             )));
         }
-        // A column's merge opens its run file once and holds one block
-        // of at most 32 760 bytes per spilled run, and runs =
-        // ⌈l / chunk_rows⌉ — a client asking for chunk_rows = 1 at
-        // l = 10⁶ would make every column's merge hold ~32 GB. Chunking
-        // never changes the result (bit-identity holds for any chunk
-        // size), so the server is free to raise a too-small chunk until
-        // the run count, and with it the merge memory (1 024 runs ≈
-        // 32 MiB per column), is bounded.
-        const MAX_RUNS_PER_COLUMN: usize = 1_024;
-        let requested = StreamConfig::new()
-            .with_chunk_rows(params.chunk_rows)
-            .effective_chunk_rows();
-        let floor = params.l.div_ceil(MAX_RUNS_PER_COLUMN);
-        let stream = StreamConfig::new().with_chunk_rows(requested.max(floor));
         let backing = if params.ooc {
+            // A column's merge opens its run file once and holds one
+            // block of at most 32 760 bytes per spilled run, and runs =
+            // ⌈l / chunk_rows⌉ — a client asking for chunk_rows = 1 at
+            // l = 10⁶ would make every column's merge hold ~32 GB.
+            // Chunking never changes the result (bit-identity holds for
+            // any chunk size), so the server is free to raise a
+            // too-small chunk until the run count, and with it the merge
+            // memory (1 024 runs ≈ 32 MiB per column), is bounded.
+            const MAX_RUNS_PER_COLUMN: usize = 1_024;
+            let requested = StreamConfig::new()
+                .with_chunk_rows(params.chunk_rows)
+                .effective_chunk_rows();
+            let floor = params.l.div_ceil(MAX_RUNS_PER_COLUMN);
             Backing::Paged {
-                stream,
+                stream: StreamConfig::new().with_chunk_rows(requested.max(floor)),
                 ooc: OocConfig::default(),
             }
         } else {
-            Backing::Streamed(stream)
+            Backing::InMemory
         };
         self.discover_pinned(
             model,
@@ -781,15 +781,16 @@ mod tests {
         let service = tiny_service();
         // chunk_rows = 1 at l = 3000 would mean 3000 spilled runs (and
         // a 32 760-byte merge block for each, per column); the server
-        // clamps the chunk so runs and merge memory stay bounded — and
-        // the result is unchanged, because chunking never affects the
-        // boxes.
+        // clamps the paged build's chunk so runs and merge memory stay
+        // bounded — and the result is unchanged, because chunking never
+        // affects the boxes.
         let clamped = service
             .discover_streaming(
                 &StreamDiscoverParams {
                     l: 3_000,
                     seed: Some(5),
                     chunk_rows: 1,
+                    ooc: true,
                     ..Default::default()
                 },
                 None,

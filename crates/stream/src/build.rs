@@ -9,16 +9,12 @@
 //! contiguous block of columns and holding one column's sort scratch
 //! (16 bytes per row) at a time; the runs are the same bytes either
 //! way. Nothing proportional to the total row count `L` is held in
-//! memory until the caller picks a finisher:
+//! memory, whichever finisher the caller picks:
 //!
-//! * [`PoolBuilder::finish_pool`] — k-way merge every column into the
-//!   final `SortedView` order and read the points/labels back into a
-//!   [`Dataset`]: the handoff to subgroup discovery (which needs random
-//!   access to values, so `O(L·M)` memory is its floor);
 //! * [`PoolBuilder::finish_stats`] — stream the merge into a
-//!   [`Checksum`] digest instead: `O(chunk + runs)` peak memory end to
-//!   end, used by the peak-RSS benches and as the cross-mode
-//!   equivalence witness;
+//!   [`Checksum`] digest: `O(chunk + runs)` peak memory end to end,
+//!   used by the peak-RSS benches and as the equivalence witness
+//!   against the in-memory pool ([`digest_pool`]);
 //! * [`PoolBuilder::finish_art`] and [`PoolBuilder::finish_scratch_art`]
 //!   — stream the merge into a `.redsart` pool artifact, synced to disk
 //!   or, for a scratch artifact the same run reads and deletes, not.
@@ -27,23 +23,12 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use reds_art::{
-    ArtFile, ArtWriter, Checksum, PageIndex, SECTION_COLUMN, SECTION_DATASET, SECTION_PAGE_INDEX,
+    ArtWriter, Checksum, PageIndex, SECTION_COLUMN, SECTION_DATASET, SECTION_PAGE_INDEX,
 };
-use reds_data::{argsort_stable, ord_key, Dataset, SortedView};
+use reds_data::{argsort_stable, ord_key};
 
 use crate::spill::{ColumnRuns, FloatSpill, RunWriter, SpillDir};
 use crate::{StreamConfig, StreamError};
-
-/// The materialized result of a streamed construction: the
-/// pseudo-labeled dataset plus its presorted view, bit-identical to
-/// what the in-memory path (`Dataset::new` + `SortedView::new`) builds.
-#[derive(Debug)]
-pub struct StreamedPool {
-    /// The pseudo-labeled `D_new`.
-    pub dataset: Dataset,
-    /// `SortedView` over `dataset`, assembled by the out-of-core merge.
-    pub view: SortedView,
-}
 
 /// Summary of a digest-only streamed construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +118,8 @@ pub fn digest_pool(columns: &[Vec<u32>], labels: &[f64]) -> u64 {
 pub struct PoolBuilder {
     m: usize,
     rows: usize,
-    spill: SpillDir,
+    /// Held for its drop: the spill store goes when the builder does.
+    _spill: SpillDir,
     columns: Vec<RunWriter>,
     points: FloatSpill,
     labels: FloatSpill,
@@ -156,7 +142,7 @@ impl PoolBuilder {
         Ok(Self {
             m,
             rows: 0,
-            spill,
+            _spill: spill,
             columns,
             points,
             labels,
@@ -272,30 +258,6 @@ impl PoolBuilder {
         Ok((runs, max_runs, spilled))
     }
 
-    /// Merges the spilled runs and materializes the final
-    /// [`Dataset`] + [`SortedView`] — the handoff to subgroup
-    /// discovery. The spill directory is removed on return (and on
-    /// error, via RAII).
-    pub fn finish_pool(self) -> Result<StreamedPool, StreamError> {
-        if self.rows == 0 {
-            return Err(StreamError::ZeroRows);
-        }
-        let rows = self.rows;
-        let (runs, _, _) = Self::merged_columns(self.columns, rows)?;
-        let mut cols = Vec::with_capacity(runs.len());
-        for col in &runs {
-            let mut order = Vec::with_capacity(rows);
-            col.merge(|row, _key| order.push(row))?;
-            cols.push(order);
-        }
-        let view = SortedView::from_presorted_columns(cols, rows)?;
-        let points = self.points.into_vec()?;
-        let labels = self.labels.into_vec()?;
-        let dataset = Dataset::new(points, labels, self.m)?;
-        drop(self.spill); // explicit: spill store gone before returning
-        Ok(StreamedPool { dataset, view })
-    }
-
     /// Merges the spilled runs into a digest without materializing
     /// anything of size `O(L)` — peak memory stays bounded by
     /// `O(chunk + runs)`.
@@ -339,10 +301,9 @@ impl PoolBuilder {
     /// streamed straight from the data spill — at no point does an
     /// `O(L)` row-order or point buffer exist in memory (the fences
     /// are `O(L / page_rows)`). The returned stats (digest included)
-    /// equal [`PoolBuilder::finish_stats`] of the same pushes, and
-    /// [`load_art_pool`] reconstructs the exact [`StreamedPool`] that
-    /// [`PoolBuilder::finish_pool`] would have built. The artifact is
-    /// synced to disk before this returns ([`ArtWriter::finish`]).
+    /// equal [`PoolBuilder::finish_stats`] of the same pushes. The
+    /// artifact is synced to disk before this returns
+    /// ([`ArtWriter::finish`]).
     pub fn finish_art(self, path: &Path, page_rows: u32) -> Result<StreamStats, StreamError> {
         self.write_art(path, page_rows, ArtWriter::finish)
     }
@@ -453,60 +414,11 @@ impl PoolBuilder {
     }
 }
 
-/// Loads a pool artifact written by [`PoolBuilder::finish_art`] back
-/// into a [`StreamedPool`] — checksum-verified, structurally validated
-/// (every column present exactly once, each a permutation of the
-/// dataset's rows), and bit-identical to what
-/// [`PoolBuilder::finish_pool`] would have produced from the same
-/// pushes.
-pub fn load_art_pool(path: &Path) -> Result<StreamedPool, StreamError> {
-    let file = ArtFile::open(path)?;
-    let dataset = file.dataset()?;
-    let sections = file.columns()?;
-    let mut cols: Vec<Option<Vec<u32>>> = vec![None; dataset.m()];
-    for section in &sections {
-        let j = section.column();
-        if j >= dataset.m() {
-            return Err(StreamError::CorruptSpill {
-                column: j,
-                detail: format!("artifact sorts column {j} of an m = {} pool", dataset.m()),
-            });
-        }
-        if cols[j].is_some() {
-            return Err(StreamError::CorruptSpill {
-                column: j,
-                detail: "artifact holds column twice".into(),
-            });
-        }
-        if section.n_rows() != dataset.n() {
-            return Err(StreamError::CorruptSpill {
-                column: j,
-                detail: format!(
-                    "column sorts {} rows, dataset has {}",
-                    section.n_rows(),
-                    dataset.n()
-                ),
-            });
-        }
-        cols[j] = Some(section.merged_order()?);
-    }
-    let cols = cols
-        .into_iter()
-        .enumerate()
-        .map(|(j, col)| {
-            col.ok_or(StreamError::CorruptSpill {
-                column: j,
-                detail: "artifact is missing this column's sort order".into(),
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let view = SortedView::from_presorted_columns(cols, dataset.n())?;
-    Ok(StreamedPool { dataset, view })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reds_art::{ArtFile, ArtScan, ColumnHeader};
+    use reds_data::{Dataset, SortedView};
 
     fn demo_points(n: usize, m: usize) -> (Vec<f64>, Vec<f64>) {
         // Deterministic pseudo-random-ish values with ties.
@@ -533,27 +445,32 @@ mod tests {
         Ok(builder)
     }
 
+    /// The in-memory pool of `points` and `labels` and its digest.
+    fn in_memory(points: &[f64], labels: &[f64], m: usize) -> (Dataset, u64) {
+        let d = Dataset::new(points.to_vec(), labels.to_vec(), m).unwrap();
+        let digest = digest_pool(&SortedView::new(&d).into_columns(), d.labels());
+        (d, digest)
+    }
+
     #[test]
-    fn streamed_pool_matches_in_memory_construction_for_any_chunking() {
+    fn finish_art_matches_the_in_memory_pool_for_any_chunking() {
         let m = 3;
         let n = 157;
         let (points, labels) = demo_points(n, m);
-        let reference = Dataset::new(points.clone(), labels.clone(), m).unwrap();
-        let ref_view = SortedView::new(&reference);
+        let (reference, ref_digest) = in_memory(&points, &labels, m);
+        let dir = std::env::temp_dir().join(format!("reds-stream-chunks-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pool.redsart");
         for chunk in [1usize, 2, 13, 64, n, n + 9] {
-            let pool = build_chunked(&points, &labels, m, chunk)
+            let stats = build_chunked(&points, &labels, m, chunk)
                 .unwrap()
-                .finish_pool()
+                .finish_art(&path, 16)
                 .unwrap();
-            assert_eq!(pool.dataset, reference, "chunk = {chunk}");
-            for j in 0..m {
-                assert_eq!(
-                    pool.view.column(j),
-                    ref_view.column(j),
-                    "chunk = {chunk}, col {j}"
-                );
-            }
+            assert_eq!(stats.digest, ref_digest, "chunk = {chunk}");
+            let dataset = ArtFile::open(&path).unwrap().dataset().unwrap();
+            assert_eq!(dataset, reference, "chunk = {chunk}");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -561,11 +478,7 @@ mod tests {
         let m = 2;
         let n = 201;
         let (points, labels) = demo_points(n, m);
-        let reference = Dataset::new(points.clone(), labels.clone(), m).unwrap();
-        let ref_digest = digest_pool(
-            &SortedView::new(&reference).into_columns(),
-            reference.labels(),
-        );
+        let (_, ref_digest) = in_memory(&points, &labels, m);
         for chunk in [1usize, 37, 500] {
             let stats = build_chunked(&points, &labels, m, chunk)
                 .unwrap()
@@ -581,14 +494,10 @@ mod tests {
     }
 
     #[test]
-    fn art_round_trip_is_bit_identical_to_finish_pool() {
+    fn finish_art_stats_equal_finish_stats() {
         let m = 3;
         let n = 157;
         let (points, labels) = demo_points(n, m);
-        let reference = build_chunked(&points, &labels, m, 13)
-            .unwrap()
-            .finish_pool()
-            .unwrap();
         let ref_stats = build_chunked(&points, &labels, m, 13)
             .unwrap()
             .finish_stats()
@@ -600,17 +509,9 @@ mod tests {
             .unwrap()
             .finish_art(&path, 16)
             .unwrap();
-        // Same digest/counters as digest mode (the equivalence witness
-        // the benches rely on) ...
-        assert_eq!(stats.digest, ref_stats.digest);
-        assert_eq!(stats.rows, ref_stats.rows);
-        assert_eq!(stats.positives, ref_stats.positives);
-        // ... and the loaded pool is the exact finish_pool result.
-        let loaded = load_art_pool(&path).unwrap();
-        assert_eq!(loaded.dataset, reference.dataset);
-        for j in 0..m {
-            assert_eq!(loaded.view.column(j), reference.view.column(j), "col {j}");
-        }
+        // Same digest and counters as digest mode: the equivalence
+        // witness the benches rely on.
+        assert_eq!(stats, ref_stats);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -627,22 +528,33 @@ mod tests {
                 .unwrap()
                 .finish_art(&path, page_rows)
                 .unwrap();
-            let file = ArtFile::open(&path).unwrap();
-            let cols = file.columns().unwrap();
-            let indexes = file.page_indexes().unwrap();
+            let indexes = ArtFile::open(&path).unwrap().page_indexes().unwrap();
             assert_eq!(indexes.len(), m, "page_rows = {page_rows}");
+            // Where each column's one merged run starts, and the key of
+            // its record `rank`.
+            let scan = ArtScan::open(&path).unwrap();
+            let mut records_at = vec![0u64; m];
+            for s in scan.sections().iter().filter(|s| s.kind == SECTION_COLUMN) {
+                let head =
+                    ColumnHeader::read(s.len, |at, buf| scan.read_exact_at(buf, s.offset + at));
+                let head = head.unwrap();
+                records_at[head.column()] = s.offset + head.records_at();
+            }
+            let key = |j: usize, rank: usize| {
+                let mut bytes = [0u8; 8];
+                scan.read_exact_at(&mut bytes, records_at[j] + 12 * rank as u64)
+                    .unwrap();
+                u64::from_le_bytes(bytes)
+            };
             for idx in indexes {
                 assert_eq!(idx.page_rows, page_rows);
                 assert_eq!(idx.fences.len(), n.div_ceil(page_rows as usize));
-                let col = cols
-                    .iter()
-                    .find(|c| c.column() == idx.column as usize)
-                    .unwrap();
+                let j = idx.column as usize;
                 for (p, &(min, max)) in idx.fences.iter().enumerate() {
                     let lo = p * page_rows as usize;
                     let hi = (lo + page_rows as usize).min(n) - 1;
-                    assert_eq!(min, col.record(0, lo).0, "page_rows {page_rows} page {p}");
-                    assert_eq!(max, col.record(0, hi).0, "page_rows {page_rows} page {p}");
+                    assert_eq!(min, key(j, lo), "page_rows {page_rows} page {p}");
+                    assert_eq!(max, key(j, hi), "page_rows {page_rows} page {p}");
                 }
             }
         }
@@ -786,9 +698,12 @@ mod tests {
     #[test]
     fn empty_builder_errors_instead_of_building_nothing() {
         let builder = PoolBuilder::new(2, &StreamConfig::new()).unwrap();
-        assert!(matches!(builder.finish_pool(), Err(StreamError::ZeroRows)));
-        let builder = PoolBuilder::new(2, &StreamConfig::new()).unwrap();
         assert!(matches!(builder.finish_stats(), Err(StreamError::ZeroRows)));
+        let path = std::env::temp_dir().join(format!("reds-stream-empty-{}", std::process::id()));
+        let builder = PoolBuilder::new(2, &StreamConfig::new()).unwrap();
+        let err = builder.finish_art(&path, 16);
+        assert!(matches!(err, Err(StreamError::ZeroRows)));
+        assert!(!path.exists());
     }
 
     #[test]

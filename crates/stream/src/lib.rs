@@ -25,12 +25,13 @@
 //!    column's keys and index scratch at a time; the spilled bytes do
 //!    not depend on the thread count.
 //! 3. The spilled runs are k-way merged per column into exactly the
-//!    `(value, row id)` total order of `reds_data::SortedView`, so
-//!    PRIM / BestInterval / CART consume the result through the same
-//!    membership-mask API with no algorithm changes
-//!    (`SortedView::from_presorted_columns`). The merge is one
-//!    branch-free tournament tree over the runs' heads, packed as
-//!    `key << 32 | row`, for any run count.
+//!    `(value, row id)` total order of `reds_data::SortedView` and
+//!    written, with the points and labels, into a `.redsart` pool
+//!    artifact ([`stream_scratch_art`], [`PoolBuilder::finish_art`])
+//!    that `reds-ooc`'s paged store searches, or only digested
+//!    ([`stream_scan`]). The merge is one branch-free tournament tree
+//!    over the runs' heads, packed as `key << 32 | row`, for any run
+//!    count.
 //!
 //! Spill files are written and read in blocks of at most 32 KiB
 //! (64 KiB for the data spill's reads), not one call per value.
@@ -40,10 +41,11 @@
 //! truncated or corrupted run surfaces as
 //! [`StreamError::CorruptSpill`], never a panic.
 //!
-//! Equivalence contract: for any chunk size, [`stream_pool`] produces a
-//! `Dataset` and `SortedView` bit-identical to the monolithic
-//! generate-label-argsort path, and the generator RNG it hands back is
-//! in the same state — so a streamed `Reds::discover` run is
+//! Equivalence contract: for any chunk size, the pool artifact holds
+//! the points, labels and column orders of the monolithic
+//! generate-label-argsort path bit for bit (its digest equals
+//! [`digest_pool`] of the in-memory pool), and the generator RNG handed
+//! back is in the same state — so a paged `Reds::discover` run is
 //! bit-identical to the in-memory one.
 
 #![warn(missing_docs)]
@@ -53,8 +55,8 @@ mod pipeline;
 mod source;
 mod spill;
 
-pub use build::{digest_pool, load_art_pool, PoolBuilder, StreamStats, StreamedPool};
-pub use pipeline::{stream_pool, stream_scan, stream_scratch_art, Labeling};
+pub use build::{digest_pool, PoolBuilder, StreamStats};
+pub use pipeline::{stream_scan, stream_scratch_art, Labeling};
 pub use source::{ChunkSource, SamplerSource, SliceSource, StreamSampler};
 pub use spill::SpillDir;
 
@@ -157,9 +159,7 @@ pub enum StreamError {
     Predict(String),
     /// The source produced no rows at all.
     ZeroRows,
-    /// Final assembly of the dataset / sorted view failed.
-    Data(reds_data::DataError),
-    /// Writing or reading a `.redsart` column artifact failed.
+    /// Writing a `.redsart` pool artifact failed.
     Art(reds_art::ArtError),
 }
 
@@ -189,7 +189,6 @@ impl fmt::Display for StreamError {
             }
             Self::Predict(msg) => write!(f, "chunk labeling failed: {msg}"),
             Self::ZeroRows => write!(f, "the chunk source produced no rows"),
-            Self::Data(e) => write!(f, "cannot assemble streamed pool: {e}"),
             Self::Art(e) => write!(f, "pool artifact failure: {e}"),
         }
     }
@@ -199,7 +198,6 @@ impl std::error::Error for StreamError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Io(e) => Some(e),
-            Self::Data(e) => Some(e),
             Self::Art(e) => Some(e),
             _ => None,
         }
@@ -215,11 +213,5 @@ impl From<reds_art::ArtError> for StreamError {
 impl From<std::io::Error> for StreamError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
-    }
-}
-
-impl From<reds_data::DataError> for StreamError {
-    fn from(e: reds_data::DataError) -> Self {
-        Self::Data(e)
     }
 }

@@ -1,6 +1,6 @@
 //! The streaming pseudo-labeling loop: source → label → fold.
 
-use crate::build::{PoolBuilder, StreamStats, StreamedPool};
+use crate::build::{PoolBuilder, StreamStats};
 use crate::{ChunkSource, StreamConfig, StreamError};
 
 /// How raw metamodel outputs become pseudo-labels (Algorithm 4, lines
@@ -65,24 +65,15 @@ fn drive(
 }
 
 /// Streams the whole source through pseudo-labeling and the out-of-core
-/// sort, materializing the final [`StreamedPool`]. `label` maps one
-/// chunk (row-major points of the source's width) to one pseudo-label
-/// per row. Bit-identical to the monolithic generate → label →
-/// `Dataset::new` → `SortedView::new` path for **any** chunk size,
-/// provided `label` is row-independent.
-pub fn stream_pool(
-    source: &mut dyn ChunkSource,
-    label: &mut dyn FnMut(&[f64], usize) -> Vec<f64>,
-    cfg: &StreamConfig,
-) -> Result<StreamedPool, StreamError> {
-    drive(source, label, cfg)?.finish_pool()
-}
-
-/// Like [`stream_pool`] but finishes into a scratch `.redsart` pool
-/// artifact at `path` (merged columns + page-index fences at
-/// `page_rows` records per page + dataset) without materializing
-/// anything of size `O(L)` in memory — the construction half of the
-/// out-of-core discovery path, whose `reds-ooc` store reads it back.
+/// sort into a scratch `.redsart` pool artifact at `path` (merged
+/// columns + page-index fences at `page_rows` records per page +
+/// dataset) without materializing anything of size `O(L)` in memory —
+/// the construction half of the paged discovery path, whose `reds-ooc`
+/// store reads it back. `label` maps one chunk (row-major points of the
+/// source's width) to one pseudo-label per row. The pool it writes is
+/// bit-identical to the monolithic generate → label → `Dataset::new` →
+/// `SortedView::new` path for **any** chunk size, provided `label` is
+/// row-independent.
 /// The file is sealed without a sync
 /// ([`PoolBuilder::finish_scratch_art`]): the caller reads it and
 /// deletes it in the same process. A pool artifact meant to be kept
@@ -97,9 +88,10 @@ pub fn stream_scratch_art(
     drive(source, label, cfg)?.finish_scratch_art(path, page_rows)
 }
 
-/// Like [`stream_pool`] but finishes into a digest + stats without
-/// materializing anything of size `O(L)` — the bounded-memory witness
-/// used by the peak-RSS benches.
+/// Like [`stream_scratch_art`] but finishes into a digest + stats
+/// without writing the pool — the bounded-memory witness used by the
+/// peak-RSS benches, equal to [`digest_pool`](crate::digest_pool) of
+/// the in-memory pool.
 pub fn stream_scan(
     source: &mut dyn ChunkSource,
     label: &mut dyn FnMut(&[f64], usize) -> Vec<f64>,
@@ -111,9 +103,10 @@ pub fn stream_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SamplerSource, SliceSource, StreamSampler};
+    use crate::{digest_pool, SamplerSource, SliceSource, StreamSampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use reds_art::ArtFile;
     use reds_data::{Dataset, SortedView};
 
     /// A cheap deterministic "metamodel": mean of the coordinates.
@@ -134,33 +127,46 @@ mod tests {
         }
     }
 
-    fn monolithic_reference(
-        l: usize,
-        m: usize,
-        seed: u64,
-        labeling: Labeling,
-    ) -> (Dataset, Vec<Vec<u32>>) {
+    /// The monolithic pool and its digest.
+    fn monolithic_reference(l: usize, m: usize, seed: u64, labeling: Labeling) -> (Dataset, u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let points = reds_sampling::uniform(l, m, &mut rng);
         let labels = toy_labeler(labeling)(&points, m);
         let d = Dataset::new(points, labels, m).unwrap();
-        let cols = SortedView::new(&d).into_columns();
-        (d, cols)
+        let digest = digest_pool(&SortedView::new(&d).into_columns(), d.labels());
+        (d, digest)
+    }
+
+    /// Streams `source` into a scratch artifact at `chunk` rows a chunk
+    /// and returns the build's digest and the dataset the file holds.
+    fn stream_to_art(
+        source: &mut dyn ChunkSource,
+        labeling: Labeling,
+        chunk: usize,
+        tag: &str,
+    ) -> (u64, Dataset) {
+        let dir = std::env::temp_dir().join(format!("reds-pipeline-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pool.redsart");
+        let cfg = StreamConfig::new().with_chunk_rows(chunk);
+        let stats =
+            stream_scratch_art(source, &mut toy_labeler(labeling), &cfg, &path, 16).unwrap();
+        let dataset = ArtFile::open(&path).unwrap().dataset().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        (stats.digest, dataset)
     }
 
     #[test]
-    fn stream_pool_matches_monolithic_for_odd_chunkings() {
+    fn streamed_art_matches_monolithic_for_odd_chunkings() {
         let (l, m, seed) = (311, 4, 21);
-        let labeling = Labeling::Hard { bnd: 0.5 };
-        let (ref_d, ref_cols) = monolithic_reference(l, m, seed, labeling);
-        for chunk in [1usize, 3, 100, l, l + 1] {
-            let mut source =
-                SamplerSource::new(StreamSampler::Uniform, l, m, StdRng::seed_from_u64(seed));
-            let cfg = StreamConfig::new().with_chunk_rows(chunk);
-            let pool = stream_pool(&mut source, &mut toy_labeler(labeling), &cfg).unwrap();
-            assert_eq!(pool.dataset, ref_d, "chunk = {chunk}");
-            for (j, ref_col) in ref_cols.iter().enumerate() {
-                assert_eq!(pool.view.column(j), &ref_col[..], "chunk = {chunk}");
+        for labeling in [Labeling::Hard { bnd: 0.5 }, Labeling::Probability] {
+            let (ref_d, ref_digest) = monolithic_reference(l, m, seed, labeling);
+            for chunk in [1usize, 3, 100, l, l + 1] {
+                let mut source =
+                    SamplerSource::new(StreamSampler::Uniform, l, m, StdRng::seed_from_u64(seed));
+                let (digest, d) = stream_to_art(&mut source, labeling, chunk, "odd");
+                assert_eq!(digest, ref_digest, "{labeling:?}, chunk = {chunk}");
+                assert_eq!(d, ref_d, "{labeling:?}, chunk = {chunk}");
             }
         }
     }
@@ -169,25 +175,27 @@ mod tests {
     fn probability_labeling_streams_identically() {
         let (l, m, seed) = (97, 2, 5);
         let labeling = Labeling::Probability;
-        let (ref_d, _) = monolithic_reference(l, m, seed, labeling);
+        let (_, ref_digest) = monolithic_reference(l, m, seed, labeling);
         let mut source =
             SamplerSource::new(StreamSampler::Uniform, l, m, StdRng::seed_from_u64(seed));
         let cfg = StreamConfig::new().with_chunk_rows(10);
-        let pool = stream_pool(&mut source, &mut toy_labeler(labeling), &cfg).unwrap();
-        assert_eq!(pool.dataset, ref_d);
+        let stats = stream_scan(&mut source, &mut toy_labeler(labeling), &cfg).unwrap();
+        assert_eq!(stats.digest, ref_digest);
     }
 
     #[test]
     fn slice_source_streams_a_caller_pool() {
         let m = 2;
         let pool_values: Vec<f64> = (0..64).map(|i| ((i * 31) % 17) as f64 / 17.0).collect();
-        let labeling = Labeling::Hard { bnd: 0.4 };
-        let labels = toy_labeler(labeling)(&pool_values, m);
-        let ref_d = Dataset::new(pool_values.clone(), labels, m).unwrap();
-        let mut source = SliceSource::new(&pool_values, m).unwrap();
-        let cfg = StreamConfig::new().with_chunk_rows(5);
-        let streamed = stream_pool(&mut source, &mut toy_labeler(labeling), &cfg).unwrap();
-        assert_eq!(streamed.dataset, ref_d);
+        for labeling in [Labeling::Hard { bnd: 0.4 }, Labeling::Probability] {
+            let labels = toy_labeler(labeling)(&pool_values, m);
+            let ref_d = Dataset::new(pool_values.clone(), labels, m).unwrap();
+            let ref_digest = digest_pool(&SortedView::new(&ref_d).into_columns(), ref_d.labels());
+            let mut source = SliceSource::new(&pool_values, m).unwrap();
+            let (digest, d) = stream_to_art(&mut source, labeling, 5, "slice");
+            assert_eq!(digest, ref_digest, "{labeling:?}");
+            assert_eq!(d, ref_d, "{labeling:?}");
+        }
     }
 
     #[test]
@@ -198,8 +206,8 @@ mod tests {
         let mut source =
             SamplerSource::new(StreamSampler::Uniform, l, m, StdRng::seed_from_u64(seed));
         let stats = stream_scan(&mut source, &mut toy_labeler(labeling), &cfg).unwrap();
-        let (ref_d, ref_cols) = monolithic_reference(l, m, seed, labeling);
-        assert_eq!(stats.digest, crate::digest_pool(&ref_cols, ref_d.labels()));
+        let (_, ref_digest) = monolithic_reference(l, m, seed, labeling);
+        assert_eq!(stats.digest, ref_digest);
         assert_eq!(stats.rows, l as u64);
         assert_eq!(stats.runs_per_column, l.div_ceil(33));
     }
@@ -209,7 +217,7 @@ mod tests {
         let mut source =
             SamplerSource::new(StreamSampler::Uniform, 10, 2, StdRng::seed_from_u64(1));
         let mut bad = |_: &[f64], _: usize| vec![0.5; 3];
-        let err = stream_pool(&mut source, &mut bad, &StreamConfig::new()).unwrap_err();
+        let err = stream_scan(&mut source, &mut bad, &StreamConfig::new()).unwrap_err();
         assert!(matches!(err, StreamError::Predict(_)));
     }
 

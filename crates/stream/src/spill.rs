@@ -411,21 +411,6 @@ impl FloatSpill {
         HEADER_LEN + self.values * 8
     }
 
-    /// Reads the whole spill back (bit-exact round trip) — the final
-    /// materialization step, after the bounded-memory phase.
-    pub(crate) fn into_vec(self) -> Result<Vec<f64>, StreamError> {
-        let mut out = Vec::with_capacity(self.values as usize);
-        self.for_each_block(|bytes| {
-            out.extend(
-                bytes
-                    .chunks_exact(8)
-                    .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
-            );
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
     /// Streams the values' little-endian bytes — exactly the bytes
     /// after the header — through `visit` in blocks of at most
     /// [`READ_BLOCK`] bytes, without materializing them, after checking
@@ -647,7 +632,17 @@ mod tests {
         let values = [0.1, -0.0, f64::INFINITY, 1e-300, 42.0];
         spill.append(&values).unwrap();
         spill.append(&values[..2]).unwrap();
-        let back = spill.into_vec().unwrap();
+        let mut back = Vec::new();
+        spill
+            .for_each_block(|bytes| {
+                back.extend(
+                    bytes
+                        .chunks_exact(8)
+                        .map(|b| f64::from_le_bytes(b.try_into().unwrap())),
+                );
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(back.len(), 7);
         for (a, b) in values.iter().chain(&values[..2]).zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -686,22 +681,6 @@ mod tests {
         drop(file);
         assert!(matches!(
             spill.for_each_block(|_| Ok(())),
-            Err(StreamError::CorruptSpill { .. })
-        ));
-    }
-
-    #[test]
-    fn truncated_float_spill_is_a_structured_error() {
-        let dir = SpillDir::create_in(None).unwrap();
-        let mut spill = FloatSpill::create(dir.path(), "pool.labels").unwrap();
-        spill.append(&vec![1.0; 64]).unwrap();
-        spill.writer.flush().unwrap();
-        let path = spill.path().to_path_buf();
-        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(HEADER_LEN + 10).unwrap();
-        drop(file);
-        assert!(matches!(
-            spill.into_vec(),
             Err(StreamError::CorruptSpill { .. })
         ));
     }

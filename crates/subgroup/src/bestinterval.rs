@@ -189,8 +189,8 @@ impl BestInterval {
 
     /// The beam search on an externally built [`SortedView`] of `d` —
     /// shared by [`SubgroupDiscovery::discover`] (which argsorts here)
-    /// and [`SubgroupDiscovery::discover_presorted`] (which reuses the
-    /// streaming pipeline's out-of-core merge).
+    /// and [`SubgroupDiscovery::discover_presorted`] (which reuses a
+    /// caller's presort, such as `covering`'s filtered columns).
     fn search(&self, d: &Dataset, view: SortedView) -> SdResult {
         let mut store = ViewAccess::new(d, view);
         self.search_store(&mut store)

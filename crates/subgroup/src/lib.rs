@@ -92,9 +92,10 @@ pub trait SubgroupDiscovery {
     fn discover(&self, d: &Dataset, d_val: &Dataset, rng: &mut StdRng) -> SdResult;
 
     /// Like [`SubgroupDiscovery::discover`], but reuses an
-    /// already-built [`SortedView`] of `d` — the handoff point of the
-    /// streaming pipeline, whose out-of-core merge produces the view as
-    /// a by-product so the algorithm need not argsort `L` rows again.
+    /// already-built [`SortedView`] of `d` — the handoff point of
+    /// [`covering`], which argsorts the data once and filters the order
+    /// down to each round's uncovered rows, so the algorithm need not
+    /// argsort them again.
     ///
     /// `view` **must** index exactly `d` (same rows, all active);
     /// results are then bit-identical to [`SubgroupDiscovery::discover`].

@@ -146,8 +146,8 @@ impl Prim {
     }
 
     /// The peeling phase on an externally built [`SortedView`] of `d`
-    /// (e.g. the out-of-core merge of the streaming pipeline). The view
-    /// must index exactly `d` with every row active.
+    /// (e.g. `covering`'s filtered columns). The view must index exactly
+    /// `d` with every row active.
     fn peel_with_view(
         &self,
         d: &Dataset,

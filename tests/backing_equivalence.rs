@@ -1,17 +1,17 @@
 //! Equivalence matrix of the pool backings (`reds-core`).
 //!
-//! `Reds::discover` must give the same result under every
-//! [`Backing`]: in memory, streamed (`reds-stream`: chunked labeling,
-//! spilled sort runs, k-way merge) and paged (`reds-ooc`: a `.redsart`
-//! artifact searched through a bounded page cache). "The same" means
-//! the `f64` bound bits of every box on the trajectory and the state of
-//! the caller's generator afterwards, so downstream draws stay aligned
-//! across backings. Each case runs in memory first and then under every
-//! backing it names; the cases sweep every metamodel family, the
-//! presorted and paged algorithms, many seeds, degenerate and
-//! proptest-drawn chunkings, page sizes from one record to the whole
-//! pool, tiny and default caches, the logit-normal sampler, and given
-//! pools with probability labels.
+//! `Reds::discover` must give the same result under both
+//! [`Backing`]s: in memory, and paged (`reds-stream`'s chunked
+//! labeling, spilled sort runs and k-way merge into a `.redsart`
+//! artifact, which `reds-ooc` searches through a bounded page cache).
+//! "The same" means the `f64` bound bits of every box on the trajectory
+//! and the state of the caller's generator afterwards, so downstream
+//! draws stay aligned across backings. Each case runs in memory first
+//! and then under every paged configuration it names; the cases sweep
+//! every metamodel family, the paged algorithms, many seeds, degenerate
+//! and proptest-drawn chunkings, page sizes from one record to the
+//! whole pool, tiny and default caches, the logit-normal sampler, and
+//! given pools with probability labels.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -78,8 +78,10 @@ fn paged_family(tag: &str, config: RedsConfig) -> Reds {
     }
 }
 
-fn streamed(chunk_rows: usize) -> Backing {
-    Backing::Streamed(StreamConfig::new().with_chunk_rows(chunk_rows))
+/// The paged backing at `chunk_rows` rows a chunk and the default page
+/// size and cache.
+fn chunked(chunk_rows: usize) -> Backing {
+    paged(chunk_rows, OocConfig::new())
 }
 
 fn paged(chunk_rows: usize, ooc: OocConfig) -> Backing {
@@ -165,7 +167,7 @@ fn streaming_matches_run_for_all_families_over_eight_seeds() {
                 Pool::Sample,
                 &Prim::default(),
                 seed,
-                &[streamed(677)],
+                &[chunked(677)],
                 &format!("family {tag}, seed {seed}"),
             );
         }
@@ -187,21 +189,18 @@ fn extreme_chunk_sizes_are_bit_identical_for_all_families() {
             Pool::Sample,
             &Prim::default(),
             7,
-            &[streamed(1), streamed(l), streamed(l + 123)],
+            &[chunked(1), chunked(l), chunked(l + 123)],
             &format!("family {tag}"),
         );
     }
 }
 
-/// Every presorted consumer — PRIM, BestInterval and CART — agrees
-/// when fed the merged view. CART has no paged path and says so.
+/// Both paged algorithms — PRIM and BestInterval — agree with the
+/// in-memory run. CART has no paged path and says so.
 #[test]
 fn all_presorted_algorithms_agree_with_the_monolithic_path() {
-    let algorithms: [(&str, &dyn SubgroupDiscovery); 3] = [
-        ("prim", &Prim::default()),
-        ("bi", &BestInterval::default()),
-        ("cart", &CartSd::default()),
-    ];
+    let algorithms: [(&str, &dyn SubgroupDiscovery); 2] =
+        [("prim", &Prim::default()), ("bi", &BestInterval::default())];
     let reds = family("f", RedsConfig::default().with_l(1_500));
     for (name, sd) in algorithms {
         for seed in 0..3u64 {
@@ -212,7 +211,7 @@ fn all_presorted_algorithms_agree_with_the_monolithic_path() {
                 Pool::Sample,
                 sd,
                 30 + seed,
-                &[streamed(191)],
+                &[chunked(191)],
                 &format!("algorithm {name}, seed {seed}"),
             );
         }
@@ -240,12 +239,13 @@ fn paper_default_l_is_bit_identical() {
         Pool::Sample,
         &Prim::default(),
         90,
-        &[streamed(8_192), streamed(100_000)],
+        &[chunked(8_192), chunked(100_000)],
         "L = 1e5",
     );
 }
 
-/// The logit-normal sampler (semi-supervised experiments) streams too.
+/// The logit-normal sampler (semi-supervised experiments) streams into
+/// the paged build too.
 #[test]
 fn logit_normal_sampler_streams_bit_identically() {
     let d = corner_data(100, 2, 44);
@@ -261,13 +261,13 @@ fn logit_normal_sampler_streams_bit_identically() {
         Pool::Sample,
         &Prim::default(),
         45,
-        &[streamed(101)],
+        &[chunked(101)],
         "logit-normal",
     );
 }
 
-/// A given pool (semi-supervised REDS) streams bit-identically,
-/// probability labels included.
+/// A given pool (semi-supervised REDS) streams into the paged build
+/// bit-identically, probability labels included.
 #[test]
 fn pool_streaming_matches_run_on_pool_with_probability_labels() {
     let d = corner_data(80, 2, 55);
@@ -279,7 +279,7 @@ fn pool_streaming_matches_run_on_pool_with_probability_labels() {
         Pool::Given(&pool),
         &Prim::default(),
         57,
-        &[streamed(33)],
+        &[chunked(33)],
         "given pool + probability labels",
     );
 }
@@ -316,8 +316,8 @@ fn given_pool_pages_bit_identically() {
 }
 
 /// The corner data of `reds-core`'s own tests with a forest of 50
-/// trees: PRIM streamed at four chunkings (one row, a prime, exactly
-/// `L`, beyond `L`), at a smaller `L` and over a given pool; PRIM and BI
+/// trees: PRIM paged at four chunkings (one row, a prime, exactly `L`,
+/// beyond `L`), at a smaller `L` and over a given pool; PRIM and BI
 /// paged at pathological page sizes and caches.
 #[test]
 fn small_forest_cases_agree_across_backings() {
@@ -329,8 +329,8 @@ fn small_forest_cases_agree_across_backings() {
         Pool::Sample,
         &Prim::default(),
         31,
-        &[streamed(1), streamed(97), streamed(2_000), streamed(5_000)],
-        "forest 50, streamed",
+        &[chunked(1), chunked(97), chunked(2_000), chunked(5_000)],
+        "forest 50, chunked",
     );
     let d = corner_data(100, 2, 40);
     assert_backings_agree(
@@ -339,8 +339,8 @@ fn small_forest_cases_agree_across_backings() {
         Pool::Sample,
         &Prim::default(),
         41,
-        &[streamed(37)],
-        "forest 50, L = 500, streamed",
+        &[chunked(37)],
+        "forest 50, L = 500, chunked",
     );
     let d = corner_data(90, 2, 50);
     let pool = reds::sampling::uniform(700, 2, &mut StdRng::seed_from_u64(51));
@@ -350,8 +350,8 @@ fn small_forest_cases_agree_across_backings() {
         Pool::Given(&pool),
         &Prim::default(),
         52,
-        &[streamed(64)],
-        "forest 50, given pool, streamed",
+        &[chunked(64)],
+        "forest 50, given pool, chunked",
     );
     let d = corner_data(150, 2, 80);
     for sd in [
@@ -387,14 +387,14 @@ fn small_forest_cases_agree_across_backings() {
 /// The paged matrix: families × algorithms × seeds × page sizes (one
 /// record per page through everything in one page) × two caches: one
 /// far too small to hold the pool, and the default budget, which holds
-/// all of it. Each cell is streamed too.
+/// all of it, every build at 173 rows a chunk.
 #[test]
 fn out_of_core_matches_run_and_streaming_for_every_family_and_page_size() {
     let l = 1_500usize;
     let d = corner_data(120, 3, 0xA5);
     // 1 row per page fragments every scan; 7 and 311 misalign page and
     // chunk boundaries; l and 4·l put the whole pool in one page.
-    let mut backings = vec![streamed(173)];
+    let mut backings = Vec::new();
     for page_rows in [1u32, 7, 311, l as u32, 4 * l as u32] {
         for cache_bytes in [8 << 10, OocConfig::new().cache_bytes] {
             backings.push(paged_at(173, page_rows, cache_bytes));
@@ -480,7 +480,7 @@ proptest! {
             Pool::Sample,
             &Prim::default(),
             seed,
-            &[streamed(chunk)],
+            &[chunked(chunk)],
             &format!("seed {seed}, chunk {chunk}, l {l}"),
         );
     }
