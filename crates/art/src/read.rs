@@ -45,9 +45,9 @@ use reds_metamodel::{FlatTree, Gbdt, RandomForest, SavedModel, Svm};
 
 use crate::layout::{
     payload_reader, verify, Cur, DatasetHeader, FAMILY_FOREST, FAMILY_GBDT, FAMILY_SVM, HEADER_LEN,
-    SECTION_DATASET, SECTION_META, SECTION_MODEL, SECTION_PAGE_INDEX, VERIFY_BLOCK,
+    SECTION_DATASET, SECTION_META, SECTION_MODEL, VERIFY_BLOCK,
 };
-use crate::{corrupt, ArtError, PageIndex, ScanSection};
+use crate::{corrupt, ArtError, ScanSection};
 
 /// Opens a regular file and returns it with the length its metadata
 /// reports. Anything else — a directory, a character device such as
@@ -126,14 +126,6 @@ impl ArtFile {
         }
     }
 
-    /// The payloads of every section of `kind`, in file order.
-    fn all(&self, kind: u32) -> impl Iterator<Item = &[u8]> {
-        self.sections
-            .iter()
-            .filter(move |s| s.kind == kind)
-            .map(|s| self.payload(s))
-    }
-
     /// Decodes the metadata section.
     pub fn meta(&self) -> Result<ArtMeta, ArtError> {
         let mut cur = Cur::new(self.unique(SECTION_META, "metadata")?);
@@ -207,11 +199,6 @@ impl ArtFile {
         let points = cur.array(n * m, "dataset points", f64::from_le_bytes)?;
         let labels = cur.array(n, "dataset labels", f64::from_le_bytes)?;
         Dataset::new(points, labels, m).map_err(|e| corrupt(format!("dataset rejected: {e}")))
-    }
-
-    /// Decodes and validates every page-index section, in file order.
-    pub fn page_indexes(&self) -> Result<Vec<PageIndex>, ArtError> {
-        self.all(SECTION_PAGE_INDEX).map(PageIndex::parse).collect()
     }
 }
 

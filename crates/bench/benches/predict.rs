@@ -1,20 +1,21 @@
 //! Kernel-level prediction microbenchmarks: single-tree traversal,
-//! forest `predict_batch`, and the SVM RBF expansion, each under the
-//! forced-scalar and runtime-dispatched (AVX2 where available)
-//! backends.
+//! forest and GBDT `predict_batch`, and the SVM RBF expansion, each
+//! under the forced-scalar and runtime-dispatched (AVX2 where
+//! available) backends.
 //!
 //! Batch sizes follow the paper's `N = 3·2^{M+1}` design-size rule for
 //! `M ∈ {6, 12, 30}`, capped at 98 304 rows (`3·2^{15}`) — the `M = 30`
 //! row would otherwise be `3·2^{31} ≈ 6.4·10⁹`; the cap is printed so a
-//! reduced row is never mistaken for full paper scale.
+//! reduced row is never mistaken for full paper scale. The GBDT group
+//! times a 256-row request and a 65 536-row labeling batch instead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reds_data::Dataset;
 use reds_metamodel::{
-    kernels, Metamodel, RandomForest, RandomForestParams, RegressionTree, Svm, SvmParams,
-    TreeParams,
+    kernels, Gbdt, GbdtParams, Metamodel, RandomForest, RandomForestParams, RegressionTree, Svm,
+    SvmParams, TreeParams,
 };
 
 /// The paper's design size for dimensionality `m`, capped for the
@@ -120,6 +121,35 @@ fn bench_forest_batch(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_gbdt_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("predict/gbdt_batch");
+    group.sample_size(10);
+    // The default ensemble on a Latin-hypercube design of 400 DSGC runs
+    // (M = 12): its trees reach the default depth of 4, where the
+    // corner concept of the other groups grows stumps.
+    let dsgc = reds_functions::by_name("dsgc").expect("dsgc is registered");
+    let m = dsgc.m();
+    let mut rng = StdRng::seed_from_u64(10);
+    let design = reds_sampling::latin_hypercube(400, m, &mut rng);
+    let d = dsgc.label_dataset(design, &mut rng).expect("whole rows");
+    let gbdt = Gbdt::fit(&d, &GbdtParams::default(), &mut rng);
+    // A served 256-row request, and a pseudo-labeling batch.
+    for n in [256usize, 65_536] {
+        let query: Vec<f64> = {
+            let mut rng = StdRng::seed_from_u64(12);
+            (0..n * m).map(|_| rng.gen()).collect()
+        };
+        for (name, force) in backends() {
+            group.bench_with_input(BenchmarkId::new(name, n), &query, |b, q| {
+                kernels::set_kernel(force);
+                b.iter(|| gbdt.predict_batch(q, m).len());
+                kernels::set_kernel(None);
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_svm_rbf(c: &mut Criterion) {
     let mut group = c.benchmark_group("predict/svm_rbf");
     group.sample_size(10);
@@ -152,6 +182,7 @@ criterion_group!(
     benches,
     bench_tree_traversal,
     bench_forest_batch,
+    bench_gbdt_batch,
     bench_svm_rbf
 );
 criterion_main!(benches);

@@ -468,6 +468,7 @@ fn render_table3(sweep: &Sweep, results: &[Vec<MethodSummary>]) -> String {
             "\nFigure 7: PR AUC change (%) relative to Pc at N = {stat_n} (per function)"
         );
         let _ = writeln!(out, "| function | {} |", methods.join(" | "));
+        let _ = writeln!(out, "|---|{}", "---|".repeat(methods.len()));
         for fname in &sweep.functions {
             let s = cell(fname, stat_n);
             let base = s[pc].pr_auc;
@@ -568,6 +569,7 @@ fn render_table4(sweep: &Sweep, results: &[Vec<MethodSummary>]) -> String {
             "\nFigure 8: WRAcc change (%) relative to BIc at N = {stat_n}"
         );
         let _ = writeln!(out, "| function | BI | RBIcxp |");
+        let _ = writeln!(out, "|---|---|---|");
         let mut rbicxp_w = Vec::new();
         let mut bic_w = Vec::new();
         let mut dims = Vec::new();
@@ -893,11 +895,16 @@ mod tests {
         );
     }
 
-    /// Every markdown separator row has as many cells as the header
-    /// row above it, in both tables.
+    /// Every markdown table of both reports, the figure tables
+    /// included, has a separator row under its header with as many
+    /// cells as the header.
     #[test]
     fn rendered_separators_match_their_headers() {
-        for sweep in [Sweep::table3(&tiny_args()), Sweep::table4(&tiny_args())] {
+        // The default method families, so that the figure tables render
+        // too: Table 3's five metric tables and Figure 7, Table 4's four
+        // and Figure 8.
+        let args = Args::from_tokens(["--functions", "2", "--ns", "60,90"].map(String::from));
+        for (sweep, tables) in [(Sweep::table3(&args), 6), (Sweep::table4(&args), 5)] {
             let summary = |(i, method): (usize, &String)| MethodSummary {
                 method: method.clone(),
                 pr_auc: 40.0 + i as f64,
@@ -916,15 +923,27 @@ mod tests {
                 .collect();
             let report = render(&sweep, &results);
             let cells = |row: &str| row.matches('|').count() - 1;
+            let is_separator = |row: &str| row.starts_with("|---|");
             let lines: Vec<&str> = report.lines().collect();
-            let mut separators = 0;
-            for pair in lines.windows(2) {
-                if pair[1].starts_with("|---|") {
-                    assert_eq!(cells(pair[1]), cells(pair[0]), "{}\n{}", pair[0], pair[1]);
-                    separators += 1;
+            // A header row is a table row right after a non-table line;
+            // markdown renders a table only with a separator row below
+            // its header, one cell per header cell.
+            let mut headers = 0;
+            for (k, row) in lines.iter().enumerate() {
+                if !row.starts_with('|') || (k > 0 && lines[k - 1].starts_with('|')) {
+                    continue;
                 }
+                let separator = lines.get(k + 1).copied().unwrap_or_default();
+                assert!(
+                    is_separator(separator),
+                    "header without separator:\n{row}\n{separator}"
+                );
+                assert_eq!(cells(separator), cells(row), "{row}\n{separator}");
+                headers += 1;
             }
-            assert!(separators > 0, "no table rendered:\n{report}");
+            // … and no separator sits anywhere else.
+            let separators = lines.iter().filter(|row| is_separator(row)).count();
+            assert_eq!((headers, separators), (tables, tables), "{report}");
         }
     }
 

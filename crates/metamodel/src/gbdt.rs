@@ -21,7 +21,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use reds_data::{Dataset, SortedView};
 
-use crate::kernels::{self, FlatTree};
+use crate::kernels::{self, FlatTree, PerfectTrees};
 use crate::{Metamodel, Trainer};
 
 /// GBDT hyperparameters.
@@ -168,6 +168,11 @@ fn sigmoid(z: f64) -> f64 {
 /// kernel-ready [`FlatTree`] whose leaf values are leaf *weights*.
 pub struct Gbdt {
     trees: Vec<FlatTree>,
+    /// The trees as perfect trees of the ensemble's depth, for the AVX2
+    /// bit walk; `None` when a tree is deeper than
+    /// [`PerfectTrees::MAX_DEPTH`]. Built with the ensemble, so no
+    /// prediction pays for it.
+    perfect: Option<PerfectTrees>,
     base_score: f64,
     eta: f64,
     m: usize,
@@ -263,10 +268,16 @@ impl Gbdt {
             );
             trees.push(tree);
         }
+        Self::assemble(base_score, params.eta, trees, m)
+    }
+
+    /// The ensemble over checked arenas, with its perfect-tree form.
+    fn assemble(base_score: f64, eta: f64, trees: Vec<FlatTree>, m: usize) -> Self {
         Self {
+            perfect: PerfectTrees::new(&trees),
             trees,
             base_score,
-            eta: params.eta,
+            eta,
             m,
         }
     }
@@ -458,12 +469,7 @@ impl Gbdt {
         m: usize,
     ) -> Result<Self, String> {
         FlatTree::check_ensemble(&arenas, m)?;
-        Ok(Self {
-            trees: arenas,
-            base_score,
-            eta,
-            m,
-        })
+        Ok(Self::assemble(base_score, eta, arenas, m))
     }
 }
 
@@ -473,20 +479,25 @@ impl Metamodel for Gbdt {
     }
 
     /// Tree-major batched prediction (see `RandomForest::predict_batch`
-    /// for the cache rationale), traversed by the kernel resolved once
-    /// per call: bit-identical to per-point [`Metamodel::predict`],
-    /// parallel over row chunks.
+    /// for the cache rationale), by the kernel resolved once per call,
+    /// parallel over row chunks. Under AVX2 an ensemble of depth at
+    /// most [`PerfectTrees::MAX_DEPTH`] (the default `max_depth` is 4)
+    /// evaluates its splits in bulk over transposed row blocks and
+    /// walks mask bits to its leaves; the scalar kernel and deeper
+    /// ensembles walk the arenas. Either way each row adds the leaves
+    /// [`Metamodel::predict`] reaches in the same order, so the batch
+    /// is bit-identical to per-point prediction on every backend and at
+    /// any thread count.
     fn predict_batch(&self, points: &[f64], m: usize) -> Vec<f64> {
         assert_eq!(m, self.m, "prediction dimensionality mismatch");
         assert!(points.len().is_multiple_of(m.max(1)), "ragged point buffer");
         let kernel = kernels::active();
         let n = points.len() / m.max(1);
         let mut out = vec![0.0f64; n];
-        reds_par::par_fill_chunks(&mut out, 4096, |start, acc| {
+        reds_par::par_fill_chunks_with(&mut out, 4096, Vec::new, |scratch, start, acc| {
             let rows = &points[start * m..(start + acc.len()) * m];
-            for tree in &self.trees {
-                kernels::accumulate_tree(kernel, tree, rows, m, acc);
-            }
+            let perfect = self.perfect.as_ref();
+            kernels::accumulate_trees(kernel, &self.trees, perfect, rows, m, acc, scratch);
             kernels::sigmoid_margins(kernel, self.base_score, self.eta, acc);
         });
         out

@@ -8,11 +8,15 @@
 //! memory through gathered indices; [`FlatTree`]'s construction-time
 //! validation (children strictly forward and in-bounds, features
 //! `< m`, leaves self-looping) bounds every such index, so the gathers
-//! stay inside the arena and the per-row buffers.
+//! stay inside the arena and the per-row buffers. The bit walk over
+//! [`PerfectTrees`] reads columns at features `< m` (the form's width
+//! is checked against `m`) and gathers one leaf at an index the walk
+//! keeps inside the tree's `2^D` leaves.
 
 use std::arch::x86_64::*;
 
-use super::FlatTree;
+use super::perfect::Split;
+use super::{FlatTree, PerfectTrees};
 
 /// Rows traversed per vector group.
 const GROUP: usize = 4;
@@ -161,6 +165,134 @@ pub(super) unsafe fn accumulate_tree(tree: &FlatTree, rows: &[f64], m: usize, ac
     for (lane, slot) in acc[base..].iter_mut().enumerate() {
         let row = &rows[(base + lane) * m..(base + lane + 1) * m];
         *slot += tree.predict(row);
+    }
+}
+
+/// Rows per transposed block of [`accumulate_perfect`]: with `m = 12`
+/// the block's columns take 12 KiB, which stay in L1 across the trees.
+const BLOCK: usize = 128;
+
+/// 4-row groups evaluated together by [`walk_perfect`]: each split's
+/// threshold and bit are broadcast once for 32 rows. On a 2-core AVX2
+/// Xeon, one thread predicting 65 536 rows with a 150-tree depth-4
+/// GBDT took 36–42 ms with 2 groups, 24–28 ms with 4, 20–22 ms with 8
+/// and 23–26 ms with 16, whose masks no longer fit the registers.
+const PERFECT_GROUPS: usize = 8;
+
+// Whole runs tile a block, so a padded block stays inside its columns.
+const _: () = assert!(BLOCK.is_multiple_of(PERFECT_GROUPS * GROUP));
+
+/// Adds the leaves that `G` consecutive 4-row groups reach in one tree
+/// of the perfect-tree form into `sums[..4G]`. Every real split is
+/// evaluated for all rows from contiguous column loads
+/// (`!(x <= threshold)` as `_CMP_NLE_UQ`, so NaN goes right) and ORed
+/// into each row's mask at the split's slot; then `depth` steps of
+/// `i = 2i + bit(i)` and one leaf gather per group.
+///
+/// # Safety
+///
+/// AVX2 must be available; `cols` must hold `feature · BLOCK + 4G`
+/// readable values for every split's feature, `sums` `4G` writable
+/// ones, and `leaves` `2^depth` values. Whatever the masks hold, `depth`
+/// steps of `i = 2i + bit` from `i = 1` end in `[2^depth, 2^(depth+1))`,
+/// so the gather at `i − 2^depth` stays in `leaves`.
+#[target_feature(enable = "avx2")]
+#[inline]
+// Index loops over the constant `G` unroll into registers; zipped
+// iterators over the same arrays were left as calls, which spilled the
+// masks to the stack.
+#[allow(clippy::needless_range_loop)]
+unsafe fn walk_perfect<const G: usize>(
+    splits: &[Split],
+    leaves: *const f64,
+    depth: u32,
+    cols: *const f64,
+    sums: *mut f64,
+) {
+    let mut mask = [_mm256_setzero_si256(); G];
+    for s in splits {
+        let threshold = _mm256_set1_pd(s.threshold);
+        let bit = _mm256_set1_epi64x(s.bit as i64);
+        let col = cols.add(s.feature as usize * BLOCK);
+        for g in 0..G {
+            let x = _mm256_loadu_pd(col.add(GROUP * g));
+            let right = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_NLE_UQ>(x, threshold));
+            mask[g] = _mm256_or_si256(mask[g], _mm256_and_si256(right, bit));
+        }
+    }
+    let one = _mm256_set1_epi64x(1);
+    // `i & 63` is `i` (below `2^depth <= 64` until the walk ends); it
+    // tells the compiler that no shift count reaches 64, which spares a
+    // compare and a blend per step.
+    let low = _mm256_set1_epi64x(63);
+    let mut i = [one; G];
+    for _ in 0..depth {
+        for g in 0..G {
+            let count = _mm256_and_si256(i[g], low);
+            let bit = _mm256_and_si256(_mm256_srlv_epi64(mask[g], count), one);
+            i[g] = _mm256_or_si256(_mm256_add_epi64(i[g], i[g]), bit);
+        }
+    }
+    let first = _mm256_set1_epi64x(1i64 << depth);
+    for g in 0..G {
+        let leaf = _mm256_i64gather_pd::<8>(leaves, _mm256_sub_epi64(i[g], first));
+        let slot = sums.add(GROUP * g);
+        _mm256_storeu_pd(slot, _mm256_add_pd(_mm256_loadu_pd(slot), leaf));
+    }
+}
+
+/// Adds every tree's prediction into `acc`, in tree order, by the bit
+/// walk of [`PerfectTrees`]. Each block of [`BLOCK`] rows is transposed
+/// into `scratch` (its columns, then its running sums, padded with
+/// zeros to whole runs of [`PERFECT_GROUPS`] groups, whose padded sums
+/// are never read back), and every tree walks the block before the
+/// next block starts. Each row adds the leaf [`FlatTree::predict`]
+/// reaches, tree after tree, onto its own accumulator, so the sums are
+/// bit-identical to the arena walk.
+///
+/// # Safety
+///
+/// AVX2 must be available (dispatcher-probed); `rows.len() ==
+/// acc.len() * m` with `form.width <= m`, and `form` must satisfy the
+/// [`PerfectTrees`] invariants (`2^depth` leaves per tree, split
+/// features below its width), which its construction establishes.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn accumulate_perfect(
+    form: &PerfectTrees,
+    rows: &[f64],
+    m: usize,
+    acc: &mut [f64],
+    scratch: &mut Vec<f64>,
+) {
+    const RUN: usize = PERFECT_GROUPS * GROUP;
+    scratch.resize((m + 1) * BLOCK, 0.0);
+    let (cols, sums) = scratch.split_at_mut(m * BLOCK);
+    for (block, acc) in rows.chunks(BLOCK * m).zip(acc.chunks_mut(BLOCK)) {
+        let n = acc.len();
+        let padded = n.next_multiple_of(RUN);
+        for (r, row) in block.chunks_exact(m).enumerate() {
+            for (f, &v) in row.iter().enumerate() {
+                cols[f * BLOCK + r] = v;
+            }
+        }
+        for f in 0..m {
+            cols[f * BLOCK + n..f * BLOCK + padded].fill(0.0);
+        }
+        sums[..n].copy_from_slice(acc);
+        sums[n..padded].fill(0.0);
+        for t in 0..form.n_trees() {
+            let (splits, leaves) = form.tree(t);
+            for run in (0..padded).step_by(RUN) {
+                walk_perfect::<PERFECT_GROUPS>(
+                    splits,
+                    leaves.as_ptr(),
+                    form.depth,
+                    cols.as_ptr().add(run),
+                    sums.as_mut_ptr().add(run),
+                );
+            }
+        }
+        acc.copy_from_slice(&sums[..n]);
     }
 }
 

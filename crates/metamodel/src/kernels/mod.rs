@@ -10,8 +10,10 @@
 //! * a portable **scalar** path (the 64-lane interleaved tree walk and a
 //!   canonical 4-lane squared-distance reduction), and
 //! * an **AVX2** path using stable `std::arch` intrinsics (gather-based
-//!   4-wide tree traversal, 4-wide RBF distance blocks), compiled on
-//!   `x86_64` and entered only after a cached `cpuid` check.
+//!   4-wide tree traversal; for GBDTs of depth at most 6, splits
+//!   evaluated in bulk over transposed row blocks and a walk by mask
+//!   bits; 4-wide RBF distance blocks), compiled on `x86_64` and entered
+//!   only after a cached `cpuid` check.
 //!
 //! ## Bit-identity contract
 //!
@@ -22,7 +24,11 @@
 //! * **Tree traversal** is exact by construction: both paths evaluate
 //!   the same `x[feature] <= threshold` predicate (`_mm256_cmp_pd` with
 //!   `_CMP_LE_OQ` matches scalar `<=` including its NaN-goes-right
-//!   behaviour), reach the same leaf, and add the same leaf value.
+//!   behaviour), reach the same leaf, and add the same leaf value. The
+//!   bit walk over a [`PerfectTrees`] form sets a split's bit where
+//!   `!(x <= threshold)` (`_CMP_NLE_UQ`, true for NaN, so NaN goes
+//!   right there too) and reaches the same leaf value, because a leaf
+//!   above the form's depth fills every leaf slot below it.
 //! * **RBF squared distances** use one canonical reduction order — four
 //!   lane accumulators striding the dimensions, combined as
 //!   `(l0 + l2) + (l1 + l3)` — implemented identically by the scalar
@@ -53,6 +59,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 mod flat;
+mod perfect;
 mod scalar;
 pub mod vexp;
 
@@ -60,6 +67,7 @@ pub mod vexp;
 mod avx2;
 
 pub use flat::FlatTree;
+pub(crate) use perfect::PerfectTrees;
 pub use vexp::{exp, ExpBackend};
 
 /// A prediction-kernel implementation.
@@ -68,8 +76,9 @@ pub enum Kernel {
     /// Portable scalar path; bit-identical reference for every other
     /// backend and the only one available off `x86_64`.
     Scalar,
-    /// 4-wide AVX2 lanes (gathered tree traversal, vector RBF blocks);
-    /// requires a runtime `avx2` feature probe.
+    /// 4-wide AVX2 lanes (gathered tree traversal, the bit walk of
+    /// shallow GBDTs, vector RBF blocks); requires a runtime `avx2`
+    /// feature probe.
     Avx2,
 }
 
@@ -172,6 +181,56 @@ pub fn accumulate_tree(kernel: Kernel, tree: &FlatTree, rows: &[f64], m: usize, 
         // degenerate single-leaf tree without touching `rows`);
         // unsupported Avx2 degrades to scalar, like dispatch does.
         _ => scalar::accumulate_tree(tree, rows, m, acc),
+    }
+}
+
+/// Adds the predictions of every tree of an ensemble, in ensemble
+/// order, for every row of `rows` (row-major, `m` columns) into `acc`.
+/// `perfect` is the ensemble's [`PerfectTrees`] form when it has one
+/// (built from these very `trees`). The AVX2 kernel walks that form's
+/// mask bits, transposing the rows into `scratch` (a per-worker buffer
+/// it sizes itself); every other case walks the arenas tree after tree
+/// through [`accumulate_tree`]. Both add the same leaf values in the
+/// same order, so the sums are bit-identical.
+///
+/// # Panics
+///
+/// Panics when the buffers disagree on shape, when a tree splits on a
+/// feature `>= m`, or when `perfect` holds another number of trees.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+pub(crate) fn accumulate_trees(
+    kernel: Kernel,
+    trees: &[FlatTree],
+    perfect: Option<&PerfectTrees>,
+    rows: &[f64],
+    m: usize,
+    acc: &mut [f64],
+    scratch: &mut Vec<f64>,
+) {
+    assert_eq!(rows.len(), acc.len() * m, "row buffer shape mismatch");
+    match perfect {
+        #[cfg(target_arch = "x86_64")]
+        Some(form) if kernel == Kernel::Avx2 && m > 0 && avx2_supported() => {
+            assert_eq!(
+                form.n_trees(),
+                trees.len(),
+                "perfect form of another ensemble"
+            );
+            assert!(form.width <= m, "tree splits on a feature >= m = {m}");
+            // SAFETY: the cached feature probe just succeeded. The width
+            // check keeps every column the walk loads inside the
+            // transposed block (which the kernel sizes from `m`), and
+            // every tree of a `PerfectTrees` has `2^D` leaves, inside
+            // which `D` steps of the walk end whatever the masks hold.
+            unsafe { avx2::accumulate_perfect(form, rows, m, acc, scratch) }
+        }
+        // Scalar, m == 0 (no column to load), deeper ensembles, and
+        // Avx2 without hardware support.
+        _ => {
+            for tree in trees {
+                accumulate_tree(kernel, tree, rows, m, acc);
+            }
+        }
     }
 }
 

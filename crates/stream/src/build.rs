@@ -528,11 +528,21 @@ mod tests {
                 .unwrap()
                 .finish_art(&path, page_rows)
                 .unwrap();
-            let indexes = ArtFile::open(&path).unwrap().page_indexes().unwrap();
+            let scan = ArtScan::open(&path).unwrap();
+            // The page indexes, read and parsed as `OocPool::open` does.
+            let indexes: Vec<PageIndex> = scan
+                .sections()
+                .iter()
+                .filter(|s| s.kind == SECTION_PAGE_INDEX)
+                .map(|s| {
+                    let mut payload = vec![0u8; s.len as usize];
+                    scan.read_exact_at(&mut payload, s.offset).unwrap();
+                    PageIndex::parse(&payload).unwrap()
+                })
+                .collect();
             assert_eq!(indexes.len(), m, "page_rows = {page_rows}");
             // Where each column's one merged run starts, and the key of
             // its record `rank`.
-            let scan = ArtScan::open(&path).unwrap();
             let mut records_at = vec![0u64; m];
             for s in scan.sections().iter().filter(|s| s.kind == SECTION_COLUMN) {
                 let head =

@@ -416,3 +416,177 @@ fn kernels_handle_singleton_trees_and_empty_batches() {
         assert!(empty.is_empty());
     }
 }
+
+// ---------------------------------------------------------------------
+// Shallow GBDT ensembles: under AVX2, `Gbdt::predict_batch` walks the
+// perfect-tree form of an ensemble of depth <= 6 by mask bits instead
+// of the arenas. Random ensembles of depth 0 to 6 (single leaves, full
+// trees, spines with a leaf at every depth, random shapes; repeated
+// features and thresholds, ±0.0 among them) must predict bit for bit
+// what per-point `predict` and the forced-scalar walk predict, at row
+// counts around the kernel's 32-row runs and 128-row blocks; a depth-7
+// tree sends the ensemble down the arena walk, which must match too.
+// These tests set the global kernel override, so they hold a lock.
+// ---------------------------------------------------------------------
+
+use std::sync::Mutex;
+
+use rand::Rng;
+use reds::metamodel::FlatTree;
+
+static KERNEL_OVERRIDE: Mutex<()> = Mutex::new(());
+
+/// Row counts around the AVX2 bit walk's runs and blocks.
+const ROW_COUNTS: [usize; 9] = [0, 1, 3, 4, 5, 127, 128, 129, 4_097];
+
+/// Thresholds drawn with repeats; `0.5` ties the query strategy's
+/// exact hits, and `±0.0` meet the `−0.0` queries.
+const THRESHOLDS: [f64; 5] = [0.5, 0.25, 0.75, 0.0, -0.0];
+
+/// How a random tree grows.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Every node above the depth limit splits.
+    Full,
+    /// One child of every split is a leaf: a leaf at every depth.
+    Spine,
+    /// Each node below the root is a leaf with probability 0.3.
+    Random,
+}
+
+/// Parallel arena arrays, grown in preorder (left child at `i + 1`).
+#[derive(Default)]
+struct Arena {
+    feature: Vec<u32>,
+    value: Vec<f64>,
+    right: Vec<u32>,
+}
+
+/// Grows a subtree of at most `levels` splits into `arena`; returns
+/// its root. `leaf` forces a leaf.
+fn grow(
+    rng: &mut StdRng,
+    shape: Shape,
+    levels: usize,
+    m: usize,
+    arena: &mut Arena,
+    leaf: bool,
+) -> u32 {
+    let i = arena.feature.len() as u32;
+    let random_leaf = matches!(shape, Shape::Random) && i > 0 && rng.gen_bool(0.3);
+    if leaf || levels == 0 || random_leaf {
+        let value = if rng.gen_bool(0.125) {
+            -0.0
+        } else {
+            rng.gen_range(-1.0..1.0)
+        };
+        arena.feature.push(FlatTree::LEAF);
+        arena.value.push(value);
+        arena.right.push(i);
+        return i;
+    }
+    arena.feature.push(rng.gen_range(0..m as u32));
+    arena
+        .value
+        .push(THRESHOLDS[rng.gen_range(0..THRESHOLDS.len())]);
+    arena.right.push(0);
+    let leaf_left = matches!(shape, Shape::Spine) && rng.gen_bool(0.5);
+    let leaf_right = matches!(shape, Shape::Spine) && !leaf_left;
+    grow(rng, shape, levels - 1, m, arena, leaf_left);
+    arena.right[i as usize] = grow(rng, shape, levels - 1, m, arena, leaf_right);
+    i
+}
+
+/// A GBDT over one tree per `(depth, shape)`, decoded the way the
+/// JSON and `.redsart` readers decode one.
+fn random_gbdt(rng: &mut StdRng, trees: &[(usize, Shape)], m: usize) -> Gbdt {
+    let arenas = trees
+        .iter()
+        .map(|&(depth, shape)| {
+            let mut arena = Arena::default();
+            grow(rng, shape, depth, m, &mut arena, false);
+            FlatTree::from_parts(arena.feature, arena.value, arena.right, m).expect("valid arena")
+        })
+        .collect();
+    let base_score = rng.gen_range(-1.0..1.0);
+    Gbdt::from_arenas(base_score, 0.3, arenas, m).expect("valid ensemble")
+}
+
+/// Checks dispatched and forced-scalar `predict_batch` against
+/// per-point `predict`, bit for bit, at every row count of
+/// [`ROW_COUNTS`], on rows drawn from `pool`.
+fn assert_batches_match_per_point(gbdt: &Gbdt, m: usize, pool: &[f64], rng: &mut StdRng) {
+    let _guard = KERNEL_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
+    for n in ROW_COUNTS {
+        let query: Vec<f64> = (0..n * m)
+            .map(|_| pool[rng.gen_range(0..pool.len())])
+            .collect();
+        let dispatched = gbdt.predict_batch(&query, m);
+        kernels::set_kernel(Some(Kernel::Scalar));
+        let scalar = gbdt.predict_batch(&query, m);
+        kernels::set_kernel(None);
+        assert_eq!((dispatched.len(), scalar.len()), (n, n));
+        for (r, x) in query.chunks_exact(m).enumerate() {
+            let want = gbdt.predict(x).to_bits();
+            assert_eq!(
+                dispatched[r].to_bits(),
+                want,
+                "dispatched, {n} rows, row {r}: {x:?}"
+            );
+            assert_eq!(
+                scalar[r].to_bits(),
+                want,
+                "scalar, {n} rows, row {r}: {x:?}"
+            );
+        }
+    }
+}
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    prop_oneof![Just(Shape::Full), Just(Shape::Spine), Just(Shape::Random)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn shallow_gbdt_batches_match_per_point_and_scalar(
+        trees in prop::collection::vec((0usize..=6, shape_strategy()), 1..8),
+        m in 1usize..5,
+        pool in prop::collection::vec(
+            prop_oneof![9 => query_value_strategy(), 1 => Just(-0.0f64)],
+            64,
+        ),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let gbdt = random_gbdt(&mut rng, &trees, m);
+        assert_batches_match_per_point(&gbdt, m, &pool, &mut rng);
+    }
+}
+
+#[test]
+fn a_depth_7_tree_takes_the_arena_walk_and_matches() {
+    let mut rng = StdRng::seed_from_u64(27);
+    let trees = [
+        (2, Shape::Full),
+        (7, Shape::Spine),
+        (6, Shape::Random),
+        (0, Shape::Full),
+    ];
+    let gbdt = random_gbdt(&mut rng, &trees, 3);
+    let depth_7 = gbdt.arenas().nth(1).expect("second tree");
+    assert_eq!(depth_7.n_nodes(), 15, "a spine of 7 splits and 8 leaves");
+    let pool = [
+        0.1,
+        0.5,
+        0.9,
+        0.0,
+        -0.0,
+        0.25,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    assert_batches_match_per_point(&gbdt, 3, &pool, &mut rng);
+}
