@@ -18,25 +18,45 @@
 //! picks up from the last durable record. Because every unit is
 //! bit-deterministic, the final report is identical to a monolithic
 //! `table3`/`table4` run no matter how the fleet behaved.
+//!
+//! A flag the coordinator does not take is refused (exit 2) before it
+//! connects to any worker.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use reds_bench::sweep::{aggregate, render, rows_json, Sweep};
+use reds_bench::sweep::{aggregate, render, rows_json, Sweep, SWEEP_OPTIONS, SWEEP_USAGE};
 use reds_bench::{cli_fail, Args};
 use reds_fleet::{run_fleet, shutdown_workers, FleetConfig, FleetError};
 
 const USAGE: &str = "usage: reds_coordinator --table 3|4 --workers HOST:PORT[,HOST:PORT...] \
                      --checkpoint-dir DIR [--resume] [sweep flags] [--lease-units N] \
                      [--lease-ttl-ms MS] [--io-timeout-ms MS] [--max-park-rounds N] \
-                     [--seed N] [--json out.json] [--shutdown-workers]";
+                     [--seed N] [--json out.json] [--shutdown-workers]
+  (the sweep flags of table3/table4, bar --shard)";
 
 fn main() {
     let args = Args::parse();
+    let usage = format!("{USAGE}\n\n{SWEEP_USAGE}");
+    let options: Vec<&str> = SWEEP_OPTIONS
+        .iter()
+        .copied()
+        .filter(|&o| o != "shard")
+        .chain([
+            "table",
+            "workers",
+            "lease-units",
+            "lease-ttl-ms",
+            "io-timeout-ms",
+            "max-park-rounds",
+            "seed",
+        ])
+        .collect();
+    args.accept_only(&options, &["all", "resume", "shutdown-workers"], &usage);
     let sweep = match args.get_usize("table", 3) {
         3 => Sweep::table3(&args),
         4 => Sweep::table4(&args),
-        other => cli_fail(format!("--table expects 3 or 4, got {other}"), USAGE),
+        other => cli_fail(format!("--table expects 3 or 4, got {other}"), &usage),
     };
     let workers: Vec<String> = args
         .get_str("workers", "")
@@ -45,13 +65,13 @@ fn main() {
         .filter(|s| !s.is_empty())
         .collect();
     if workers.is_empty() {
-        cli_fail("--workers needs at least one HOST:PORT", USAGE);
+        cli_fail("--workers needs at least one HOST:PORT", &usage);
     }
     let dir = args.get_str("checkpoint-dir", "");
     if dir.is_empty() {
         cli_fail(
             "--checkpoint-dir is required (results and journal live there)",
-            USAGE,
+            &usage,
         );
     }
     let dir = PathBuf::from(dir);

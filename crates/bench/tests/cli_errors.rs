@@ -76,8 +76,9 @@ fn table4_rejects_unknown_function_names() {
 
 #[test]
 fn sweep_and_figure_bins_refuse_flags_they_do_not_take() {
-    // One misspelt or foreign flag per bin, refused before any work.
-    let cases: [(&str, &[&str], &str); 5] = [
+    // One misspelt or foreign flag per bin, refused before any work
+    // (the fleet bins: before any bind or connect).
+    let cases: [(&str, &[&str], &str); 7] = [
         (env!("CARGO_BIN_EXE_table3"), &["--rep", "2"], "--rep"),
         (
             env!("CARGO_BIN_EXE_table4"),
@@ -105,6 +106,32 @@ fn sweep_and_figure_bins_refuse_flags_they_do_not_take() {
                 "0/2",
             ],
             "--shard",
+        ),
+        (
+            env!("CARGO_BIN_EXE_reds_worker"),
+            &[
+                "--table",
+                "3",
+                "--addr",
+                "127.0.0.1:0",
+                "--die-after-unit",
+                "3",
+            ],
+            "--die-after-unit",
+        ),
+        (
+            env!("CARGO_BIN_EXE_reds_coordinator"),
+            &[
+                "--table",
+                "3",
+                "--workers",
+                "127.0.0.1:9",
+                "--checkpoint-dir",
+                "/tmp/x",
+                "--io-timeout",
+                "5",
+            ],
+            "--io-timeout",
         ),
     ];
     for (bin, args, flag) in cases {

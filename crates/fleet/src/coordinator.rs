@@ -26,31 +26,30 @@
 //!    park budget bounds how long it waits before giving up with an
 //!    error (resume later with the same files).
 //!
-//! Every socket operation runs under a per-request timeout with a
-//! bounded retry budget and exponential backoff + full jitter; a
-//! worker that keeps failing is marked down and retried on its own
-//! backoff schedule. The final merged records are byte-identical to a
+//! Workers are called through [`reds_serve::Client`]: every socket
+//! operation, the connect included, runs under the per-request timeout,
+//! and a stale reply (a duplicated or late frame) is skipped within it.
+//! Failed requests are retried a bounded number of times; a worker
+//! that keeps failing is marked down and re-dialed on its own
+//! exponential backoff with full jitter. Besides the fleet's own error
+//! codes, the reactor a worker runs on may answer `too_large`,
+//! `too_busy` or `internal`; each is a failed request like any other. The final merged records are byte-identical to a
 //! monolithic run because units are bit-identical regardless of where
 //! (or how many times) they execute, and the checkpoint/merge layer
 //! already validates fingerprints and completeness.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::io::BufReader;
-use std::net::TcpStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use reds_eval::checkpoint::unit_key;
 use reds_eval::{CheckpointError, CheckpointHeader, CheckpointWriter, UnitRecord, WorkUnit};
 use reds_json::Json;
-use reds_serve::wire::{self, Frame, RetryBudget};
+use reds_serve::{Backoff, Client, ClientError};
 
-use crate::backoff::Backoff;
 use crate::journal::{JournalError, JournalEvent, JournalState, LeaseJournal};
-use crate::protocol::{
-    FleetErrorCode, FleetRequest, HelloReply, PollReply, MAX_FLEET_FRAME_BYTES, PROTO_VERSION,
-};
+use crate::protocol::{FleetErrorCode, FleetRequest, HelloReply, PollReply, PROTO_VERSION};
 
 /// Coordinator tuning. The defaults suit integration tests; real
 /// sweeps raise the TTLs.
@@ -164,121 +163,39 @@ impl From<JournalError> for FleetError {
     }
 }
 
-/// Socket read timeout slice; the per-request total is the budget.
-const READ_SLICE: Duration = Duration::from_millis(25);
-
-/// One live connection to a worker.
-struct Link {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    next_id: u64,
+/// Sends one fleet request, built for the client's next id.
+fn call(
+    client: &mut Client,
+    request: impl FnOnce(u64) -> FleetRequest,
+) -> Result<Json, ClientError> {
+    let id = client.fresh_id();
+    client.call_frame(&request(id).to_json())
 }
 
-/// Why a request failed.
-enum LinkError {
-    /// Connection-level failure; drop the link and reconnect.
-    Transport(String),
-    /// No matching reply within the budget; the link may still be
-    /// usable, but the caller treats it like transport failure.
-    Timeout,
-    /// The worker answered with a structured error.
-    Remote(FleetErrorCode, String),
-}
-
-impl Link {
-    fn connect(addr: &str, io_timeout: Duration) -> Result<Self, LinkError> {
-        let to_err = |e: std::io::Error| LinkError::Transport(e.to_string());
-        let mut last = LinkError::Transport(format!("no addresses resolve for {addr}"));
-        use std::net::ToSocketAddrs;
-        for sock in addr.to_socket_addrs().map_err(to_err)? {
-            match TcpStream::connect_timeout(&sock, io_timeout) {
-                Ok(stream) => {
-                    stream.set_nodelay(true).ok();
-                    stream.set_read_timeout(Some(READ_SLICE)).map_err(to_err)?;
-                    let clone = stream.try_clone().map_err(to_err)?;
-                    return Ok(Self {
-                        reader: BufReader::new(clone),
-                        writer: stream,
-                        next_id: 1,
-                    });
-                }
-                Err(e) => last = LinkError::Transport(e.to_string()),
-            }
-        }
-        Err(last)
-    }
-
-    /// Sends one request and waits for its reply. Frames with a
-    /// different id are stale duplicates of earlier exchanges (the
-    /// fault proxy can duplicate or delay frames) and are skipped
-    /// without consuming extra patience beyond the shared budget.
-    fn request(
-        &mut self,
-        mut request: FleetRequest,
-        io_timeout: Duration,
-    ) -> Result<Json, LinkError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        set_request_id(&mut request, id);
-        wire::write_frame(&mut self.writer, &request.to_json())
-            .map_err(|e| LinkError::Transport(e.to_string()))?;
-        let mut budget = RetryBudget::for_total(io_timeout, READ_SLICE);
-        loop {
-            let frame = wire::read_frame(&mut self.reader, MAX_FLEET_FRAME_BYTES, &mut budget)
-                .map_err(|e| LinkError::Transport(e.to_string()))?;
-            let line = match frame {
-                Frame::Line(line) => line,
-                Frame::Eof => return Err(LinkError::Transport("worker closed".to_string())),
-                Frame::TooLarge => return Err(LinkError::Transport("oversized reply".to_string())),
-                Frame::TimedOut => return Err(LinkError::Timeout),
-            };
-            let text = String::from_utf8_lossy(&line);
-            let doc = match reds_json::from_str(text.trim()) {
-                Ok(doc) => doc,
-                // A torn frame (connection cut mid-line) is a transport
-                // failure, not a protocol error.
-                Err(e) => return Err(LinkError::Transport(format!("bad reply: {e}"))),
-            };
-            let got = doc
-                .get("id")
-                .and_then(crate::protocol::small_uint)
-                .unwrap_or(0);
-            if got != id {
-                continue; // stale duplicate from an earlier exchange
-            }
-            return match doc.get("ok").and_then(Json::as_bool) {
-                Some(true) => doc
-                    .get("result")
-                    .cloned()
-                    .ok_or_else(|| LinkError::Transport("reply missing 'result'".to_string())),
-                Some(false) => {
-                    let error = doc.get("error");
-                    let code = error
-                        .and_then(|e| e.get("code"))
-                        .and_then(Json::as_str)
-                        .and_then(FleetErrorCode::from_wire)
-                        .unwrap_or(FleetErrorCode::Internal);
-                    let message = error
-                        .and_then(|e| e.get("message"))
-                        .and_then(Json::as_str)
-                        .unwrap_or("unknown")
-                        .to_string();
-                    Err(LinkError::Remote(code, message))
-                }
-                None => Err(LinkError::Transport("reply missing 'ok'".to_string())),
-            };
-        }
+/// The fleet code a worker refused a request with; `None` for any
+/// other failure.
+fn refusal(e: &ClientError) -> Option<FleetErrorCode> {
+    match e {
+        ClientError::Server { code, .. } => FleetErrorCode::from_wire(code),
+        _ => None,
     }
 }
 
-fn set_request_id(request: &mut FleetRequest, new_id: u64) {
-    match request {
-        FleetRequest::Hello { id, .. }
-        | FleetRequest::Grant { id, .. }
-        | FleetRequest::Poll { id, .. }
-        | FleetRequest::Abort { id, .. }
-        | FleetRequest::Shutdown { id } => *id = new_id,
-    }
+/// Connects to a worker and shakes hands: the connection to keep, and
+/// the worker's reply.
+fn hello(
+    addr: &str,
+    fingerprint: &str,
+    io_timeout: Duration,
+) -> Result<(Client, HelloReply), ClientError> {
+    let mut client = Client::connect_timeout(addr, io_timeout)?;
+    let result = call(&mut client, |id| FleetRequest::Hello {
+        id,
+        fingerprint: fingerprint.to_string(),
+        proto: PROTO_VERSION,
+    })?;
+    let reply = HelloReply::from_json(&result).map_err(ClientError::Protocol)?;
+    Ok((client, reply))
 }
 
 /// A lease the coordinator is tracking.
@@ -292,7 +209,7 @@ struct Lease {
 /// Per-worker slot state.
 struct Slot {
     addr: String,
-    link: Option<Link>,
+    link: Option<Client>,
     lease: Option<u64>,
     backoff: Backoff,
     /// Do not try to reconnect before this instant.
@@ -480,78 +397,44 @@ pub fn run_fleet(
                 if Instant::now() < slots[si].retry_at {
                     continue;
                 }
-                match Link::connect(&slots[si].addr, config.io_timeout) {
-                    Err(LinkError::Transport(m)) | Err(LinkError::Remote(_, m)) => {
+                match hello(&slots[si].addr, fingerprint, config.io_timeout) {
+                    Ok((mut client, reply)) => {
+                        // Adopt or abort whatever lease the worker
+                        // still holds.
+                        match reply.active_lease {
+                            Some((lease_id, _, _))
+                                if leases.get(&lease_id).is_some_and(|l| l.worker == si) =>
+                            {
+                                slots[si].lease = Some(lease_id);
+                            }
+                            Some((lease_id, _, _)) => {
+                                let _ = call(&mut client, |id| FleetRequest::Abort {
+                                    id,
+                                    lease: lease_id,
+                                });
+                            }
+                            None => {}
+                        }
+                        slots[si].link = Some(client);
+                        slots[si].backoff.reset();
+                        slots[si].failures = 0;
+                    }
+                    Err(e) if refusal(&e) == Some(FleetErrorCode::FingerprintMismatch) => {
+                        // Persistent config error — never retry into a
+                        // wrong-sweep worker.
+                        return Err(FleetError::Config(format!(
+                            "worker {}: {e}",
+                            slots[si].addr
+                        )));
+                    }
+                    Err(e) => {
                         let delay = slots[si].backoff.next_delay();
                         slots[si].retry_at = Instant::now() + delay;
                         eprintln!(
-                            "coordinator: worker {} unreachable ({m}); retry in {delay:?}",
+                            "coordinator: worker {} unreachable ({e}); retry in {delay:?}",
                             slots[si].addr
                         );
                         continue;
-                    }
-                    Err(LinkError::Timeout) => {
-                        let delay = slots[si].backoff.next_delay();
-                        slots[si].retry_at = Instant::now() + delay;
-                        continue;
-                    }
-                    Ok(mut link) => {
-                        let hello = FleetRequest::Hello {
-                            id: 0,
-                            fingerprint: fingerprint.to_string(),
-                            proto: PROTO_VERSION,
-                        };
-                        match link.request(hello, config.io_timeout) {
-                            Ok(result) => match HelloReply::from_json(&result) {
-                                Ok(reply) => {
-                                    slots[si].link = Some(link);
-                                    slots[si].backoff.reset();
-                                    slots[si].failures = 0;
-                                    // Adopt or abort whatever lease the
-                                    // worker still holds.
-                                    match reply.active_lease {
-                                        Some((lease_id, _, _))
-                                            if leases
-                                                .get(&lease_id)
-                                                .is_some_and(|l| l.worker == si) =>
-                                        {
-                                            slots[si].lease = Some(lease_id);
-                                        }
-                                        Some((lease_id, _, _)) => {
-                                            let abort = FleetRequest::Abort {
-                                                id: 0,
-                                                lease: lease_id,
-                                            };
-                                            let link = slots[si].link.as_mut().expect("just set");
-                                            let _ = link.request(abort, config.io_timeout);
-                                        }
-                                        None => {}
-                                    }
-                                }
-                                Err(m) => {
-                                    let delay = slots[si].backoff.next_delay();
-                                    slots[si].retry_at = Instant::now() + delay;
-                                    eprintln!(
-                                        "coordinator: worker {} bad hello ({m}); retry in {delay:?}",
-                                        slots[si].addr
-                                    );
-                                    continue;
-                                }
-                            },
-                            Err(LinkError::Remote(FleetErrorCode::FingerprintMismatch, m)) => {
-                                // Persistent config error — never retry
-                                // into a wrong-sweep worker.
-                                return Err(FleetError::Config(format!(
-                                    "worker {}: {m}",
-                                    slots[si].addr
-                                )));
-                            }
-                            Err(_) => {
-                                let delay = slots[si].backoff.next_delay();
-                                slots[si].retry_at = Instant::now() + delay;
-                                continue;
-                            }
-                        }
                     }
                 }
             }
@@ -560,13 +443,13 @@ pub fn run_fleet(
             // Poll the active lease.
             if let Some(lease_id) = slots[si].lease {
                 let cursor = leases.get(&lease_id).map(|l| l.cursor).unwrap_or(0);
-                let poll = FleetRequest::Poll {
-                    id: 0,
+                let link = slots[si].link.as_mut().expect("linked");
+                let poll = call(link, |id| FleetRequest::Poll {
+                    id,
                     lease: lease_id,
                     cursor,
-                };
-                let link = slots[si].link.as_mut().expect("linked");
-                match link.request(poll, config.io_timeout) {
+                });
+                match poll {
                     Ok(result) => match PollReply::from_json(&result) {
                         Ok(reply) => {
                             slots[si].failures = 0;
@@ -575,7 +458,6 @@ pub fn run_fleet(
                             lease.deadline = Instant::now() + config.lease_ttl;
                             // The reply's base echoes our cursor; records
                             // are the suffix from there.
-                            let mut fresh = 0usize;
                             for record in reply.records {
                                 let key = unit_key(&record.spec, &record.unit);
                                 let duplicate = ingested_keys.contains(&key);
@@ -592,11 +474,9 @@ pub fn run_fleet(
                                     ingested_keys.insert(key);
                                     records.push(record);
                                     outcome.ingested += 1;
-                                    fresh += 1;
                                 }
                                 lease.cursor += 1;
                             }
-                            let _ = fresh;
                             if reply.done && lease.cursor >= reply.executed {
                                 leases.remove(&lease_id);
                                 slots[si].lease = None;
@@ -607,7 +487,7 @@ pub fn run_fleet(
                             slots[si].failures += 1;
                         }
                     },
-                    Err(LinkError::Remote(FleetErrorCode::UnknownLease, _)) => {
+                    Err(e) if refusal(&e) == Some(FleetErrorCode::UnknownLease) => {
                         // The worker restarted (or aborted us): the lease
                         // is gone there, so give it up here and requeue.
                         expire_lease(
@@ -622,11 +502,7 @@ pub fn run_fleet(
                             &mut outcome.expired_leases,
                         )?;
                     }
-                    Err(LinkError::Remote(_, m)) => {
-                        eprintln!("coordinator: poll rejected by {} ({m})", slots[si].addr);
-                        slots[si].failures += 1;
-                    }
-                    Err(LinkError::Timeout) | Err(LinkError::Transport(_)) => {
+                    Err(e) => {
                         slots[si].failures += 1;
                         if slots[si].failures > config.max_request_retries {
                             // Worker down: drop the link; its lease stays
@@ -637,7 +513,7 @@ pub fn run_fleet(
                             slots[si].failures = 0;
                             live -= 1;
                             eprintln!(
-                                "coordinator: worker {} not answering; backing off {delay:?}",
+                                "coordinator: worker {} not answering ({e}); backing off {delay:?}",
                                 slots[si].addr
                             );
                         }
@@ -686,64 +562,49 @@ pub fn run_fleet(
             for k in &lease_keys {
                 attempts.insert(k.clone(), attempt);
             }
-            let grant = FleetRequest::Grant {
-                id: 0,
+            let link = slots[si].link.as_mut().expect("linked");
+            let grant = call(link, |id| FleetRequest::Grant {
+                id,
                 lease: lease_id,
                 attempt,
                 spec: units[unit_idxs[0]].0.clone(),
                 units: unit_idxs.iter().map(|&i| units[i].1.clone()).collect(),
                 deadline_ms: config.lease_ttl.as_millis() as u64,
-            };
-            let link = slots[si].link.as_mut().expect("linked");
-            match link.request(grant, config.io_timeout) {
-                Ok(_) => {
-                    leases.insert(
+            });
+            // Track the lease even when the grant failed: the worker may
+            // have taken it (e.g. only the reply was dropped). If it did,
+            // the next hello or poll adopts it; if not, the deadline
+            // expires it and the units requeue.
+            leases.insert(
+                lease_id,
+                Lease {
+                    unit_idxs,
+                    deadline: Instant::now() + config.lease_ttl,
+                    cursor: 0,
+                    worker: si,
+                },
+            );
+            slots[si].lease = Some(lease_id);
+            match grant {
+                Ok(_) => {}
+                Err(e) if refusal(&e) == Some(FleetErrorCode::Busy) => {
+                    // Our bookkeeping said idle but the worker holds
+                    // another lease (e.g. adopt raced): expire ours
+                    // immediately so the units requeue.
+                    eprintln!("coordinator: {} busy ({e})", slots[si].addr);
+                    expire_lease(
                         lease_id,
-                        Lease {
-                            unit_idxs,
-                            deadline: Instant::now() + config.lease_ttl,
-                            cursor: 0,
-                            worker: si,
-                        },
-                    );
-                    slots[si].lease = Some(lease_id);
+                        "abort",
+                        &mut leases,
+                        &mut slots,
+                        &mut pending,
+                        &ingested_keys,
+                        &keys,
+                        &mut journal,
+                        &mut outcome.expired_leases,
+                    )?;
                 }
-                Err(e) => {
-                    // The worker may or may not have accepted the grant
-                    // (e.g. the reply was dropped). Track the lease with
-                    // its deadline anyway: if the worker took it, the
-                    // next hello/poll adopts it; if not, the deadline
-                    // expires it and the units requeue.
-                    leases.insert(
-                        lease_id,
-                        Lease {
-                            unit_idxs,
-                            deadline: Instant::now() + config.lease_ttl,
-                            cursor: 0,
-                            worker: si,
-                        },
-                    );
-                    slots[si].lease = Some(lease_id);
-                    if let LinkError::Remote(FleetErrorCode::Busy, m) = &e {
-                        // Our bookkeeping said idle but the worker holds
-                        // another lease (e.g. adopt raced): expire ours
-                        // immediately so the units requeue.
-                        eprintln!("coordinator: {} busy ({m})", slots[si].addr);
-                        expire_lease(
-                            lease_id,
-                            "abort",
-                            &mut leases,
-                            &mut slots,
-                            &mut pending,
-                            &ingested_keys,
-                            &keys,
-                            &mut journal,
-                            &mut outcome.expired_leases,
-                        )?;
-                    } else {
-                        slots[si].failures += 1;
-                    }
-                }
+                Err(_) => slots[si].failures += 1,
             }
         }
 
@@ -774,13 +635,10 @@ pub fn run_fleet(
     for (lease_id, lease) in &leases {
         if let Some(slot) = slots.get_mut(lease.worker) {
             if let Some(link) = slot.link.as_mut() {
-                let _ = link.request(
-                    FleetRequest::Abort {
-                        id: 0,
-                        lease: *lease_id,
-                    },
-                    config.io_timeout,
-                );
+                let _ = call(link, |id| FleetRequest::Abort {
+                    id,
+                    lease: *lease_id,
+                });
             }
         }
     }
@@ -794,8 +652,8 @@ pub fn run_fleet(
 /// to wind the fleet down.
 pub fn shutdown_workers(workers: &[String], io_timeout: Duration) {
     for addr in workers {
-        if let Ok(mut link) = Link::connect(addr, io_timeout) {
-            let _ = link.request(FleetRequest::Shutdown { id: 0 }, io_timeout);
+        if let Ok(mut client) = Client::connect_timeout(addr.as_str(), io_timeout) {
+            let _ = call(&mut client, |id| FleetRequest::Shutdown { id });
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The fleet wire protocol: NDJSON frames between a sweep coordinator
 //! and its workers.
 //!
-//! Frames reuse the serving layer's transport (`reds_serve::wire`) and
-//! response envelope (`{"id":…,"ok":…,"result"/"error":…}`), with a
-//! fleet-specific command set:
+//! Frames ride the serving layer's reactor and client, and its
+//! response envelope (`{"id":…,"ok":…,"result"/"error":…}`, built by
+//! `reds_serve::protocol::{ok_response, error_response}`); this module
+//! holds only the fleet's command set and its error-code tokens:
 //!
 //! * `fleet_hello` — handshake: protocol version and sweep fingerprint
 //!   must match, and the worker reports its active lease (if any) so a
@@ -194,7 +195,7 @@ impl FleetRequest {
 
     /// Parses a request frame. On failure returns the best-effort id
     /// (0 when even that is unreadable) plus code and message, ready
-    /// for [`error_response`].
+    /// for `reds_serve::protocol::error_response`.
     pub fn from_json(doc: &Json) -> Result<Self, (u64, FleetErrorCode, String)> {
         let id = doc.get("id").and_then(small_uint).unwrap_or(0);
         let fail = |code, msg: String| Err((id, code, msg));
@@ -275,30 +276,6 @@ impl FleetRequest {
 pub fn small_uint(v: &Json) -> Option<u64> {
     let f = v.as_f64()?;
     (f >= 0.0 && f.fract() == 0.0 && f <= (1u64 << 53) as f64).then_some(f as u64)
-}
-
-/// A success envelope.
-pub fn ok_response(id: u64, result: Json) -> Json {
-    Json::obj([
-        ("id", Json::num(id as f64)),
-        ("ok", Json::Bool(true)),
-        ("result", result),
-    ])
-}
-
-/// An error envelope.
-pub fn error_response(id: u64, code: FleetErrorCode, message: impl Into<String>) -> Json {
-    Json::obj([
-        ("id", Json::num(id as f64)),
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::obj([
-                ("code", Json::str(code.as_str())),
-                ("message", Json::str(message.into())),
-            ]),
-        ),
-    ])
 }
 
 /// The worker's `fleet_hello` result payload.

@@ -1,4 +1,5 @@
-//! The fleet worker: a TCP server that executes leased [`WorkUnit`]s.
+//! The fleet worker: a [`FrameHandler`] that executes leased
+//! [`WorkUnit`]s, served by the `reds_serve` reactor.
 //!
 //! A worker holds at most one lease at a time. `fleet_grant` starts a
 //! background execution thread that runs the lease's units **in
@@ -13,28 +14,24 @@
 //! For the fault suite, [`WorkerConfig::die_after_units`] makes the
 //! worker deterministically "crash" at a unit boundary: the Nth
 //! executed unit's record is discarded (as if the process died before
-//! writing it), the listener closes, and every connection drops —
-//! exactly what a killed process looks like to the coordinator.
+//! writing it), and the reactor aborts — no further reply, the
+//! listener and every connection dropped at once — exactly what a
+//! killed process looks like to the coordinator.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashSet;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use reds_eval::checkpoint::unit_key;
 use reds_eval::{Evaluation, UnitRecord, WorkUnit};
 use reds_json::Json;
-use reds_serve::wire::{self, Frame, Wait};
+use reds_serve::protocol::{error_response, ok_response};
+use reds_serve::{serve_handler, ConnGauges, FrameHandler, ServeLimits, ServerHandle};
 
 use crate::protocol::{
-    error_response, ok_response, FleetErrorCode, FleetRequest, HelloReply, PollReply,
-    MAX_FLEET_FRAME_BYTES, PROTO_VERSION,
+    FleetErrorCode, FleetRequest, HelloReply, PollReply, MAX_FLEET_FRAME_BYTES, PROTO_VERSION,
 };
-
-/// How often blocked reads and the execution loop wake up to check
-/// the stop/died flags.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Executes one work unit. The fleet crate is deliberately ignorant
 /// of *what* a sweep is — the bench layer implements this over its
@@ -83,32 +80,23 @@ impl LeaseRun {
 
 struct WorkerState {
     lease: Option<LeaseRun>,
+    /// Every lease aborted here; none of them is granted again.
+    aborted: HashSet<u64>,
 }
 
-/// The flags the execution thread needs to trip a deterministic
-/// death from outside the connection handlers.
+/// The deterministic crash the execution thread trips.
 struct DeathSwitch {
-    stop: AtomicBool,
     died: AtomicBool,
     /// Units left before the configured deterministic death;
     /// `usize::MAX` means never.
     die_countdown: AtomicUsize,
-    addr: SocketAddr,
 }
 
-impl DeathSwitch {
-    /// Trips the deterministic crash: no replies, no listener, every
-    /// read loop drains out within a poll interval.
-    fn die(&self) {
-        self.died.store(true, Ordering::SeqCst);
-        self.stop.store(true, Ordering::SeqCst);
-        self.nudge_listener();
-    }
+/// A refused request: its code and why.
+type Refusal = (FleetErrorCode, String);
 
-    fn nudge_listener(&self) {
-        let _ = TcpStream::connect_timeout(&self.addr, POLL_INTERVAL);
-    }
-}
+/// Worker ids are unique within a process: its pid and a serial.
+static NEXT_WORKER: AtomicUsize = AtomicUsize::new(0);
 
 struct Shared<E> {
     executor: Arc<E>,
@@ -117,36 +105,82 @@ struct Shared<E> {
     switch: Arc<DeathSwitch>,
 }
 
+/// The reactor may run two frames of one connection at once, so a
+/// frame can run after the one that followed it on the wire: a frame
+/// the network duplicated or delayed does that. Every command is
+/// idempotent under the state lock, so a repeat in any order is
+/// harmless — hello and poll only read, a repeated abort finds nothing
+/// left to abort, a repeated grant of the held lease is acknowledged
+/// without a restart, and a poll that overtakes its grant answers
+/// `unknown_lease`, which the coordinator takes for a lost lease whose
+/// units it requeues (first-wins ingestion keeps the report exact). The
+/// one exception is a grant that runs after the abort that followed it:
+/// it would restart a lease the coordinator gave up, so the worker
+/// remembers every lease it aborted and refuses to grant it again.
+impl<E: UnitExecutor> FrameHandler for Shared<E> {
+    fn handle_frame(&self, line: &str) -> (Json, bool) {
+        let request = reds_json::from_str(line)
+            .map_err(|e| (0, FleetErrorCode::Parse, e.to_string()))
+            .and_then(|doc| FleetRequest::from_json(&doc));
+        let (id, shutdown, outcome) = match request {
+            Ok(request) => (
+                request.id(),
+                matches!(request, FleetRequest::Shutdown { .. }),
+                self.handle(request),
+            ),
+            Err((id, code, message)) => (id, false, Err((code, message))),
+        };
+        let reply = match outcome {
+            Ok(result) => ok_response(id, result),
+            Err((code, message)) => error_response(id, &(code.as_str(), message.as_str())),
+        };
+        (reply, shutdown)
+    }
+
+    fn aborted(&self) -> bool {
+        self.switch.died.load(Ordering::SeqCst)
+    }
+}
+
 impl<E: UnitExecutor> Shared<E> {
-    fn handle(&self, request: FleetRequest) -> (Json, bool) {
+    fn new(executor: E, config: &WorkerConfig) -> Self {
+        Self {
+            executor: Arc::new(executor),
+            worker_id: format!(
+                "w-{}-{}",
+                std::process::id(),
+                NEXT_WORKER.fetch_add(1, Ordering::Relaxed)
+            ),
+            state: Mutex::new(WorkerState {
+                lease: None,
+                aborted: HashSet::new(),
+            }),
+            switch: Arc::new(DeathSwitch {
+                died: AtomicBool::new(false),
+                die_countdown: AtomicUsize::new(config.die_after_units.unwrap_or(usize::MAX)),
+            }),
+        }
+    }
+
+    fn handle(&self, request: FleetRequest) -> Result<Json, Refusal> {
         match request {
             FleetRequest::Hello {
-                id,
-                fingerprint,
-                proto,
+                fingerprint, proto, ..
             } => {
                 if proto != PROTO_VERSION {
-                    return (
-                        error_response(
-                            id,
-                            FleetErrorCode::FingerprintMismatch,
-                            format!("worker speaks proto {PROTO_VERSION}, coordinator {proto}"),
-                        ),
-                        false,
-                    );
+                    return Err((
+                        FleetErrorCode::FingerprintMismatch,
+                        format!("worker speaks proto {PROTO_VERSION}, coordinator {proto}"),
+                    ));
                 }
                 let ours = self.executor.fingerprint();
                 if fingerprint != ours {
-                    return (
-                        error_response(
-                            id,
-                            FleetErrorCode::FingerprintMismatch,
-                            format!(
-                                "worker executes sweep {ours}, coordinator asked for {fingerprint}"
-                            ),
+                    return Err((
+                        FleetErrorCode::FingerprintMismatch,
+                        format!(
+                            "worker executes sweep {ours}, coordinator asked for {fingerprint}"
                         ),
-                        false,
-                    );
+                    ));
                 }
                 let state = self.state.lock().expect("state lock");
                 let active_lease = state
@@ -158,69 +192,52 @@ impl<E: UnitExecutor> Shared<E> {
                     proto: PROTO_VERSION,
                     active_lease,
                 };
-                (ok_response(id, reply.to_json()), false)
+                Ok(reply.to_json())
             }
             FleetRequest::Grant {
-                id,
                 lease,
                 attempt,
                 spec,
                 units,
-                deadline_ms: _,
+                ..
             } => {
+                let granted = |accepted: usize| {
+                    Json::obj([
+                        ("lease", Json::num(lease as f64)),
+                        ("accepted", Json::num(accepted as f64)),
+                    ])
+                };
                 let mut state = self.state.lock().expect("state lock");
+                if state.aborted.contains(&lease) {
+                    return Err((
+                        FleetErrorCode::UnknownLease,
+                        format!("lease {lease} was aborted here"),
+                    ));
+                }
                 if let Some(run) = &state.lease {
                     if run.id == lease {
                         // Idempotent re-grant: the first grant's reply
                         // was lost; acknowledge without restarting.
-                        let accepted = run.n_units;
-                        return (
-                            ok_response(
-                                id,
-                                Json::obj([
-                                    ("lease", Json::num(lease as f64)),
-                                    ("accepted", Json::num(accepted as f64)),
-                                ]),
-                            ),
-                            false,
-                        );
+                        return Ok(granted(run.n_units));
                     }
                     if !run.done() && !run.cancelled.load(Ordering::SeqCst) {
-                        return (
-                            error_response(
-                                id,
-                                FleetErrorCode::Busy,
-                                format!("lease {} still executing", run.id),
-                            ),
-                            false,
-                        );
+                        return Err((
+                            FleetErrorCode::Busy,
+                            format!("lease {} still executing", run.id),
+                        ));
                     }
                 }
                 let accepted = units.len();
-                let run = self.start_lease(lease, attempt, spec, units);
-                state.lease = Some(run);
-                (
-                    ok_response(
-                        id,
-                        Json::obj([
-                            ("lease", Json::num(lease as f64)),
-                            ("accepted", Json::num(accepted as f64)),
-                        ]),
-                    ),
-                    false,
-                )
+                state.lease = Some(self.start_lease(lease, attempt, spec, units));
+                Ok(granted(accepted))
             }
-            FleetRequest::Poll { id, lease, cursor } => {
+            FleetRequest::Poll { lease, cursor, .. } => {
                 let state = self.state.lock().expect("state lock");
                 let Some(run) = state.lease.as_ref().filter(|r| r.id == lease) else {
-                    return (
-                        error_response(
-                            id,
-                            FleetErrorCode::UnknownLease,
-                            format!("lease {lease} is not held here"),
-                        ),
-                        false,
-                    );
+                    return Err((
+                        FleetErrorCode::UnknownLease,
+                        format!("lease {lease} is not held here"),
+                    ));
                 };
                 let records = run.records.lock().expect("records lock");
                 let reply = PollReply {
@@ -230,43 +247,23 @@ impl<E: UnitExecutor> Shared<E> {
                     base: cursor,
                     records: records.get(cursor..).unwrap_or(&[]).to_vec(),
                 };
-                (ok_response(id, reply.to_json()), false)
+                Ok(reply.to_json())
             }
-            FleetRequest::Abort { id, lease } => {
+            FleetRequest::Abort { lease, .. } => {
                 let mut state = self.state.lock().expect("state lock");
-                match state.lease.as_ref().filter(|r| r.id == lease) {
-                    Some(run) => {
-                        run.cancelled.store(true, Ordering::SeqCst);
-                        state.lease = None;
-                        (
-                            ok_response(
-                                id,
-                                Json::obj([
-                                    ("lease", Json::num(lease as f64)),
-                                    ("aborted", Json::Bool(true)),
-                                ]),
-                            ),
-                            false,
-                        )
-                    }
-                    // Idempotent: aborting a lease we no longer hold
-                    // is exactly what the coordinator wanted.
-                    None => (
-                        ok_response(
-                            id,
-                            Json::obj([
-                                ("lease", Json::num(lease as f64)),
-                                ("aborted", Json::Bool(false)),
-                            ]),
-                        ),
-                        false,
-                    ),
+                state.aborted.insert(lease);
+                // Idempotent: aborting a lease we no longer hold is
+                // exactly what the coordinator wanted.
+                let run = state.lease.take_if(|run| run.id == lease);
+                if let Some(run) = &run {
+                    run.cancelled.store(true, Ordering::SeqCst);
                 }
+                Ok(Json::obj([
+                    ("lease", Json::num(lease as f64)),
+                    ("aborted", Json::Bool(run.is_some())),
+                ]))
             }
-            FleetRequest::Shutdown { id } => (
-                ok_response(id, Json::obj([("shutdown", Json::Bool(true))])),
-                true,
-            ),
+            FleetRequest::Shutdown { .. } => Ok(Json::obj([("shutdown", Json::Bool(true))])),
         }
     }
 
@@ -314,7 +311,7 @@ impl<E: UnitExecutor> Shared<E> {
                 // bit-identical record must win.
                 let countdown = switch.die_countdown.fetch_sub(1, Ordering::SeqCst);
                 if countdown != usize::MAX && countdown <= 1 {
-                    switch.die();
+                    switch.died.store(true, Ordering::SeqCst);
                     return;
                 }
                 records.lock().expect("records lock").push(UnitRecord {
@@ -331,99 +328,33 @@ impl<E: UnitExecutor> Shared<E> {
 
 /// A running worker; keep the handle to control and join it.
 pub struct WorkerHandle<E: UnitExecutor> {
-    addr: SocketAddr,
+    server: ServerHandle,
     shared: Arc<Shared<E>>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl<E: UnitExecutor> WorkerHandle<E> {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// `true` once the deterministic crash hook has fired.
     pub fn died(&self) -> bool {
-        self.shared.switch.died.load(Ordering::SeqCst)
+        self.shared.aborted()
     }
 
-    /// Stops the worker and joins its threads.
-    pub fn shutdown(mut self) {
-        self.shared.switch.stop.store(true, Ordering::SeqCst);
-        self.shared.switch.nudge_listener();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+    /// Stops the worker, letting in-flight requests finish, and joins
+    /// its threads.
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 
     /// Waits for the worker to stop on its own (a coordinator's
     /// `fleet_shutdown`, or the death hook); returns `true` when the
     /// deterministic crash hook is what stopped it.
-    pub fn join(mut self) -> bool {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        self.shared.switch.died.load(Ordering::SeqCst)
-    }
-}
-
-fn handle_connection<E: UnitExecutor>(stream: TcpStream, shared: Arc<Shared<E>>) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    stream.set_nodelay(true).ok();
-    let Ok(clone) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(clone);
-    let mut writer = stream;
-    loop {
-        if shared.switch.stop.load(Ordering::SeqCst) {
-            return; // a died worker drops the socket with no goodbye
-        }
-        let mut wait = || -> Wait {
-            if shared.switch.stop.load(Ordering::SeqCst) {
-                Wait::GiveUp
-            } else {
-                Wait::Retry
-            }
-        };
-        let frame = match wire::read_frame(&mut reader, MAX_FLEET_FRAME_BYTES, &mut wait) {
-            Ok(Frame::Line(line)) => line,
-            Ok(Frame::TooLarge) => {
-                let _ = wire::write_frame(
-                    &mut writer,
-                    &error_response(0, FleetErrorCode::Parse, "frame too large"),
-                );
-                return;
-            }
-            Ok(Frame::Eof) | Ok(Frame::TimedOut) | Err(_) => return,
-        };
-        let text = String::from_utf8_lossy(&frame);
-        if text.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown) = match reds_json::from_str(&text) {
-            Err(e) => (
-                error_response(0, FleetErrorCode::Parse, e.to_string()),
-                false,
-            ),
-            Ok(doc) => match FleetRequest::from_json(&doc) {
-                Err((id, code, message)) => (error_response(id, code, message), false),
-                Ok(request) => shared.handle(request),
-            },
-        };
-        if shared.switch.died.load(Ordering::SeqCst) {
-            return; // death raced the request: no reply, like a kill
-        }
-        if wire::write_frame(&mut writer, &response).is_err() {
-            return;
-        }
-        if shutdown {
-            shared.switch.stop.store(true, Ordering::SeqCst);
-            shared.switch.nudge_listener();
-            return;
-        }
+    pub fn join(self) -> bool {
+        self.server.join();
+        self.shared.aborted()
     }
 }
 
@@ -434,43 +365,168 @@ pub fn serve_worker<E: UnitExecutor>(
     addr: &str,
     config: WorkerConfig,
 ) -> std::io::Result<WorkerHandle<E>> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let shared = Arc::new(Shared {
-        executor: Arc::new(executor),
-        // Stable per-process identity; ports are ephemeral but unique
-        // while the worker lives, which is all the coordinator needs.
-        worker_id: format!("w-{}", addr.port()),
-        state: Mutex::new(WorkerState { lease: None }),
-        switch: Arc::new(DeathSwitch {
-            stop: AtomicBool::new(false),
-            died: AtomicBool::new(false),
-            die_countdown: AtomicUsize::new(config.die_after_units.unwrap_or(usize::MAX)),
-            addr,
-        }),
-    });
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = std::thread::spawn(move || {
-        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        for stream in listener.incoming() {
-            if accept_shared.switch.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let conn_shared = Arc::clone(&accept_shared);
-            workers.push(std::thread::spawn(move || {
-                handle_connection(stream, conn_shared);
-            }));
-            workers.retain(|h| !h.is_finished());
+    let shared = Arc::new(Shared::new(executor, &config));
+    // Lease grants carry whole unit batches and polls whole record
+    // batches, hence the roomier frame cap.
+    let limits = ServeLimits {
+        max_frame_bytes: MAX_FLEET_FRAME_BYTES,
+        ..ServeLimits::default()
+    };
+    let gauges = Arc::new(ConnGauges::default());
+    let server = serve_handler(Arc::clone(&shared) as _, addr, limits, gauges)?;
+    Ok(WorkerHandle { server, shared })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    use reds_eval::checkpoint::record_from_json;
+    use reds_serve::Client;
+
+    /// Executes every unit at once with one fixed evaluation.
+    struct Stub;
+
+    impl UnitExecutor for Stub {
+        fn fingerprint(&self) -> String {
+            "stub".to_string()
         }
-        drop(listener); // a died worker refuses new connections
-        for h in workers {
-            let _ = h.join();
+
+        fn execute(&self, _spec: &str, unit: &WorkUnit) -> Result<Evaluation, String> {
+            let doc = reds_json::from_str(&format!(
+                r#"{{"spec":"stub","unit":{},"eval":{{"pr_auc":1,"precision":1,"recall":1,
+                "wracc":0,"n_restricted":0,"n_irrel":0,"runtime_ms":0,
+                "last_box":{{"bounds":[[null,null]]}}}}}}"#,
+                reds_eval::checkpoint::unit_to_json(unit).to_string_compact()
+            ))
+            .expect("record parses");
+            Ok(record_from_json(&doc).expect("record decodes").eval)
         }
-    });
-    Ok(WorkerHandle {
-        addr,
-        shared,
-        accept_thread: Some(accept_thread),
-    })
+    }
+
+    fn unit(rep: usize) -> WorkUnit {
+        WorkUnit {
+            function: "2".to_string(),
+            n: 60,
+            method: "P".to_string(),
+            method_index: 0,
+            rep,
+            rep_seed: rep as u64,
+            method_seed: 7,
+        }
+    }
+
+    fn grant(id: u64, lease: u64) -> String {
+        FleetRequest::Grant {
+            id,
+            lease,
+            attempt: 1,
+            spec: "stub".to_string(),
+            units: vec![unit(0), unit(1)],
+            deadline_ms: 1_000,
+        }
+        .to_json()
+        .to_string_compact()
+    }
+
+    fn connect(addr: SocketAddr) -> Client {
+        let mut client = Client::connect(addr).expect("connect");
+        client.set_timeout(Some(Duration::from_secs(5))).unwrap();
+        client
+    }
+
+    fn error_code(reply: &Json) -> Option<&str> {
+        reply.get("error")?.get("code")?.as_str()
+    }
+
+    const HELLO: &str = r#"{"id":1,"cmd":"fleet_hello","fingerprint":"stub","proto":1}"#;
+
+    #[test]
+    fn death_drops_every_connection_and_the_listener_without_a_reply() {
+        let worker = serve_worker(
+            Stub,
+            "127.0.0.1:0",
+            WorkerConfig {
+                die_after_units: Some(1),
+            },
+        )
+        .expect("bind");
+        let addr = worker.addr();
+        let mut before = connect(addr);
+        let reply = before.send_raw_line(HELLO).expect("hello answered");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+        // The grant's own reply may or may not beat the death.
+        let _ = connect(addr).send_raw_line(&grant(1, 1));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !worker.died() {
+            assert!(Instant::now() < deadline, "the death hook never fired");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let poll = r#"{"id":2,"cmd":"fleet_poll","lease":1,"cursor":0}"#;
+        let outcome = before.send_raw_line(poll);
+        assert!(outcome.is_err(), "a dead worker answered: {outcome:?}");
+        assert!(worker.join(), "join reports the death");
+        assert!(
+            std::net::TcpStream::connect(addr).is_err(),
+            "a dead worker still accepts connections"
+        );
+    }
+
+    #[test]
+    fn fleet_shutdown_is_answered_then_the_worker_stops() {
+        let worker = serve_worker(Stub, "127.0.0.1:0", WorkerConfig::default()).expect("bind");
+        let reply = connect(worker.addr())
+            .send_raw_line(r#"{"id":4,"cmd":"fleet_shutdown"}"#)
+            .expect("shutdown answered");
+        assert_eq!(reply.get("id").and_then(Json::as_f64), Some(4.0));
+        assert_eq!(
+            reply
+                .get("result")
+                .and_then(|r| r.get("shutdown"))
+                .and_then(Json::as_bool),
+            Some(true)
+        );
+        assert!(!worker.join(), "a shutdown is not a death");
+    }
+
+    #[test]
+    fn a_line_that_is_not_json_is_a_parse_error_and_the_connection_keeps_serving() {
+        let worker = serve_worker(Stub, "127.0.0.1:0", WorkerConfig::default()).expect("bind");
+        let mut client = connect(worker.addr());
+        let reply = client.send_raw_line("{not json").expect("answered");
+        assert_eq!(error_code(&reply), Some("parse"));
+        assert_eq!(reply.get("id").and_then(Json::as_f64), Some(0.0));
+        let reply = client.send_raw_line(HELLO).expect("still serving");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(reply.get("id").and_then(Json::as_f64), Some(1.0));
+        worker.shutdown();
+    }
+
+    #[test]
+    fn a_grant_that_runs_after_its_abort_starts_nothing() {
+        // The reactor may run a duplicated grant after the abort that
+        // followed it on the wire; the aborted lease must stay gone.
+        let worker = Shared::new(Stub, &WorkerConfig::default());
+        let reply = |line: &str| worker.handle_frame(line).0;
+        let granted = reply(&grant(1, 7));
+        assert_eq!(granted.get("ok").and_then(Json::as_bool), Some(true));
+        let aborted = reply(r#"{"id":2,"cmd":"fleet_abort","lease":7}"#);
+        assert_eq!(
+            aborted
+                .get("result")
+                .and_then(|r| r.get("aborted"))
+                .and_then(Json::as_bool),
+            Some(true)
+        );
+        assert_eq!(error_code(&reply(&grant(1, 7))), Some("unknown_lease"));
+        let poll = reply(r#"{"id":3,"cmd":"fleet_poll","lease":7,"cursor":0}"#);
+        assert_eq!(error_code(&poll), Some("unknown_lease"));
+        let hello = reply(HELLO);
+        let lease = hello.get("result").and_then(|r| r.get("lease"));
+        assert!(
+            lease.is_some_and(Json::is_null),
+            "no lease is held: {hello:?}"
+        );
+    }
 }

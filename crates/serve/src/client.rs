@@ -1,12 +1,17 @@
-//! A small blocking client for the serving protocol, used by the
-//! integration tests, the CI smoke test, the shard [`router`]
-//! (crate::router), and the `reds_client` CLI.
+//! The one blocking NDJSON client of the workspace: the serving
+//! protocol's, used by the integration tests, the CI smoke test, the
+//! shard [`router`](crate::router) and the `reds_client` CLI, and the
+//! fleet coordinator's, which sends its own commands through
+//! [`Client::call_frame`].
 //!
-//! Every read runs under a socket read timeout with a bounded retry
+//! One timeout bounds everything a call waits for: the connect, and
+//! every reply, read under a socket read timeout with a bounded retry
 //! budget — a stalled or wedged server surfaces as a structured
 //! [`ClientError::Timeout`] after the configured patience instead of
-//! blocking the calling thread forever. `too_busy` refusals (a full
-//! prediction queue, or admission control at accept time) can
+//! blocking the calling thread forever. A reply whose id is neither
+//! the one sent nor 0 answers an earlier request (a duplicated or late
+//! frame) and is skipped within the same budget. `too_busy` refusals (a
+//! full prediction queue, or admission control at accept time) can
 //! optionally be retried with jittered exponential [`Backoff`],
 //! reconnecting per attempt because the server may have closed the
 //! refused connection.
@@ -20,13 +25,16 @@ use reds_json::Json;
 use reds_subgroup::SdResult;
 
 use crate::backoff::Backoff;
-use crate::protocol::{DiscoverParams, Request, StreamDiscoverParams};
+use crate::protocol::{small_uint, DiscoverParams, Request, StreamDiscoverParams};
 use crate::wire::{self, Frame, RetryBudget};
 
-/// How long each blocking read waits before re-checking its budget;
-/// the total patience is [`Client::set_timeout`]'s duration rounded up
-/// to a whole number of these slices.
-const READ_SLICE: Duration = Duration::from_millis(250);
+/// How long each blocking read waits before re-checking its budget: a
+/// sixteenth of the timeout, at most 250 ms. The total patience is the
+/// timeout rounded up to a whole number of slices, plus one, so a
+/// short timeout is not stretched by a coarse slice.
+fn read_slice(timeout: Duration) -> Duration {
+    (timeout / 16).clamp(Duration::from_millis(1), Duration::from_millis(250))
+}
 
 /// Replies slower than this are treated as a dead server. Generous,
 /// because `discover` at large `l` legitimately takes a while — but
@@ -91,33 +99,60 @@ pub struct Client {
     busy: Option<BusyRetry>,
 }
 
+/// Connects to `addr` within `timeout`, trying each address it
+/// resolves to, and paces reads for that timeout.
+fn open(addr: impl ToSocketAddrs, timeout: Duration) -> std::io::Result<TcpStream> {
+    let mut last = None;
+    for sock in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&sock, timeout) {
+            Ok(stream) => {
+                stream.set_nodelay(true).ok();
+                // The socket timeout paces the retry loop; the *total*
+                // patience is enforced by a RetryBudget per call.
+                stream.set_read_timeout(Some(read_slice(timeout)))?;
+                return Ok(stream);
+            }
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last.unwrap_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address to connect to")
+    }))
+}
+
 impl Client {
-    /// Connects to a running server. Replies are awaited under
-    /// [`DEFAULT_TIMEOUT`]; adjust with [`Client::set_timeout`].
-    /// `too_busy` refusals are returned immediately; opt into retries
-    /// with [`Client::set_busy_retry`].
+    /// Connects to a running server. The connect and every reply are
+    /// awaited under [`DEFAULT_TIMEOUT`]; adjust with
+    /// [`Client::set_timeout`]. `too_busy` refusals are returned
+    /// immediately; opt into retries with [`Client::set_busy_retry`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        let peer = stream.peer_addr()?;
-        stream.set_nodelay(true).ok();
-        // The socket timeout paces the retry loop; the *total* patience
-        // is enforced by a RetryBudget per read, so it can be changed
-        // later without touching socket options.
-        stream.set_read_timeout(Some(READ_SLICE))?;
+        Self::connect_timeout(addr, DEFAULT_TIMEOUT)
+    }
+
+    /// [`Client::connect`] with `timeout` bounding the connect and
+    /// every reply, as [`Client::set_timeout`] would.
+    pub fn connect_timeout(
+        addr: impl ToSocketAddrs,
+        timeout: Duration,
+    ) -> Result<Self, ClientError> {
+        let stream = open(addr, timeout)?;
         Ok(Self {
             reader: BufReader::new(stream.try_clone()?),
+            peer: stream.peer_addr()?,
             writer: stream,
-            peer,
             next_id: 1,
-            timeout: DEFAULT_TIMEOUT,
+            timeout,
             busy: None,
         })
     }
 
-    /// Sets the total patience for each reply. `None` restores the
-    /// default — reads are always bounded; there is no infinite mode.
+    /// Sets the total patience for the connect and each reply. `None`
+    /// restores the default — waits are always bounded; there is no
+    /// infinite mode.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
         self.timeout = timeout.unwrap_or(DEFAULT_TIMEOUT);
+        self.writer
+            .set_read_timeout(Some(read_slice(self.timeout)))?;
         Ok(())
     }
 
@@ -137,9 +172,7 @@ impl Client {
     /// Reconnects to the same peer, replacing the underlying stream;
     /// the id counter and timeout carry over.
     fn reconnect(&mut self) -> Result<(), ClientError> {
-        let stream = TcpStream::connect(self.peer)?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(READ_SLICE))?;
+        let stream = open(self.peer, self.timeout)?;
         self.reader = BufReader::new(stream.try_clone()?);
         self.writer = stream;
         Ok(())
@@ -151,15 +184,19 @@ impl Client {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
-        self.read_response()
+        self.read_response(&mut self.budget())
     }
 
-    fn read_response(&mut self) -> Result<Json, ClientError> {
-        let mut budget = RetryBudget::for_total(self.timeout, READ_SLICE);
+    /// The read budget of one call: the timeout in read slices.
+    fn budget(&self) -> RetryBudget {
+        RetryBudget::for_total(self.timeout, read_slice(self.timeout))
+    }
+
+    fn read_response(&mut self, budget: &mut RetryBudget) -> Result<Json, ClientError> {
         // The server never sends a frame this large; the cap only stops
         // a corrupted or hostile stream from ballooning client memory.
         const MAX_RESPONSE_BYTES: usize = 256 << 20;
-        match wire::read_frame(&mut self.reader, MAX_RESPONSE_BYTES, &mut budget)? {
+        match wire::read_frame(&mut self.reader, MAX_RESPONSE_BYTES, budget)? {
             Frame::Line(line) => {
                 let text = String::from_utf8_lossy(&line);
                 reds_json::from_str(text.trim())
@@ -182,12 +219,20 @@ impl Client {
     /// [`Client::set_busy_retry`] enabled, `too_busy` refusals are
     /// retried under jittered exponential backoff.
     pub fn call(&mut self, request: &Request) -> Result<Json, ClientError> {
+        self.call_frame(&request.to_json())
+    }
+
+    /// [`Client::call`] for any request frame, of this protocol or of
+    /// another served over the same envelope (the fleet's commands):
+    /// the reply must echo the frame's `id`, best taken from
+    /// [`Client::fresh_id`].
+    pub fn call_frame(&mut self, frame: &Json) -> Result<Json, ClientError> {
         if let Some(b) = self.busy.as_mut() {
             b.backoff.reset();
         }
         let mut attempt = 0u32;
         loop {
-            let outcome = self.call_once(request);
+            let outcome = self.call_once(frame);
             let busy =
                 matches!(&outcome, Err(ClientError::Server { code, .. }) if code == "too_busy");
             if !busy {
@@ -206,20 +251,25 @@ impl Client {
         }
     }
 
-    fn call_once(&mut self, request: &Request) -> Result<Json, ClientError> {
-        let sent_id = request.id();
-        let mut text = request.to_json().to_string_compact();
-        text.push('\n');
-        self.writer.write_all(text.as_bytes())?;
-        self.writer.flush()?;
-        let doc = self.read_response()?;
-        let id = doc.get("id").and_then(Json::as_f64).unwrap_or(-1.0);
+    fn call_once(&mut self, frame: &Json) -> Result<Json, ClientError> {
+        let id_of = |doc: &Json| doc.get("id").and_then(small_uint).unwrap_or(0);
+        let sent_id = id_of(frame);
+        wire::write_frame(&mut self.writer, frame)?;
+        let mut budget = self.budget();
+        let (doc, id) = loop {
+            let doc = self.read_response(&mut budget)?;
+            let id = id_of(&doc);
+            if id == sent_id || id == 0 {
+                break (doc, id);
+            }
+            // A stale reply to an earlier request: skip it.
+        };
         let ok = doc.get("ok").and_then(Json::as_bool);
         // Accept error frames carrying id 0 even when a different id was
         // sent: the server answers pre-request failures that way — an
         // admission-control `too_busy` refusal at accept time, or a
         // frame the server could not parse back to an id.
-        if id != sent_id as f64 && !(id == 0.0 && ok == Some(false)) {
+        if id != sent_id && !(id == 0 && ok == Some(false)) {
             return Err(ClientError::Protocol(format!(
                 "response id {id} does not match request id {sent_id}"
             )));
@@ -247,7 +297,9 @@ impl Client {
         }
     }
 
-    fn fresh_id(&mut self) -> u64 {
+    /// The next request id of this client; ids never repeat, so a
+    /// stale reply cannot pass for a fresh one.
+    pub fn fresh_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         id

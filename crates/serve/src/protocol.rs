@@ -232,8 +232,10 @@ pub struct StreamDiscoverParams {
     /// Hard-label threshold `bnd` on the metamodel output.
     pub bnd: f64,
     /// Rows per streamed chunk of the paged build (`ooc`); `0` selects
-    /// the server default. Validated with or without `ooc`. On the
-    /// wire, `0` is spelled by **omitting** the field — an explicit
+    /// the server default. Validated with or without `ooc`, but
+    /// without it the field has no effect: the in-memory pool is built
+    /// in one piece. On the wire, `0` is spelled by **omitting** the
+    /// field — an explicit
     /// `"chunk_rows": 0` is rejected with `bad_request`, so a client
     /// that meant to pick a chunk size never silently gets the default.
     pub chunk_rows: usize,
@@ -630,16 +632,47 @@ pub fn ok_response(id: u64, result: Json) -> Json {
     ])
 }
 
+/// What an [`error_response`] carries: a wire code token and a
+/// message. A [`ServeError`] is one; a protocol with codes of its own
+/// served over the same envelope (the fleet's `unknown_lease`, say)
+/// passes a `(token, message)` pair.
+pub trait WireError {
+    /// The `error.code` token.
+    fn code(&self) -> &str;
+    /// The `error.message` text.
+    fn message(&self) -> &str;
+}
+
+impl WireError for ServeError {
+    fn code(&self) -> &str {
+        self.code.as_str()
+    }
+
+    fn message(&self) -> &str {
+        &self.message
+    }
+}
+
+impl WireError for (&str, &str) {
+    fn code(&self) -> &str {
+        self.0
+    }
+
+    fn message(&self) -> &str {
+        self.1
+    }
+}
+
 /// Builds an error response frame.
-pub fn error_response(id: u64, error: &ServeError) -> Json {
+pub fn error_response(id: u64, error: &impl WireError) -> Json {
     Json::obj([
         ("id", Json::num(id as f64)),
         ("ok", Json::Bool(false)),
         (
             "error",
             Json::obj([
-                ("code", Json::str(error.code.as_str())),
-                ("message", Json::str(error.message.clone())),
+                ("code", Json::str(error.code())),
+                ("message", Json::str(error.message())),
             ]),
         ),
     ])

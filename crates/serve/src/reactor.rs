@@ -1,5 +1,11 @@
-//! Event-driven connection core: a poll/epoll reactor replacing the
-//! thread-per-connection accept loop.
+//! Event-driven connection core: the one TCP server of the workspace.
+//!
+//! It serves three [`FrameHandler`]s: the model [`Service`], the shard
+//! [`Router`], and the fleet worker (`reds_fleet::worker`), whose
+//! protocol rides the same envelope.
+//!
+//! [`Service`]: crate::server::Service
+//! [`Router`]: crate::router::Router
 //!
 //! One reactor thread owns every socket. It multiplexes readiness with
 //! `epoll(7)` on Linux (`poll(2)` elsewhere — both via direct FFI, with
@@ -27,6 +33,13 @@
 //! instead of a parked thread, and per-connection pipelining is capped
 //! ([`PIPELINE_CAP`]) by pausing read interest instead of blocking a
 //! thread.
+//!
+//! Two ways to stop: a shutdown (a handler's flag or
+//! [`ServerHandle::shutdown`](crate::server::ServerHandle::shutdown))
+//! drains — no new connections, in-flight requests answered — while an
+//! abort ([`FrameHandler::aborted`]) drops the listener and every
+//! connection at once and writes no further reply, as a killed process
+//! would.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -63,13 +76,25 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// Something that turns one request line into one response frame.
 ///
 /// Implemented by [`crate::server::Service`] (a model registry behind
-/// the full command set) and [`crate::router::Router`] (a shard
-/// fan-out). The returned flag requests server shutdown after the
-/// response is flushed.
+/// the full command set), [`crate::router::Router`] (a shard fan-out)
+/// and the fleet worker. The returned flag requests server shutdown
+/// after the response is flushed.
+///
+/// Frames of one connection may run on several executors at once, so a
+/// frame can be handled after the one that followed it on the wire;
+/// replies still go out in request order.
 pub trait FrameHandler: Send + Sync + 'static {
     /// Serves one request line; returns the response document and
     /// whether the server should shut down once it is delivered.
     fn handle_frame(&self, line: &str) -> (Json, bool);
+
+    /// `true` once the server must die as a killed process would: from
+    /// then on no reply is written, and within one poll tick the
+    /// listener and every connection close, with no drain. The fleet
+    /// worker's crash hook uses it; serving handlers never abort.
+    fn aborted(&self) -> bool {
+        false
+    }
 }
 
 /// Connection gauges the `info` command reports; shared between the
@@ -267,6 +292,7 @@ struct Reactor {
     wake_rx: UnixStream,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    handler: Arc<dyn FrameHandler>,
     handler_work: Arc<WorkQueue>,
     replies: Arc<ReplyBus>,
     limits: ServeLimits,
@@ -282,6 +308,9 @@ impl Reactor {
         let mut events = Vec::new();
         loop {
             self.poller.wait(&mut events, TICK)?;
+            if self.handler.aborted() {
+                return Ok(()); // dropping the reactor closes every socket
+            }
             for ev in events.drain(..) {
                 match ev.token {
                     WAKE_TOKEN => self.drain_wake_pipe(),
@@ -520,6 +549,9 @@ impl Reactor {
     }
 
     fn flush(&mut self, token: u64) {
+        if self.handler.aborted() {
+            return;
+        }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -652,6 +684,7 @@ pub(crate) fn spawn_reactor(
         wake_rx,
         conns: HashMap::new(),
         next_token: FIRST_CONN_TOKEN,
+        handler,
         handler_work: Arc::clone(&work),
         replies,
         limits,

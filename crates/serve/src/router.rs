@@ -23,7 +23,7 @@ use std::sync::Mutex;
 use reds_json::Json;
 
 use crate::client::{Client, ClientError};
-use crate::protocol::{error_response, ok_response, Request, ServeError, ServeLimits};
+use crate::protocol::{error_response, ok_response, ErrorCode, Request, ServeError, ServeLimits};
 use crate::reactor::{poller_backend, FrameHandler};
 use crate::server::validate_points;
 
@@ -102,14 +102,7 @@ impl Router {
     fn shard_error(&self, i: usize, e: ClientError) -> ServeError {
         match e {
             ClientError::Server { code, message } => {
-                let message = format!("shard {i}: {message}");
-                match code.as_str() {
-                    "parse" => ServeError::parse(message),
-                    "bad_request" => ServeError::bad_request(message),
-                    "too_large" => ServeError::too_large(message),
-                    "too_busy" => ServeError::too_busy(message),
-                    _ => ServeError::internal(message),
-                }
+                ServeError::new(ErrorCode::from_wire(&code), format!("shard {i}: {message}"))
             }
             other => ServeError::internal(format!(
                 "shard {i} ({}) failed: {other}",

@@ -225,7 +225,7 @@ impl Service {
     /// same seed. A request without an explicit seed draws the pinned
     /// version's recorded `pool_seed`, so the run is reproducible from
     /// the artifact file alone. `params.chunk_rows` is validated either
-    /// way and chunks the paged build.
+    /// way; it chunks the paged build and otherwise has no effect.
     pub fn discover_streaming(
         &self,
         params: &StreamDiscoverParams,
@@ -541,7 +541,7 @@ impl ServerHandle {
     }
 
     /// Waits for the server to stop on its own (a client's `shutdown`
-    /// command), joining every thread.
+    /// command, or its handler's abort), joining every thread.
     pub fn join(mut self) {
         if let Some(t) = self.thread.take() {
             let _ = t.join();

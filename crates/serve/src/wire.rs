@@ -1,8 +1,11 @@
 //! NDJSON frame transport shared by every wire consumer: the serving
-//! server/client and the fleet coordinator/worker protocol.
+//! and fleet protocols, on both ends.
 //!
-//! A *frame* is one newline-terminated line. The reader enforces a
-//! byte cap (a peer cannot balloon memory with an endless line) and is
+//! A *frame* is one newline-terminated line. The reactor, the one
+//! server, pushes bytes through the [`FrameBuffer`] decoder; no server
+//! reads with [`read_frame`] any more. The blocking [`read_frame`] is
+//! the [`Client`](crate::client::Client)'s reader. It enforces a byte
+//! cap (a peer cannot balloon memory with an endless line) and is
 //! generic over [`BufRead`], so property tests can drive it with
 //! in-memory byte slices — including torn frames: EOF mid-payload
 //! yields the partial line, whose JSON parse then fails *cleanly* at
@@ -10,10 +13,9 @@
 //!
 //! Sockets are expected to carry a read timeout; every blocking wakeup
 //! (`WouldBlock`/`TimedOut`) is routed through a caller-supplied
-//! [`WaitPolicy`] so each consumer bounds its own patience: the server
-//! waits until its shutdown flag flips, clients and the fleet
-//! coordinator spend a finite retry budget and then surface a
-//! structured timeout instead of blocking a thread forever.
+//! [`WaitPolicy`] so the reader bounds its patience: the client spends
+//! a finite [`RetryBudget`] and then surfaces a structured timeout
+//! instead of blocking a thread forever.
 
 use std::io::{self, BufRead, Write};
 use std::time::Duration;
