@@ -8,10 +8,9 @@
 //! cargo run --release -p reds-bench --bin fig10 -- [--reps 10] [--n 400]
 //! ```
 
-use reds_bench::{function_names, Args};
+use reds_bench::{function_names, resolve_function, Args};
 use reds_eval::stats::wilcoxon_signed_rank;
 use reds_eval::{run_experiment, Design, ExperimentSpec, MethodOpts};
-use reds_functions::by_name;
 
 fn main() {
     let args = Args::parse();
@@ -36,7 +35,7 @@ fn main() {
     let mut rbicxp_w = Vec::new();
     let mut bic_w = Vec::new();
     for fname in &functions {
-        let f = by_name(fname).unwrap_or_else(|| panic!("unknown function {fname}"));
+        let f = resolve_function(fname);
         let mut spec = ExperimentSpec::new(f, n, &methods);
         spec.design = Design::MixedEven;
         spec.reps = reps;

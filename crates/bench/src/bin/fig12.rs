@@ -13,7 +13,7 @@
 //!     [--l 50000] [--test 20000]
 //! ```
 
-use reds_bench::{cli_fail, Args};
+use reds_bench::Args;
 use reds_eval::savings::{mean_savings, savings_profile};
 use reds_eval::{run_experiment, ExperimentSpec, MethodOpts};
 use reds_functions::by_name;
@@ -23,28 +23,12 @@ const USAGE: &str = "usage: fig12 [--reps N] [--ns N,N,...] [--ls L,L,...] [--l 
 /// The `--key value` options `USAGE` lists; fig12 takes no bare flag.
 const OPTIONS: [&str; 5] = ["reps", "ns", "ls", "l", "test"];
 
-/// The comma-separated integers of `--key`, `default` when it is absent;
-/// a malformed list exits with status 2 and the usage.
-fn parse_list(args: &Args, key: &str, default: &str) -> Vec<usize> {
-    let raw = args.get_str(key, default);
-    raw.split(',')
-        .map(|v| {
-            v.trim().parse().unwrap_or_else(|_| {
-                cli_fail(
-                    format!("--{key} expects comma-separated integers, got '{raw}'"),
-                    USAGE,
-                )
-            })
-        })
-        .collect()
-}
-
 fn main() {
     let args = Args::parse();
     args.accept_only(&OPTIONS, &[], USAGE);
     let reps = args.get_usize("reps", 10);
-    let ns = parse_list(&args, "ns", "200,400,800,1600,3200");
-    let ls = parse_list(&args, "ls", "400,800,1600,3200,6400,25000");
+    let ns = args.get_usize_list("ns", &[200, 400, 800, 1_600, 3_200], USAGE);
+    let ls = args.get_usize_list("ls", &[400, 800, 1_600, 3_200, 6_400, 25_000], USAGE);
     let l_default = args.get_usize("l", 50_000);
     let test_size = args.get_usize("test", 20_000);
     let f = by_name("morris").expect("registry");

@@ -11,10 +11,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use reds_bench::{function_names, Args};
+use reds_bench::{function_names, resolve_function, Args};
 use reds_eval::stats::wilcoxon_signed_rank;
 use reds_eval::{run_experiment, Design, ExperimentSpec, MethodOpts};
-use reds_functions::by_name;
 use reds_sampling::logit_normal;
 
 fn main() {
@@ -33,7 +32,7 @@ fn main() {
         .into_iter()
         .filter(|name| name != "dsgc")
         .filter(|name| {
-            let f = by_name(name).unwrap_or_else(|| panic!("unknown function {name}"));
+            let f = resolve_function(name);
             let mut rng = StdRng::seed_from_u64(0x514);
             let pts = logit_normal(4_000, f.m(), 0.0, 1.0, &mut rng);
             let share: f64 = pts
@@ -59,7 +58,7 @@ fn main() {
     let mut rbicxp_w = Vec::new();
     let mut bic_w = Vec::new();
     for fname in &functions {
-        let f = by_name(fname).unwrap_or_else(|| panic!("unknown function {fname}"));
+        let f = resolve_function(fname);
         let mut spec = ExperimentSpec::new(f, n, &methods);
         spec.design = Design::LogitNormal;
         spec.reps = reps;

@@ -7,19 +7,14 @@
 //!     [--reps 5] [--ns 200,400,800] [--functions ...] [--all]
 //! ```
 
-use reds_bench::{function_names, Args};
+use reds_bench::{function_names, resolve_function, Args};
 use reds_eval::{run_experiment, ExperimentSpec, MethodOpts};
-use reds_functions::by_name;
 
 fn main() {
     let args = Args::parse();
     let reps = args.get_usize("reps", 5);
     let functions = function_names(&args);
-    let ns: Vec<usize> = args
-        .get_str("ns", "200,400,800")
-        .split(',')
-        .map(|s| s.trim().parse().expect("--ns expects integers"))
-        .collect();
+    let ns = args.get_usize_list("ns", &[200, 400, 800], "");
     let opts = MethodOpts {
         l_prim: args.get_usize("l", 20_000),
         l_bi: args.get_usize("l-bi", 10_000),
@@ -39,7 +34,7 @@ fn main() {
             let mut totals = vec![0.0; methods.len()];
             let mut count = 0.0;
             for fname in &functions {
-                let f = by_name(fname).unwrap_or_else(|| panic!("unknown function {fname}"));
+                let f = resolve_function(fname);
                 let mut spec = ExperimentSpec::new(f, *n, methods);
                 spec.reps = reps;
                 spec.test_size = 4_000; // scoring size does not affect runtime of methods

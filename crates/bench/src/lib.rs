@@ -129,6 +129,25 @@ impl Args {
             .unwrap_or(default)
     }
 
+    /// Comma-separated integers of `--key`, `default` when it is
+    /// absent; a malformed list exits with a message, `usage` and
+    /// status 2 (no panic backtrace). Never empty.
+    pub fn get_usize_list(&self, key: &str, default: &[usize], usage: &str) -> Vec<usize> {
+        let Some(raw) = self.values.get(key) else {
+            return default.to_vec();
+        };
+        raw.split(',')
+            .map(|v| {
+                v.trim().parse().unwrap_or_else(|_| {
+                    cli_fail(
+                        format!("--{key} expects comma-separated integers, got '{raw}'"),
+                        usage,
+                    )
+                })
+            })
+            .collect()
+    }
+
     /// String option with default.
     pub fn get_str(&self, key: &str, default: &str) -> String {
         self.values
@@ -159,7 +178,9 @@ pub const DEFAULT_FUNCTIONS: [&str; 10] = [
     "willetal06",
 ];
 
-/// Resolves the function list from `--functions a,b,c` / `--all`.
+/// Resolves the function list from `--functions a,b,c` / `--all`,
+/// refusing an unknown name before any work, as [`resolve_function`]
+/// does.
 pub fn function_names(args: &Args) -> Vec<String> {
     if args.has_flag("all") {
         return reds_functions::FUNCTION_NAMES
@@ -169,8 +190,9 @@ pub fn function_names(args: &Args) -> Vec<String> {
     }
     let raw = args.get_str("functions", &DEFAULT_FUNCTIONS.join(","));
     raw.split(',')
-        .map(|s| s.trim().to_string())
+        .map(str::trim)
         .filter(|s| !s.is_empty())
+        .map(|name| resolve_function(name).name().to_string())
         .collect()
 }
 

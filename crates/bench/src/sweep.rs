@@ -108,21 +108,7 @@ impl Sweep {
     fn build(kind: TableKind, args: &Args, family: &[&str]) -> Self {
         let reps = args.get_usize("reps", 10);
         let functions = function_names(args);
-        let raw_ns = args.get_str("ns", "200,400,800");
-        let ns: Vec<usize> = raw_ns
-            .split(',')
-            .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| {
-                    cli_fail(
-                        format!("--ns expects comma-separated integers, got '{raw_ns}'"),
-                        SWEEP_USAGE,
-                    )
-                })
-            })
-            .collect();
-        if ns.is_empty() {
-            cli_fail("--ns needs at least one training size", SWEEP_USAGE);
-        }
+        let ns = args.get_usize_list("ns", &[200, 400, 800], SWEEP_USAGE);
         let opts = MethodOpts {
             l_prim: args.get_usize("l", 20_000),
             l_bi: args.get_usize("l-bi", 10_000),

@@ -150,6 +150,27 @@ fn sweep_and_figure_bins_refuse_flags_they_do_not_take() {
 }
 
 #[test]
+fn figure_bins_refuse_malformed_lists_and_unknown_functions_before_any_work() {
+    let cases: [(&str, &[&str], &str); 4] = [
+        (env!("CARGO_BIN_EXE_fig9"), &["--ns", "2x"], "--ns"),
+        (env!("CARGO_BIN_EXE_fig9"), &["--functions", "nope"], "nope"),
+        (
+            env!("CARGO_BIN_EXE_fig10"),
+            &["--functions", "nope"],
+            "nope",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig14"),
+            &["--functions", "nope"],
+            "nope",
+        ),
+    ];
+    for (bin, args, named) in cases {
+        assert_usage_error(&run(bin, args), named, &format!("{bin} {}", args.join(" ")));
+    }
+}
+
+#[test]
 fn fig12_rejects_malformed_lists() {
     let out = run(env!("CARGO_BIN_EXE_fig12"), &["--ns", "2x0,400"]);
     assert_usage_error(

@@ -3,8 +3,8 @@
 //!
 //! Frames ride the serving layer's reactor and client, and its
 //! response envelope (`{"id":…,"ok":…,"result"/"error":…}`, built by
-//! `reds_serve::protocol::{ok_response, error_response}`); this module
-//! holds only the fleet's command set and its error-code tokens:
+//! the reactor's front, which also reads the id); this module holds
+//! only the fleet's command set and its error-code tokens:
 //!
 //! * `fleet_hello` — handshake: protocol version and sweep fingerprint
 //!   must match, and the worker reports its active lease (if any) so a
@@ -83,6 +83,17 @@ impl FleetErrorCode {
     }
 }
 
+/// The wire token, so a [`Refusal`] is a `reds_serve` wire error.
+impl AsRef<str> for FleetErrorCode {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+/// A refused fleet request: its code and why. The serving front answers
+/// it in the error envelope, with the request's id.
+pub type Refusal = (FleetErrorCode, String);
+
 /// A parsed coordinator → worker request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetRequest {
@@ -135,17 +146,6 @@ pub enum FleetRequest {
 }
 
 impl FleetRequest {
-    /// The request's id.
-    pub fn id(&self) -> u64 {
-        match self {
-            Self::Hello { id, .. }
-            | Self::Grant { id, .. }
-            | Self::Poll { id, .. }
-            | Self::Abort { id, .. }
-            | Self::Shutdown { id } => *id,
-        }
-    }
-
     /// Wire form of the request.
     pub fn to_json(&self) -> Json {
         match self {
@@ -193,32 +193,25 @@ impl FleetRequest {
         }
     }
 
-    /// Parses a request frame. On failure returns the best-effort id
-    /// (0 when even that is unreadable) plus code and message, ready
-    /// for `reds_serve::protocol::error_response`.
-    pub fn from_json(doc: &Json) -> Result<Self, (u64, FleetErrorCode, String)> {
+    /// Parses a request frame; a failure is the refusal to answer it
+    /// with.
+    pub fn from_json(doc: &Json) -> Result<Self, Refusal> {
         let id = doc.get("id").and_then(small_uint).unwrap_or(0);
-        let fail = |code, msg: String| Err((id, code, msg));
+        let bad = |msg: String| (FleetErrorCode::BadRequest, msg);
         let Some(cmd) = doc.get("cmd").and_then(Json::as_str) else {
-            return fail(FleetErrorCode::Parse, "missing 'cmd'".to_string());
+            return Err((FleetErrorCode::Parse, "missing 'cmd'".to_string()));
         };
-        let uint = |key: &str| -> Result<u64, (u64, FleetErrorCode, String)> {
-            doc.get(key).and_then(small_uint).ok_or((
-                id,
-                FleetErrorCode::BadRequest,
-                format!("missing '{key}'"),
-            ))
+        let uint = |key: &str| -> Result<u64, Refusal> {
+            doc.get(key)
+                .and_then(small_uint)
+                .ok_or_else(|| bad(format!("missing '{key}'")))
         };
         match cmd {
             "fleet_hello" => {
                 let fingerprint = doc
                     .get("fingerprint")
                     .and_then(Json::as_str)
-                    .ok_or((
-                        id,
-                        FleetErrorCode::BadRequest,
-                        "missing 'fingerprint'".to_string(),
-                    ))?
+                    .ok_or_else(|| bad("missing 'fingerprint'".to_string()))?
                     .to_string();
                 Ok(Self::Hello {
                     id,
@@ -230,23 +223,18 @@ impl FleetRequest {
                 let spec = doc
                     .get("spec")
                     .and_then(Json::as_str)
-                    .ok_or((id, FleetErrorCode::BadRequest, "missing 'spec'".to_string()))?
+                    .ok_or_else(|| bad("missing 'spec'".to_string()))?
                     .to_string();
-                let raw_units = doc.get("units").and_then(Json::as_array).ok_or((
-                    id,
-                    FleetErrorCode::BadRequest,
-                    "missing 'units'".to_string(),
-                ))?;
+                let raw_units = doc
+                    .get("units")
+                    .and_then(Json::as_array)
+                    .ok_or_else(|| bad("missing 'units'".to_string()))?;
                 let mut units = Vec::with_capacity(raw_units.len());
                 for u in raw_units {
-                    units.push(
-                        unit_from_json(u).map_err(|e| {
-                            (id, FleetErrorCode::BadRequest, format!("bad unit: {e}"))
-                        })?,
-                    );
+                    units.push(unit_from_json(u).map_err(|e| bad(format!("bad unit: {e}")))?);
                 }
                 if units.is_empty() {
-                    return fail(FleetErrorCode::BadRequest, "empty lease".to_string());
+                    return Err(bad("empty lease".to_string()));
                 }
                 Ok(Self::Grant {
                     id,
@@ -267,7 +255,7 @@ impl FleetRequest {
                 lease: uint("lease")?,
             }),
             "fleet_shutdown" => Ok(Self::Shutdown { id }),
-            other => fail(FleetErrorCode::Parse, format!("unknown command '{other}'")),
+            other => Err((FleetErrorCode::Parse, format!("unknown command '{other}'"))),
         }
     }
 }
@@ -445,20 +433,18 @@ mod tests {
     }
 
     #[test]
-    fn bad_requests_carry_the_id_and_a_code() {
-        let (id, code, _) = FleetRequest::from_json(
+    fn bad_requests_are_refused_with_a_code() {
+        // The reply's id is the front's; the worker's tests check it.
+        let (code, _) = FleetRequest::from_json(
             &reds_json::from_str("{\"id\":9,\"cmd\":\"fleet_poll\"}").unwrap(),
         )
         .unwrap_err();
-        assert_eq!(id, 9);
         assert_eq!(code, FleetErrorCode::BadRequest);
-        let (id, code, _) =
-            FleetRequest::from_json(&reds_json::from_str("{\"cmd\":\"zap\"}").unwrap())
-                .unwrap_err();
-        assert_eq!(id, 0);
+        let (code, _) = FleetRequest::from_json(&reds_json::from_str("{\"cmd\":\"zap\"}").unwrap())
+            .unwrap_err();
         assert_eq!(code, FleetErrorCode::Parse);
         // An empty lease is rejected before reaching the worker state.
-        let (_, code, msg) = FleetRequest::from_json(
+        let (code, msg) = FleetRequest::from_json(
             &reds_json::from_str(
                 "{\"id\":1,\"cmd\":\"fleet_grant\",\"lease\":1,\"attempt\":1,\
                  \"spec\":\"x\",\"units\":[],\"deadline_ms\":5}",

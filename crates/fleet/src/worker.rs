@@ -1,6 +1,11 @@
 //! The fleet worker: a [`FrameHandler`] that executes leased
 //! [`WorkUnit`]s, served by the `reds_serve` reactor.
 //!
+//! The handler keeps only the fleet protocol's decode and dispatch: the
+//! reactor's front parses each line, reads its id, builds the envelope
+//! and turns a panic into an `internal` error carrying the request's
+//! id, as it does for the serving handlers.
+//!
 //! A worker holds at most one lease at a time. `fleet_grant` starts a
 //! background execution thread that runs the lease's units **in
 //! order**, appending one [`UnitRecord`] per finished unit to an
@@ -10,6 +15,9 @@
 //! never double-ingest. Results are bit-identical to in-process
 //! execution because every unit carries its own stable seeds — the
 //! worker adds provenance (the lease's attempt number), never payload.
+//! [`WorkerHandle::shutdown`] and [`WorkerHandle::join`] cancel the
+//! held lease and join every execution thread, so no unit runs once
+//! they return.
 //!
 //! For the fault suite, [`WorkerConfig::die_after_units`] makes the
 //! worker deterministically "crash" at a unit boundary: the Nth
@@ -22,15 +30,16 @@ use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 use reds_eval::checkpoint::unit_key;
 use reds_eval::{Evaluation, UnitRecord, WorkUnit};
 use reds_json::Json;
-use reds_serve::protocol::{error_response, ok_response};
 use reds_serve::{serve_handler, ConnGauges, FrameHandler, ServeLimits, ServerHandle};
 
 use crate::protocol::{
-    FleetErrorCode, FleetRequest, HelloReply, PollReply, MAX_FLEET_FRAME_BYTES, PROTO_VERSION,
+    FleetErrorCode, FleetRequest, HelloReply, PollReply, Refusal, MAX_FLEET_FRAME_BYTES,
+    PROTO_VERSION,
 };
 
 /// Executes one work unit. The fleet crate is deliberately ignorant
@@ -63,8 +72,8 @@ struct LeaseRun {
     n_units: usize,
     /// Completed records, in unit order; `fleet_poll` serves suffixes.
     records: Arc<Mutex<Vec<UnitRecord>>>,
-    /// Set when the lease is aborted; the execution thread stops
-    /// appending at the next unit boundary.
+    /// Set when the lease is aborted or the worker stops; the execution
+    /// thread stops at the next unit boundary.
     cancelled: Arc<AtomicBool>,
 }
 
@@ -82,6 +91,8 @@ struct WorkerState {
     lease: Option<LeaseRun>,
     /// Every lease aborted here; none of them is granted again.
     aborted: HashSet<u64>,
+    /// Execution threads that may still be running a unit.
+    threads: Vec<JoinHandle<()>>,
 }
 
 /// The deterministic crash the execution thread trips.
@@ -91,9 +102,6 @@ struct DeathSwitch {
     /// `usize::MAX` means never.
     die_countdown: AtomicUsize,
 }
-
-/// A refused request: its code and why.
-type Refusal = (FleetErrorCode, String);
 
 /// Worker ids are unique within a process: its pid and a serial.
 static NEXT_WORKER: AtomicUsize = AtomicUsize::new(0);
@@ -118,51 +126,18 @@ struct Shared<E> {
 /// it would restart a lease the coordinator gave up, so the worker
 /// remembers every lease it aborted and refuses to grant it again.
 impl<E: UnitExecutor> FrameHandler for Shared<E> {
-    fn handle_frame(&self, line: &str) -> (Json, bool) {
-        let request = reds_json::from_str(line)
-            .map_err(|e| (0, FleetErrorCode::Parse, e.to_string()))
-            .and_then(|doc| FleetRequest::from_json(&doc));
-        let (id, shutdown, outcome) = match request {
-            Ok(request) => (
-                request.id(),
-                matches!(request, FleetRequest::Shutdown { .. }),
-                self.handle(request),
-            ),
-            Err((id, code, message)) => (id, false, Err((code, message))),
-        };
-        let reply = match outcome {
-            Ok(result) => ok_response(id, result),
-            Err((code, message)) => error_response(id, &(code.as_str(), message.as_str())),
-        };
-        (reply, shutdown)
+    type Request = FleetRequest;
+    type Error = Refusal;
+
+    fn decode(&self, doc: &Json) -> Result<FleetRequest, Refusal> {
+        FleetRequest::from_json(doc)
     }
 
-    fn aborted(&self) -> bool {
-        self.switch.died.load(Ordering::SeqCst)
-    }
-}
-
-impl<E: UnitExecutor> Shared<E> {
-    fn new(executor: E, config: &WorkerConfig) -> Self {
-        Self {
-            executor: Arc::new(executor),
-            worker_id: format!(
-                "w-{}-{}",
-                std::process::id(),
-                NEXT_WORKER.fetch_add(1, Ordering::Relaxed)
-            ),
-            state: Mutex::new(WorkerState {
-                lease: None,
-                aborted: HashSet::new(),
-            }),
-            switch: Arc::new(DeathSwitch {
-                died: AtomicBool::new(false),
-                die_countdown: AtomicUsize::new(config.die_after_units.unwrap_or(usize::MAX)),
-            }),
-        }
+    fn stops(&self, request: &FleetRequest) -> bool {
+        matches!(request, FleetRequest::Shutdown { .. })
     }
 
-    fn handle(&self, request: FleetRequest) -> Result<Json, Refusal> {
+    fn dispatch(&self, request: FleetRequest) -> Result<Json, Refusal> {
         match request {
             FleetRequest::Hello {
                 fingerprint, proto, ..
@@ -228,7 +203,8 @@ impl<E: UnitExecutor> Shared<E> {
                     }
                 }
                 let accepted = units.len();
-                state.lease = Some(self.start_lease(lease, attempt, spec, units));
+                let run = self.start_lease(&mut state, lease, attempt, spec, units);
+                state.lease = Some(run);
                 Ok(granted(accepted))
             }
             FleetRequest::Poll { lease, cursor, .. } => {
@@ -267,8 +243,37 @@ impl<E: UnitExecutor> Shared<E> {
         }
     }
 
+    fn aborted(&self) -> bool {
+        self.switch.died.load(Ordering::SeqCst)
+    }
+}
+
+impl<E: UnitExecutor> Shared<E> {
+    fn new(executor: E, config: &WorkerConfig) -> Self {
+        Self {
+            executor: Arc::new(executor),
+            worker_id: format!(
+                "w-{}-{}",
+                std::process::id(),
+                NEXT_WORKER.fetch_add(1, Ordering::Relaxed)
+            ),
+            state: Mutex::new(WorkerState {
+                lease: None,
+                aborted: HashSet::new(),
+                threads: Vec::new(),
+            }),
+            switch: Arc::new(DeathSwitch {
+                died: AtomicBool::new(false),
+                die_countdown: AtomicUsize::new(config.die_after_units.unwrap_or(usize::MAX)),
+            }),
+        }
+    }
+
+    /// Starts `units` on an execution thread of their own, whose handle
+    /// `state` keeps until [`Shared::stop_leases`] joins it.
     fn start_lease(
         &self,
+        state: &mut WorkerState,
         lease: u64,
         attempt: u32,
         spec: String,
@@ -286,7 +291,10 @@ impl<E: UnitExecutor> Shared<E> {
         let executor = Arc::clone(&self.executor);
         let switch = Arc::clone(&self.switch);
         let worker_id = self.worker_id.clone();
-        std::thread::spawn(move || {
+        // Dropping a finished thread's handle releases it; only a thread
+        // that may still run a unit needs the join.
+        state.threads.retain(|thread| !thread.is_finished());
+        state.threads.push(std::thread::spawn(move || {
             for unit in units {
                 if cancelled.load(Ordering::SeqCst) || switch.died.load(Ordering::SeqCst) {
                     return;
@@ -321,8 +329,25 @@ impl<E: UnitExecutor> Shared<E> {
                     attempt,
                 });
             }
-        });
+        }));
         run
+    }
+
+    /// Cancels the held lease and joins every execution thread. Called
+    /// once the reactor has stopped, so no grant can start another. The
+    /// joins run outside the state lock: nothing that takes the lock may
+    /// wait for a unit to finish.
+    fn stop_leases(&self) {
+        let threads = {
+            let mut state = self.state.lock().expect("state lock");
+            if let Some(run) = &state.lease {
+                run.cancelled.store(true, Ordering::SeqCst);
+            }
+            std::mem::take(&mut state.threads)
+        };
+        for thread in threads {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -343,17 +368,20 @@ impl<E: UnitExecutor> WorkerHandle<E> {
         self.shared.aborted()
     }
 
-    /// Stops the worker, letting in-flight requests finish, and joins
-    /// its threads.
+    /// Stops the worker, letting in-flight requests finish, cancels its
+    /// lease and joins its threads: once this returns, no unit runs.
     pub fn shutdown(self) {
         self.server.shutdown();
+        self.shared.stop_leases();
     }
 
     /// Waits for the worker to stop on its own (a coordinator's
-    /// `fleet_shutdown`, or the death hook); returns `true` when the
-    /// deterministic crash hook is what stopped it.
+    /// `fleet_shutdown`, or the death hook), then cancels its lease and
+    /// joins its threads as [`WorkerHandle::shutdown`] does; returns
+    /// `true` when the deterministic crash hook is what stopped it.
     pub fn join(self) -> bool {
         self.server.join();
+        self.shared.stop_leases();
         self.shared.aborted()
     }
 }
@@ -373,7 +401,7 @@ pub fn serve_worker<E: UnitExecutor>(
         ..ServeLimits::default()
     };
     let gauges = Arc::new(ConnGauges::default());
-    let server = serve_handler(Arc::clone(&shared) as _, addr, limits, gauges)?;
+    let server = serve_handler(Arc::clone(&shared), addr, limits, gauges)?;
     Ok(WorkerHandle { server, shared })
 }
 
@@ -501,6 +529,79 @@ mod tests {
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(reply.get("id").and_then(Json::as_f64), Some(1.0));
         worker.shutdown();
+    }
+
+    #[test]
+    fn worker_replies_go_through_the_front() {
+        let worker = Shared::new(Stub, &WorkerConfig::default());
+        let (reply, stop) = worker.handle_frame(r#"{"id":9,"cmd":"fleet_poll"}"#);
+        assert_eq!(
+            reply.to_string_compact(),
+            r#"{"id":9,"ok":false,"error":{"code":"bad_request","message":"missing 'lease'"}}"#
+        );
+        assert!(!stop);
+        let (reply, stop) = worker.handle_frame(HELLO);
+        assert_eq!(reply.get("id").and_then(Json::as_f64), Some(1.0));
+        assert!(!stop, "only a shutdown stops the worker");
+        // An id above u32::MAX is answered with 0, as by every handler.
+        let (reply, stop) = worker.handle_frame(r#"{"id":4294967296,"cmd":"fleet_shutdown"}"#);
+        assert_eq!(
+            reply.to_string_compact(),
+            r#"{"id":0,"ok":true,"result":{"shutdown":true}}"#
+        );
+        assert!(stop);
+    }
+
+    /// [`Stub`], one unit at a time, counting the units it executed.
+    struct Slow(Arc<AtomicUsize>);
+
+    impl UnitExecutor for Slow {
+        fn fingerprint(&self) -> String {
+            Stub.fingerprint()
+        }
+
+        fn execute(&self, spec: &str, unit: &WorkUnit) -> Result<Evaluation, String> {
+            std::thread::sleep(Duration::from_millis(20));
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Stub.execute(spec, unit)
+        }
+    }
+
+    #[test]
+    fn no_unit_runs_once_shutdown_returns() {
+        let executed = Arc::new(AtomicUsize::new(0));
+        let worker = serve_worker(
+            Slow(Arc::clone(&executed)),
+            "127.0.0.1:0",
+            WorkerConfig::default(),
+        )
+        .expect("bind");
+        let grant = FleetRequest::Grant {
+            id: 1,
+            lease: 1,
+            attempt: 1,
+            spec: "stub".to_string(),
+            units: (0..100).map(unit).collect(),
+            deadline_ms: 1_000,
+        };
+        let reply = connect(worker.addr())
+            .send_raw_line(&grant.to_json().to_string_compact())
+            .expect("granted");
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while executed.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "no unit ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        worker.shutdown();
+        let at_shutdown = executed.load(Ordering::SeqCst);
+        assert!(at_shutdown < 100, "the lease ran to its end");
+        std::thread::sleep(Duration::from_millis(200));
+        assert_eq!(
+            executed.load(Ordering::SeqCst),
+            at_shutdown,
+            "a unit ran after shutdown returned"
+        );
     }
 
     #[test]

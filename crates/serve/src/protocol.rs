@@ -614,9 +614,10 @@ fn decode_bnd(doc: &Json) -> Result<f64, ServeError> {
 }
 
 /// Decodes a small non-negative integer (`0..=u32::MAX`) from a JSON
-/// number — the shared predicate behind request ids and count fields,
-/// including the server's best-effort id extraction for error frames
-/// (one definition keeps error correlation consistent with parsing).
+/// number — the shared predicate behind request ids and count fields:
+/// the front reads every served frame's id with it, and the client
+/// every reply's (one definition keeps error correlation consistent
+/// with parsing).
 pub fn small_uint(v: &Json) -> Option<u64> {
     v.as_f64()
         .filter(|x| *x >= 0.0 && x.fract() == 0.0 && *x <= u32::MAX as f64)
@@ -635,7 +636,7 @@ pub fn ok_response(id: u64, result: Json) -> Json {
 /// What an [`error_response`] carries: a wire code token and a
 /// message. A [`ServeError`] is one; a protocol with codes of its own
 /// served over the same envelope (the fleet's `unknown_lease`, say)
-/// passes a `(token, message)` pair.
+/// passes a `(code, message)` pair whose code reads as its token.
 pub trait WireError {
     /// The `error.code` token.
     fn code(&self) -> &str;
@@ -653,13 +654,13 @@ impl WireError for ServeError {
     }
 }
 
-impl WireError for (&str, &str) {
+impl<C: AsRef<str>, M: AsRef<str>> WireError for (C, M) {
     fn code(&self) -> &str {
-        self.0
+        self.0.as_ref()
     }
 
     fn message(&self) -> &str {
-        self.1
+        self.1.as_ref()
     }
 }
 

@@ -2,7 +2,11 @@
 //!
 //! It serves three [`FrameHandler`]s: the model [`Service`], the shard
 //! [`Router`], and the fleet worker (`reds_fleet::worker`), whose
-//! protocol rides the same envelope.
+//! protocol rides the same envelope. Every frame passes through one
+//! front, [`FrameHandler::handle_frame`]: it parses the line, reads the
+//! id, builds the `ok`/error envelope, turns a panic into `internal`
+//! carrying the request's id, and reports a shutdown. A handler keeps
+//! only its decode and its dispatch.
 //!
 //! [`Service`]: crate::server::Service
 //! [`Router`]: crate::router::Router
@@ -26,8 +30,8 @@
 //!   the over-long line is drained (bounded) so the error survives the
 //!   peer's send buffer, and the connection closes;
 //! * empty lines are skipped, torn trailing lines at EOF are served,
-//!   and a handler panic is a structured `internal` error, never a
-//!   dead server.
+//!   and a handler panic is a structured `internal` error (the front's),
+//!   never a dead server.
 //!
 //! What scales differently: idle connections cost a registry entry
 //! instead of a parked thread, and per-connection pipelining is capped
@@ -46,13 +50,16 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use reds_json::Json;
 
-use crate::protocol::{error_response, ServeError, ServeLimits};
+use crate::protocol::{
+    error_response, ok_response, small_uint, ServeError, ServeLimits, WireError,
+};
 use crate::wire::{FrameBuffer, FrameEvent};
 
 use self::sys::Poller;
@@ -73,20 +80,32 @@ const READ_CHUNK: usize = 64 * 1024;
 /// force-closing their connections.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Something that turns one request line into one response frame.
+/// A request protocol served by the reactor: how to decode a frame and
+/// how to serve the decoded request. Everything else about a frame is
+/// the front's, [`FrameHandler::handle_frame`].
 ///
 /// Implemented by [`crate::server::Service`] (a model registry behind
 /// the full command set), [`crate::router::Router`] (a shard fan-out)
-/// and the fleet worker. The returned flag requests server shutdown
-/// after the response is flushed.
+/// and the fleet worker.
 ///
 /// Frames of one connection may run on several executors at once, so a
 /// frame can be handled after the one that followed it on the wire;
 /// replies still go out in request order.
 pub trait FrameHandler: Send + Sync + 'static {
-    /// Serves one request line; returns the response document and
-    /// whether the server should shut down once it is delivered.
-    fn handle_frame(&self, line: &str) -> (Json, bool);
+    /// A decoded request.
+    type Request;
+    /// A refusal, answered in the error envelope.
+    type Error: WireError;
+
+    /// Decodes one parsed frame.
+    fn decode(&self, doc: &Json) -> Result<Self::Request, Self::Error>;
+
+    /// `true` when `request` asks the server to stop once it is
+    /// answered.
+    fn stops(&self, request: &Self::Request) -> bool;
+
+    /// Serves one decoded request: the reply's `result`, or a refusal.
+    fn dispatch(&self, request: Self::Request) -> Result<Json, Self::Error>;
 
     /// `true` once the server must die as a killed process would: from
     /// then on no reply is written, and within one poll tick the
@@ -94,6 +113,40 @@ pub trait FrameHandler: Send + Sync + 'static {
     /// worker's crash hook uses it; serving handlers never abort.
     fn aborted(&self) -> bool {
         false
+    }
+
+    /// The front: the one path from a request line to its reply, for
+    /// every handler and every frame the reactor serves. Returns the
+    /// reply and whether the server should stop once it is delivered.
+    ///
+    /// A line that is not JSON is answered `parse` with id 0. Otherwise
+    /// the id is read once, by [`small_uint`] (0 when absent or not an
+    /// integer in `0..=u32::MAX`), and every reply to the frame carries
+    /// it: the result, a decode or dispatch refusal, and the `internal`
+    /// error a panic anywhere in the frame becomes. Only a shutdown
+    /// request that was answered `ok` stops the server. Handlers do not
+    /// override this.
+    fn handle_frame(&self, line: &str) -> (Json, bool) {
+        let mut id = 0;
+        let reply = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let doc = match reds_json::from_str(line) {
+                Ok(doc) => doc,
+                Err(e) => return (error_response(0, &ServeError::parse(e.to_string())), false),
+            };
+            id = doc.get("id").and_then(small_uint).unwrap_or(0);
+            let served = self.decode(&doc).and_then(|request| {
+                let stop = self.stops(&request);
+                self.dispatch(request).map(|result| (result, stop))
+            });
+            match served {
+                Ok((result, stop)) => (ok_response(id, result), stop),
+                Err(e) => (error_response(id, &e), false),
+            }
+        }));
+        reply.unwrap_or_else(|_| {
+            let err = ServeError::internal("request handler panicked; see server log");
+            (error_response(id, &err), false)
+        })
     }
 }
 
@@ -286,13 +339,13 @@ const WAKE_TOKEN: u64 = 0;
 const LISTENER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-struct Reactor {
+struct Reactor<H> {
     poller: Poller,
     listener: Option<TcpListener>,
     wake_rx: UnixStream,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    handler: Arc<dyn FrameHandler>,
+    handler: Arc<H>,
     handler_work: Arc<WorkQueue>,
     replies: Arc<ReplyBus>,
     limits: ServeLimits,
@@ -303,7 +356,7 @@ struct Reactor {
     scratch: Vec<u8>,
 }
 
-impl Reactor {
+impl<H: FrameHandler> Reactor<H> {
     fn run(&mut self) -> io::Result<()> {
         let mut events = Vec::new();
         loop {
@@ -639,9 +692,9 @@ pub(crate) struct ReactorParts {
 
 /// Spawns the reactor thread and its executor pool over an
 /// already-bound listener.
-pub(crate) fn spawn_reactor(
+pub(crate) fn spawn_reactor<H: FrameHandler>(
     listener: TcpListener,
-    handler: Arc<dyn FrameHandler>,
+    handler: Arc<H>,
     limits: ServeLimits,
     gauges: Arc<ConnGauges>,
     stop: Arc<AtomicBool>,
@@ -709,18 +762,15 @@ pub(crate) fn spawn_reactor(
     Ok(ReactorParts { thread, waker })
 }
 
-fn executor_loop(work: &WorkQueue, handler: &dyn FrameHandler, replies: &ReplyBus, waker: &Waker) {
+fn executor_loop<H: FrameHandler>(
+    work: &WorkQueue,
+    handler: &H,
+    replies: &ReplyBus,
+    waker: &Waker,
+) {
     while let Some(item) = work.pop() {
-        let text = String::from_utf8_lossy(&item.line);
-        // Handlers already convert their own panics into structured
-        // errors with the right request id; this outer net only exists
-        // so a panic between those nets cannot kill an executor.
-        let (response, shutdown) =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler.handle_frame(&text)))
-                .unwrap_or_else(|_| {
-                    let err = ServeError::internal("request handler panicked; see server log");
-                    (error_response(0, &err), false)
-                });
+        // The front turns every panic of the frame into a reply.
+        let (response, shutdown) = handler.handle_frame(&String::from_utf8_lossy(&item.line));
         replies.push(Reply {
             token: item.token,
             seq: item.seq,
@@ -1021,5 +1071,125 @@ mod sys {
             }
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::server::serve_handler;
+
+    /// Decodes a frame to its `cmd`; `stop…` commands stop the server,
+    /// and dispatch answers `echo` and `stop`, panics on `panic` and
+    /// refuses everything else.
+    struct Stub;
+
+    impl FrameHandler for Stub {
+        type Request = String;
+        type Error = ServeError;
+
+        fn decode(&self, doc: &Json) -> Result<String, ServeError> {
+            doc.get("cmd")
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| ServeError::parse("missing 'cmd'"))
+        }
+
+        fn stops(&self, cmd: &String) -> bool {
+            cmd.starts_with("stop")
+        }
+
+        fn dispatch(&self, cmd: String) -> Result<Json, ServeError> {
+            match cmd.as_str() {
+                "echo" | "stop" => Ok(Json::str(cmd)),
+                "panic" => panic!("the stub handler panics on purpose"),
+                _ => Err(ServeError::bad_request(format!("refused '{cmd}'"))),
+            }
+        }
+    }
+
+    #[test]
+    fn the_front_answers_every_frame_with_its_id_and_stops_only_on_an_answered_shutdown() {
+        // (frame, reply id, error code or None for ok, stops)
+        let cases: [(&str, u64, Option<&str>, bool); 12] = [
+            ("not json", 0, Some("parse"), false),
+            (r#"{"id":7,"cmd":"echo"}"#, 7, None, false),
+            // Decode and dispatch refusals keep the request's id.
+            (r#"{"id":8}"#, 8, Some("parse"), false),
+            (r#"{"id":9,"cmd":"nope"}"#, 9, Some("bad_request"), false),
+            // A panic anywhere in the frame is `internal` with its id.
+            (r#"{"id":10,"cmd":"panic"}"#, 10, Some("internal"), false),
+            // Ids outside 0..=u32::MAX, or not integers, read as 0.
+            (
+                r#"{"id":4294967295,"cmd":"echo"}"#,
+                4_294_967_295,
+                None,
+                false,
+            ),
+            (r#"{"id":4294967296,"cmd":"echo"}"#, 0, None, false),
+            (r#"{"id":-1,"cmd":"echo"}"#, 0, None, false),
+            (r#"{"id":"5","cmd":"echo"}"#, 0, None, false),
+            // Only a shutdown that is answered ok stops the server.
+            (r#"{"id":11,"cmd":"stop"}"#, 11, None, true),
+            (r#"{"id":12.5,"cmd":"stop"}"#, 0, None, true),
+            (
+                r#"{"id":13,"cmd":"stop-refused"}"#,
+                13,
+                Some("bad_request"),
+                false,
+            ),
+        ];
+        for (line, id, code, stops) in cases {
+            let (reply, stop) = Stub.handle_frame(line);
+            assert_eq!(stop, stops, "{line} → {reply}");
+            let expected = match code {
+                None => ok_response(id, reply.get("result").cloned().expect("result")),
+                Some(code) => {
+                    let message = reply
+                        .get("error")
+                        .and_then(|e| e.get("message"))
+                        .and_then(Json::as_str)
+                        .expect("message");
+                    error_response(id, &(code, message))
+                }
+            };
+            assert_eq!(reply, expected, "{line}");
+        }
+        let (reply, _) = Stub.handle_frame(r#"{"id":7,"cmd":"echo"}"#);
+        assert_eq!(
+            reply.to_string_compact(),
+            r#"{"id":7,"ok":true,"result":"echo"}"#
+        );
+    }
+
+    #[test]
+    fn a_connection_serves_its_next_frame_after_a_handler_panic() {
+        let limits = ServeLimits::default();
+        let server = serve_handler(
+            Arc::new(Stub),
+            "127.0.0.1:0",
+            limits,
+            Arc::new(ConnGauges::default()),
+        )
+        .expect("binds");
+        let mut client = Client::connect(server.addr()).expect("connects");
+        client
+            .set_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let reply = client
+            .send_raw_line(r#"{"id":3,"cmd":"panic"}"#)
+            .expect("the panic is answered");
+        assert_eq!(reply.get("id").and_then(Json::as_f64), Some(3.0));
+        let code = reply.get("error").and_then(|e| e.get("code"));
+        assert_eq!(code.and_then(Json::as_str), Some("internal"));
+        let reply = client
+            .send_raw_line(r#"{"id":4,"cmd":"echo"}"#)
+            .expect("the same connection serves on");
+        assert_eq!(
+            reply.to_string_compact(),
+            r#"{"id":4,"ok":true,"result":"echo"}"#
+        );
+        server.shutdown();
     }
 }

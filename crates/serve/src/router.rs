@@ -2,9 +2,10 @@
 //! serving processes.
 //!
 //! The router is just another [`FrameHandler`] plugged into the same
-//! reactor connection core as [`Service`](crate::server::Service) — a
-//! client cannot tell a router from a single-process server by the
-//! wire protocol. A logical `predict_batch` is split row-contiguously
+//! reactor connection core as [`Service`](crate::server::Service), with
+//! the same decode and the same front, so a client cannot tell a
+//! router from a single-process server by the wire protocol: the
+//! router keeps only its dispatch. A logical `predict_batch` is split row-contiguously
 //! across the shard workers, answered by each over NDJSON framing, and
 //! reassembled **bit-identically**: the per-row kernels are
 //! row-independent, the split preserves row order, and predictions are
@@ -23,7 +24,7 @@ use std::sync::Mutex;
 use reds_json::Json;
 
 use crate::client::{Client, ClientError};
-use crate::protocol::{error_response, ok_response, ErrorCode, Request, ServeError, ServeLimits};
+use crate::protocol::{ErrorCode, Request, ServeError, ServeLimits};
 use crate::reactor::{poller_backend, FrameHandler};
 use crate::server::validate_points;
 
@@ -238,82 +239,39 @@ impl Router {
             ("shard_info", Json::Arr(infos)),
         ]))
     }
+}
 
-    fn dispatch(&self, request: Request) -> (Json, bool) {
+impl FrameHandler for Router {
+    type Request = Request;
+    type Error = ServeError;
+
+    fn decode(&self, doc: &Json) -> Result<Request, ServeError> {
+        Request::from_json(doc)
+    }
+
+    fn stops(&self, request: &Request) -> bool {
+        matches!(request, Request::Shutdown { .. })
+    }
+
+    fn dispatch(&self, request: Request) -> Result<Json, ServeError> {
         match request {
             Request::PredictBatch {
-                id,
-                points,
-                m,
-                model,
-            } => match self.predict_batch(&points, m, model.as_deref()) {
-                Ok(result) => (ok_response(id, result), false),
-                Err(e) => (error_response(id, &e), false),
-            },
-            Request::Discover {
-                id,
-                ref params,
-                model: _,
-            } => match self.route_whole(params.seed, &request) {
-                Ok(result) => (ok_response(id, result), false),
-                Err(e) => (error_response(id, &e), false),
-            },
-            Request::DiscoverStreaming {
-                id,
-                ref params,
-                model: _,
-            } => match self.route_whole(params.seed.unwrap_or(0), &request) {
-                Ok(result) => (ok_response(id, result), false),
-                Err(e) => (error_response(id, &e), false),
-            },
-            Request::Swap { id, model, path } => match self.swap_all(model.as_deref(), &path) {
-                Ok(result) => (ok_response(id, result), false),
-                Err(e) => (error_response(id, &e), false),
-            },
-            Request::Info { id } => match self.info() {
-                Ok(result) => (ok_response(id, result), false),
-                Err(e) => (error_response(id, &e), false),
-            },
-            Request::Shutdown { id } => {
+                points, m, model, ..
+            } => self.predict_batch(&points, m, model.as_deref()),
+            Request::Discover { ref params, .. } => self.route_whole(params.seed, &request),
+            Request::DiscoverStreaming { ref params, .. } => {
+                self.route_whole(params.seed.unwrap_or(0), &request)
+            }
+            Request::Swap { model, path, .. } => self.swap_all(model.as_deref(), &path),
+            Request::Info { .. } => self.info(),
+            Request::Shutdown { .. } => {
                 if self.propagate_shutdown {
                     for i in 0..self.shards.len() {
                         let _ = self.call_shard(i, &Request::Shutdown { id: 1 });
                     }
                 }
-                (
-                    ok_response(id, Json::obj([("shutdown", Json::Bool(true))])),
-                    true,
-                )
+                Ok(Json::obj([("shutdown", Json::Bool(true))]))
             }
-        }
-    }
-}
-
-impl FrameHandler for Router {
-    fn handle_frame(&self, line: &str) -> (Json, bool) {
-        let doc = match reds_json::from_str(line) {
-            Ok(doc) => doc,
-            Err(e) => return (error_response(0, &ServeError::parse(e.to_string())), false),
-        };
-        let id = doc
-            .get("id")
-            .and_then(crate::protocol::small_uint)
-            .unwrap_or(0);
-        let request = match Request::from_json(&doc) {
-            Ok(r) => r,
-            Err(e) => return (error_response(id, &e), false),
-        };
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.dispatch(request)));
-        match outcome {
-            Ok(reply) => reply,
-            Err(_) => (
-                error_response(
-                    id,
-                    &ServeError::internal("request handler panicked; see server log"),
-                ),
-                false,
-            ),
         }
     }
 }
@@ -367,6 +325,23 @@ mod tests {
         );
         let err = tight.predict_batch(&[0.0; 6], 2, None).unwrap_err();
         assert_eq!(err.code, crate::protocol::ErrorCode::TooLarge);
+    }
+
+    #[test]
+    fn router_replies_go_through_the_front() {
+        // No shard listens: each of these is answered by the router.
+        let r = router(2);
+        let (reply, stop) = r.handle_frame(r#"{"id":7,"cmd":"nope","m":2}"#);
+        let code = reply.get("error").and_then(|e| e.get("code"));
+        assert_eq!(code.and_then(Json::as_str), Some("parse"));
+        assert_eq!(reply.get("id").and_then(Json::as_f64), Some(7.0));
+        assert!(!stop);
+        let (reply, stop) = r.handle_frame(r#"{"id":8,"cmd":"shutdown"}"#);
+        assert_eq!(
+            reply.to_string_compact(),
+            r#"{"id":8,"ok":true,"result":{"shutdown":true}}"#
+        );
+        assert!(stop, "a shutdown stops the router");
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! The serving front: request handling over the readiness reactor.
+//! The model service: request handling over the readiness reactor.
 //!
 //! One [`reactor`](crate::reactor) thread owns every socket; complete
 //! frames are served by a small executor pool against a
 //! [`ModelRegistry`] of independently versioned, hot-swappable models,
-//! each with its own bounded micro-batch queue. Every request is
-//! answered with a structured response — handler panics are caught and
-//! converted to `internal` errors, so a serving process never dies on
-//! a request.
+//! each with its own bounded micro-batch queue. [`Service`] keeps only
+//! the decode and dispatch of the serving protocol; the reactor's front
+//! ([`FrameHandler::handle_frame`]) answers every request with a
+//! structured response and turns a panic into an `internal` error
+//! carrying the request's id, so a serving process never dies on a
+//! request.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -24,8 +25,7 @@ use reds_subgroup::{BestInterval, Prim, SdResult, SubgroupDiscovery};
 
 use crate::artifact::ModelArtifact;
 use crate::protocol::{
-    error_response, ok_response, Algorithm, DiscoverParams, Request, ServeError, ServeLimits,
-    StreamDiscoverParams,
+    Algorithm, DiscoverParams, Request, ServeError, ServeLimits, StreamDiscoverParams,
 };
 use crate::reactor::{poller_backend, spawn_reactor, ConnGauges, FrameHandler, Waker};
 use crate::registry::{ModelEntry, ModelRegistry, SwapOutcome};
@@ -118,8 +118,8 @@ pub struct Service {
 }
 
 /// RAII slot in the discover gate (and the per-model discover gauge);
-/// released even when the discover panics, because `handle_frame`'s
-/// catch-unwind unwinds through it.
+/// released even when the discover panics, because the panic unwinds
+/// through it to the front's catch.
 struct DiscoverSlot<'a> {
     service: &'a Service,
     entry: &'a ModelEntry,
@@ -414,99 +414,53 @@ impl Service {
             ("models", self.registry.info()),
         ])
     }
-
-    /// Handles one raw frame. Returns the response and whether the
-    /// frame asked the server to shut down. Never panics: handler
-    /// panics become `internal` error responses carrying the request's
-    /// id, so pipelining clients keep their response correlation.
-    pub fn handle_frame(&self, line: &str) -> (Json, bool) {
-        let doc = match reds_json::from_str(line) {
-            Ok(doc) => doc,
-            Err(e) => return (error_response(0, &ServeError::parse(e.to_string())), false),
-        };
-        // Pull the id out even when the rest of the request is bad, so
-        // the client can correlate the failure.
-        let id = doc
-            .get("id")
-            .and_then(crate::protocol::small_uint)
-            .unwrap_or(0);
-        let request = match Request::from_json(&doc) {
-            Ok(r) => r,
-            Err(e) => return (error_response(id, &e), false),
-        };
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| self.dispatch(request)));
-        match outcome {
-            Ok(reply) => reply,
-            Err(_) => (
-                error_response(
-                    id,
-                    &ServeError::internal("request handler panicked; see server log"),
-                ),
-                false,
-            ),
-        }
-    }
-
-    fn dispatch(&self, request: Request) -> (Json, bool) {
-        match request {
-            Request::PredictBatch {
-                id,
-                points,
-                m,
-                model,
-            } => match self.predict(points, m, model.as_deref()) {
-                Ok((version, preds)) => (
-                    ok_response(
-                        id,
-                        // Marker-encoded like the request side: a loaded
-                        // model with non-finite leaves must answer the
-                        // same values over the socket as in-process
-                        // (Json::num would collapse them to null).
-                        Json::obj([
-                            (
-                                "predictions",
-                                Json::arr(
-                                    preds.into_iter().map(reds_metamodel::persist::f64_to_json),
-                                ),
-                            ),
-                            // Which registry version answered — the
-                            // client-visible half of the hot-swap
-                            // attribution story.
-                            ("version", Json::num(version as f64)),
-                        ]),
-                    ),
-                    false,
-                ),
-                Err(e) => (error_response(id, &e), false),
-            },
-            Request::Discover { id, params, model } => {
-                match self.discover(&params, model.as_deref()) {
-                    Ok(result) => (ok_response(id, result.to_json()), false),
-                    Err(e) => (error_response(id, &e), false),
-                }
-            }
-            Request::DiscoverStreaming { id, params, model } => {
-                match self.discover_streaming(&params, model.as_deref()) {
-                    Ok(result) => (ok_response(id, result.to_json()), false),
-                    Err(e) => (error_response(id, &e), false),
-                }
-            }
-            Request::Swap { id, model, path } => match self.swap(model.as_deref(), &path) {
-                Ok(outcome) => (ok_response(id, outcome.to_json()), false),
-                Err(e) => (error_response(id, &e), false),
-            },
-            Request::Info { id } => (ok_response(id, self.info()), false),
-            Request::Shutdown { id } => (
-                ok_response(id, Json::obj([("shutdown", Json::Bool(true))])),
-                true,
-            ),
-        }
-    }
 }
 
 impl FrameHandler for Service {
-    fn handle_frame(&self, line: &str) -> (Json, bool) {
-        Service::handle_frame(self, line)
+    type Request = Request;
+    type Error = ServeError;
+
+    fn decode(&self, doc: &Json) -> Result<Request, ServeError> {
+        Request::from_json(doc)
+    }
+
+    fn stops(&self, request: &Request) -> bool {
+        matches!(request, Request::Shutdown { .. })
+    }
+
+    fn dispatch(&self, request: Request) -> Result<Json, ServeError> {
+        match request {
+            Request::PredictBatch {
+                points, m, model, ..
+            } => {
+                let (version, preds) = self.predict(points, m, model.as_deref())?;
+                Ok(Json::obj([
+                    // Marker-encoded like the request side: a loaded
+                    // model with non-finite leaves must answer the same
+                    // values over the socket as in-process (Json::num
+                    // would collapse them to null).
+                    (
+                        "predictions",
+                        Json::arr(preds.into_iter().map(reds_metamodel::persist::f64_to_json)),
+                    ),
+                    // Which registry version answered — the
+                    // client-visible half of the hot-swap attribution
+                    // story.
+                    ("version", Json::num(version as f64)),
+                ]))
+            }
+            Request::Discover { params, model, .. } => self
+                .discover(&params, model.as_deref())
+                .map(|result| result.to_json()),
+            Request::DiscoverStreaming { params, model, .. } => self
+                .discover_streaming(&params, model.as_deref())
+                .map(|result| result.to_json()),
+            Request::Swap { model, path, .. } => self
+                .swap(model.as_deref(), &path)
+                .map(|outcome| outcome.to_json()),
+            Request::Info { .. } => Ok(self.info()),
+            Request::Shutdown { .. } => Ok(Json::obj([("shutdown", Json::Bool(true))])),
+        }
     }
 }
 
@@ -566,8 +520,8 @@ pub fn serve_service(service: Arc<Service>, addr: &str) -> io::Result<ServerHand
 
 /// Starts the reactor over any [`FrameHandler`] — the shard router
 /// reuses the entire connection core this way.
-pub fn serve_handler(
-    handler: Arc<dyn FrameHandler>,
+pub fn serve_handler<H: FrameHandler>(
+    handler: Arc<H>,
     addr: &str,
     limits: ServeLimits,
     gauges: Arc<ConnGauges>,
@@ -1063,6 +1017,29 @@ mod tests {
         assert_eq!(models[0].get("swaps").and_then(Json::as_f64), Some(0.0));
         assert_eq!(service.handle_frame(predict).0.to_string_compact(), before);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn service_replies_go_through_the_front() {
+        let service = tiny_service();
+        for (line, reply) in [
+            (
+                r#"{"id":5,"cmd":"nope"}"#,
+                r#"{"id":5,"ok":false,"error":{"code":"parse","message":"unknown command 'nope' (expected predict_batch, discover, discover_streaming, swap, info, shutdown)"}}"#,
+            ),
+            (
+                r#"{"id":6,"cmd":"predict_batch","m":2,"points":[0.5,null]}"#,
+                r#"{"id":6,"ok":false,"error":{"code":"parse","message":"points[1] must be a number (or \"inf\"/\"-inf\"/\"nan\")"}}"#,
+            ),
+            (
+                r#"{"id":4294967296,"cmd":"info"}"#,
+                r#"{"id":0,"ok":false,"error":{"code":"parse","message":"'id' must be a small non-negative integer"}}"#,
+            ),
+        ] {
+            let (resp, shutdown) = service.handle_frame(line);
+            assert_eq!(resp.to_string_compact(), reply);
+            assert!(!shutdown, "{line}");
+        }
     }
 
     #[test]

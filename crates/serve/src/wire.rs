@@ -11,11 +11,17 @@
 //! yields the partial line, whose JSON parse then fails *cleanly* at
 //! the protocol layer instead of hanging or panicking here.
 //!
+//! An over-long line is rejected on both sides: the pull reader returns
+//! [`Frame::TooLarge`] without reading the line whole (the client reports
+//! a protocol error), and the push decoder reports it once, discards its
+//! tail and resynchronizes at its newline.
+//!
 //! Sockets are expected to carry a read timeout; every blocking wakeup
 //! (`WouldBlock`/`TimedOut`) is routed through a caller-supplied
 //! [`WaitPolicy`] so the reader bounds its patience: the client spends
 //! a finite [`RetryBudget`] and then surfaces a structured timeout
-//! instead of blocking a thread forever.
+//! instead of blocking a thread forever. Tests substitute a policy of
+//! their own.
 
 use std::io::{self, BufRead, Write};
 use std::time::Duration;
@@ -50,12 +56,6 @@ pub enum Wait {
 pub trait WaitPolicy {
     /// Called on every `WouldBlock`/`TimedOut` wakeup of the socket.
     fn on_block(&mut self) -> Wait;
-}
-
-impl<F: FnMut() -> Wait> WaitPolicy for F {
-    fn on_block(&mut self) -> Wait {
-        self()
-    }
 }
 
 /// A [`WaitPolicy`] that retries a bounded number of wakeups and then
@@ -128,9 +128,9 @@ pub fn read_frame<R: BufRead>(
         }
         if let Some(at) = buf.iter().position(|&b| b == b'\n') {
             if line.len() + at > max_bytes {
-                // Leave the newline unconsumed so the caller's
-                // drain_oversized_line stops at it instead of eating
-                // the *next* frame (stream desync).
+                // Consume the over-long content but not its newline, so
+                // a further read starts at the line's end, not inside
+                // the next frame.
                 reader.consume(at);
                 return Ok(Frame::TooLarge);
             }
@@ -172,10 +172,10 @@ pub enum FrameEvent {
 /// frame, CR stripped, a hard byte cap per line — expressed as a state
 /// machine the epoll reactor can feed from arbitrary read chunks. The
 /// cap semantics match the blocking reader exactly: a line of exactly
-/// `max_bytes` is accepted, one byte more is rejected, and the
-/// rejected line's tail is *discarded in place* (the push equivalent
-/// of [`drain_oversized_line`]) so an already-queued error response
-/// can still reach the peer before the connection closes.
+/// `max_bytes` is accepted, one byte more is rejected. The rejected
+/// line's tail is then *discarded in place*, up to its newline, so an
+/// already-queued error response can still reach the peer before the
+/// connection closes.
 #[derive(Debug)]
 pub struct FrameBuffer {
     max_bytes: usize,
@@ -285,43 +285,6 @@ impl FrameBuffer {
     }
 }
 
-/// Discards the tail of a rejected over-long line up to its newline,
-/// EOF, `max_drain` bytes, or the first read timeout (a quiet peer has
-/// finished writing). Lets the peer's blocked write complete so an
-/// already-queued error response arrives intact instead of being
-/// destroyed by a connection reset.
-pub fn drain_oversized_line<R: BufRead>(reader: &mut R, max_drain: usize) -> io::Result<()> {
-    let mut drained = 0usize;
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Ok(())
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if buf.is_empty() {
-            return Ok(());
-        }
-        if let Some(at) = buf.iter().position(|&b| b == b'\n') {
-            reader.consume(at + 1);
-            return Ok(());
-        }
-        let chunk = buf.len();
-        reader.consume(chunk);
-        drained += chunk;
-        if drained > max_drain {
-            return Ok(());
-        }
-    }
-}
-
 /// Serializes `doc` as one frame (compact JSON + newline) and flushes.
 pub fn write_frame<W: Write>(writer: &mut W, doc: &Json) -> io::Result<()> {
     let mut text = doc.to_string_compact();
@@ -335,8 +298,17 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn never_block() -> impl WaitPolicy {
-        || -> Wait { panic!("in-memory reads never block") }
+    /// In-memory reads never block.
+    struct NeverBlock;
+
+    impl WaitPolicy for NeverBlock {
+        fn on_block(&mut self) -> Wait {
+            panic!("in-memory reads never block")
+        }
+    }
+
+    fn never_block() -> NeverBlock {
+        NeverBlock
     }
 
     #[test]

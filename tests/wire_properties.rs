@@ -1,22 +1,29 @@
 //! Property-based tests of the NDJSON frame codec both the serving
 //! layer and the fleet protocol ride on: arbitrary frames survive
-//! write → chunked/torn read byte-for-byte, oversized lines are
-//! rejected and drained without desynchronising the stream, and a
-//! reply scanner (the coordinator's stale-frame skip) finds its reply
-//! under duplicated ids and out-of-order delivery.
+//! write → chunked/torn read byte-for-byte, the push decoder rejects
+//! oversized lines and drains them without desynchronising the
+//! stream, and a reply scanner (the coordinator's stale-frame skip)
+//! finds its reply under duplicated ids and out-of-order delivery.
 
 use std::io::{BufRead, Cursor, Read};
 
 use proptest::prelude::*;
 use reds_json::Json;
-use reds_serve::wire::{
-    drain_oversized_line, read_frame, write_frame, Frame, FrameBuffer, FrameEvent, Wait, WaitPolicy,
-};
+use reds_serve::wire::{read_frame, write_frame, Frame, FrameBuffer, FrameEvent, Wait, WaitPolicy};
 
 const MAX: usize = 1 << 16;
 
+/// In-memory reads never block.
+struct NeverBlock;
+
+impl WaitPolicy for NeverBlock {
+    fn on_block(&mut self) -> Wait {
+        panic!("in-memory reads never block")
+    }
+}
+
 fn never_block() -> impl WaitPolicy {
-    || -> Wait { panic!("in-memory reads never block") }
+    NeverBlock
 }
 
 /// A reader that serves its bytes in a fixed schedule of chunk sizes,
@@ -147,32 +154,6 @@ proptest! {
         }
     }
 
-    /// An oversized line is rejected, drained, and the next frame reads
-    /// intact: one bad peer message cannot desynchronise the stream.
-    #[test]
-    fn oversized_lines_drain_without_desync(
-        filler in 1usize..4096,
-        doc in arb_doc(),
-    ) {
-        let cap = 256usize;
-        let mut bytes = vec![b'x'; cap + filler];
-        bytes.push(b'\n');
-        write_frame(&mut bytes, &doc).expect("write");
-        let mut reader = Cursor::new(bytes);
-        prop_assert!(matches!(
-            read_frame(&mut reader, cap, &mut never_block()).expect("read"),
-            Frame::TooLarge
-        ));
-        drain_oversized_line(&mut reader, 1 << 20).expect("drain");
-        match read_frame(&mut reader, MAX, &mut never_block()).expect("next") {
-            Frame::Line(line) => {
-                let back = reds_json::from_str(&String::from_utf8_lossy(&line)).expect("parse");
-                prop_assert_eq!(back.to_string_compact(), doc.to_string_compact());
-            }
-            other => prop_assert!(false, "stream desynchronised: {:?}", other),
-        }
-    }
-
     /// The reply-matching loop the fleet coordinator uses — skip frames
     /// whose id differs — finds the wanted reply under duplicated ids
     /// and out-of-order delivery, exactly once.
@@ -280,9 +261,8 @@ proptest! {
     }
 
     /// The push decoder rejects an oversized line exactly once, drains
-    /// it, and decodes the next frame intact — the same
-    /// reject-drain-resync contract as read_frame + drain_oversized_line,
-    /// under any chunking.
+    /// it, and decodes the next frame intact, under any chunking: one
+    /// bad peer message cannot desynchronise the stream.
     #[test]
     fn push_decoder_rejects_and_resyncs_like_the_pull_decoder(
         filler in 1usize..2048,
