@@ -12,8 +12,9 @@
 //!
 //! Work units are leased to workers in batches, results are ingested
 //! exactly once into `DIR/shard-0-of-1.jsonl` (the PR 2 checkpoint
-//! format — `merge_shards` and `--resume` work on it unchanged), and
-//! every grant/ingest/expiry is journaled to `DIR/fleet-journal.jsonl`.
+//! format — `merge_shards` and `--resume` work on it unchanged, and
+//! `merge_shards` skips the journal), and every grant/ingest/expiry is
+//! journaled to `DIR/fleet-journal.jsonl` (`reds_fleet::JOURNAL_FILE`).
 //! Kill the coordinator at any point and rerun with `--resume`: it
 //! picks up from the last durable record. Because every unit is
 //! bit-deterministic, the final report is identical to a monolithic
@@ -27,7 +28,7 @@ use std::time::Duration;
 
 use reds_bench::sweep::{aggregate, render, rows_json, Sweep, SWEEP_OPTIONS, SWEEP_USAGE};
 use reds_bench::{cli_fail, Args};
-use reds_fleet::{run_fleet, shutdown_workers, FleetConfig, FleetError};
+use reds_fleet::{run_fleet, shutdown_workers, FleetConfig, FleetError, JOURNAL_FILE};
 
 const USAGE: &str = "usage: reds_coordinator --table 3|4 --workers HOST:PORT[,HOST:PORT...] \
                      --checkpoint-dir DIR [--resume] [sweep flags] [--lease-units N] \
@@ -98,7 +99,7 @@ fn main() {
         &fingerprint,
         &units,
         &dir.join("shard-0-of-1.jsonl"),
-        &dir.join("fleet-journal.jsonl"),
+        &dir.join(JOURNAL_FILE),
         resume,
         &config,
     )

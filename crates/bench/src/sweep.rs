@@ -18,13 +18,14 @@ use reds_eval::checkpoint::{
     load_checkpoint, merge_records, CheckpointError, CheckpointHeader, CheckpointWriter,
     ShardCheckpoint, UnitRecord,
 };
+use reds_eval::jsonl::LogError;
 use reds_eval::stats::{friedman_test, spearman, wilcoxon_signed_rank};
 use reds_eval::workunit::{enumerate_units, stable_hash};
 use reds_eval::{
     aggregate_units, execute_units, execute_units_with, spec_fingerprint, Evaluation,
     ExperimentSpec, MethodOpts, MethodSummary, WorkUnit, BI_FAMILY, PRIM_FAMILY,
 };
-use reds_fleet::UnitExecutor;
+use reds_fleet::{UnitExecutor, JOURNAL_FILE};
 use reds_functions::by_name;
 use reds_json::Json;
 
@@ -282,17 +283,11 @@ pub fn run_shard(
         "shard index {shard} out of range 0..{of}"
     );
     let header = CheckpointHeader::new(sweep.fingerprint(), shard, of);
-    let path = checkpoint_dir.map(|dir| dir.join(shard_file_name(shard, of)));
-    let (mut writer, done) = match &path {
-        Some(p) if resume && p.exists() => {
-            let (w, done) = CheckpointWriter::resume(p, &header)?;
+    let (mut writer, done) = match checkpoint_dir {
+        Some(dir) => {
+            let path = dir.join(shard_file_name(shard, of));
+            let (w, done) = CheckpointWriter::open(&path, &header, resume)?;
             (Some(w), done)
-        }
-        Some(p) => {
-            if let Some(dir) = p.parent() {
-                std::fs::create_dir_all(dir)?;
-            }
-            (Some(CheckpointWriter::create(p, &header)?), Vec::new())
         }
         None => (None, Vec::new()),
     };
@@ -687,11 +682,14 @@ pub fn run_cli(sweep: &Sweep, args: &Args) {
 }
 
 /// Loads every `*.jsonl` checkpoint in `dir` (sorted by file name),
-/// returning each with its path.
+/// returning each with its path. A fleet coordinator's lease journal
+/// ([`JOURNAL_FILE`]) beside its checkpoint is not one, and is skipped.
 pub fn load_checkpoint_dir(dir: &Path) -> Result<Vec<(PathBuf, ShardCheckpoint)>, CheckpointError> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(LogError::Io)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
+        .filter(|p| p.file_name().is_some_and(|name| name != JOURNAL_FILE))
         .collect();
     paths.sort();
     paths
@@ -840,6 +838,51 @@ mod tests {
             err.contains("claim the same shard"),
             "unexpected message: {err}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn merge_dir_reads_a_fleet_checkpoint_directory() {
+        // What a coordinator leaves: its checkpoint, shard 0 of 1, and
+        // its lease journal beside it.
+        let sweep = Sweep::table3(&tiny_args());
+        let dir = std::env::temp_dir().join(format!("reds-fleet-dir-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let fp = sweep.fingerprint();
+        let path = dir.join(shard_file_name(0, 1));
+        let mut w = CheckpointWriter::create(&path, &CheckpointHeader::new(fp.clone(), 0, 1))
+            .expect("create");
+        let mut records = Vec::new();
+        for (spec, spec_fp) in sweep.specs.iter().zip(&sweep.fingerprints) {
+            for unit in enumerate_units(spec) {
+                let record = UnitRecord {
+                    spec: spec_fp.clone(),
+                    eval: Evaluation {
+                        pr_auc: 0.5 + 0.125 * unit.rep as f64,
+                        precision: 0.75,
+                        recall: 0.5,
+                        wracc: 0.0625,
+                        n_restricted: 1,
+                        n_irrel: 0,
+                        runtime_ms: 1.0,
+                        last_box: reds_subgroup::HyperBox::from_bounds(vec![
+                            (0.0, 1.0);
+                            spec.function.m()
+                        ]),
+                    },
+                    unit,
+                    attempt: 1,
+                };
+                w.append(&record).expect("append");
+                records.push(record);
+            }
+        }
+        drop(w);
+        reds_fleet::LeaseJournal::create(&dir.join(JOURNAL_FILE), &fp).expect("journal");
+
+        let merged = merge_dir(&sweep, &dir).expect("the journal is skipped");
+        let expected = aggregate(&sweep, &records).expect("a complete grid");
+        assert_eq!(render(&sweep, &merged), render(&sweep, &expected));
         std::fs::remove_dir_all(&dir).ok();
     }
 

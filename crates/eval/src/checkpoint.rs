@@ -2,38 +2,39 @@
 //!
 //! A checkpoint file records the completed [`WorkUnit`]s of one shard
 //! of a sweep so an interrupted run can resume and so shards executed
-//! on different machines can be recombined by `merge_shards`. The
-//! format is line-delimited JSON:
+//! on different machines can be recombined by `merge_shards`. It is a
+//! [`jsonl`](crate::jsonl) log; this module holds only its header and
+//! record codecs and its domain errors:
 //!
 //! ```text
 //! {"schema_version":1,"fingerprint":"d3b0…","shard":0,"of":2}   ← header
-//! {"spec":"9a41…","unit":{…},"eval":{…}}                        ← one per unit
+//! {"spec":"9a41…","unit":{…},"eval":{…},"attempt":0}           ← one per unit
 //! ```
 //!
-//! * **Atomic appends** — each completed unit is serialized and written
-//!   as a single `write_all` of one full line, then flushed. A crash
-//!   can leave at most one partial trailing line, which
-//!   [`load_checkpoint`] detects and drops (`truncated`); resuming
-//!   rewrites the file from its valid prefix via a temp-file rename
-//!   before appending again.
+//! * **Atomic appends** — each completed unit is one full line, written
+//!   and flushed at once. A crash can leave at most one partial
+//!   trailing line, which [`load_checkpoint`] drops and flags
+//!   (`truncated`); [`CheckpointWriter::open`] with `resume` rewrites
+//!   the file from its valid prefix via a temp-file rename before
+//!   appending again.
 //! * **Fingerprints** — the header carries the producing run's
 //!   fingerprint and each record its spec's fingerprint (see
 //!   [`crate::workunit::spec_fingerprint`]), so partial results from a
 //!   different configuration are rejected instead of merged silently.
-//! * **Exact floats** — `reds-json` serializes `f64` with
+//! * **Exact numbers** — `reds-json` serializes `f64` with
 //!   shortest-round-trip formatting, so every score survives
-//!   serialize → parse → merge bit-for-bit.
+//!   serialize → parse → merge bit-for-bit; every count is read back
+//!   with [`Json::as_u64`] and refused when it does not fit its field.
 
 use std::collections::HashSet;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::Path;
 
-use reds_json::{from_str, Json};
+use reds_json::Json;
 use reds_subgroup::HyperBox;
 
 use crate::experiment::Evaluation;
+use crate::jsonl::{self, Format, LogError};
 use crate::workunit::WorkUnit;
 
 /// Version of the checkpoint file layout; bump on incompatible change.
@@ -90,30 +91,17 @@ pub fn unit_key(spec_fingerprint: &str, unit: &WorkUnit) -> String {
     format!("{spec_fingerprint}/{}/{}", unit.method, unit.rep)
 }
 
-/// A parsed checkpoint file.
-#[derive(Debug, Clone)]
-pub struct ShardCheckpoint {
-    /// The header line.
-    pub header: CheckpointHeader,
-    /// All fully-written unit records, in append order.
-    pub records: Vec<UnitRecord>,
-    /// `true` when a partial trailing line (interrupted final append)
-    /// was dropped.
-    pub truncated: bool,
-}
+/// A parsed checkpoint file: its header, every fully-written unit
+/// record in append order, and whether a partial trailing line was
+/// dropped.
+pub type ShardCheckpoint = jsonl::Log<CheckpointHeader, UnitRecord>;
 
 /// Failure to read, validate, or merge checkpoints.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// A fully-written line does not parse as the expected record shape.
-    Corrupt {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
+    /// The file could not be read or written, or a fully-written line
+    /// does not parse as the expected shape.
+    Log(LogError),
     /// The file was written by an incompatible layout version.
     SchemaMismatch {
         /// Version found in the header.
@@ -148,10 +136,7 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            Self::Corrupt { line, message } => {
-                write!(f, "corrupt checkpoint at line {line}: {message}")
-            }
+            Self::Log(e) => write!(f, "checkpoint {e}"),
             Self::SchemaMismatch { found } => write!(
                 f,
                 "checkpoint schema version {found} is not {CHECKPOINT_SCHEMA_VERSION}"
@@ -176,9 +161,9 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
+impl From<LogError> for CheckpointError {
+    fn from(e: LogError) -> Self {
+        Self::Log(e)
     }
 }
 
@@ -196,41 +181,16 @@ fn u64_from_json(v: &Json) -> Result<u64, String> {
         .map_err(|e| format!("bad u64: {e}"))
 }
 
-fn usize_from_json(v: &Json, what: &str) -> Result<usize, String> {
-    let f = v
-        .as_f64()
-        .ok_or_else(|| format!("{what}: expected a number"))?;
-    if f < 0.0 || f.fract() != 0.0 || f > (1u64 << 53) as f64 {
-        return Err(format!("{what}: {f} is not a valid count"));
-    }
-    Ok(f as usize)
+/// `v` as an exact count ([`Json::as_u64`]) that fits `T`.
+fn count<T: TryFrom<u64>>(v: &Json, what: &str) -> Result<T, String> {
+    v.as_u64()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("{what}: {v} is not a valid count"))
 }
 
 fn f64_from_json(v: &Json, what: &str) -> Result<f64, String> {
     v.as_f64()
         .ok_or_else(|| format!("{what}: expected a number"))
-}
-
-fn header_to_json(h: &CheckpointHeader) -> Json {
-    Json::obj([
-        ("schema_version", Json::num(h.schema_version as f64)),
-        ("fingerprint", Json::str(h.fingerprint.clone())),
-        ("shard", Json::num(h.shard as f64)),
-        ("of", Json::num(h.of as f64)),
-    ])
-}
-
-fn header_from_json(doc: &Json) -> Result<CheckpointHeader, String> {
-    let field = |k: &str| doc.get(k).ok_or_else(|| format!("header missing '{k}'"));
-    Ok(CheckpointHeader {
-        schema_version: usize_from_json(field("schema_version")?, "schema_version")? as u32,
-        fingerprint: field("fingerprint")?
-            .as_str()
-            .ok_or("fingerprint: expected a string")?
-            .to_string(),
-        shard: usize_from_json(field("shard")?, "shard")?,
-        of: usize_from_json(field("of")?, "of")?,
-    })
 }
 
 /// Wire/JSONL form of a [`WorkUnit`] (public so the fleet protocol's
@@ -255,13 +215,13 @@ pub fn unit_from_json(doc: &Json) -> Result<WorkUnit, String> {
             .as_str()
             .ok_or("function: expected a string")?
             .to_string(),
-        n: usize_from_json(field("n")?, "n")?,
+        n: count(field("n")?, "n")?,
         method: field("method")?
             .as_str()
             .ok_or("method: expected a string")?
             .to_string(),
-        method_index: usize_from_json(field("method_index")?, "method_index")?,
-        rep: usize_from_json(field("rep")?, "rep")?,
+        method_index: count(field("method_index")?, "method_index")?,
+        rep: count(field("rep")?, "rep")?,
         rep_seed: u64_from_json(field("rep_seed")?).map_err(|e| format!("rep_seed: {e}"))?,
         method_seed: u64_from_json(field("method_seed")?)
             .map_err(|e| format!("method_seed: {e}"))?,
@@ -288,8 +248,8 @@ fn eval_from_json(doc: &Json) -> Result<Evaluation, String> {
         precision: f64_from_json(field("precision")?, "precision")?,
         recall: f64_from_json(field("recall")?, "recall")?,
         wracc: f64_from_json(field("wracc")?, "wracc")?,
-        n_restricted: usize_from_json(field("n_restricted")?, "n_restricted")?,
-        n_irrel: usize_from_json(field("n_irrel")?, "n_irrel")?,
+        n_restricted: count(field("n_restricted")?, "n_restricted")?,
+        n_irrel: count(field("n_irrel")?, "n_irrel")?,
         runtime_ms: f64_from_json(field("runtime_ms")?, "runtime_ms")?,
         last_box: HyperBox::from_json(field("last_box")?).ok_or("last_box: bad shape")?,
     })
@@ -311,7 +271,7 @@ pub fn record_from_json(doc: &Json) -> Result<UnitRecord, String> {
     // Pre-fleet checkpoints have no attempt field: in-process execution.
     let attempt = match doc.get("attempt") {
         None => 0,
-        Some(v) => usize_from_json(v, "attempt")? as u32,
+        Some(v) => count(v, "attempt")?,
     };
     Ok(UnitRecord {
         spec: field("spec")?
@@ -324,130 +284,79 @@ pub fn record_from_json(doc: &Json) -> Result<UnitRecord, String> {
     })
 }
 
-// ---- file I/O ---------------------------------------------------------
-
-/// Appends completed units to a checkpoint file, one line per unit.
+/// The checkpoint's [`jsonl`] format: a [`CheckpointHeader`], then one
+/// [`UnitRecord`] per line.
 #[derive(Debug)]
-pub struct CheckpointWriter {
-    file: File,
-}
+pub struct CheckpointFormat;
 
-impl CheckpointWriter {
-    /// Creates (or truncates) the file and writes the header line.
-    pub fn create(path: &Path, header: &CheckpointHeader) -> Result<Self, CheckpointError> {
-        let mut file = File::create(path)?;
-        let mut line = header_to_json(header).to_string_compact();
-        line.push('\n');
-        file.write_all(line.as_bytes())?;
-        file.flush()?;
-        Ok(Self { file })
+impl Format for CheckpointFormat {
+    type Header = CheckpointHeader;
+    type Record = UnitRecord;
+    type Error = CheckpointError;
+
+    fn header_to_json(h: &CheckpointHeader) -> Json {
+        Json::obj([
+            ("schema_version", Json::num(h.schema_version as f64)),
+            ("fingerprint", Json::str(h.fingerprint.clone())),
+            ("shard", Json::num(h.shard as f64)),
+            ("of", Json::num(h.of as f64)),
+        ])
     }
 
-    /// Reopens an interrupted checkpoint: validates the header against
-    /// `header`, rewrites the file from its valid prefix (dropping a
-    /// partial trailing line) via a temp-file rename, and returns the
-    /// writer positioned for appending plus the already-completed
-    /// records.
-    pub fn resume(
-        path: &Path,
-        header: &CheckpointHeader,
-    ) -> Result<(Self, Vec<UnitRecord>), CheckpointError> {
-        let ck = load_checkpoint(path)?;
-        if ck.header.schema_version != header.schema_version {
+    fn header_from_json(doc: &Json) -> Result<CheckpointHeader, String> {
+        let field = |k: &str| doc.get(k).ok_or_else(|| format!("header missing '{k}'"));
+        Ok(CheckpointHeader {
+            schema_version: count(field("schema_version")?, "schema_version")?,
+            fingerprint: field("fingerprint")?
+                .as_str()
+                .ok_or("fingerprint: expected a string")?
+                .to_string(),
+            shard: count(field("shard")?, "shard")?,
+            of: count(field("of")?, "of")?,
+        })
+    }
+
+    fn record_to_json(record: &UnitRecord) -> Json {
+        record_to_json(record)
+    }
+
+    fn record_from_json(doc: &Json) -> Result<UnitRecord, String> {
+        record_from_json(doc)
+    }
+
+    /// A resumed checkpoint must carry the resuming run's schema
+    /// version, fingerprint and shard coordinates.
+    fn check(expected: &CheckpointHeader, found: CheckpointHeader) -> Result<(), CheckpointError> {
+        if found.schema_version != expected.schema_version {
             return Err(CheckpointError::SchemaMismatch {
-                found: ck.header.schema_version,
+                found: found.schema_version,
             });
         }
-        if ck.header.fingerprint != header.fingerprint {
+        if found.fingerprint != expected.fingerprint {
             return Err(CheckpointError::FingerprintMismatch {
-                expected: header.fingerprint.clone(),
-                found: ck.header.fingerprint,
+                expected: expected.fingerprint.clone(),
+                found: found.fingerprint,
             });
         }
-        if (ck.header.shard, ck.header.of) != (header.shard, header.of) {
+        if (found.shard, found.of) != (expected.shard, expected.of) {
             return Err(CheckpointError::ShardMismatch {
-                expected: header.clone(),
-                found: ck.header,
+                expected: expected.clone(),
+                found,
             });
         }
-        // Rewrite the valid prefix so a dropped partial line can never
-        // corrupt subsequent appends; the rename is atomic.
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            let mut text = header_to_json(&ck.header).to_string_compact();
-            text.push('\n');
-            for r in &ck.records {
-                text.push_str(&record_to_json(r).to_string_compact());
-                text.push('\n');
-            }
-            f.write_all(text.as_bytes())?;
-            f.flush()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok((Self { file }, ck.records))
-    }
-
-    /// Appends one completed unit as a single atomic line write.
-    pub fn append(&mut self, record: &UnitRecord) -> Result<(), CheckpointError> {
-        let mut line = record_to_json(record).to_string_compact();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
         Ok(())
     }
 }
 
+/// Appends completed units to a checkpoint file, one line per unit
+/// ([`jsonl::Writer`]: `create`, `open`, `resume`, `append`).
+pub type CheckpointWriter = jsonl::Writer<CheckpointFormat>;
+
 /// Parses a checkpoint file. A partial trailing line (no terminating
 /// newline — an append interrupted mid-write) is dropped and flagged via
-/// [`ShardCheckpoint::truncated`]; any other malformed line is an
-/// error.
+/// [`jsonl::Log::truncated`]; any other malformed line is an error.
 pub fn load_checkpoint(path: &Path) -> Result<ShardCheckpoint, CheckpointError> {
-    let text = std::fs::read_to_string(path)?;
-    let complete = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let parse_line = |i: usize, line: &str| -> Result<Json, CheckpointError> {
-        from_str(line).map_err(|e| CheckpointError::Corrupt {
-            line: i + 1,
-            message: e.to_string(),
-        })
-    };
-    let Some((first, rest)) = lines.split_first() else {
-        return Err(CheckpointError::Corrupt {
-            line: 1,
-            message: "empty file".to_string(),
-        });
-    };
-    let header = header_from_json(&parse_line(0, first)?)
-        .map_err(|message| CheckpointError::Corrupt { line: 1, message })?;
-    let mut records = Vec::with_capacity(rest.len());
-    let mut truncated = false;
-    for (i, line) in rest.iter().enumerate() {
-        let last = i + 1 == rest.len();
-        let parsed = parse_line(i + 1, line).and_then(|doc| {
-            record_from_json(&doc).map_err(|message| CheckpointError::Corrupt {
-                line: i + 2,
-                message,
-            })
-        });
-        match parsed {
-            Ok(r) => records.push(r),
-            Err(e) => {
-                if last && !complete {
-                    // Interrupted final append — recoverable.
-                    truncated = true;
-                } else {
-                    return Err(e);
-                }
-            }
-        }
-    }
-    Ok(ShardCheckpoint {
-        header,
-        records,
-        truncated,
-    })
+    jsonl::load::<CheckpointFormat>(path)
 }
 
 /// Validates and concatenates the records of several shard checkpoints:
@@ -598,7 +507,34 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         assert!(matches!(
             load_checkpoint(&path),
-            Err(CheckpointError::Corrupt { line: 3, .. })
+            Err(CheckpointError::Log(LogError::Corrupt { line: 3, .. }))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn counts_past_their_field_are_corrupt_not_wrapped() {
+        let path = tmp_path("wrapped.jsonl");
+        let header = CheckpointHeader::new("cafe", 0, 1);
+        let mut w = CheckpointWriter::create(&path, &header).expect("create");
+        w.append(&record(0, 0.5)).expect("append");
+        drop(w);
+        let text = std::fs::read_to_string(&path).unwrap();
+        // 2³² + 1 is schema version 1 once cast to u32.
+        let wrapped = text.replacen("\"schema_version\":1", "\"schema_version\":4294967297", 1);
+        std::fs::write(&path, &wrapped).unwrap();
+        match load_checkpoint(&path) {
+            Err(CheckpointError::Log(LogError::Corrupt { line: 1, message })) => {
+                assert!(message.contains("schema_version"), "{message}")
+            }
+            other => panic!("a wrapped schema version loaded: {other:?}"),
+        }
+        // Nor may a record's attempt wrap to 1.
+        let wrapped = text.replacen("\"attempt\":0", "\"attempt\":4294967297", 1);
+        std::fs::write(&path, &wrapped).unwrap();
+        assert!(matches!(
+            load_checkpoint(&path),
+            Err(CheckpointError::Log(LogError::Corrupt { line: 2, .. }))
         ));
         std::fs::remove_file(&path).ok();
     }

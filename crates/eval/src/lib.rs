@@ -8,8 +8,11 @@
 //!   parallelism and consistency aggregation;
 //! * [`workunit`] — the deterministic rep × method work-unit
 //!   decomposition (stable seeding, spec fingerprints, sharding);
-//! * [`checkpoint`] — JSONL shard checkpoints: atomic appends,
-//!   crash-tolerant loading, fingerprint-validated merging;
+//! * [`jsonl`] — the append-only JSONL log under the shard checkpoints
+//!   and the fleet's lease journal: atomic appends, torn-tail-tolerant
+//!   loading, resume by temp-file rename;
+//! * [`checkpoint`] — JSONL shard checkpoints over that log:
+//!   fingerprint-validated resume and merging;
 //! * [`stats`] — Wilcoxon rank-sum / signed-rank, Friedman, Spearman;
 //! * [`report`] — markdown rendering of experiment summaries;
 //! * [`savings`] — the "X % fewer simulations" analysis from learning
@@ -20,6 +23,7 @@
 pub mod checkpoint;
 pub mod cv;
 pub mod experiment;
+pub mod jsonl;
 pub mod methods;
 pub mod report;
 pub mod savings;

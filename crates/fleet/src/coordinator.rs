@@ -48,7 +48,7 @@ use reds_eval::{CheckpointError, CheckpointHeader, CheckpointWriter, UnitRecord,
 use reds_json::Json;
 use reds_serve::{Backoff, Client, ClientError};
 
-use crate::journal::{JournalError, JournalEvent, JournalState, LeaseJournal};
+use crate::journal::{JournalError, JournalEvent, LeaseJournal};
 use crate::protocol::{FleetErrorCode, FleetRequest, HelloReply, PollReply, PROTO_VERSION};
 
 /// Coordinator tuning. The defaults suit integration tests; real
@@ -243,25 +243,8 @@ pub fn run_fleet(
 
     // --- durable state -------------------------------------------------
     let header = CheckpointHeader::new(fingerprint, 0, 1);
-    let (mut writer, done_records) = if resume && checkpoint_path.exists() {
-        CheckpointWriter::resume(checkpoint_path, &header)?
-    } else {
-        if let Some(dir) = checkpoint_path.parent() {
-            std::fs::create_dir_all(dir).map_err(CheckpointError::Io)?;
-        }
-        (
-            CheckpointWriter::create(checkpoint_path, &header)?,
-            Vec::new(),
-        )
-    };
-    let (mut journal, journal_state) = if resume && journal_path.exists() {
-        LeaseJournal::resume(journal_path, fingerprint)?
-    } else {
-        (
-            LeaseJournal::create(journal_path, fingerprint)?,
-            JournalState::default(),
-        )
-    };
+    let (mut writer, done_records) = CheckpointWriter::open(checkpoint_path, &header, resume)?;
+    let (mut journal, journal_state) = LeaseJournal::open(journal_path, fingerprint, resume)?;
 
     let keys: Vec<String> = units.iter().map(|(fp, u)| unit_key(fp, u)).collect();
     let mut ingested_keys: HashSet<String> = done_records

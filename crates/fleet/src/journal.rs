@@ -11,23 +11,29 @@
 //! fault-injection suite audits it to prove that no unit's result was
 //! accepted twice.
 //!
-//! The file format mirrors the checkpoint's durability contract: one
-//! JSON object per line, each appended with a single `write_all` +
-//! flush, a header line carrying the sweep fingerprint, and a loader
-//! that tolerates (and drops) one partial trailing line.
+//! The file is written by the checkpoint's own log,
+//! [`reds_eval::jsonl`]: a header line carrying the sweep fingerprint,
+//! one event per line appended with a single `write_all` + flush, a
+//! loader that drops one torn last line, and resume by temp-file
+//! rename. This module holds only the header and event codecs, the
+//! fingerprint check and [`JournalState::apply`].
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::Path;
 
-use reds_json::{from_str, Json};
+use reds_eval::jsonl::{self, Format, LogError, Writer};
+use reds_json::Json;
 
-use crate::protocol::small_uint;
+use crate::protocol::uint;
 
 /// Format tag of the journal's header line.
 pub const JOURNAL_FORMAT: &str = "reds-fleet-journal-v1";
+
+/// Name of the journal file in a coordinator's checkpoint directory,
+/// beside the results checkpoint (which `merge_shards` reads and this
+/// file is not).
+pub const JOURNAL_FILE: &str = "fleet-journal.jsonl";
 
 /// One journal line (after the header).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,15 +75,9 @@ pub enum JournalEvent {
 /// Journal I/O or validation failure.
 #[derive(Debug)]
 pub enum JournalError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// A fully-written line does not parse.
-    Corrupt {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
+    /// The file could not be read or written, or a fully-written line
+    /// does not parse.
+    Log(LogError),
     /// The journal belongs to a differently-configured sweep.
     FingerprintMismatch {
         /// Fingerprint of the resuming run.
@@ -90,10 +90,7 @@ pub enum JournalError {
 impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Io(e) => write!(f, "journal I/O error: {e}"),
-            Self::Corrupt { line, message } => {
-                write!(f, "corrupt journal at line {line}: {message}")
-            }
+            Self::Log(e) => write!(f, "journal {e}"),
             Self::FingerprintMismatch { expected, found } => write!(
                 f,
                 "journal fingerprint {found} does not match this sweep ({expected})"
@@ -104,87 +101,120 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
+impl From<LogError> for JournalError {
+    fn from(e: LogError) -> Self {
+        Self::Log(e)
     }
 }
 
-fn event_to_json(ev: &JournalEvent) -> Json {
-    match ev {
-        JournalEvent::Grant {
-            lease,
-            attempt,
-            worker,
-            keys,
-        } => Json::obj([
-            ("ev", Json::str("grant")),
-            ("lease", Json::num(*lease as f64)),
-            ("attempt", Json::num(*attempt as f64)),
-            ("worker", Json::str(worker.clone())),
-            ("keys", Json::arr(keys.iter().map(|k| Json::str(k.clone())))),
-        ]),
-        JournalEvent::Ingest {
-            lease,
-            attempt,
-            key,
-            duplicate,
-        } => Json::obj([
-            ("ev", Json::str("ingest")),
-            ("lease", Json::num(*lease as f64)),
-            ("attempt", Json::num(*attempt as f64)),
-            ("key", Json::str(key.clone())),
-            ("duplicate", Json::Bool(*duplicate)),
-        ]),
-        JournalEvent::Expire { lease, reason } => Json::obj([
-            ("ev", Json::str("expire")),
-            ("lease", Json::num(*lease as f64)),
-            ("reason", Json::str(reason.clone())),
-        ]),
-    }
-}
+/// The journal's [`jsonl`] format: the sweep fingerprint, then one
+/// [`JournalEvent`] per line.
+#[derive(Debug)]
+struct JournalFormat;
 
-fn event_from_json(doc: &Json) -> Result<JournalEvent, String> {
-    let ev = doc.get("ev").and_then(Json::as_str).ok_or("missing 'ev'")?;
-    let uint = |key: &str| {
-        doc.get(key)
-            .and_then(small_uint)
-            .ok_or_else(|| format!("missing '{key}'"))
-    };
-    let text = |key: &str| {
-        doc.get(key)
+impl Format for JournalFormat {
+    type Header = String;
+    type Record = JournalEvent;
+    type Error = JournalError;
+
+    fn header_to_json(fingerprint: &String) -> Json {
+        Json::obj([
+            ("journal", Json::str(JOURNAL_FORMAT)),
+            ("fingerprint", Json::str(fingerprint.clone())),
+        ])
+    }
+
+    fn header_from_json(doc: &Json) -> Result<String, String> {
+        if doc.get("journal").and_then(Json::as_str) != Some(JOURNAL_FORMAT) {
+            return Err(format!("header is not a {JOURNAL_FORMAT} header"));
+        }
+        doc.get("fingerprint")
             .and_then(Json::as_str)
             .map(str::to_string)
-            .ok_or_else(|| format!("missing '{key}'"))
-    };
-    Ok(match ev {
-        "grant" => JournalEvent::Grant {
-            lease: uint("lease")?,
-            attempt: uint("attempt")? as u32,
-            worker: text("worker")?,
-            keys: doc
-                .get("keys")
-                .and_then(Json::as_array)
-                .ok_or("missing 'keys'")?
-                .iter()
-                .map(|k| k.as_str().map(str::to_string).ok_or("bad key".to_string()))
-                .collect::<Result<_, _>>()?,
-        },
-        "ingest" => JournalEvent::Ingest {
-            lease: uint("lease")?,
-            attempt: uint("attempt")? as u32,
-            key: text("key")?,
-            duplicate: doc
-                .get("duplicate")
-                .and_then(Json::as_bool)
-                .ok_or("missing 'duplicate'")?,
-        },
-        "expire" => JournalEvent::Expire {
-            lease: uint("lease")?,
-            reason: text("reason")?,
-        },
-        other => return Err(format!("unknown event '{other}'")),
-    })
+            .ok_or_else(|| "header missing 'fingerprint'".to_string())
+    }
+
+    fn record_to_json(ev: &JournalEvent) -> Json {
+        match ev {
+            JournalEvent::Grant {
+                lease,
+                attempt,
+                worker,
+                keys,
+            } => Json::obj([
+                ("ev", Json::str("grant")),
+                ("lease", Json::num(*lease as f64)),
+                ("attempt", Json::num(*attempt as f64)),
+                ("worker", Json::str(worker.clone())),
+                ("keys", Json::arr(keys.iter().map(|k| Json::str(k.clone())))),
+            ]),
+            JournalEvent::Ingest {
+                lease,
+                attempt,
+                key,
+                duplicate,
+            } => Json::obj([
+                ("ev", Json::str("ingest")),
+                ("lease", Json::num(*lease as f64)),
+                ("attempt", Json::num(*attempt as f64)),
+                ("key", Json::str(key.clone())),
+                ("duplicate", Json::Bool(*duplicate)),
+            ]),
+            JournalEvent::Expire { lease, reason } => Json::obj([
+                ("ev", Json::str("expire")),
+                ("lease", Json::num(*lease as f64)),
+                ("reason", Json::str(reason.clone())),
+            ]),
+        }
+    }
+
+    fn record_from_json(doc: &Json) -> Result<JournalEvent, String> {
+        let ev = doc.get("ev").and_then(Json::as_str).ok_or("missing 'ev'")?;
+        let text = |key: &str| {
+            doc.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("missing '{key}'"))
+        };
+        Ok(match ev {
+            "grant" => JournalEvent::Grant {
+                lease: uint(doc, "lease")?,
+                attempt: uint(doc, "attempt")?,
+                worker: text("worker")?,
+                keys: doc
+                    .get("keys")
+                    .and_then(Json::as_array)
+                    .ok_or("missing 'keys'")?
+                    .iter()
+                    .map(|k| k.as_str().map(str::to_string).ok_or("bad key".to_string()))
+                    .collect::<Result<_, _>>()?,
+            },
+            "ingest" => JournalEvent::Ingest {
+                lease: uint(doc, "lease")?,
+                attempt: uint(doc, "attempt")?,
+                key: text("key")?,
+                duplicate: doc
+                    .get("duplicate")
+                    .and_then(Json::as_bool)
+                    .ok_or("missing 'duplicate'")?,
+            },
+            "expire" => JournalEvent::Expire {
+                lease: uint(doc, "lease")?,
+                reason: text("reason")?,
+            },
+            other => return Err(format!("unknown event '{other}'")),
+        })
+    }
+
+    fn check(expected: &String, found: String) -> Result<(), JournalError> {
+        if found != *expected {
+            return Err(JournalError::FingerprintMismatch {
+                expected: expected.clone(),
+                found,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// The coordinator state a journal replay restores.
@@ -234,6 +264,13 @@ impl JournalState {
             }
         }
     }
+
+    /// The state `events` leave, in order.
+    fn replay(events: &[JournalEvent]) -> Self {
+        let mut state = Self::default();
+        events.iter().for_each(|ev| state.apply(ev));
+        state
+    }
 }
 
 /// Parses a journal file: the header fingerprint, the replayed state,
@@ -243,78 +280,18 @@ impl JournalState {
 pub fn load_journal(
     path: &Path,
 ) -> Result<(String, JournalState, Vec<JournalEvent>), JournalError> {
-    let text = std::fs::read_to_string(path)?;
-    let complete = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let Some((first, rest)) = lines.split_first() else {
-        return Err(JournalError::Corrupt {
-            line: 1,
-            message: "empty file".to_string(),
-        });
-    };
-    let header = from_str(first).map_err(|e| JournalError::Corrupt {
-        line: 1,
-        message: e.to_string(),
-    })?;
-    if header.get("journal").and_then(Json::as_str) != Some(JOURNAL_FORMAT) {
-        return Err(JournalError::Corrupt {
-            line: 1,
-            message: format!("header is not a {JOURNAL_FORMAT} header"),
-        });
-    }
-    let fingerprint = header
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or(JournalError::Corrupt {
-            line: 1,
-            message: "header missing 'fingerprint'".to_string(),
-        })?
-        .to_string();
-    let mut state = JournalState::default();
-    let mut events = Vec::with_capacity(rest.len());
-    for (i, line) in rest.iter().enumerate() {
-        let last = i + 1 == rest.len();
-        let parsed = from_str(line)
-            .map_err(|e| e.to_string())
-            .and_then(|doc| event_from_json(&doc));
-        match parsed {
-            Ok(ev) => {
-                state.apply(&ev);
-                events.push(ev);
-            }
-            Err(message) => {
-                if last && !complete {
-                    break; // interrupted final append — recoverable
-                }
-                return Err(JournalError::Corrupt {
-                    line: i + 2,
-                    message,
-                });
-            }
-        }
-    }
-    Ok((fingerprint, state, events))
+    let log = jsonl::load::<JournalFormat>(path)?;
+    Ok((log.header, JournalState::replay(&log.records), log.records))
 }
 
 /// Appends lease events durably, one line per event.
 #[derive(Debug)]
-pub struct LeaseJournal {
-    file: File,
-}
+pub struct LeaseJournal(Writer<JournalFormat>);
 
 impl LeaseJournal {
     /// Creates (or truncates) the journal with a fresh header.
     pub fn create(path: &Path, fingerprint: &str) -> Result<Self, JournalError> {
-        let mut file = File::create(path)?;
-        let mut line = Json::obj([
-            ("journal", Json::str(JOURNAL_FORMAT)),
-            ("fingerprint", Json::str(fingerprint)),
-        ])
-        .to_string_compact();
-        line.push('\n');
-        file.write_all(line.as_bytes())?;
-        file.flush()?;
-        Ok(Self { file })
+        Writer::create(path, &fingerprint.to_string()).map(Self)
     }
 
     /// Reopens an interrupted journal: validates the fingerprint,
@@ -322,41 +299,24 @@ impl LeaseJournal {
     /// torn trailing line), and returns the writer plus the replayed
     /// state.
     pub fn resume(path: &Path, fingerprint: &str) -> Result<(Self, JournalState), JournalError> {
-        let (found, state, events) = load_journal(path)?;
-        if found != fingerprint {
-            return Err(JournalError::FingerprintMismatch {
-                expected: fingerprint.to_string(),
-                found,
-            });
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            let mut text = Json::obj([
-                ("journal", Json::str(JOURNAL_FORMAT)),
-                ("fingerprint", Json::str(fingerprint)),
-            ])
-            .to_string_compact();
-            text.push('\n');
-            for ev in &events {
-                text.push_str(&event_to_json(ev).to_string_compact());
-                text.push('\n');
-            }
-            f.write_all(text.as_bytes())?;
-            f.flush()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok((Self { file }, state))
+        let (writer, events) = Writer::resume(path, &fingerprint.to_string())?;
+        Ok((Self(writer), JournalState::replay(&events)))
+    }
+
+    /// With `resume` and a journal at `path`, [`LeaseJournal::resume`];
+    /// otherwise creates `path`'s directory and a fresh journal.
+    pub fn open(
+        path: &Path,
+        fingerprint: &str,
+        resume: bool,
+    ) -> Result<(Self, JournalState), JournalError> {
+        let (writer, events) = Writer::open(path, &fingerprint.to_string(), resume)?;
+        Ok((Self(writer), JournalState::replay(&events)))
     }
 
     /// Appends one event as a single atomic line write.
     pub fn record(&mut self, ev: &JournalEvent) -> Result<(), JournalError> {
-        let mut line = event_to_json(ev).to_string_compact();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        Ok(())
+        self.0.append(ev)
     }
 }
 
@@ -464,7 +424,7 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         assert!(matches!(
             load_journal(&path),
-            Err(JournalError::Corrupt { line: 2, .. })
+            Err(JournalError::Log(LogError::Corrupt { line: 2, .. }))
         ));
         std::fs::remove_file(&path).ok();
     }

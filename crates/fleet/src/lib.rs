@@ -33,7 +33,9 @@ pub mod proxy;
 pub mod worker;
 
 pub use coordinator::{run_fleet, shutdown_workers, FleetConfig, FleetError, FleetOutcome};
-pub use journal::{load_journal, JournalError, JournalEvent, JournalState, LeaseJournal};
+pub use journal::{
+    load_journal, JournalError, JournalEvent, JournalState, LeaseJournal, JOURNAL_FILE,
+};
 pub use protocol::{FleetErrorCode, FleetRequest, HelloReply, PollReply, PROTO_VERSION};
 pub use proxy::{FaultAction, FaultPlan, FaultProxy, FaultStats};
 pub use worker::{serve_worker, UnitExecutor, WorkerConfig, WorkerHandle};

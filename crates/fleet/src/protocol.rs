@@ -29,6 +29,7 @@
 use reds_eval::checkpoint::{record_from_json, record_to_json, unit_from_json, unit_to_json};
 use reds_eval::{UnitRecord, WorkUnit};
 use reds_json::Json;
+use reds_serve::protocol::small_uint;
 
 /// Version of the fleet protocol; a mismatch fails the handshake.
 pub const PROTO_VERSION: u32 = 1;
@@ -201,11 +202,6 @@ impl FleetRequest {
         let Some(cmd) = doc.get("cmd").and_then(Json::as_str) else {
             return Err((FleetErrorCode::Parse, "missing 'cmd'".to_string()));
         };
-        let uint = |key: &str| -> Result<u64, Refusal> {
-            doc.get(key)
-                .and_then(small_uint)
-                .ok_or_else(|| bad(format!("missing '{key}'")))
-        };
         match cmd {
             "fleet_hello" => {
                 let fingerprint = doc
@@ -216,7 +212,7 @@ impl FleetRequest {
                 Ok(Self::Hello {
                     id,
                     fingerprint,
-                    proto: uint("proto")? as u32,
+                    proto: uint(doc, "proto").map_err(bad)?,
                 })
             }
             "fleet_grant" => {
@@ -238,21 +234,21 @@ impl FleetRequest {
                 }
                 Ok(Self::Grant {
                     id,
-                    lease: uint("lease")?,
-                    attempt: uint("attempt")? as u32,
+                    lease: uint(doc, "lease").map_err(bad)?,
+                    attempt: uint(doc, "attempt").map_err(bad)?,
                     spec,
                     units,
-                    deadline_ms: uint("deadline_ms")?,
+                    deadline_ms: uint(doc, "deadline_ms").map_err(bad)?,
                 })
             }
             "fleet_poll" => Ok(Self::Poll {
                 id,
-                lease: uint("lease")?,
-                cursor: uint("cursor")? as usize,
+                lease: uint(doc, "lease").map_err(bad)?,
+                cursor: uint(doc, "cursor").map_err(bad)?,
             }),
             "fleet_abort" => Ok(Self::Abort {
                 id,
-                lease: uint("lease")?,
+                lease: uint(doc, "lease").map_err(bad)?,
             }),
             "fleet_shutdown" => Ok(Self::Shutdown { id }),
             other => Err((FleetErrorCode::Parse, format!("unknown command '{other}'"))),
@@ -260,10 +256,13 @@ impl FleetRequest {
     }
 }
 
-/// A non-negative integer that fits losslessly in `f64`.
-pub fn small_uint(v: &Json) -> Option<u64> {
-    let f = v.as_f64()?;
-    (f >= 0.0 && f.fract() == 0.0 && f <= (1u64 << 53) as f64).then_some(f as u64)
+/// Field `key` of `doc` as an exact integer ([`Json::as_u64`]) that
+/// fits `T`: a value out of `T`'s range is refused, not wrapped.
+pub(crate) fn uint<T: TryFrom<u64>>(doc: &Json, key: &str) -> Result<T, String> {
+    let v = doc.get(key).ok_or_else(|| format!("missing '{key}'"))?;
+    v.as_u64()
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| format!("bad '{key}': {v}"))
 }
 
 /// The worker's `fleet_hello` result payload.
@@ -301,18 +300,13 @@ impl HelloReply {
             .and_then(Json::as_str)
             .ok_or("hello reply missing 'worker'")?
             .to_string();
-        let proto = doc
-            .get("proto")
-            .and_then(small_uint)
-            .ok_or("hello reply missing 'proto'")? as u32;
+        let bad = |e: String| format!("hello reply: {e}");
+        let proto = uint(doc, "proto").map_err(bad)?;
         let active_lease = match doc.get("lease") {
             None | Some(Json::Null) => None,
-            Some(v) => {
-                let lease = small_uint(v).ok_or("hello reply: bad 'lease'")?;
-                let attempt = doc
-                    .get("attempt")
-                    .and_then(small_uint)
-                    .ok_or("hello reply: bad 'attempt'")? as u32;
+            Some(_) => {
+                let lease = uint(doc, "lease").map_err(bad)?;
+                let attempt = uint(doc, "attempt").map_err(bad)?;
                 let done = doc
                     .get("done")
                     .and_then(Json::as_bool)
@@ -360,11 +354,7 @@ impl PollReply {
 
     /// Inverse of [`PollReply::to_json`].
     pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let uint = |key: &str| {
-            doc.get(key)
-                .and_then(small_uint)
-                .ok_or_else(|| format!("poll reply missing '{key}'"))
-        };
+        let bad = |e: String| format!("poll reply: {e}");
         let raw = doc
             .get("records")
             .and_then(Json::as_array)
@@ -374,13 +364,13 @@ impl PollReply {
             records.push(record_from_json(r).map_err(|e| format!("poll reply: bad record: {e}"))?);
         }
         Ok(Self {
-            lease: uint("lease")?,
-            executed: uint("executed")? as usize,
+            lease: uint(doc, "lease").map_err(bad)?,
+            executed: uint(doc, "executed").map_err(bad)?,
             done: doc
                 .get("done")
                 .and_then(Json::as_bool)
                 .ok_or("poll reply missing 'done'")?,
-            base: uint("base")? as usize,
+            base: uint(doc, "base").map_err(bad)?,
             records,
         })
     }

@@ -552,6 +552,30 @@ mod tests {
         assert!(stop);
     }
 
+    #[test]
+    fn integers_past_their_field_are_refused_not_wrapped() {
+        let worker = Shared::new(Stub, &WorkerConfig::default());
+        // 2³² + 1 is proto 1 once cast to u32; it must not shake hands.
+        let (reply, _) = worker.handle_frame(
+            r#"{"id":1,"cmd":"fleet_hello","fingerprint":"stub","proto":4294967297}"#,
+        );
+        assert_eq!(
+            reply.to_string_compact(),
+            r#"{"id":1,"ok":false,"error":{"code":"bad_request","message":"bad 'proto': 4294967297"}}"#
+        );
+        // Nor may a grant's attempt wrap to 1.
+        let (reply, _) =
+            worker.handle_frame(&grant(2, 1).replace(r#""attempt":1"#, r#""attempt":4294967297"#));
+        assert_eq!(error_code(&reply), Some("bad_request"), "{reply:?}");
+        // The ids a fleet request carries are the front's: above
+        // u32::MAX they read as 0, and the request is still served.
+        let (reply, _) = worker.handle_frame(
+            r#"{"id":4294967297,"cmd":"fleet_hello","fingerprint":"stub","proto":1}"#,
+        );
+        assert_eq!(reply.get("id").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    }
+
     /// [`Stub`], one unit at a time, counting the units it executed.
     struct Slow(Arc<AtomicUsize>);
 

@@ -72,6 +72,14 @@ impl Json {
         }
     }
 
+    /// The value as an exact non-negative integer: a whole number no
+    /// larger than 2⁵³, below which every integer is an `f64`. Narrow
+    /// it with `try_from`, never with `as`.
+    pub fn as_u64(&self) -> Option<u64> {
+        let v = self.as_f64()?;
+        (v >= 0.0 && v.fract() == 0.0 && v <= (1u64 << 53) as f64).then_some(v as u64)
+    }
+
     /// The value as a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -502,6 +510,26 @@ mod tests {
         assert_eq!(Json::num(42.0).to_string_compact(), "42");
         assert_eq!(Json::num(-3.0).to_string_compact(), "-3");
         assert_eq!(Json::num(0.5).to_string_compact(), "0.5");
+    }
+
+    #[test]
+    fn as_u64_reads_exact_non_negative_integers_up_to_2_pow_53() {
+        let read = |text: &str| from_str(text).unwrap().as_u64();
+        assert_eq!(read("0"), Some(0));
+        assert_eq!(read("-0"), Some(0));
+        assert_eq!(read("4294967297"), Some(4_294_967_297));
+        assert_eq!(read("9007199254740992"), Some(1 << 53));
+        for bad in [
+            "9007199254740994",
+            "-1",
+            "1.5",
+            "1e300",
+            "\"7\"",
+            "null",
+            "true",
+        ] {
+            assert_eq!(read(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -567,16 +567,12 @@ fn decode_seed(doc: &Json) -> Result<Option<u64>, ServeError> {
         // f64 parsing — rejecting them (instead of silently serving a
         // *different* seed) protects the "same seed, same boxes"
         // contract; the string form carries the full u64 range.
-        Some(v) => v
-            .as_f64()
-            .filter(|x| *x >= 0.0 && x.fract() == 0.0 && *x <= (1u64 << 53) as f64)
-            .map(|x| Some(x as u64))
-            .ok_or_else(|| {
-                ServeError::parse(
-                    "'seed' must be a non-negative integer ≤ 2^53 \
-                     (use the decimal-string form for larger seeds)",
-                )
-            }),
+        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
+            ServeError::parse(
+                "'seed' must be a non-negative integer ≤ 2^53 \
+                 (use the decimal-string form for larger seeds)",
+            )
+        }),
     }
 }
 
@@ -614,14 +610,13 @@ fn decode_bnd(doc: &Json) -> Result<f64, ServeError> {
 }
 
 /// Decodes a small non-negative integer (`0..=u32::MAX`) from a JSON
-/// number — the shared predicate behind request ids and count fields:
-/// the front reads every served frame's id with it, and the client
+/// number ([`Json::as_u64`], bounded) — the shared predicate behind
+/// request ids and count fields: the front reads every served frame's
+/// id with it, the fleet worker's requests included, and the client
 /// every reply's (one definition keeps error correlation consistent
 /// with parsing).
 pub fn small_uint(v: &Json) -> Option<u64> {
-    v.as_f64()
-        .filter(|x| *x >= 0.0 && x.fract() == 0.0 && *x <= u32::MAX as f64)
-        .map(|x| x as u64)
+    v.as_u64().filter(|&x| x <= u64::from(u32::MAX))
 }
 
 /// Builds a success response frame.
