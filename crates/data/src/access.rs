@@ -7,14 +7,20 @@
 //! search implementation runs over both the in-memory
 //! [`SortedView`]-backed pool ([`ViewAccess`]) and the out-of-core
 //! paged column store (`reds-ooc`), with **bit-identical** results:
-//! every method pins down the exact floating-point visit order the
-//! in-memory path uses, and both backings honor it.
+//! every method pins down the exact floating-point visit order.
+//!
+//! Both backings are [`PageSource`]s, and every `PageSource` serves
+//! this surface through the one search of the sorted-column store;
+//! [`ViewAccess`] only says how the in-memory pool reads a page.
 //!
 //! All methods take `&mut self` because a paged backing mutates its
 //! page cache on every read; the in-memory implementation simply
 //! ignores the mutability.
 
-use crate::{Dataset, SortedView};
+use std::ops::{Deref, Range};
+use std::rc::Rc;
+
+use crate::{ActiveSet, Dataset, PageSource, SortedView};
 
 /// Callback of [`ColumnAccess::scan_column_points`]:
 /// `f(value, row, point, label)`.
@@ -99,122 +105,111 @@ pub trait ColumnAccess {
     fn deactivate_above(&mut self, dim: usize, bound: f64) -> usize;
 }
 
-/// The in-memory [`ColumnAccess`] backing: a [`SortedView`] over a
-/// [`Dataset`], plus the ascending active-row list the PRIM peel loop
-/// historically carried (so label sums cost `O(n_active)`, not `O(n)`).
-///
-/// Scans skip the deactivated rows the view has not compacted away
-/// yet, reading the mask only in columns that hold some.
+/// Rows per page of the in-memory store. Its pages are slices of
+/// resident arrays, so the size only sets how finely scans find dead
+/// pages and cuts pass them; it is the paged store's default.
+const PAGE_ROWS: usize = 4096;
+
+/// The in-memory [`ColumnAccess`] backing: a [`PageSource`] whose
+/// column pages are slices of a [`SortedView`]'s row ids, and whose
+/// values, labels and points are read from the [`Dataset`] (its labels
+/// and its points are one page each).
 pub struct ViewAccess<'a> {
     d: &'a Dataset,
-    view: SortedView,
-    /// Active rows in ascending row order (mirrors the view's mask).
-    in_rows: Vec<u32>,
+    view: Rc<SortedView>,
+    active: ActiveSet,
 }
 
 impl<'a> ViewAccess<'a> {
-    /// Wraps a dataset and its sorted view.
+    /// Wraps a dataset and its sorted view, with every row active.
     ///
     /// # Panics
     ///
-    /// Panics when the view's active-row count disagrees with the
-    /// dataset (the view must have been built over `d`, with no rows
-    /// deactivated yet).
+    /// Panics when the view does not index `d`: it must hold `d.m()`
+    /// columns of `d.n()` row ids each.
     pub fn new(d: &'a Dataset, view: SortedView) -> Self {
-        assert_eq!(
-            view.n_active(),
-            d.n(),
-            "view must be fresh over the dataset"
+        assert!(
+            view.m() == d.m() && (0..d.m()).all(|j| view.column(j).len() == d.n()),
+            "the view must index the dataset"
         );
-        let in_rows = (0..d.n() as u32).collect();
-        Self { d, view, in_rows }
-    }
-
-    /// Filters `in_rows` through the mask after a cut that removed
-    /// `removed` rows; returns `removed`.
-    fn drop_inactive_rows(&mut self, removed: usize) -> usize {
-        if removed > 0 {
-            let view = &self.view;
-            self.in_rows.retain(|&i| view.is_active(i as usize));
+        Self {
+            d,
+            view: Rc::new(view),
+            active: ActiveSet::new(d.n(), d.m(), PAGE_ROWS),
         }
-        removed
     }
 }
 
-impl ColumnAccess for ViewAccess<'_> {
-    fn m(&self) -> usize {
-        self.d.m()
+/// A page of an in-memory column: a range of the argsort, held through
+/// the view's handle so that the search can read the rest of the store
+/// while it holds the page.
+pub struct ViewPage {
+    view: Rc<SortedView>,
+    dim: usize,
+    ranks: Range<usize>,
+}
+
+impl Deref for ViewPage {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.view.column(self.dim)[self.ranks.clone()]
+    }
+}
+
+impl<'a> PageSource for ViewAccess<'a> {
+    type Entry = u32;
+    type Page = ViewPage;
+    type Floats = &'a [f64];
+
+    fn active(&self) -> &ActiveSet {
+        &self.active
     }
 
-    fn n_rows(&self) -> usize {
-        self.d.n()
+    fn active_mut(&mut self) -> &mut ActiveSet {
+        &mut self.active
     }
 
-    fn n_active(&self) -> usize {
-        self.view.n_active()
-    }
-
-    fn is_active(&mut self, row: u32) -> bool {
-        self.view.is_active(row as usize)
-    }
-
-    fn label(&mut self, row: u32) -> f64 {
-        self.d.label(row as usize)
-    }
-
-    fn label_sum(&mut self, rows: &[u32]) -> f64 {
-        let labels = self.d.labels();
-        rows.iter()
-            .fold(-0.0, |sum, &row| sum + labels[row as usize])
-    }
-
-    fn active_label_sum(&mut self) -> f64 {
-        self.in_rows.iter().map(|&i| self.d.label(i as usize)).sum()
-    }
-
-    fn scan_active_front(&mut self, dim: usize, f: &mut dyn FnMut(f64, u32) -> bool) {
-        let d = self.d;
-        self.view
-            .scan_front(dim, |row| f(d.value(row as usize, dim), row));
-    }
-
-    fn scan_active_back(&mut self, dim: usize, f: &mut dyn FnMut(f64, u32) -> bool) {
-        let d = self.d;
-        self.view
-            .scan_back(dim, |row| f(d.value(row as usize, dim), row));
-    }
-
-    fn scan_column_points(&mut self, dim: usize, f: &mut PointVisitor<'_>) {
-        let d = self.d;
-        self.view.scan_front(dim, |row| {
-            let i = row as usize;
-            f(d.value(i, dim), row, d.point(i), d.label(i));
-            true
-        });
-    }
-
-    fn scan_rows(&mut self, f: &mut dyn FnMut(u32, &[f64], f64)) {
-        for (row, (point, label)) in self.d.iter().enumerate() {
-            f(row as u32, point, label);
+    fn column_page(&mut self, dim: usize, page: usize) -> ViewPage {
+        ViewPage {
+            view: Rc::clone(&self.view),
+            dim,
+            ranks: self.active.page_range(page),
         }
     }
 
-    fn deactivate_below(&mut self, dim: usize, bound: f64) -> usize {
-        let removed = self.view.retain_at_least(self.d, dim, bound);
-        self.drop_inactive_rows(removed)
+    fn entry_row(entry: u32) -> u32 {
+        entry
     }
 
-    fn deactivate_above(&mut self, dim: usize, bound: f64) -> usize {
-        let removed = self.view.retain_at_most(self.d, dim, bound);
-        self.drop_inactive_rows(removed)
+    fn entry_value(&self, dim: usize, entry: u32) -> f64 {
+        self.d.value(entry as usize, dim)
+    }
+
+    fn fences(&self, dim: usize, page: usize) -> (f64, f64) {
+        let rows = &self.view.column(dim)[self.active.page_range(page)];
+        let value = |row: u32| self.d.value(row as usize, dim);
+        (value(rows[0]), value(rows[rows.len() - 1]))
+    }
+
+    fn labels_at(&mut self, _row: usize) -> (&'a [f64], Range<usize>) {
+        (self.d.labels(), 0..self.d.n())
+    }
+
+    fn points_at(&mut self, _row: usize) -> (&'a [f64], Range<usize>) {
+        (self.d.points(), 0..self.d.n())
+    }
+
+    fn sum_labels(&mut self, rows: &[u32]) -> f64 {
+        let labels = self.d.labels();
+        rows.iter()
+            .fold(-0.0, |sum, &row| sum + labels[row as usize])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn toy() -> Dataset {
         // Column 0: 3 1 2 1 0 ; column 1: 5 4 3 2 1
@@ -290,166 +285,5 @@ mod tests {
             seen.push((row, label));
         });
         assert_eq!(seen, vec![(4, 0.0), (3, 1.0), (2, 0.0), (1, 1.0), (0, 0.0)]);
-    }
-
-    /// The eager reference: the fresh sorted columns, filtered through
-    /// a mask that every cut is applied to directly.
-    struct Eager<'a> {
-        d: &'a Dataset,
-        cols: Vec<Vec<u32>>,
-        active: Vec<bool>,
-    }
-
-    impl Eager<'_> {
-        fn cut(&mut self, dim: usize, below: bool, bound: f64) -> usize {
-            let mut removed = 0;
-            for (row, on) in self.active.iter_mut().enumerate() {
-                let v = self.d.value(row, dim);
-                if *on && (if below { v < bound } else { v > bound }) {
-                    *on = false;
-                    removed += 1;
-                }
-            }
-            removed
-        }
-
-        /// `(value bits, row)` of the active entries of `dim`, ascending.
-        fn entries(&self, dim: usize) -> Vec<(u64, u32)> {
-            let col = self.cols[dim].iter();
-            col.filter(|&&row| self.active[row as usize])
-                .map(|&row| (self.d.value(row as usize, dim).to_bits(), row))
-                .collect()
-        }
-    }
-
-    /// `(value bits, row)` of the first `take` entries a scan hands out.
-    fn scan(a: &mut ViewAccess<'_>, dim: usize, back: bool, take: usize) -> Vec<(u64, u32)> {
-        let mut seen = Vec::new();
-        let mut visit = |v: f64, row: u32| {
-            seen.push((v.to_bits(), row));
-            seen.len() < take
-        };
-        if back {
-            a.scan_active_back(dim, &mut visit);
-        } else {
-            a.scan_active_front(dim, &mut visit);
-        }
-        seen
-    }
-
-    fn assert_matches(a: &mut ViewAccess<'_>, eager: &Eager<'_>, rng: &mut StdRng, what: &str) {
-        let n_active = eager.active.iter().filter(|&&on| on).count();
-        assert_eq!(a.n_active(), n_active, "{what}: n_active");
-        for (row, &on) in eager.active.iter().enumerate() {
-            assert_eq!(a.is_active(row as u32), on, "{what}: row {row}");
-        }
-        let want: f64 = (0..eager.d.n())
-            .filter(|&row| eager.active[row])
-            .map(|row| eager.d.label(row))
-            .sum();
-        assert_eq!(
-            a.active_label_sum().to_bits(),
-            want.to_bits(),
-            "{what}: label sum"
-        );
-        for dim in 0..eager.d.m() {
-            let want = eager.entries(dim);
-            assert_eq!(scan(a, dim, false, usize::MAX), want, "{what}: front {dim}");
-            let back: Vec<_> = want.iter().rev().copied().collect();
-            assert_eq!(scan(a, dim, true, usize::MAX), back, "{what}: back {dim}");
-            // Scans that stop early, inside and across gather blocks.
-            let take = rng.gen_range(1..=want.len().max(1));
-            assert_eq!(
-                scan(a, dim, false, take),
-                want[..take.min(want.len())],
-                "{what}"
-            );
-            assert_eq!(
-                scan(a, dim, true, take),
-                back[..take.min(back.len())],
-                "{what}"
-            );
-        }
-    }
-
-    /// A pool with ties, ±0.0 and a few-valued column.
-    fn random_pool(rng: &mut StdRng, n: usize, m: usize) -> Dataset {
-        let points = (0..n * m)
-            .map(|k| match k % m {
-                0 => rng.gen::<f64>(),
-                1 => (rng.gen::<f64>() * 9.0).floor() / 9.0 - 0.5,
-                2 => [-0.0, 0.0, 1.0][rng.gen_range(0..3usize)],
-                _ => rng.gen::<f64>() * 2.0 - 1.0,
-            })
-            .collect();
-        let labels = (0..n).map(|_| rng.gen::<f64>()).collect();
-        Dataset::new(points, labels, m).unwrap()
-    }
-
-    /// Runs `cuts` seeded cuts, comparing with the eager reference after
-    /// each; `dims` picks the cut dimension. Returns how many times a
-    /// column was compacted (its live entries shrank without a cut on
-    /// it).
-    fn run_cuts(seed: u64, n: usize, cuts: usize, dims: impl Fn(&mut StdRng) -> usize) -> usize {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let d = random_pool(&mut rng, n, 4);
-        let mut a = ViewAccess::new(&d, SortedView::new(&d));
-        let mut eager = Eager {
-            d: &d,
-            cols: SortedView::new(&d).into_columns(),
-            active: vec![true; n],
-        };
-        let mut compactions = 0;
-        for step in 0..cuts {
-            let dim = dims(&mut rng);
-            let below = rng.gen_bool(0.5);
-            let entries = eager.entries(dim);
-            if entries.is_empty() {
-                break;
-            }
-            // A bound at a small random rank from the cut's end, now and
-            // then one that removes nothing.
-            let rank = rng.gen_range(0..entries.len().min(n / 20 + 2));
-            let at = if below {
-                rank
-            } else {
-                entries.len() - 1 - rank
-            };
-            let bound = f64::from_bits(entries[at].0);
-            let live_before: Vec<usize> = (0..d.m()).map(|j| a.view.column(j).len()).collect();
-            let got = if below {
-                a.deactivate_below(dim, bound)
-            } else {
-                a.deactivate_above(dim, bound)
-            };
-            assert_eq!(
-                got,
-                eager.cut(dim, below, bound),
-                "seed {seed} cut {step}: removed"
-            );
-            for (j, &before) in live_before.iter().enumerate() {
-                let after = a.view.column(j).len();
-                if j != dim && after < before {
-                    compactions += 1;
-                }
-            }
-            assert_matches(&mut a, &eager, &mut rng, &format!("seed {seed} cut {step}"));
-        }
-        compactions
-    }
-
-    #[test]
-    fn random_cut_sequences_match_the_eager_reference() {
-        for seed in 0..12 {
-            run_cuts(seed, 64 + 97 * seed as usize, 60, |rng| rng.gen_range(0..4));
-        }
-    }
-
-    #[test]
-    fn repeated_compactions_match_the_eager_reference() {
-        // Cutting one dimension only: every other column gathers stale
-        // entries until it passes the threshold, again and again.
-        let compactions = run_cuts(99, 3000, 80, |_| 0);
-        assert!(compactions >= 3 * 3, "only {compactions} compactions");
     }
 }

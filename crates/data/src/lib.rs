@@ -21,6 +21,7 @@ mod error;
 mod folds;
 mod sorted;
 mod split;
+mod store;
 
 pub use access::{ColumnAccess, PointVisitor, ViewAccess};
 pub use bootstrap::bootstrap_sample;
@@ -29,3 +30,4 @@ pub use error::DataError;
 pub use folds::KFold;
 pub use sorted::{argsort_stable, ord_key, ord_key_inverse, SortedView};
 pub use split::{train_test_split, Split};
+pub use store::{ActiveSet, PageSource};

@@ -3,17 +3,10 @@
 //! The paper's §7 complexity analysis assumes every input dimension is
 //! sorted **once** — `O(M·N log N)` — after which each PRIM peeling step
 //! touches each surviving point a constant number of times, for
-//! `O(M·N/α)` total peeling work. [`SortedView`] is that index: one
-//! argsorted row-id array per dimension plus a row-membership mask,
-//! maintained under subsetting so consumers never re-sort.
-//!
-//! Deactivation is lazy, as in the out-of-core paged store: a cut
-//! clears mask bits and trims the end of the column it cut; every other
-//! column keeps the deactivated rows as *stale* entries until more than
-//! half of its live entries are stale, and only then is compacted.
-//! Each compaction drops more entries than it keeps, so all of them
-//! together cost `O(M·N)` over any sequence of cuts, not `O(M·n)` per
-//! cut.
+//! `O(M·N/α)` total peeling work. [`SortedView`] is that sort: one
+//! argsorted row-id array per dimension. The search over it (the active
+//! rows, the cuts and the scans) is the sorted-column store that
+//! [`ViewAccess`](crate::ViewAccess) runs over the view's columns.
 //!
 //! Ordering is total and deterministic: rows are sorted by
 //! `(value, row id)` (`f64::total_cmp` then index). Consumers that sum
@@ -22,67 +15,16 @@
 //! with the same key — the property the `naive`-vs-optimized
 //! equivalence tests rely on.
 
-use std::ops::Range;
-
 use crate::{DataError, Dataset};
 
-/// Per-dimension argsorted row indices plus a membership mask, built
-/// once in `O(M·N log N)`. A cut costs the entries it trims, one pass
-/// over the per-column counters, and compactions that total `O(M·N)`
-/// over the view's lifetime; scans skip the stale entries.
+/// Per-dimension argsorted row indices, built once in `O(M·N log N)`.
 ///
 /// The view stores row *indices only*; callers pass the owning
-/// [`Dataset`] back in when values are needed. All methods assume the
-/// same dataset (same shape and order) is used throughout the view's
-/// lifetime.
+/// [`Dataset`] back in when values are needed.
 #[derive(Debug, Clone)]
 pub struct SortedView {
-    cols: Vec<Column>,
-    /// Membership mask over the original rows.
-    active: Vec<bool>,
-    n_active: usize,
-}
-
-/// One dimension's sorted row ids.
-#[derive(Debug, Clone)]
-struct Column {
-    /// Row ids sorted by `(value, row)`; `rows[lo..]` are the live
-    /// entries: every active row, plus `stale` deactivated ones.
-    rows: Vec<u32>,
-    /// Entries before `lo` were trimmed by low cuts (high cuts
-    /// truncate `rows`).
-    lo: usize,
-    /// Deactivated rows among the live entries.
-    stale: usize,
-}
-
-impl Column {
-    fn fresh(rows: Vec<u32>) -> Self {
-        Self {
-            rows,
-            lo: 0,
-            stale: 0,
-        }
-    }
-
-    fn live(&self) -> &[u32] {
-        &self.rows[self.lo..]
-    }
-
-    /// Drops the trimmed and stale entries, keeping the order.
-    fn compact(&mut self, active: &[bool]) {
-        // Branch-free: about half the entries go, in no pattern a
-        // branch predictor could follow.
-        let mut kept = 0;
-        for at in self.lo..self.rows.len() {
-            let row = self.rows[at];
-            self.rows[kept] = row;
-            kept += usize::from(active[row as usize]);
-        }
-        self.rows.truncate(kept);
-        self.lo = 0;
-        self.stale = 0;
-    }
+    /// Row ids of each dimension, sorted by `(value, row)`.
+    cols: Vec<Vec<u32>>,
 }
 
 impl SortedView {
@@ -95,13 +37,9 @@ impl SortedView {
         let n = d.n();
         assert!(n <= u32::MAX as usize, "dataset too large for u32 row ids");
         let cols = (0..d.m())
-            .map(|j| Column::fresh(argsort_stable(n, |i| ord_key(d.value(i, j)))))
+            .map(|j| argsort_stable(n, |i| ord_key(d.value(i, j))))
             .collect();
-        Self {
-            cols,
-            active: vec![true; n],
-            n_active: n,
-        }
+        Self { cols }
     }
 
     /// Builds the index from externally presorted columns, such as
@@ -131,11 +69,7 @@ impl SortedView {
                 seen[row as usize] = true;
             }
         }
-        Ok(Self {
-            cols: cols.into_iter().map(Column::fresh).collect(),
-            active: vec![true; n],
-            n_active: n,
-        })
+        Ok(Self { cols })
     }
 
     /// Number of dimensions indexed.
@@ -143,149 +77,17 @@ impl SortedView {
         self.cols.len()
     }
 
-    /// Number of rows still active.
-    pub fn n_active(&self) -> usize {
-        self.n_active
-    }
-
-    /// `true` when row `i` is still active.
-    pub fn is_active(&self, i: usize) -> bool {
-        self.active[i]
-    }
-
-    /// The live entries of dimension `j`, sorted ascending by
-    /// `(value, row id)`: every active row, interleaved with the
-    /// deactivated rows no compaction has dropped yet. On a view no
-    /// cut has touched, that is every row.
-    pub fn column(&self, j: usize) -> &[u32] {
-        self.cols[j].live()
-    }
-
-    /// Hands `f` the active rows of dimension `j` front to back —
-    /// ascending `(value, row id)` — until it returns `false` or the
-    /// column ends.
-    pub(crate) fn scan_front(&self, j: usize, f: impl FnMut(u32) -> bool) {
-        let col = &self.cols[j];
-        self.visit_active(col.stale > 0, col.live().iter(), f);
-    }
-
-    /// [`scan_front`](Self::scan_front) from the other end: descending
+    /// Every row id of dimension `j`, sorted ascending by
     /// `(value, row id)`.
-    pub(crate) fn scan_back(&self, j: usize, f: impl FnMut(u32) -> bool) {
-        let col = &self.cols[j];
-        self.visit_active(col.stale > 0, col.live().iter().rev(), f);
+    pub fn column(&self, j: usize) -> &[u32] {
+        &self.cols[j]
     }
 
-    /// Hands `f` the active ones of `rows` in order until it returns
-    /// `false`; the mask is read only when `stale` says some are not.
-    fn visit_active<'r>(
-        &self,
-        stale: bool,
-        mut rows: impl Iterator<Item = &'r u32>,
-        mut f: impl FnMut(u32) -> bool,
-    ) {
-        if !stale {
-            for &row in rows {
-                if !f(row) {
-                    return;
-                }
-            }
-            return;
-        }
-        // Each block's active rows are gathered branch-free before `f`
-        // sees them: a branch on the mask would mispredict at stale
-        // entries, and each misprediction discards the value loads the
-        // caller's `f` has in flight.
-        const BLOCK: usize = 64;
-        let mut block = [0u32; BLOCK];
-        loop {
-            let (mut taken, mut kept) = (0, 0);
-            for &row in rows.by_ref().take(BLOCK) {
-                block[kept] = row;
-                kept += usize::from(self.active[row as usize]);
-                taken += 1;
-            }
-            for &row in &block[..kept] {
-                if !f(row) {
-                    return;
-                }
-            }
-            if taken < BLOCK {
-                return;
-            }
-        }
-    }
-
-    /// Consumes the view, returning every column's sorted active rows —
-    /// for consumers that only need the initial argsort (no
-    /// subsetting) and want to avoid copying it.
-    pub fn into_columns(mut self) -> Vec<Vec<u32>> {
-        for col in &mut self.cols {
-            if col.lo > 0 || col.stale > 0 {
-                col.compact(&self.active);
-            }
-        }
-        self.cols.into_iter().map(|col| col.rows).collect()
-    }
-
-    /// Deactivates every active row whose value in `dim` is strictly
-    /// below `bound` (a PRIM "low" cut: the new lower bound is
-    /// inclusive). Returns the number of rows removed.
-    pub fn retain_at_least(&mut self, d: &Dataset, dim: usize, bound: f64) -> usize {
-        let col = &self.cols[dim];
-        let trimmed = col
-            .live()
-            .iter()
-            .take_while(|&&row| d.value(row as usize, dim) < bound)
-            .count();
-        self.cut(dim, col.lo..col.lo + trimmed)
-    }
-
-    /// Deactivates every active row whose value in `dim` is strictly
-    /// above `bound` (a PRIM "high" cut). Returns the number of rows
-    /// removed.
-    pub fn retain_at_most(&mut self, d: &Dataset, dim: usize, bound: f64) -> usize {
-        let col = &self.cols[dim];
-        let trimmed = col
-            .live()
-            .iter()
-            .rev()
-            .take_while(|&&row| d.value(row as usize, dim) > bound)
-            .count();
-        let end = col.rows.len();
-        self.cut(dim, end - trimmed..end)
-    }
-
-    /// The one deactivation path. `trim` is a prefix or a suffix of
-    /// `dim`'s live entries — all of them beyond the cut's bound, the
-    /// column being sorted — so their mask bits are cleared and they
-    /// leave the column; every other column counts the newly
-    /// deactivated rows as stale, and any column whose live entries are
-    /// now more than half stale is compacted.
-    fn cut(&mut self, dim: usize, trim: Range<usize>) -> usize {
-        let col = &mut self.cols[dim];
-        let mut removed = 0;
-        for &row in &col.rows[trim.clone()] {
-            removed += usize::from(std::mem::replace(&mut self.active[row as usize], false));
-        }
-        col.stale -= trim.len() - removed;
-        if trim.start == col.lo {
-            col.lo = trim.end;
-        } else {
-            col.rows.truncate(trim.start);
-        }
-        if removed > 0 {
-            self.n_active -= removed;
-            for (j, col) in self.cols.iter_mut().enumerate() {
-                if j != dim {
-                    col.stale += removed;
-                }
-                if 2 * col.stale > col.live().len() {
-                    col.compact(&self.active);
-                }
-            }
-        }
-        removed
+    /// Consumes the view, returning every column's sorted row ids — for
+    /// consumers that own the argsort from here on and want to avoid
+    /// copying it.
+    pub fn into_columns(self) -> Vec<Vec<u32>> {
+        self.cols
     }
 }
 
@@ -567,69 +369,13 @@ mod tests {
         .unwrap()
     }
 
-    fn active(v: &SortedView, j: usize) -> Vec<u32> {
-        let live = v.column(j).iter().copied();
-        live.filter(|&row| v.is_active(row as usize)).collect()
-    }
-
     #[test]
     fn columns_are_sorted_with_ties_by_row() {
         let d = toy();
         let v = SortedView::new(&d);
         assert_eq!(v.column(0), &[4, 1, 3, 2, 0]); // values 0 1 1 2 3, tie 1@rows{1,3}
         assert_eq!(v.column(1), &[4, 3, 2, 1, 0]);
-        assert_eq!(v.n_active(), 5);
         assert_eq!(v.m(), 2);
-    }
-
-    #[test]
-    fn low_cut_removes_the_strict_prefix() {
-        let d = toy();
-        let mut v = SortedView::new(&d);
-        // Lower bound 1.0 on dim 0: only row 4 (value 0) goes.
-        assert_eq!(v.retain_at_least(&d, 0, 1.0), 1);
-        assert_eq!(v.n_active(), 4);
-        assert!(!v.is_active(4));
-        assert_eq!(v.column(0), &[1, 3, 2, 0]); // trimmed
-        assert_eq!(active(&v, 1), &[3, 2, 1, 0]);
-        assert_eq!(v.column(1), &[4, 3, 2, 1, 0]); // 1 stale of 5: kept
-    }
-
-    #[test]
-    fn high_cut_removes_the_strict_suffix() {
-        let d = toy();
-        let mut v = SortedView::new(&d);
-        assert_eq!(v.retain_at_most(&d, 1, 3.0), 2); // rows 0 (5) and 1 (4)
-        assert_eq!(v.n_active(), 3);
-        assert_eq!(active(&v, 0), &[4, 3, 2]);
-    }
-
-    #[test]
-    fn ties_at_the_bound_survive() {
-        let d = Dataset::new(vec![1.0, 1.0, 1.0, 2.0, 3.0], vec![0.0; 5], 1).unwrap();
-        let mut v = SortedView::new(&d);
-        assert_eq!(v.retain_at_least(&d, 0, 1.0), 0); // nothing strictly below
-        assert_eq!(v.n_active(), 5);
-        assert_eq!(v.retain_at_most(&d, 0, 1.0), 2);
-        assert_eq!(active(&v, 0), &[0, 1, 2]);
-    }
-
-    #[test]
-    fn repeated_cuts_compose() {
-        let d = toy();
-        let mut v = SortedView::new(&d);
-        v.retain_at_least(&d, 0, 1.0);
-        v.retain_at_most(&d, 1, 3.0);
-        // Survivors: rows with x0 >= 1 and x1 <= 3 -> rows 2, 3.
-        assert_eq!(v.n_active(), 2);
-        assert_eq!(active(&v, 0), &[3, 2]);
-        assert_eq!(active(&v, 1), &[3, 2]);
-        // Exactly half of column 0's live entries are stale: kept.
-        assert_eq!(v.column(0), &[1, 3, 2, 0]);
-        assert_eq!(v.clone().into_columns(), vec![vec![3, 2], vec![3, 2]]);
-        // One more stale entry tips it over: compacted.
-        assert_eq!(v.retain_at_most(&d, 1, 2.0), 1); // row 2 (3)
-        assert_eq!(v.column(0), &[3]);
     }
 
     #[test]
@@ -640,12 +386,7 @@ mod tests {
             .expect("valid");
         assert_eq!(rebuilt.column(0), reference.column(0));
         assert_eq!(rebuilt.column(1), reference.column(1));
-        assert_eq!(rebuilt.n_active(), d.n());
-        // Cuts behave identically on the rebuilt view.
-        let mut a = reference.clone();
-        let mut b = rebuilt;
-        assert_eq!(a.retain_at_least(&d, 0, 1.0), b.retain_at_least(&d, 0, 1.0));
-        assert_eq!(active(&a, 1), active(&b, 1));
+        assert_eq!(rebuilt.m(), reference.m());
     }
 
     #[test]
@@ -673,7 +414,7 @@ mod tests {
     fn empty_dataset_yields_empty_view() {
         let d = Dataset::empty(2).unwrap();
         let v = SortedView::new(&d);
-        assert_eq!(v.n_active(), 0);
+        assert_eq!(v.m(), 2);
         assert!(v.column(0).is_empty());
     }
 }

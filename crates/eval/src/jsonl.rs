@@ -17,15 +17,16 @@
 //! * **open** — [`Writer::open`] with `resume` set reloads an existing
 //!   log, lets the format check its header, writes the header and the
 //!   valid lines, verbatim, to `<path>.tmp` and renames that over the
-//!   file, so a torn tail can never run into the next append. Otherwise
-//!   it creates the parent directory and a fresh log.
+//!   file, so a torn tail can never run into the next append. Otherwise,
+//!   or when the log holds no complete header line, it creates the
+//!   parent directory and a fresh log.
 //!
 //! Lines are split on `\n` as bytes before any is decoded, so a crash
 //! that tears a multi-byte character leaves a torn tail like any other.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::marker::PhantomData;
 use std::path::Path;
 
@@ -165,14 +166,17 @@ impl<F: Format> Writer<F> {
         Ok(writer)
     }
 
-    /// With `resume` and a log at `path`, [`Writer::resume`]; otherwise
-    /// creates `path`'s directory and a fresh log, with no records.
+    /// With `resume` and a log at `path` that holds a complete header
+    /// line, [`Writer::resume`]; otherwise creates `path`'s directory and
+    /// a fresh log, with no records. A log with no complete header line
+    /// (a crash inside [`Writer::create`] before its one write landed)
+    /// holds no record, so it too starts afresh.
     pub fn open(
         path: &Path,
         header: &F::Header,
         resume: bool,
     ) -> Result<(Self, Vec<F::Record>), F::Error> {
-        if resume && path.exists() {
+        if resume && holds_a_line(path)? {
             return Self::resume(path, header);
         }
         if let Some(dir) = path.parent() {
@@ -207,6 +211,19 @@ impl<F: Format> Writer<F> {
         self.file.flush()?;
         Ok(())
     }
+}
+
+/// `true` when the file at `path` holds a complete line: one that ends
+/// in `\n`. A missing file holds none.
+fn holds_a_line(path: &Path) -> Result<bool, LogError> {
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) => return Err(e.into()),
+    };
+    let mut line = Vec::new();
+    BufReader::new(file).read_until(b'\n', &mut line)?;
+    Ok(line.ends_with(b"\n"))
 }
 
 /// Replaces the file at `path` by `valid` (the rename is atomic) and

@@ -72,20 +72,18 @@ pub fn f64_from_json(doc: &Json) -> Result<f64, PersistError> {
     }
 }
 
-/// Decodes a non-negative integer stored as a JSON number, rejecting
-/// negatives, fractions, and anything above `u32::MAX` — so the result
+/// Decodes a non-negative integer stored as a JSON number
+/// ([`Json::as_u64`], then `u32::try_from`), rejecting negatives,
+/// fractions, and anything above `u32::MAX` — so the result
 /// fits `usize` losslessly on every supported target (including 32-bit
 /// ones, where a bare `as usize` would silently truncate). The single
 /// integer-decode helper for every model-document loader (this crate's
 /// persistence and `reds-serve` artifacts alike).
 pub fn usize_from_json(doc: &Json, what: &str) -> Result<usize, PersistError> {
-    let v = doc
-        .as_f64()
-        .ok_or_else(|| bad(format!("{what} must be a number")))?;
-    if v < 0.0 || v.fract() != 0.0 || v > u32::MAX as f64 {
-        return Err(bad(format!("{what} must be a small non-negative integer")));
-    }
-    Ok(v as usize)
+    doc.as_u64()
+        .and_then(|v| u32::try_from(v).ok())
+        .map(|v| v as usize)
+        .ok_or_else(|| bad(format!("{what} must be a small non-negative integer")))
 }
 
 /// Looks up a required object field.
@@ -213,6 +211,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use reds_data::Dataset;
+
+    #[test]
+    fn usize_from_json_reads_the_whole_numbers_up_to_u32_max() {
+        let read = |text: &str| usize_from_json(&reds_json::from_str(text).unwrap(), "n");
+        assert_eq!(read("4294967295").unwrap(), u32::MAX as usize);
+        assert_eq!(read("0").unwrap(), 0);
+        assert_eq!(read("-0").unwrap(), 0);
+        for refused in ["4294967296", "-1", "0.5"] {
+            assert!(read(refused).is_err(), "{refused}");
+        }
+    }
 
     fn band_data(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -19,8 +19,8 @@ use std::rc::Rc;
 /// One decoded column record: the value (already through
 /// `ord_key_inverse`) and its row id. 16 bytes in cache for 12 on
 /// disk — the budget counts the in-memory size.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Rec {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Rec {
     pub value: f64,
     pub row: u32,
 }

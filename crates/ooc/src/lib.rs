@@ -5,9 +5,14 @@
 //! discovery then loads the whole thing back: `O(L·M)` points plus an
 //! `O(L)` sort order per column. This crate keeps one bit per row
 //! resident and pages everything else. [`OocPool`] opens a `.redsart`
-//! pool artifact written by `PoolBuilder::finish_art` and serves the
-//! [`ColumnAccess`](reds_data::ColumnAccess) surface — sorted-column
-//! scans, label sums, deactivation cuts — through:
+//! pool artifact written by `PoolBuilder::finish_art` and is the paged
+//! [`PageSource`](reds_data::PageSource) of `reds-data`'s sorted-column
+//! store, so it serves the [`ColumnAccess`](reds_data::ColumnAccess)
+//! surface — sorted-column scans, label sums, deactivation cuts — with
+//! the store's one search (rank watermarks, dead pages skipped and
+//! passed by their fences, a resident bitset of `L/8` bytes, 31 KiB at
+//! `L = 2.5·10⁵`, the only per-row state). What this crate adds is how
+//! a page is read:
 //!
 //! * **positioned reads, never the whole file** — an
 //!   [`ArtScan`](reds_art::ArtScan) verifies the full checksum chain in
@@ -24,15 +29,10 @@
 //! * **an exact-LRU page cache with a hard byte budget** shared by
 //!   record, label, and point pages ([`OocConfig::cache_bytes`]); every
 //!   page has a dense id, so a hit is an index into a page table;
-//! * **a resident membership bitset** — one bit per row (`L/8` bytes,
-//!   31 KiB at `L = 2.5·10⁵`), the only per-row state the store keeps:
-//!   scans read the bits of each block of up to 64 records before
-//!   handing any out, and label sums walk it a word at a time;
-//! * **monotone dead-page skipping** — deactivation only ever removes
-//!   rows, so a page once observed with zero active rows is skipped
-//!   with zero I/O forever after.
+//! * **label sums bucketed by label page**, so a candidate's removed
+//!   rows fetch each label page once.
 //!
-//! Every visit order is pinned to the in-memory `SortedView` path
+//! The search and its visit orders are the in-memory backing's
 //! (ascending `(value, row id)` per column; ascending row order for
 //! the active label sum, the caller's order for
 //! [`label_sum`](reds_data::ColumnAccess::label_sum)), so a discovery

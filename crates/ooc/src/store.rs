@@ -1,31 +1,19 @@
-//! [`OocPool`]: the paged, rank-addressable column store.
+//! [`OocPool`]: the paged source of the sorted-column store.
 //!
 //! Opens a `.redsart` pool artifact (streaming-verified, then read by
 //! position), decodes its DATASET and COLUMN headers with the decoders
 //! `reds-art`'s in-memory reader uses, validates that every column is
-//! fully merged and carries a page index, and serves [`ColumnAccess`]
-//! over it:
-//!
-//! * a column's sorted records are addressed by **rank** — rank `r`
-//!   lives in page `r / page_rows` at a fixed byte offset, one `pread`
-//!   away;
-//! * per-column **watermarks** `[lo, hi)` bracket the ranks that can
-//!   still be active: PRIM cuts only ever trim the ends of a sorted
-//!   column, so everything outside the bracket is inactive by
-//!   construction;
-//! * pages *inside* the bracket that a scan observes with zero active
-//!   rows are marked **dead** and skipped without I/O from then on —
-//!   sound because deactivation is monotone (rows never reactivate);
-//! * the active-row mask is a resident bitset of `⌈n/64⌉` words, one bit
-//!   per row: a scan reads the bits of each block of up to 64 records
-//!   before it hands any of them out, and label sums walk it a word at a
-//!   time.
-//!
-//! Every visit order matches the in-memory
-//! [`ViewAccess`](reds_data::ViewAccess) exactly; the equivalence
-//! tests drive both through identical cut sequences and require
-//! bit-identical observations.
+//! fully merged and carries a page index, and reads the store's pages
+//! from it: rank `r` of a column lives in record page `r / page_rows`
+//! at a fixed byte offset, one `pread` away, and each page's min/max
+//! fences come from the artifact's page index. The search itself —
+//! watermarks, dead pages, the resident bitset — is `reds-data`'s, the
+//! one the in-memory [`ViewAccess`](reds_data::ViewAccess) runs, so
+//! every visit order matches it exactly; the equivalence tests drive
+//! both through identical cut sequences and require bit-identical
+//! observations.
 
+use std::ops::Range;
 use std::path::Path;
 use std::rc::Rc;
 
@@ -33,7 +21,7 @@ use reds_art::{
     ArtScan, ColumnHeader, DatasetHeader, PageIndex, ScanSection, SECTION_COLUMN, SECTION_DATASET,
     SECTION_PAGE_INDEX,
 };
-use reds_data::{ord_key_inverse, ColumnAccess, PointVisitor};
+use reds_data::{ord_key_inverse, ActiveSet, ColumnAccess, PageSource};
 
 use crate::cache::{Page, PageCache, Rec};
 use crate::{OocConfig, OocError};
@@ -42,19 +30,6 @@ use crate::{OocConfig, OocError};
 /// trusted to succeed: the only failures left are catastrophic
 /// filesystem ones, which have no better answer than stopping.
 const READ_EXPECT: &str = "verified pool artifact became unreadable mid-search";
-
-struct ColMeta {
-    /// Absolute file offset of the column's first 12-byte record.
-    records_off: u64,
-    /// Decoded per-page (min value, max value) fences.
-    fences: Vec<(f64, f64)>,
-    /// First rank that can still be active.
-    lo: usize,
-    /// One past the last rank that can still be active.
-    hi: usize,
-    /// Pages observed with zero active rows — skipped without I/O.
-    dead: Vec<bool>,
-}
 
 /// Cache / I/O counters of an [`OocPool`], for reports and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +45,8 @@ pub struct OocStats {
     pub bytes_read: u64,
 }
 
-/// Scratch of [`OocPool::label_sum`], kept between calls.
+/// Scratch of [`OocPool`]'s [`PageSource::sum_labels`], kept between
+/// calls.
 #[derive(Default)]
 struct LabelGather {
     /// Per label page: the call's rows in it, then the end of its
@@ -82,67 +58,6 @@ struct LabelGather {
     order: Vec<u32>,
     /// The label at each position.
     labels: Vec<f64>,
-}
-
-/// `true` when `row`'s bit is set in `bits` (bit `row % 64` of word
-/// `row / 64`).
-fn is_set(bits: &[u64], row: u32) -> bool {
-    bits[row as usize / 64] >> (row % 64) & 1 != 0
-}
-
-/// Clears `row`'s bit; returns 1 if it was set, else 0.
-fn clear(bits: &mut [u64], row: u32) -> usize {
-    let (word, bit) = (row as usize / 64, row % 64);
-    let was = bits[word] >> bit & 1;
-    bits[word] &= !(1 << bit);
-    was as usize
-}
-
-/// What a scan found in one page.
-enum PageVisit {
-    /// No active entry: the page is dead from now on.
-    Dead,
-    /// Every entry was visited, some of them active.
-    Live,
-    /// `f` asked to stop.
-    Stopped,
-}
-
-/// Hands `f` the active ones of `recs`, in order, until it returns
-/// `false`. Each block of up to 64 records has its active entries
-/// gathered branch-free before `f` sees any of them, as `SortedView`
-/// scans do: a branch on the mask would mispredict at inactive entries,
-/// and each misprediction discards the loads the caller's `f` has in
-/// flight.
-fn visit_page<'r>(
-    active: &[u64],
-    mut recs: impl Iterator<Item = &'r Rec>,
-    f: &mut dyn FnMut(f64, u32) -> bool,
-) -> PageVisit {
-    const BLOCK: usize = 64;
-    let mut block = [Rec { value: 0.0, row: 0 }; BLOCK];
-    let mut any_active = false;
-    loop {
-        let (mut taken, mut kept) = (0, 0);
-        for &r in recs.by_ref().take(BLOCK) {
-            block[kept] = r;
-            kept += usize::from(is_set(active, r.row));
-            taken += 1;
-        }
-        any_active |= kept > 0;
-        for r in &block[..kept] {
-            if !f(r.value, r.row) {
-                return PageVisit::Stopped;
-            }
-        }
-        if taken < BLOCK {
-            return if any_active {
-                PageVisit::Live
-            } else {
-                PageVisit::Dead
-            };
-        }
-    }
 }
 
 /// An out-of-core pool: [`ColumnAccess`] served from a verified
@@ -157,16 +72,19 @@ pub struct OocPool {
     col_pages: usize,
     points_off: u64,
     labels_off: u64,
-    cols: Vec<ColMeta>,
+    /// Absolute file offset of each column's first 12-byte record.
+    records_off: Vec<u64>,
+    /// Each column's per-page (min value, max value) fences.
+    fences: Vec<Vec<(f64, f64)>>,
     cache: PageCache,
-    /// Bit `r % 64` of word `r / 64` is set while row `r` is active, so
-    /// ascending bit order is ascending row order; bits past `n` are
-    /// clear.
-    active: Vec<u64>,
-    n_active: usize,
+    active: ActiveSet,
     bytes_read: u64,
     gather: LabelGather,
 }
+
+/// `OocPool` is a [`ColumnAccess`] store through `reds-data`'s one
+/// impl for every [`PageSource`].
+const _: fn(&mut OocPool) -> &mut dyn ColumnAccess = |pool| pool;
 
 fn unsupported(msg: impl Into<String>) -> OocError {
     OocError::Unsupported(msg.into())
@@ -260,28 +178,19 @@ impl OocPool {
             page_rows.ok_or_else(|| unsupported("artifact has no page indexes"))? as usize;
         let col_pages = n.div_ceil(page_rows);
 
-        let mut cols = Vec::with_capacity(m);
-        for (col, (records_off, idx)) in records.into_iter().zip(indexes).enumerate() {
-            let records_off = records_off
-                .ok_or_else(|| unsupported(format!("column {col} has no column section")))?;
+        let mut records_off = Vec::with_capacity(m);
+        let mut fences = Vec::with_capacity(m);
+        for (col, (off, idx)) in records.into_iter().zip(indexes).enumerate() {
+            records_off.push(
+                off.ok_or_else(|| unsupported(format!("column {col} has no column section")))?,
+            );
             let idx = idx.ok_or_else(|| unsupported(format!("column {col} has no page index")))?;
-            let fences = idx
-                .fences
-                .iter()
-                .map(|&(lo, hi)| (ord_key_inverse(lo), ord_key_inverse(hi)))
-                .collect::<Vec<_>>();
-            cols.push(ColMeta {
-                records_off,
-                fences,
-                lo: 0,
-                hi: n,
-                dead: vec![false; col_pages],
-            });
-        }
-
-        let mut active = vec![u64::MAX; n.div_ceil(64)];
-        if n % 64 != 0 {
-            active[n / 64] = (1 << (n % 64)) - 1;
+            fences.push(
+                idx.fences
+                    .iter()
+                    .map(|&(lo, hi)| (ord_key_inverse(lo), ord_key_inverse(hi)))
+                    .collect(),
+            );
         }
 
         Ok(Self {
@@ -292,12 +201,12 @@ impl OocPool {
             col_pages,
             points_off,
             labels_off,
-            cols,
+            records_off,
+            fences,
             // Sized from the validated page indexes, which already hold
             // `m·col_pages` fences of 16 bytes each.
             cache: PageCache::new(cfg.cache_bytes, (m + 2) * col_pages),
-            active,
-            n_active: n,
+            active: ActiveSet::new(n, m, page_rows),
             bytes_read: 0,
             gather: LabelGather {
                 fill: vec![0; col_pages],
@@ -342,7 +251,7 @@ impl OocPool {
         // Bytes per row and where the array starts: a column's 12-byte
         // records, the labels, or the packed points.
         let (width, start) = match array {
-            c if c < self.m => (12, self.cols[c].records_off),
+            c if c < self.m => (12, self.records_off[c]),
             c if c == self.m => (8, self.labels_off),
             _ => (8 * self.m, self.points_off),
         };
@@ -370,42 +279,58 @@ impl OocPool {
         }
     }
 
-    fn records_page(&mut self, col: usize, page: usize) -> Rc<[Rec]> {
-        self.page(col * self.col_pages + page).records().clone()
-    }
-
     fn labels_id(&self, page: usize) -> usize {
         self.m * self.col_pages + page
     }
 
-    fn points_id(&self, page: usize) -> usize {
-        (self.m + 1) * self.col_pages + page
+    /// The page of `array` (`m`: the labels, `m + 1`: the points) that
+    /// holds `row`, and the rows it holds.
+    fn row_page(&mut self, array: usize, row: usize) -> (Rc<[f64]>, Range<usize>) {
+        let page = row / self.page_rows;
+        let start = page * self.page_rows;
+        let floats = self.page(array * self.col_pages + page).floats().clone();
+        (floats, start..(start + self.page_rows).min(self.n))
     }
 }
 
-impl ColumnAccess for OocPool {
-    fn m(&self) -> usize {
-        self.m
+impl PageSource for OocPool {
+    type Entry = Rec;
+    type Page = Rc<[Rec]>;
+    type Floats = Rc<[f64]>;
+
+    fn active(&self) -> &ActiveSet {
+        &self.active
     }
 
-    fn n_rows(&self) -> usize {
-        self.n
+    fn active_mut(&mut self) -> &mut ActiveSet {
+        &mut self.active
     }
 
-    fn n_active(&self) -> usize {
-        self.n_active
+    fn column_page(&mut self, dim: usize, page: usize) -> Rc<[Rec]> {
+        self.page(dim * self.col_pages + page).records().clone()
     }
 
-    fn is_active(&mut self, row: u32) -> bool {
-        is_set(&self.active, row)
+    fn entry_row(entry: Rec) -> u32 {
+        entry.row
     }
 
-    fn label(&mut self, row: u32) -> f64 {
-        let (page, at) = (row as usize / self.page_rows, row as usize % self.page_rows);
-        self.page(self.labels_id(page)).floats()[at]
+    fn entry_value(&self, _dim: usize, entry: Rec) -> f64 {
+        entry.value
     }
 
-    fn label_sum(&mut self, rows: &[u32]) -> f64 {
+    fn fences(&self, dim: usize, page: usize) -> (f64, f64) {
+        self.fences[dim][page]
+    }
+
+    fn labels_at(&mut self, row: usize) -> (Rc<[f64]>, Range<usize>) {
+        self.row_page(self.m, row)
+    }
+
+    fn points_at(&mut self, row: usize) -> (Rc<[f64]>, Range<usize>) {
+        self.row_page(self.m + 1, row)
+    }
+
+    fn sum_labels(&mut self, rows: &[u32]) -> f64 {
         // The rows are bucketed by label page (a counting sort), so each
         // page is fetched once and read in place; the labels land at
         // their positions and are summed in the given order.
@@ -444,198 +369,6 @@ impl ColumnAccess for OocPool {
         let sum = g.labels.iter().fold(-0.0, |sum, &y| sum + y);
         self.gather = g;
         sum
-    }
-
-    fn active_label_sum(&mut self) -> f64 {
-        // -0.0 is the additive identity `Iterator::sum::<f64>` folds
-        // from; starting at +0.0 would differ bitwise on empty or
-        // all-negative-zero sums.
-        let mut sum = -0.0;
-        // The label page in hand and the rows `[start, end)` it holds.
-        let (mut start, mut end) = (0, 0);
-        let mut labels: Rc<[f64]> = Rc::new([]);
-        for w in 0..self.active.len() {
-            let mut bits = self.active[w];
-            while bits != 0 {
-                let row = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if row >= end {
-                    let p = row / self.page_rows;
-                    (start, end) = (p * self.page_rows, (p + 1) * self.page_rows);
-                    labels = self.page(self.labels_id(p)).floats().clone();
-                }
-                sum += labels[row - start];
-            }
-        }
-        sum
-    }
-
-    fn scan_active_front(&mut self, dim: usize, f: &mut dyn FnMut(f64, u32) -> bool) {
-        let page_rows = self.page_rows;
-        let (lo, hi) = (self.cols[dim].lo, self.cols[dim].hi);
-        let mut rank = lo;
-        while rank < hi {
-            let p = rank / page_rows;
-            let page_end = ((p + 1) * page_rows).min(hi);
-            if !self.cols[dim].dead[p] {
-                let recs = self.records_page(dim, p);
-                let base = p * page_rows;
-                let visit = recs[rank - base..page_end - base].iter();
-                match visit_page(&self.active, visit, f) {
-                    PageVisit::Stopped => return,
-                    PageVisit::Dead => self.cols[dim].dead[p] = true,
-                    PageVisit::Live => {}
-                }
-            }
-            rank = page_end;
-        }
-    }
-
-    fn scan_active_back(&mut self, dim: usize, f: &mut dyn FnMut(f64, u32) -> bool) {
-        let page_rows = self.page_rows;
-        let (lo, hi) = (self.cols[dim].lo, self.cols[dim].hi);
-        let mut rank = hi;
-        while rank > lo {
-            let p = (rank - 1) / page_rows;
-            let page_start = (p * page_rows).max(lo);
-            if !self.cols[dim].dead[p] {
-                let recs = self.records_page(dim, p);
-                let base = p * page_rows;
-                let visit = recs[page_start - base..rank - base].iter().rev();
-                match visit_page(&self.active, visit, f) {
-                    PageVisit::Stopped => return,
-                    PageVisit::Dead => self.cols[dim].dead[p] = true,
-                    PageVisit::Live => {}
-                }
-            }
-            rank = page_start;
-        }
-    }
-
-    fn scan_column_points(&mut self, dim: usize, f: &mut PointVisitor<'_>) {
-        let page_rows = self.page_rows;
-        let m = self.m;
-        let (lo, hi) = (self.cols[dim].lo, self.cols[dim].hi);
-        let mut point = Vec::with_capacity(m);
-        let mut rank = lo;
-        while rank < hi {
-            let p = rank / page_rows;
-            let page_end = ((p + 1) * page_rows).min(hi);
-            if self.cols[dim].dead[p] {
-                rank = page_end;
-                continue;
-            }
-            let recs = self.records_page(dim, p);
-            let base = p * page_rows;
-            let mut any_active = false;
-            for idx in (rank - base)..(page_end - base) {
-                let r = recs[idx];
-                rank += 1;
-                if is_set(&self.active, r.row) {
-                    any_active = true;
-                    let row = r.row as usize;
-                    let (dpage, at) = (row / page_rows, row % page_rows);
-                    // Copied out first: the label fetch may evict it.
-                    point.clear();
-                    let points = self.page(self.points_id(dpage)).floats();
-                    point.extend_from_slice(&points[at * m..(at + 1) * m]);
-                    let label = self.page(self.labels_id(dpage)).floats()[at];
-                    f(r.value, r.row, &point, label);
-                }
-            }
-            if !any_active {
-                self.cols[dim].dead[p] = true;
-            }
-        }
-    }
-
-    fn scan_rows(&mut self, f: &mut dyn FnMut(u32, &[f64], f64)) {
-        let page_rows = self.page_rows;
-        let m = self.m;
-        let mut row = 0usize;
-        while row < self.n {
-            let p = row / page_rows;
-            let end = ((p + 1) * page_rows).min(self.n);
-            let points = self.page(self.points_id(p)).floats().clone();
-            let labels = self.page(self.labels_id(p)).floats().clone();
-            for r in row..end {
-                let in_page = r % page_rows;
-                f(
-                    r as u32,
-                    &points[in_page * m..(in_page + 1) * m],
-                    labels[in_page],
-                );
-            }
-            row = end;
-        }
-    }
-
-    fn deactivate_below(&mut self, dim: usize, bound: f64) -> usize {
-        let page_rows = self.page_rows;
-        let (lo, hi) = (self.cols[dim].lo, self.cols[dim].hi);
-        let mut removed = 0usize;
-        let mut rank = lo;
-        'outer: while rank < hi {
-            let p = rank / page_rows;
-            let page_end = ((p + 1) * page_rows).min(hi);
-            if self.cols[dim].dead[p] {
-                if self.cols[dim].fences[p].1 < bound {
-                    // Whole (inactive) page below the bound: the cut
-                    // continues past it with zero I/O.
-                    rank = page_end;
-                    continue;
-                }
-                // The cut ends inside this all-inactive page; nothing
-                // left to deactivate anywhere (the column is sorted).
-                break;
-            }
-            let recs = self.records_page(dim, p);
-            let base = p * page_rows;
-            for idx in (rank - base)..(page_end - base) {
-                let r = recs[idx];
-                if r.value < bound {
-                    removed += clear(&mut self.active, r.row);
-                    rank += 1;
-                } else {
-                    break 'outer;
-                }
-            }
-        }
-        self.cols[dim].lo = rank;
-        self.n_active -= removed;
-        removed
-    }
-
-    fn deactivate_above(&mut self, dim: usize, bound: f64) -> usize {
-        let page_rows = self.page_rows;
-        let (lo, hi) = (self.cols[dim].lo, self.cols[dim].hi);
-        let mut removed = 0usize;
-        let mut rank = hi;
-        'outer: while rank > lo {
-            let p = (rank - 1) / page_rows;
-            let page_start = (p * page_rows).max(lo);
-            if self.cols[dim].dead[p] {
-                if self.cols[dim].fences[p].0 > bound {
-                    rank = page_start;
-                    continue;
-                }
-                break;
-            }
-            let recs = self.records_page(dim, p);
-            let base = p * page_rows;
-            for idx in ((page_start - base)..(rank - base)).rev() {
-                let r = recs[idx];
-                if r.value > bound {
-                    removed += clear(&mut self.active, r.row);
-                    rank -= 1;
-                } else {
-                    break 'outer;
-                }
-            }
-        }
-        self.cols[dim].hi = rank;
-        self.n_active -= removed;
-        removed
     }
 }
 

@@ -12,7 +12,9 @@
 //! Every dimension is argsorted **once** per `discover` call (a
 //! [`SortedView`]); each beam refinement then scans its presorted
 //! column linearly instead of re-sorting the covered points —
-//! `O(M·N)` per refinement instead of `O(M·N log N)`.
+//! `O(M·N)` per refinement instead of `O(M·N log N)`. BI never
+//! deactivates a row, so the sorted-column store's column point scan
+//! reads no membership bit for it.
 
 use rand::rngs::StdRng;
 use reds_data::{ColumnAccess, Dataset, SortedView, ViewAccess};

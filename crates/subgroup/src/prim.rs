@@ -14,7 +14,10 @@
 //! Peeling runs on any [`ColumnAccess`] backing: the in-memory
 //! [`ViewAccess`] over a [`SortedView`] (every dimension argsorted once,
 //! `O(M·N log N)`) or the out-of-core paged store, whose columns were
-//! sorted when its artifact was built. With `n` points in the box and
+//! sorted when its artifact was built. Both are `reds-data`'s one
+//! sorted-column store, so each cut deactivates the rows it trims
+//! without touching any other column, and scans skip the pages cuts
+//! have emptied. With `n` points in the box and
 //! `k = ⌊α·n⌋`, each step makes `2M` scans, each handing out the `k + 1`
 //! lowest or highest active entries of one sorted column, one
 //! [`label_sum`](ColumnAccess::label_sum) over the removed rows of each

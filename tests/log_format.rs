@@ -201,3 +201,52 @@ fn every_prefix_of_a_checkpoint_loads_its_complete_records_or_is_corrupt_at_line
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// A crash inside `create`, before its one write landed, leaves a log
+/// with no complete header line: empty, or a header cut short. It holds
+/// no record, so resuming starts it afresh, for the checkpoint and the
+/// journal alike. A complete header line that does not decode, or that
+/// belongs to another run, is still refused.
+#[test]
+fn resume_starts_afresh_over_a_log_with_no_complete_header_line() {
+    let header = CheckpointHeader::new("0123456789abcdef", 1, 2);
+    let checkpoint = tmp_path("headless-checkpoint.jsonl");
+    let journal = tmp_path("headless-journal.jsonl");
+    for torn in ["", r#"{"schema_version":1,"finger"#] {
+        std::fs::write(&checkpoint, torn).expect("write");
+        let (mut w, done) = CheckpointWriter::open(&checkpoint, &header, true)
+            .unwrap_or_else(|e| panic!("resume over {torn:?}: {e}"));
+        assert!(done.is_empty());
+        w.append(&record(0)).expect("append");
+        drop(w);
+        let lines: Vec<&str> = CHECKPOINT.split_inclusive('\n').collect();
+        assert_bytes(&checkpoint, &lines[..2].concat());
+
+        std::fs::write(&journal, torn).expect("write");
+        let (mut j, state) = LeaseJournal::open(&journal, "0123456789abcdef", true)
+            .unwrap_or_else(|e| panic!("resume over {torn:?}: {e}"));
+        assert_eq!(state.max_lease, 0);
+        j.record(&events()[0]).expect("record");
+        drop(j);
+        let lines: Vec<&str> = JOURNAL.split_inclusive('\n').collect();
+        assert_bytes(&journal, &lines[..2].concat());
+    }
+
+    std::fs::write(&checkpoint, "{\"schema_version\":1,\"finger\n").expect("write");
+    let refused = CheckpointWriter::open(&checkpoint, &header, true);
+    assert!(
+        matches!(
+            refused,
+            Err(CheckpointError::Log(LogError::Corrupt { line: 1, .. }))
+        ),
+        "a complete but torn header was resumed: {refused:?}"
+    );
+    let other = CheckpointHeader::new("fedcba9876543210", 1, 2);
+    CheckpointWriter::create(&checkpoint, &other).expect("create");
+    let refused = CheckpointWriter::open(&checkpoint, &header, true);
+    assert!(
+        matches!(refused, Err(CheckpointError::FingerprintMismatch { .. })),
+        "another run's header was resumed: {refused:?}"
+    );
+    std::fs::remove_file(&checkpoint).ok();
+}
